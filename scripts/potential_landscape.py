@@ -21,6 +21,7 @@ from cpwalls import (
     run_sweep,
     stationary_points,
 )
+from cpwalls.cli import _emit_csv
 
 ATOMS = {
     "electric (alpha=1, beta=0)": AtomResponse(1.0, 0.0),
@@ -81,9 +82,7 @@ def main() -> None:
                 name = f"landscape_{kind.value}_{atom.alpha0}_{atom.beta0}.csv"
                 path = out_dir / name
                 with open(path, "w", newline="") as fh:
-                    fh.write(",".join(d["curve"].columns) + "\n")
-                    for row in d["curve"].rows:
-                        fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+                    fh.write(_emit_csv(d["curve"].columns, d["curve"].rows))
                 print(f"    wrote {path}")
 
 

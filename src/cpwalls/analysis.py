@@ -11,13 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlators import Geometry, WallKind, mean_square_b, mean_square_e
+from .correlators import Geometry, WallKind, _tensor
 from .errors import ConfigError, InvalidGrid
 from .potentials import (
     AtomResponse,
-    force,
-    potential_electric,
-    potential_magnetic,
+    _electric,
+    _force,
+    _magnetic,
+    _total,
     potential_total,
     single_wall_limit,
 )
@@ -106,24 +107,32 @@ def nearest_wall_reference(geom: Geometry, atom: AtomResponse, z: float) -> floa
 
 
 def run_sweep(spec: SweepSpec) -> PotentialCurve:
-    """Evaluate the requested quantities on the grid, one row per point."""
+    """Evaluate the requested quantities on the grid, one row per point.
+
+    Each row evaluates the profile and its derivative at most once.
+    """
+    atom, geom, guard = spec.atom, spec.geometry, spec.guard
     evaluators = {
-        "V": lambda z: potential_total(spec.atom, spec.geometry, z, spec.guard),
-        "V_E": lambda z: potential_electric(spec.atom, spec.geometry, z, spec.guard),
-        "V_M": lambda z: potential_magnetic(spec.atom, spec.geometry, z, spec.guard),
-        "force": lambda z: force(spec.atom, spec.geometry, z, spec.guard),
-        "EE_trace": lambda z: mean_square_e(spec.geometry, z, spec.guard),
-        "BB_trace": lambda z: mean_square_b(spec.geometry, z, spec.guard),
+        "V": lambda p, dp: _total(atom, geom, p),
+        "V_E": lambda p, dp: _electric(atom, geom, p),
+        "V_M": lambda p, dp: _magnetic(atom, geom, p),
+        "force": lambda p, dp: _force(atom, geom, dp),
+        "EE_trace": lambda p, dp: _tensor(geom, p, "EE").trace(),
+        "BB_trace": lambda p, dp: _tensor(geom, -p, "BB").trace(),
     }
     ordered = [q for q in SWEEP_QUANTITIES if q in spec.quantities]
+    needs_p = any(q != "force" for q in ordered)
+    needs_dp = "force" in ordered
     columns = ["z"] + ordered
     if spec.include_limit_reference:
         columns.append("V_wall")
     curve = PotentialCurve(columns=tuple(columns))
     for z in spec.z_grid:
-        row = [z] + [evaluators[q](z) for q in ordered]
+        p = geom.profile(z, guard) if needs_p else None
+        dp = geom.profile_deriv(z, guard) if needs_dp else None
+        row = [z] + [evaluators[q](p, dp) for q in ordered]
         if spec.include_limit_reference:
-            row.append(nearest_wall_reference(spec.geometry, spec.atom, z))
+            row.append(nearest_wall_reference(geom, atom, z))
         curve.rows.append(tuple(row))
     return curve
 
@@ -187,14 +196,12 @@ def limit_convergence_study(
 
     degenerate = atom.alpha0 == atom.beta0
     v_limit = single_wall_limit(atom, wall_type, z)
+    conducting = wall_type == "conducting"
+    kind = WallKind.CONDUCTOR_CONDUCTOR if conducting else WallKind.CONDUCTOR_PERMEABLE
     rows = []
     for a in a_list:
-        if wall_type == "conducting":
-            geom = Geometry(WallKind.CONDUCTOR_CONDUCTOR, a)
-            v_exact = potential_total(atom, geom, z, guard)
-        else:
-            geom = Geometry(WallKind.CONDUCTOR_PERMEABLE, a)
-            v_exact = potential_total(atom, geom, a - z, guard)
+        position = z if conducting else a - z
+        v_exact = potential_total(atom, Geometry(kind, a), position, guard)
         rel = None if degenerate else abs(v_exact / v_limit - 1.0)
         rows.append(LimitRow(a=a, v_exact=v_exact, v_limit=v_limit, rel_error=rel))
     return LimitStudy(

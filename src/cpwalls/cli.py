@@ -25,22 +25,9 @@ import sys
 import numpy as np
 
 from .analysis import SweepSpec, limit_convergence_study, run_sweep
-from .correlators import (
-    Geometry,
-    WallKind,
-    correlator_bb,
-    correlator_eb,
-    correlator_ee,
-)
+from .correlators import Geometry, WallKind, _tensor, correlator_eb
 from .errors import ConfigError, DomainError
-from .potentials import (
-    AtomResponse,
-    force,
-    potential_electric,
-    potential_magnetic,
-    potential_sample,
-    potential_total,
-)
+from .potentials import AtomResponse, _potential_row
 from .profiles import GuardPolicy
 from .units import HBAR_C_J_M
 from .verification import run_verification
@@ -309,17 +296,7 @@ def _cmd_potential(args) -> int:
     geom = _geometry_from(args)
     atom = _atom_from(args)
     guard = _guard_from(args)
-    rows = []
-    for z in _grid_from(args):
-        s = potential_sample(atom, geom, z, guard)
-        rows.append((
-            z,
-            potential_electric(atom, geom, z, guard),
-            potential_magnetic(atom, geom, z, guard),
-            s.V,
-            s.force_z,
-            s.regime,
-        ))
+    rows = [(z,) + _potential_row(atom, geom, z, guard) for z in _grid_from(args)]
     _emit(POTENTIAL_COLUMNS, rows, args)
     return 0
 
@@ -329,12 +306,13 @@ def _cmd_correlators(args) -> int:
     guard = _guard_from(args)
     rows = []
     for z in _grid_from(args):
-        ee = correlator_ee(geom, z, guard)
-        bb = correlator_bb(geom, z, guard)
+        p = geom.profile(z, guard)
+        ee = _tensor(geom, p, "EE")
+        bb = _tensor(geom, -p, "BB")
         eb = correlator_eb(geom, z)
         cells = [z]
         for tensor in (ee, bb, eb):
-            cells.extend(float(v) for v in tensor.components.ravel())
+            cells.extend(tensor.components.ravel().tolist())
         cells.extend([ee.trace(), bb.trace(), ee.trace() + bb.trace()])
         rows.append(tuple(cells))
     _emit(CORRELATOR_COLUMNS, rows, args)
@@ -373,8 +351,10 @@ def _cmd_limits(args) -> int:
         a_values = [m * args.z for m in (20.0, 40.0, 80.0, 160.0)]
     else:
         try:
-            a_values = [float(tok) for tok in args.a_values.split(",") if tok.strip()]
-        except ValueError as exc:
+            a_values = [
+                _finite_float(tok) for tok in args.a_values.split(",") if tok.strip()
+            ]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"bad --a-values: {exc}") from exc
     study = limit_convergence_study(atom, args.wall_type, args.z, a_values, guard)
     columns = ("a", "V_exact", "V_limit", "rel_error")

@@ -6,9 +6,15 @@ at z = a). The free-space contribution is already subtracted, so every
 component scales like a^-4 at fixed z/a.
 
 All nine pair tensors (EE, BB, EB) are diagonal with xx = yy, and the EB
-tensors vanish identically; both facts are constructed and then asserted so
-downstream code can rely on them. In natural units (hbar = c = 1) the
-components carry dimension length^-4.
+tensors vanish identically, so a tensor is stored as its two distinct
+components (par = xx = yy, perp = zz) and the 3x3 matrix is built only when
+asked for. In natural units (hbar = c = 1) the components carry dimension
+length^-4.
+
+Each geometry has one profile function p and one diagonal constant K
+(WALL_TABLE): par = pref*(p - K) and perp = pref*(p + K) for EE, with p
+replaced by -p for BB, where pref = (pi/a)^4 * 2/(3*pi). K is 1/120 for "cc"
+and -7/8 * 1/120 for "cp".
 """
 
 from __future__ import annotations
@@ -16,18 +22,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import OutOfDomain
-from .profiles import DEFAULT_GUARD, PI, GuardPolicy, cot_profile, csc_profile
-
-# Diagonal constants: components are pref*(const -+ profile). For "cc" the
-# constants are -+1/120 (xx/yy vs zz); for "cp" the same constants carry an
-# extra factor -7/8. Written independently of the series constants in
-# profiles.py on purpose: the verification suite compares the two routes.
-_DIAG_CONST = 1.0 / 120.0
-_PERMEABLE_FACTOR = -7.0 / 8.0
+from .profiles import (
+    DEFAULT_GUARD,
+    PI,
+    GuardPolicy,
+    cot_profile,
+    cot_profile_deriv,
+    csc_profile,
+    csc_profile_deriv,
+)
 
 
 class WallKind(enum.Enum):
@@ -35,6 +43,31 @@ class WallKind(enum.Enum):
 
     CONDUCTOR_CONDUCTOR = "cc"
     CONDUCTOR_PERMEABLE = "cp"
+
+    # Members are singletons, so hashing by identity agrees with equality.
+    # Enum's own __hash__ runs in Python and made every WALL_TABLE lookup
+    # cost about as much as a profile evaluation.
+    __hash__ = object.__hash__
+
+
+class Wall(NamedTuple):
+    """The closed-form ingredients of one geometry, as functions of xi."""
+
+    profile: Callable[[float, GuardPolicy], float]
+    profile_deriv: Callable[[float, GuardPolicy], float]
+    diag_const: float
+
+
+# K is written out here rather than taken from profiles.COT_SERIES_CONST or
+# CSC_SERIES_CONST: those are the fault-injection surface of the series
+# checks, and this table is the one of potential_additivity and
+# potential_from_correlators, which keep their own copies of the constants.
+WALL_TABLE = {
+    WallKind.CONDUCTOR_CONDUCTOR: Wall(cot_profile, cot_profile_deriv, 1.0 / 120.0),
+    WallKind.CONDUCTOR_PERMEABLE: Wall(
+        csc_profile, csc_profile_deriv, -7.0 / 8.0 * (1.0 / 120.0)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -52,30 +85,40 @@ class Geometry:
 
     def xi(self, z: float) -> float:
         """Scaled coordinate pi*z/a for a point strictly between the walls."""
-        if not (0.0 < z < self.separation_a) or not math.isfinite(z):
+        if not 0.0 < z < self.separation_a:  # also false for nan
             raise OutOfDomain(
                 f"z={z!r} is not strictly between the walls (0, {self.separation_a})"
             )
         return PI * (z / self.separation_a)
 
+    def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
+        """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""
+        return WALL_TABLE[self.kind].profile(self.xi(z), guard)
 
-@dataclass
+    def profile_deriv(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
+        """d/dxi of the geometry's profile at xi(z)."""
+        return WALL_TABLE[self.kind].profile_deriv(self.xi(z), guard)
+
+
+@dataclass(frozen=True)
 class CorrelatorTensor:
-    """3x3 symmetric correlator matrix at a point, natural units."""
+    """Diagonal correlator tensor diag(par, par, perp) at a point, natural units."""
 
-    components: np.ndarray
+    par: float
+    perp: float
     field_pair: str  # one of "EE", "BB", "EB"
 
     def __post_init__(self) -> None:
-        self.components = np.asarray(self.components, dtype=np.float64)
-        assert self.components.shape == (3, 3)
-        assert self.field_pair in ("EE", "BB", "EB")
-        offdiag = self.components[~np.eye(3, dtype=bool)]
-        assert np.all(offdiag == 0.0), "correlator tensors must be diagonal"
-        assert self.components[0, 0] == self.components[1, 1], "xx must equal yy"
+        if self.field_pair not in ("EE", "BB", "EB"):
+            raise ValueError(f"unknown field pair {self.field_pair!r}")
+
+    @property
+    def components(self) -> np.ndarray:
+        """The 3x3 float64 matrix; off-diagonal entries are zero."""
+        return np.diag([self.par, self.par, self.perp])
 
     def trace(self) -> float:
-        return float(self.components[0, 0] + self.components[1, 1] + self.components[2, 2])
+        return self.par + self.par + self.perp
 
 
 def tensor_prefactor(separation_a: float) -> float:
@@ -83,45 +126,31 @@ def tensor_prefactor(separation_a: float) -> float:
     return (PI / separation_a) ** 4 * (2.0 / (3.0 * PI))
 
 
-def _diagonal(geom: Geometry, z: float, guard: GuardPolicy, flip_profile: bool):
+def _tensor(geom: Geometry, p: float, field_pair: str) -> CorrelatorTensor:
+    """EE tensor for profile value p; the BB tensor is the EE one at -p."""
     pref = tensor_prefactor(geom.separation_a)
-    xi = geom.xi(z)
-    if geom.kind is WallKind.CONDUCTOR_CONDUCTOR:
-        prof = cot_profile(xi, guard)
-        c_par, c_perp = -_DIAG_CONST, _DIAG_CONST
-    else:
-        prof = csc_profile(xi, guard)
-        c_par = _PERMEABLE_FACTOR * -_DIAG_CONST
-        c_perp = _PERMEABLE_FACTOR * _DIAG_CONST
-    if flip_profile:
-        prof = -prof
-    return pref * (c_par + prof), pref * (c_perp + prof)
+    k = WALL_TABLE[geom.kind].diag_const
+    return CorrelatorTensor(pref * (p - k), pref * (p + k), field_pair)
 
 
 def correlator_ee(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> CorrelatorTensor:
-    """<E_i E_j> tensor: diag(c_par + p, c_par + p, c_perp + p) * prefactor.
-
-    p is cot_profile for "cc" and csc_profile for "cp"; c_par/c_perp are the
-    -+1/120 constants, times -7/8 in the "cp" geometry.
-    """
-    par, perp = _diagonal(geom, z, guard, flip_profile=False)
-    return CorrelatorTensor(np.diag([par, par, perp]), "EE")
+    """<E_i E_j> tensor: diag(p - K, p - K, p + K) * prefactor."""
+    return _tensor(geom, geom.profile(z, guard), "EE")
 
 
 def correlator_bb(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> CorrelatorTensor:
     """<B_i B_j> tensor: same constants as EE with the profile sign flipped."""
-    par, perp = _diagonal(geom, z, guard, flip_profile=True)
-    return CorrelatorTensor(np.diag([par, par, perp]), "BB")
+    return _tensor(geom, -geom.profile(z, guard), "BB")
 
 
 def correlator_eb(geom: Geometry, z: float) -> CorrelatorTensor:
     """<E_i B_j> tensor, identically zero in both geometries."""
     geom.xi(z)  # domain check only
-    return CorrelatorTensor(np.zeros((3, 3)), "EB")
+    return CorrelatorTensor(0.0, 0.0, "EB")
 
 
 def mean_square_e(

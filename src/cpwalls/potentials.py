@@ -16,6 +16,17 @@ Conductor-permeable ("cp"), with q = csc_profile(pi*z/a):
     V_M = +(beta0 *pi^3)/(3*a^4) * (3*q - 7/960)
     V   = -(alpha0-beta0)*pi^3/a^4 * q - (7/8)*(alpha0+beta0)*pi^3/(360*a^4)
 
+So both parts are one expression in the geometry's profile p and diagonal
+constant K (correlators.WALL_TABLE: 1/120 for "cc", -7/8 * 1/120 for "cp"):
+V_E = -(alpha0*pi^3)/(3*a^4) * (3*p - K), V_M = +(beta0*pi^3)/(3*a^4) *
+(3*p + K). The total keeps its own combined constant (1/360, -7/8 * 1/360),
+so its equality with the sum of the parts stays a check between two routes.
+
+Stationary points: the profile slope vanishes only at the midplane, and only
+for "cc" (cot_profile' = -cos(xi)*(cos(xi)^2 + 2)/(2*sin(xi)^5); csc_profile'
+is strictly negative), so the potential has a stationary point at z = a/2 in
+"cc" and none in "cp".
+
 Sign conventions: force_z = -dV/dz, so force_z > 0 pushes the atom toward
 the wall at z = a. Natural units (hbar = c = 1): with polarizabilities in
 length^3, potentials are inverse lengths and forces inverse lengths squared.
@@ -27,31 +38,21 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .correlators import Geometry, WallKind
+from .correlators import WALL_TABLE, Geometry, WallKind
 from .errors import (
     FlatPotentialWarning,
     NegativePolarizabilityWarning,
     OutOfDomain,
     TooCloseToWall,
 )
-from .profiles import (
-    DEFAULT_GUARD,
-    PI,
-    GuardPolicy,
-    cot_profile,
-    cot_profile_deriv,
-    csc_profile,
-    csc_profile_deriv,
-    wall_distance,
-)
+from .profiles import DEFAULT_GUARD, PI, GuardPolicy, wall_distance
 
-# Transcribed independently of the constants in profiles/correlators; the
-# cross-module consistency checks in verification.py are only meaningful if
-# each module carries its own copy.
-_EIGHTH_CONST = 1.0 / 120.0
-_PERMEABLE_EIGHTH = 7.0 / 960.0
-_COMBINED_CONST = 1.0 / 360.0
-_PERMEABLE_COMBINED = 7.0 / 8.0 / 360.0
+# Combined constant of potential_total, transcribed apart from the diagonal
+# constants in correlators.WALL_TABLE: potential_additivity compares the two.
+_COMBINED_CONST = {
+    WallKind.CONDUCTOR_CONDUCTOR: 1.0 / 360.0,
+    WallKind.CONDUCTOR_PERMEABLE: -7.0 / 8.0 / 360.0,
+}
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class AtomResponse:
             warnings.warn(
                 "negative static polarizability supplied",
                 NegativePolarizabilityWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -87,6 +88,52 @@ class PotentialSample:
     regime: str  # "exact" or "asymptotic"
 
 
+def _electric(atom: AtomResponse, geom: Geometry, p: float) -> float:
+    pref = atom.alpha0 * PI ** 3 / (3.0 * geom.separation_a ** 4)
+    return -pref * (3.0 * p - WALL_TABLE[geom.kind].diag_const)
+
+
+def _magnetic(atom: AtomResponse, geom: Geometry, p: float) -> float:
+    pref = atom.beta0 * PI ** 3 / (3.0 * geom.separation_a ** 4)
+    return pref * (3.0 * p + WALL_TABLE[geom.kind].diag_const)
+
+
+def _total(atom: AtomResponse, geom: Geometry, p: float) -> float:
+    a4 = geom.separation_a ** 4
+    diff = atom.alpha0 - atom.beta0
+    both = atom.alpha0 + atom.beta0
+    return (
+        -diff * PI ** 3 / a4 * p
+        + both * PI ** 3 * _COMBINED_CONST[geom.kind] / a4
+    )
+
+
+def _force(atom: AtomResponse, geom: Geometry, dp: float) -> float:
+    return (atom.alpha0 - atom.beta0) * PI ** 4 / geom.separation_a ** 5 * dp
+
+
+def _regime(geom: Geometry, z: float, guard: GuardPolicy) -> str:
+    """Regime tag of z: asymptotic inside the guard band, where reject raises."""
+    if guard.mode == "asymptotic" and wall_distance(geom.xi(z)) < guard.epsilon:
+        return "asymptotic"
+    return "exact"
+
+
+def _potential_row(
+    atom: AtomResponse, geom: Geometry, z: float, guard: GuardPolicy
+) -> tuple[float, float, float, float, str]:
+    """(V_E, V_M, V, force_z, regime) from one profile value and one slope."""
+    p = geom.profile(z, guard)
+    dp = geom.profile_deriv(z, guard)
+    return (
+        _electric(atom, geom, p),
+        _magnetic(atom, geom, p),
+        _total(atom, geom, p),
+        _force(atom, geom, dp),
+        _regime(geom, z, guard),
+    )
+
+
 def potential_electric(
     atom: AtomResponse,
     geom: Geometry,
@@ -94,11 +141,7 @@ def potential_electric(
     guard: GuardPolicy = DEFAULT_GUARD,
 ) -> float:
     """Electric part -alpha0/2 * <E^2>, as a closed form in the profile."""
-    xi = geom.xi(z)
-    pref = atom.alpha0 * PI ** 3 / (3.0 * geom.separation_a ** 4)
-    if geom.kind is WallKind.CONDUCTOR_CONDUCTOR:
-        return -pref * (3.0 * cot_profile(xi, guard) - _EIGHTH_CONST)
-    return -pref * (3.0 * csc_profile(xi, guard) + _PERMEABLE_EIGHTH)
+    return _electric(atom, geom, geom.profile(z, guard))
 
 
 def potential_magnetic(
@@ -108,11 +151,7 @@ def potential_magnetic(
     guard: GuardPolicy = DEFAULT_GUARD,
 ) -> float:
     """Magnetic part -beta0/2 * <B^2>, as a closed form in the profile."""
-    xi = geom.xi(z)
-    pref = atom.beta0 * PI ** 3 / (3.0 * geom.separation_a ** 4)
-    if geom.kind is WallKind.CONDUCTOR_CONDUCTOR:
-        return pref * (3.0 * cot_profile(xi, guard) + _EIGHTH_CONST)
-    return pref * (3.0 * csc_profile(xi, guard) - _PERMEABLE_EIGHTH)
+    return _magnetic(atom, geom, geom.profile(z, guard))
 
 
 def potential_total(
@@ -126,19 +165,7 @@ def potential_total(
     Equality with potential_electric + potential_magnetic is a checked
     invariant, not an implementation shortcut.
     """
-    xi = geom.xi(z)
-    a4 = geom.separation_a ** 4
-    diff = atom.alpha0 - atom.beta0
-    both = atom.alpha0 + atom.beta0
-    if geom.kind is WallKind.CONDUCTOR_CONDUCTOR:
-        return (
-            -diff * PI ** 3 / a4 * cot_profile(xi, guard)
-            + both * PI ** 3 * _COMBINED_CONST / a4
-        )
-    return (
-        -diff * PI ** 3 / a4 * csc_profile(xi, guard)
-        - both * PI ** 3 * _PERMEABLE_COMBINED / a4
-    )
+    return _total(atom, geom, geom.profile(z, guard))
 
 
 def single_wall_limit(atom: AtomResponse, wall_type: str, distance: float) -> float:
@@ -162,12 +189,7 @@ def force(
     guard: GuardPolicy = DEFAULT_GUARD,
 ) -> float:
     """Analytic -dV/dz via the profile derivative and dxi/dz = pi/a."""
-    xi = geom.xi(z)
-    a5 = geom.separation_a ** 5
-    diff = atom.alpha0 - atom.beta0
-    if geom.kind is WallKind.CONDUCTOR_CONDUCTOR:
-        return diff * PI ** 4 / a5 * cot_profile_deriv(xi, guard)
-    return diff * PI ** 4 / a5 * csc_profile_deriv(xi, guard)
+    return _force(atom, geom, geom.profile_deriv(z, guard))
 
 
 def potential_sample(
@@ -177,30 +199,12 @@ def potential_sample(
     guard: GuardPolicy = DEFAULT_GUARD,
 ) -> PotentialSample:
     """Potential and force at z, tagged with the evaluation regime."""
-    xi = geom.xi(z)
-    regime = "asymptotic" if wall_distance(xi) < guard.epsilon else "exact"
     return PotentialSample(
         z=z,
         V=potential_total(atom, geom, z, guard),
         force_z=force(atom, geom, z, guard),
-        regime=regime,
+        regime=_regime(geom, z, guard),
     )
-
-
-def _bisect_force_root(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Root of f by bisection on a sign-change bracket, to |hi-lo| <= tol."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at floating-point resolution
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def stationary_points(
@@ -208,25 +212,24 @@ def stationary_points(
     geom: Geometry,
     z_lo: float,
     z_hi: float,
-    tol: float = 1e-12,
     guard: GuardPolicy = DEFAULT_GUARD,
-    scan_points: int = 2048,
 ) -> list[tuple[float, str]]:
-    """All force roots in [z_lo, z_hi], each classified min/max/saddle-flat.
+    """The force root in the closed bracket [z_lo, z_hi], classified.
 
-    Scan on a uniform grid, then bisection on every sign change; the grid is
-    fine enough because the potential has at most one interior stationary
-    point in these geometries. Returns [] when the force never changes sign.
-    A degenerate atom (alpha0 == beta0) has a position-independent potential:
-    that returns [] with a FlatPotentialWarning rather than every point.
+    Returns [(a/2, kind)] for "cc" when the bracket holds the midplane and
+    [] otherwise (the "cp" potential is strictly monotonic). kind is "max"
+    for alpha0 > beta0 and "min" for alpha0 < beta0, because
+    cot_profile''(pi/2) = 1; it is "saddle-flat" when the curvature
+    (alpha0-beta0)*pi^5/a^6 is within 1e-9 of the natural force-gradient
+    scale pi^4*(|alpha0|+|beta0|)/a^6. A degenerate atom (alpha0 == beta0)
+    has a position-independent potential: that returns [] with a
+    FlatPotentialWarning rather than every point.
     """
     a = geom.separation_a
     if not (0.0 < z_lo < z_hi < a):
         raise OutOfDomain(
             f"need 0 < z_lo < z_hi < a, got z_lo={z_lo!r}, z_hi={z_hi!r}, a={a!r}"
         )
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     band = guard.epsilon * a / PI
     if z_lo < band or z_hi > a - band:
         raise TooCloseToWall(
@@ -239,40 +242,14 @@ def stationary_points(
             stacklevel=2,
         )
         return []
-
-    def f(z: float) -> float:
-        return force(atom, geom, z, guard)
-
-    step = (z_hi - z_lo) / scan_points
-    grid = [z_lo + i * step for i in range(scan_points + 1)]
-    values = [f(z) for z in grid]
-
-    roots: list[float] = []
-    for i in range(scan_points):
-        if values[i] == 0.0:
-            roots.append(grid[i])
-        elif (values[i] < 0.0) != (values[i + 1] < 0.0) and values[i + 1] != 0.0:
-            roots.append(
-                _bisect_force_root(f, grid[i], grid[i + 1], values[i], tol)
-            )
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
-
-    # Classify by the force slope: force = -dV/dz, so a positive slope at the
-    # root means V'' < 0 (a maximum). The flat threshold is scaled to the
-    # natural force-gradient magnitude pi^4*(|alpha0|+|beta0|)/a^6.
-    h = max(tol, 1e-7 * a)
-    flat_scale = PI ** 4 * (abs(atom.alpha0) + abs(atom.beta0)) / a ** 6
-    out: list[tuple[float, str]] = []
-    for z_star in roots:
-        zp = min(z_star + h, z_hi)
-        zm = max(z_star - h, z_lo)
-        slope = (f(zp) - f(zm)) / (zp - zm)
-        if abs(slope) <= 1e-9 * flat_scale:
-            kind = "saddle-flat"
-        elif slope > 0.0:
-            kind = "max"
-        else:
-            kind = "min"
-        out.append((z_star, kind))
-    return out
+    z_mid = 0.5 * a
+    if geom.kind is not WallKind.CONDUCTOR_CONDUCTOR or not z_lo <= z_mid <= z_hi:
+        return []
+    diff = atom.alpha0 - atom.beta0
+    if abs(diff) * PI <= 1e-9 * (abs(atom.alpha0) + abs(atom.beta0)):
+        kind = "saddle-flat"
+    elif diff > 0.0:
+        kind = "max"
+    else:
+        kind = "min"
+    return [(z_mid, kind)]

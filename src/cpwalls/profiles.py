@@ -104,27 +104,38 @@ def wall_distance(xi: float) -> float:
 
 
 def _check_domain(xi: float) -> None:
-    if not (0.0 < xi < PI) or not math.isfinite(xi):
+    if not 0.0 < xi < PI:  # also false for nan and inf
         raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
 
 
-def _use_series(xi: float, guard: GuardPolicy) -> bool:
-    """Domain-check xi and decide between closed form and guard-band series."""
-    _check_domain(xi)
-    if wall_distance(xi) >= guard.epsilon:
-        return False
+def _wall(xi: float, guard: GuardPolicy | None) -> tuple[float, float, bool]:
+    """Domain check, reflection and guard decision for one point.
+
+    Returns (u, sign, asymptotic): u is the distance to the nearest wall
+    (the reflection about the true pi done in double-double), sign is +1 on
+    (0, pi/2] and -1 beyond, and asymptotic says the guard band asks for the
+    near-wall series. guard=None skips the band, for the series themselves.
+    """
+    if not 0.0 < xi < PI:  # inlined _check_domain: this is the hot path
+        raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
+    if xi <= HALF_PI:
+        u, sign = xi, 1.0
+    else:
+        u, sign = (PI - xi) + PI_LO, -1.0
+    if guard is None or u >= guard.epsilon:
+        return u, sign, False
     if guard.mode == "reject":
         raise TooCloseToWall(
             f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
         )
-    return True
+    return u, sign, True
 
 
 def cot_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """-(1/16) d^3/dxi^3 cot(xi); even about pi/2, positive on (0, pi)."""
-    if _use_series(xi, guard):
+    u, _, asymptotic = _wall(xi, guard)
+    if asymptotic:
         return cot_profile_series(xi)
-    u = xi if xi <= HALF_PI else (PI - xi) + PI_LO
     s = math.sin(u)
     c = math.cos(u)
     return (2.0 * c * c + 1.0) / (8.0 * s ** 4)
@@ -132,12 +143,9 @@ def cot_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
 
 def csc_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """-(1/16) d^3/dxi^3 csc(xi); odd about pi/2."""
-    if _use_series(xi, guard):
+    u, sign, asymptotic = _wall(xi, guard)
+    if asymptotic:
         return csc_profile_series(xi)
-    if xi <= HALF_PI:
-        u, sign = xi, 1.0
-    else:
-        u, sign = (PI - xi) + PI_LO, -1.0
     s = math.sin(u)
     c = math.cos(u)
     return sign * c * (c * c + 5.0) / (16.0 * s ** 4)
@@ -145,12 +153,9 @@ def csc_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
 
 def cot_profile_deriv(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """d/dxi of cot_profile; odd about pi/2."""
-    if _use_series(xi, guard):
-        return _cot_profile_deriv_series(xi)
-    if xi <= HALF_PI:
-        u, sign = xi, 1.0
-    else:
-        u, sign = (PI - xi) + PI_LO, -1.0
+    u, sign, asymptotic = _wall(xi, guard)
+    if asymptotic:
+        return sign * (-1.5) * u ** -5
     s = math.sin(u)
     c = math.cos(u)
     return -sign * c * (c * c + 2.0) / (2.0 * s ** 5)
@@ -158,9 +163,9 @@ def cot_profile_deriv(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
 
 def csc_profile_deriv(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """d/dxi of csc_profile; even about pi/2 and strictly negative."""
-    if _use_series(xi, guard):
-        return _csc_profile_deriv_series(xi)
-    u = xi if xi <= HALF_PI else (PI - xi) + PI_LO
+    u, _, asymptotic = _wall(xi, guard)
+    if asymptotic:
+        return -1.5 * u ** -5
     s = math.sin(u)
     c = math.cos(u)
     c2 = c * c
@@ -173,8 +178,7 @@ def cot_profile_series(xi: float) -> float:
     The constant keeps the same sign at both walls (the image sum is even
     under reflection); relative error is about u^6/47 at distance u.
     """
-    _check_domain(xi)
-    u = wall_distance(xi)
+    u, _, _ = _wall(xi, None)
     return SERIES_LEADING * u ** -4 + COT_SERIES_CONST
 
 
@@ -183,21 +187,8 @@ def csc_profile_series(xi: float) -> float:
 
     Near xi=0: (3/8)*u^-4 - 7/960. Near xi=pi: -(3/8)*u^-4 + 7/960.
     """
-    _check_domain(xi)
-    u = wall_distance(xi)
-    sign = 1.0 if xi <= HALF_PI else -1.0
+    u, sign, _ = _wall(xi, None)
     return sign * (SERIES_LEADING * u ** -4 - CSC_SERIES_CONST)
-
-
-def _cot_profile_deriv_series(xi: float) -> float:
-    u = wall_distance(xi)
-    sign = 1.0 if xi <= HALF_PI else -1.0
-    return sign * (-1.5) * u ** -5
-
-
-def _csc_profile_deriv_series(xi: float) -> float:
-    u = wall_distance(xi)
-    return -1.5 * u ** -5
 
 
 def image_tail_bound(xi: float, image_terms: int) -> float:

@@ -14,13 +14,17 @@ The near/far-wall series checks read the expansion constants through the
 profiles module object on purpose: perturbing profiles.COT_SERIES_CONST (a
 fault-injection exercise for the test harness) must make exactly those
 checks fail, proving the suite can actually catch a miscopied constant.
+Likewise potential_from_correlators holds its own copy of each geometry's
+diagonal constant, so a perturbed correlators.WALL_TABLE entry fails it
+together with potential_additivity.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from . import profiles
 from .analysis import limit_convergence_study
@@ -57,6 +61,13 @@ from .profiles import (
 _CC = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1.0)
 _CP = Geometry(WallKind.CONDUCTOR_PERMEABLE, 1.0)
 _GEOMETRIES = (_CC, _CP)
+# Second transcription of each geometry's diagonal constant K, from the closed
+# forms in the potentials docstring (V_E carries 3p - K, V_M carries 3p + K).
+# correlators.WALL_TABLE holds the production copy.
+_DIAG_CONST = {
+    WallKind.CONDUCTOR_CONDUCTOR: 1.0 / 120.0,
+    WallKind.CONDUCTOR_PERMEABLE: -7.0 / 960.0,
+}
 # Binary-exact polarizabilities keep the algebraic identities at the few-ulp
 # level instead of hiding them under input rounding.
 _ATOMS = (
@@ -86,14 +97,7 @@ class CheckResult:
         object.__setattr__(self, "points_tested", int(self.points_tested))
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "points_tested": self.points_tested,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -255,67 +259,37 @@ def _series_scales(level: str) -> list[float]:
     return [0.1, 0.05] if level == "quick" else [0.1, 0.05, 0.025, 0.0125]
 
 
-@_register("near_wall_series_cot")
-def _check_near_series_cot(level: str) -> CheckResult:
-    us = _series_scales(level)
-    cs = [
-        (cot_profile(u) - profiles.SERIES_LEADING * u ** -4
-         - profiles.COT_SERIES_CONST) / u ** 2
-        for u in us
-    ]
-    spread = _series_ratio_spread(cs)
-    return CheckResult(
-        "near_wall_series_cot", spread, spread, 0.05, spread <= 0.05, len(us)
-    )
+def _series_check(name, fn, far, sign, const, level) -> CheckResult:
+    """Fit (fn - sign*(3/8)*w^-4 - const())/w^2 at shrinking wall distances w.
 
-
-@_register("near_wall_series_csc")
-def _check_near_series_csc(level: str) -> CheckResult:
-    us = _series_scales(level)
-    cs = [
-        (csc_profile(u) - profiles.SERIES_LEADING * u ** -4
-         + profiles.CSC_SERIES_CONST) / u ** 2
-        for u in us
-    ]
-    spread = _series_ratio_spread(cs)
-    return CheckResult(
-        "near_wall_series_csc", spread, spread, 0.05, spread <= 0.05, len(us)
-    )
-
-
-@_register("far_wall_series_cot")
-def _check_far_series_cot(level: str) -> CheckResult:
+    far=True expands about xi = pi instead of xi = 0. const() reads the
+    expansion constant through the profiles module at call time, so a
+    perturbed profiles constant shows up here.
+    """
     us = _series_scales(level)
     cs = []
     for u in us:
-        x = PI - u
+        x = PI - u if far else u
         w = wall_distance(x)
         cs.append(
-            (cot_profile(x) - profiles.SERIES_LEADING * w ** -4
-             - profiles.COT_SERIES_CONST) / w ** 2
+            (fn(x) - sign * profiles.SERIES_LEADING * w ** -4 - const()) / w ** 2
         )
     spread = _series_ratio_spread(cs)
-    return CheckResult(
-        "far_wall_series_cot", spread, spread, 0.05, spread <= 0.05, len(us)
-    )
+    return CheckResult(name, spread, spread, 0.05, spread <= 0.05, len(us))
 
 
-@_register("far_wall_series_csc")
-def _check_far_series_csc(level: str) -> CheckResult:
-    us = _series_scales(level)
-    cs = []
-    for u in us:
-        x = PI - u
-        w = wall_distance(x)
-        # Far-wall expansion carries the opposite signs: -(3/8)w^-4 + 7/960.
-        cs.append(
-            (csc_profile(x) + profiles.SERIES_LEADING * w ** -4
-             - profiles.CSC_SERIES_CONST) / w ** 2
-        )
-    spread = _series_ratio_spread(cs)
-    return CheckResult(
-        "far_wall_series_csc", spread, spread, 0.05, spread <= 0.05, len(us)
-    )
+# Far from xi = 0 the csc expansion flips sign wholesale: -(3/8)w^-4 + 7/960.
+for _name, _fn, _far, _sign, _const in (
+    ("near_wall_series_cot", cot_profile, False, 1.0,
+     lambda: profiles.COT_SERIES_CONST),
+    ("near_wall_series_csc", csc_profile, False, 1.0,
+     lambda: -profiles.CSC_SERIES_CONST),
+    ("far_wall_series_cot", cot_profile, True, 1.0,
+     lambda: profiles.COT_SERIES_CONST),
+    ("far_wall_series_csc", csc_profile, True, -1.0,
+     lambda: profiles.CSC_SERIES_CONST),
+):
+    _register(_name)(partial(_series_check, _name, _fn, _far, _sign, _const))
 
 
 def _fd_derivative_check(name, fn, deriv, level, seed) -> CheckResult:
@@ -485,19 +459,31 @@ def _check_additivity(level: str) -> CheckResult:
 
 @_register("potential_from_correlators")
 def _check_potential_correlators(level: str) -> CheckResult:
+    # Three routes per part: the closed form in potentials, -alpha0/2 * <E^2>
+    # from the correlator trace, and the closed form as documented, with this
+    # module's own copy of K. The first two share correlators.WALL_TABLE, so
+    # only the third catches a wrong constant there.
     n = 10 if level == "quick" else 50
     diffs, denoms = [], []
     for geom in _GEOMETRIES:
+        k = _DIAG_CONST[geom.kind]
+        a4 = geom.separation_a ** 4
         for atom in _ATOMS:
             for z in _grid(0.05, 0.95, n):
+                p = geom.profile(z)
                 ve = potential_electric(atom, geom, z)
+                ve_doc = -(atom.alpha0 * PI ** 3 / (3.0 * a4)) * (3.0 * p - k)
                 ve_trace = -0.5 * atom.alpha0 * mean_square_e(geom, z)
                 vm = potential_magnetic(atom, geom, z)
+                vm_doc = atom.beta0 * PI ** 3 / (3.0 * a4) * (3.0 * p + k)
                 vm_trace = -0.5 * atom.beta0 * mean_square_b(geom, z)
-                floor_e = abs(atom.alpha0) * PI ** 3 / (360.0 * geom.separation_a ** 4)
-                floor_m = abs(atom.beta0) * PI ** 3 / (360.0 * geom.separation_a ** 4)
-                for x, y, fl in ((ve, ve_trace, floor_e), (vm, vm_trace, floor_m)):
-                    diffs.append(abs(x - y))
+                floor_e = abs(atom.alpha0) * PI ** 3 / (360.0 * a4)
+                floor_m = abs(atom.beta0) * PI ** 3 / (360.0 * a4)
+                for x, doc, y, fl in (
+                    (ve, ve_doc, ve_trace, floor_e),
+                    (vm, vm_doc, vm_trace, floor_m),
+                ):
+                    diffs.append(max(abs(x - y), abs(doc - y)))
                     denoms.append(max(abs(x), abs(y), fl))
     return _rel_result(
         "potential_from_correlators", diffs, denoms, 1e-12, len(diffs)

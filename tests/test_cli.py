@@ -5,6 +5,8 @@ subprocess test checks the `python -m cpwalls` wiring for real.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -132,6 +134,8 @@ def test_guard_rejection_exit_2(capsys):
         ("potential", "--z", "nan"),
         ("sweep", "--z", "0.5"),                            # sweep needs a grid
         ("frobnicate",),
+        ("limits", "--a-values", "2,nan"),
+        ("limits", "--a-values", "2,inf"),
     ],
 )
 def test_config_errors_exit_1(capsys, argv):
@@ -418,3 +422,41 @@ def test_python_dash_m_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("z,V_E,V_M,V_total,force_z,regime\n")
+
+
+def _run_module(*args):
+    # The package may be importable only through PYTHONPATH (a source tree
+    # run), so hand the child the directory this process imported it from.
+    src = str(pathlib.Path(profiles.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [("correlators", "--z", "0.3"), ("verify", "--level", "quick")]
+)
+def test_optimized_interpreter_gives_the_same_output(argv):
+    # python -O strips assert statements; no invariant may depend on them
+    plain = _run_module("-m", "cpwalls", *argv)
+    optimized = _run_module("-O", "-m", "cpwalls", *argv)
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+
+
+def test_tensor_field_pair_checked_under_optimized_interpreter():
+    code = (
+        "from cpwalls.correlators import CorrelatorTensor\n"
+        "try:\n"
+        "    CorrelatorTensor(1.0, 1.0, 'XY')\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    proc = _run_module("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr

@@ -169,7 +169,7 @@ def test_guard_modes_propagate():
 
 
 def test_trace_method():
-    t = CorrelatorTensor(np.diag([1.0, 1.0, 3.0]), "EE")
+    t = CorrelatorTensor(1.0, 3.0, "EE")
     assert t.trace() == 5.0
 
 

@@ -53,6 +53,12 @@ def test_atom_response_validation():
         AtomResponse(1.0, -0.5)
 
 
+def test_negative_polarizability_warning_points_at_the_caller():
+    with pytest.warns(NegativePolarizabilityWarning) as record:
+        AtomResponse(-1.0, 0.0)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_midpoint_value_cc():
     # alpha=1, beta=0, a=1, z=1/2: V = -11*pi^3/90
     assert potential_total(ELECTRIC, CC, 0.5) == pytest.approx(
@@ -303,8 +309,6 @@ def test_stationary_points_validation():
         stationary_points(ELECTRIC, CC, 0.1, 1.0)
     with pytest.raises(TooCloseToWall):
         stationary_points(ELECTRIC, CC, 1e-9, 0.9)
-    with pytest.raises(ValueError):
-        stationary_points(ELECTRIC, CC, 0.1, 0.9, tol=0.0)
 
 
 @settings(deadline=None)

@@ -1,14 +1,16 @@
 """The self-verification registry: completeness, passing runs, mutation tests.
 
 The mutation tests perturb the near-wall expansion constants through the
-profiles module (the documented fault-injection surface) and require the
-suite to catch exactly the matching series checks - evidence that the checks
+profiles module and the per-geometry diagonal constants through
+correlators.WALL_TABLE (the documented fault-injection surfaces) and require
+the suite to catch exactly the matching checks - evidence that the checks
 compare genuinely independent routes rather than a value against itself.
 """
 
 import pytest
 
 import cpwalls.profiles as profiles
+from cpwalls.correlators import WALL_TABLE, WallKind
 from cpwalls.verification import (
     REQUIRED_CHECK_NAMES,
     CheckResult,
@@ -78,6 +80,22 @@ def test_perturbed_csc_constant_fails_exactly_the_csc_series_checks(monkeypatch)
     assert {c.name for c in report.failures} == {
         "near_wall_series_csc",
         "far_wall_series_csc",
+    }
+
+
+@pytest.mark.parametrize("kind", list(WallKind))
+def test_perturbed_table_constant_fails_both_potential_checks(monkeypatch, kind):
+    # V_E, V_M and the correlator traces all read K from the table, so only
+    # the combined constant of potential_total and the second copy of K in
+    # verification.py can expose a wrong entry.
+    entry = WALL_TABLE[kind]
+    monkeypatch.setitem(
+        WALL_TABLE, kind, entry._replace(diag_const=entry.diag_const + 1e-4)
+    )
+    report = run_verification("quick")
+    assert {c.name for c in report.failures} == {
+        "potential_additivity",
+        "potential_from_correlators",
     }
 
 
