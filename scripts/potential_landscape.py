@@ -21,7 +21,6 @@ from cpwalls import (
     run_sweep,
     stationary_points,
 )
-from cpwalls.cli import _emit_csv
 
 ATOMS = {
     "electric (alpha=1, beta=0)": AtomResponse(1.0, 0.0),
@@ -48,6 +47,14 @@ def describe(geom: Geometry, atom: AtomResponse, count: int) -> dict:
         "repulsive_near_far_wall": vs[-1] > 0.0,
         "traps": traps,
     }
+
+
+def write_csv(path: pathlib.Path, curve) -> None:
+    """The curve as CSV in the CLI's output format (17 significant digits)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(curve.columns) + "\n")
+        for row in curve.rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def main() -> None:
@@ -81,8 +88,7 @@ def main() -> None:
             if out_dir:
                 name = f"landscape_{kind.value}_{atom.alpha0}_{atom.beta0}.csv"
                 path = out_dir / name
-                with open(path, "w", newline="") as fh:
-                    fh.write(_emit_csv(d["curve"].columns, d["curve"].rows))
+                write_csv(path, d["curve"])
                 print(f"    wrote {path}")
 
 

@@ -35,6 +35,7 @@ from .errors import (
     FlatPotentialWarning,
     InvalidGrid,
     NegativePolarizabilityWarning,
+    NonFiniteResult,
     OutOfDomain,
     TailBoundViolated,
     TooCloseToWall,

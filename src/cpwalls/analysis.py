@@ -18,6 +18,7 @@ from .potentials import (
     _electric,
     _force,
     _magnetic,
+    _single_wall_magnitude,
     _total,
     potential_total,
     single_wall_limit,
@@ -106,35 +107,54 @@ def nearest_wall_reference(geom: Geometry, atom: AtomResponse, z: float) -> floa
     return single_wall_limit(atom, far_type, d_far)
 
 
-def run_sweep(spec: SweepSpec) -> PotentialCurve:
-    """Evaluate the requested quantities on the grid, one row per point.
+# Each sweep quantity as a column of the grid's profile values p and slopes
+# dp, in the scalar functions' own expressions.
+_SWEEP_COLUMN = {
+    "V": lambda atom, geom, p, dp: _total(atom, geom, p),
+    "V_E": lambda atom, geom, p, dp: _electric(atom, geom, p),
+    "V_M": lambda atom, geom, p, dp: _magnetic(atom, geom, p),
+    "force": lambda atom, geom, p, dp: _force(atom, geom, dp),
+    "EE_trace": lambda atom, geom, p, dp: _tensor(geom, p, "EE").trace(),
+    "BB_trace": lambda atom, geom, p, dp: _tensor(geom, -p, "BB").trace(),
+}
 
-    Each row evaluates the profile and its derivative at most once.
+
+def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z: np.ndarray):
+    """nearest_wall_reference over a grid of z, equal to it bit for bit."""
+    d_far = geom.separation_a - z
+    far = z > d_far  # a tie goes to the near wall
+    magnitude = _single_wall_magnitude(
+        atom, np.float_power(np.where(far, d_far, z), 4)
+    )
+    repelled = far & (geom.kind is WallKind.CONDUCTOR_PERMEABLE)
+    return np.where(repelled, magnitude, -magnitude)
+
+
+def _sweep_table(spec: SweepSpec) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sweep's column names and its (rows, columns) float64 table.
+
+    One profiles.profile_terms call covers the grid, and each requested
+    quantity is then one array expression; every cell equals the scalar
+    public function at that z bit for bit.
     """
-    atom, geom, guard = spec.atom, spec.geometry, spec.guard
-    evaluators = {
-        "V": lambda p, dp: _total(atom, geom, p),
-        "V_E": lambda p, dp: _electric(atom, geom, p),
-        "V_M": lambda p, dp: _magnetic(atom, geom, p),
-        "force": lambda p, dp: _force(atom, geom, dp),
-        "EE_trace": lambda p, dp: _tensor(geom, p, "EE").trace(),
-        "BB_trace": lambda p, dp: _tensor(geom, -p, "BB").trace(),
-    }
+    atom, geom = spec.atom, spec.geometry
     ordered = [q for q in SWEEP_QUANTITIES if q in spec.quantities]
-    needs_p = any(q != "force" for q in ordered)
-    needs_dp = "force" in ordered
+    z = np.array(spec.z_grid)
+    cells = [z]
+    if ordered:
+        p, dp, _ = geom.profile_terms(z, spec.guard)
+        cells += [_SWEEP_COLUMN[q](atom, geom, p, dp) for q in ordered]
     columns = ["z"] + ordered
     if spec.include_limit_reference:
         columns.append("V_wall")
-    curve = PotentialCurve(columns=tuple(columns))
-    for z in spec.z_grid:
-        p = geom.profile(z, guard) if needs_p else None
-        dp = geom.profile_deriv(z, guard) if needs_dp else None
-        row = [z] + [evaluators[q](p, dp) for q in ordered]
-        if spec.include_limit_reference:
-            row.append(nearest_wall_reference(geom, atom, z))
-        curve.rows.append(tuple(row))
-    return curve
+        cells.append(_nearest_wall_column(geom, atom, z))
+    return tuple(columns), np.column_stack(cells)
+
+
+def run_sweep(spec: SweepSpec) -> PotentialCurve:
+    """Evaluate the requested quantities on the grid, one row per point."""
+    columns, cells = _sweep_table(spec)
+    return PotentialCurve(columns, list(map(tuple, cells.tolist())))
 
 
 @dataclass(frozen=True)

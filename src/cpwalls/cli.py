@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: potential, correlators, sweep, limits, verify. Exit status is
-0 on success, 1 for a malformed configuration (bad flags, config file, or
-grid), 2 when the physics domain rejects an evaluation point; the error
-class name goes to stderr.
+0 on success, 1 for a malformed configuration (bad flags, config file, grid,
+or an --out path that cannot be opened), 2 when the physics domain rejects
+an evaluation point or a table cell would be inf, nan or subnormal
+(NonFiniteResult); the error class name goes to stderr.
 
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
 formats, which round-trips IEEE doubles losslessly, so re-running a command
-reproduces its output byte for byte.
+reproduces its output byte for byte. A table is evaluated whole, on arrays,
+before its first byte is written, so a refused run writes nothing.
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"); explicit flags override
@@ -18,16 +20,17 @@ file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 import numpy as np
 
-from .analysis import SweepSpec, limit_convergence_study, run_sweep
-from .correlators import Geometry, WallKind, _tensor, correlator_eb
-from .errors import ConfigError, DomainError
-from .potentials import AtomResponse, _potential_row
+from .analysis import SweepSpec, _sweep_table, limit_convergence_study
+from .correlators import Geometry, WallKind, _tensor
+from .errors import ConfigError, DomainError, NonFiniteResult
+from .potentials import AtomResponse, _electric, _force, _magnetic, _total
 from .profiles import GuardPolicy
 from .units import HBAR_C_J_M
 from .verification import run_verification
@@ -177,22 +180,12 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [argv[0]] + _parse_config_file(path) + argv[1:]
 
 
+# Rows formatted and written per chunk: bounds the text held at once.
+CHUNK_ROWS = 1 << 16
+
+
 def _format_float(x: float) -> str:
     return format(x, ".17g")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    return str(value)
-
-
-def _emit_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _json_value(value) -> str:
@@ -214,19 +207,53 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit_json_rows(columns, rows) -> str:
-    body = ",\n".join(
-        "  " + _json_value(dict(zip(columns, row))) for row in rows
-    )
-    return "[\n" + body + "\n]\n"
+def _output(out_path):
+    """The --out file opened for writing, or stdout when there is none."""
+    if not out_path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_path!r}: {exc}") from exc
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _row_templates(fmt: str, columns, n_floats: int, words) -> list[str]:
+    """One %-template per word: %.17g per float cell, the word baked in."""
+    baked = [json.dumps(w) if fmt == "json" else w for w in words]
+    variants = [["%.17g"] * n_floats + [w] for w in baked] or [["%.17g"] * n_floats]
+    if fmt == "json":
+        keys = [json.dumps(c) for c in columns]
+        return [
+            "  {" + ", ".join(f"{k}: {v}" for k, v in zip(keys, cells)) + "},\n"
+            for cells in variants
+        ]
+    return [",".join(cells) + "\n" for cells in variants]
+
+
+def _write_table(fh, fmt: str, columns, cells, words, word_index) -> None:
+    """Write a table in CHUNK_ROWS-row chunks, one %-format call each.
+
+    cells holds the float columns as a (rows, columns) float64 array. If
+    words is not empty, a last word column takes words[word_index[row]]
+    (words[0] when word_index is None). "%.17g" formats a float exactly as
+    format(x, ".17g"), so the bytes do not depend on the chunk size.
+    """
+    templates = _row_templates(fmt, columns, cells.shape[1], words)
+    n = len(cells)
+    fh.write("[\n" if fmt == "json" else ",".join(columns) + "\n")
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        if word_index is None:
+            template = templates[0] * (stop - start)
+        else:
+            picks = word_index[start:stop].tolist()
+            template = "".join([templates[i] for i in picks])
+        text = template % tuple(cells[start:stop].ravel().tolist())
+        if fmt == "json" and stop == n:
+            text = text[:-2]  # no comma after the last row
+        fh.write(text)
+    if fmt == "json":
+        fh.write("\n]\n")
 
 
 def _convertible(column: str) -> bool:
@@ -234,27 +261,31 @@ def _convertible(column: str) -> bool:
     return column.startswith(("V", "force", "EE", "BB", "EB", "trace"))
 
 
-def _apply_units(columns, rows, units: str):
-    if units == "natural":
-        return rows
-    converted = []
-    for row in rows:
-        converted.append(tuple(
-            value * HBAR_C_J_M
-            if _convertible(col) and isinstance(value, float)
-            else value
-            for col, value in zip(columns, row)
-        ))
-    return converted
+def _check_finite(columns, cells: np.ndarray) -> None:
+    """Refuse a table with an inf, nan or subnormal cell, naming the first."""
+    mag = np.abs(cells)
+    bad = ~(mag <= sys.float_info.max) | ((0.0 < mag) & (mag < sys.float_info.min))
+    if bad.any():
+        row, col = divmod(int(bad.argmax()), cells.shape[1])
+        raise NonFiniteResult(
+            f"{columns[col]}={float(cells[row, col])!r} in row {row + 1}"
+            f" ({columns[0]}={float(cells[row, 0])!r}) is not a finite normal double"
+        )
 
 
-def _emit(columns, rows, args) -> None:
-    rows = _apply_units(columns, rows, args.units)
-    if args.format == "json":
-        text = _emit_json_rows(columns, rows)
-    else:
-        text = _emit_csv(columns, rows)
-    _write_output(text, args.out)
+def _emit(args, columns, cells, words=(), word_index=None) -> None:
+    """Convert units per column, gate every cell, then write the table.
+
+    The output file is opened only after the gate, so a refused run writes
+    nothing and leaves an existing file untouched.
+    """
+    if args.units == "si":
+        floats = columns[: cells.shape[1]]
+        factors = [HBAR_C_J_M if _convertible(c) else 1.0 for c in floats]
+        cells = cells * np.array(factors)
+    _check_finite(columns, cells)
+    with _output(args.out) as fh:
+        _write_table(fh, args.format, columns, cells, words, word_index)
 
 
 def _guard_from(args) -> GuardPolicy:
@@ -274,13 +305,13 @@ def _atom_from(args) -> AtomResponse:
     return AtomResponse(args.alpha, args.beta)
 
 
-def _grid_from(args) -> list[float]:
+def _grid_from(args) -> np.ndarray:
     grid_flags = (args.z_min, args.z_max, args.z_count)
     has_grid = any(v is not None for v in grid_flags)
     if args.z is not None and has_grid:
         raise ConfigError("provide either --z or --z-min/--z-max/--z-count, not both")
     if args.z is not None:
-        return [args.z]
+        return np.array([args.z])
     if not has_grid:
         raise ConfigError("provide --z or a full --z-min/--z-max/--z-count grid")
     if any(v is None for v in grid_flags):
@@ -289,33 +320,40 @@ def _grid_from(args) -> list[float]:
         raise ConfigError(f"--z-count must be >= 2, got {args.z_count}")
     if not args.z_min < args.z_max:
         raise ConfigError("--z-min must be smaller than --z-max")
-    return np.linspace(args.z_min, args.z_max, args.z_count).tolist()
+    return np.linspace(args.z_min, args.z_max, args.z_count)
 
 
 def _cmd_potential(args) -> int:
     geom = _geometry_from(args)
     atom = _atom_from(args)
     guard = _guard_from(args)
-    rows = [(z,) + _potential_row(atom, geom, z, guard) for z in _grid_from(args)]
-    _emit(POTENTIAL_COLUMNS, rows, args)
+    z = _grid_from(args)
+    p, dp, asymptotic = geom.profile_terms(z, guard)
+    cells = np.column_stack((
+        z,
+        _electric(atom, geom, p),
+        _magnetic(atom, geom, p),
+        _total(atom, geom, p),
+        _force(atom, geom, dp),
+    ))
+    _emit(args, POTENTIAL_COLUMNS, cells, ("exact", "asymptotic"), asymptotic)
     return 0
 
 
 def _cmd_correlators(args) -> int:
     geom = _geometry_from(args)
     guard = _guard_from(args)
-    rows = []
-    for z in _grid_from(args):
-        p = geom.profile(z, guard)
-        ee = _tensor(geom, p, "EE")
-        bb = _tensor(geom, -p, "BB")
-        eb = correlator_eb(geom, z)
-        cells = [z]
-        for tensor in (ee, bb, eb):
-            cells.extend(tensor.components.ravel().tolist())
-        cells.extend([ee.trace(), bb.trace(), ee.trace() + bb.trace()])
-        rows.append(tuple(cells))
-    _emit(CORRELATOR_COLUMNS, rows, args)
+    z = _grid_from(args)
+    p, _, _ = geom.profile_terms(z, guard)
+    ee = _tensor(geom, p, "EE")
+    bb = _tensor(geom, -p, "BB")
+    zero = np.zeros_like(z)
+    ee_cells = (ee.par, zero, zero, zero, ee.par, zero, zero, zero, ee.perp)
+    bb_cells = (bb.par, zero, zero, zero, bb.par, zero, zero, zero, bb.perp)
+    eb_cells = (zero,) * 9  # EB vanishes identically
+    traces = (ee.trace(), bb.trace(), ee.trace() + bb.trace())
+    cells = np.column_stack((z,) + ee_cells + bb_cells + eb_cells + traces)
+    _emit(args, CORRELATOR_COLUMNS, cells)
     return 0
 
 
@@ -332,13 +370,12 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         geometry=geom,
         atom=atom,
-        z_grid=tuple(grid),
+        z_grid=tuple(grid.tolist()),
         quantities=quantities,
         guard=guard,
         include_limit_reference=args.emit_limit_reference,
     )
-    curve = run_sweep(spec)
-    _emit(curve.columns, curve.rows, args)
+    _emit(args, *_sweep_table(spec))
     return 0
 
 
@@ -357,17 +394,14 @@ def _cmd_limits(args) -> int:
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"bad --a-values: {exc}") from exc
     study = limit_convergence_study(atom, args.wall_type, args.z, a_values, guard)
-    columns = ("a", "V_exact", "V_limit", "rel_error")
+    # rel_error is None on every row of a degenerate study, and a word there
+    words = ("limit degenerate",) if study.degenerate else ()
     rows = [
-        (
-            row.a,
-            row.v_exact,
-            row.v_limit,
-            "limit degenerate" if row.rel_error is None else row.rel_error,
-        )
+        (row.a, row.v_exact, row.v_limit) + ((row.rel_error,) if not words else ())
         for row in study.rows
     ]
-    _emit(columns, rows, args)
+    columns = ("a", "V_exact", "V_limit", "rel_error")
+    _emit(args, columns, np.array(rows), words)
     return 0
 
 
@@ -382,14 +416,14 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         text = _json_value(report.as_dict()) + "\n"
     elif args.format == "csv":
-        columns = ("name", "max_abs_error", "max_rel_error", "tolerance",
-                   "passed", "points_tested")
-        rows = [
-            (c.name, c.max_abs_error, c.max_rel_error, c.tolerance, c.passed,
-             c.points_tested)
+        text = "name,max_abs_error,max_rel_error,tolerance,passed,points_tested\n"
+        text += "".join(
+            "%s,%.17g,%.17g,%.17g,%s,%d\n" % (
+                c.name, c.max_abs_error, c.max_rel_error, c.tolerance,
+                "true" if c.passed else "false", c.points_tested,
+            )
             for c in report.checks
-        ]
-        text = _emit_csv(columns, rows)
+        )
     else:
         lines = []
         for c in report.checks:
@@ -406,7 +440,8 @@ def _cmd_verify(args) -> int:
             f" checks passed"
         )
         text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(text)
     return len(report.failures)
 
 
@@ -424,7 +459,15 @@ def main(argv=None) -> int:
     try:
         argv = _inject_config(argv)
         args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        # NumPy stays quiet: the finite gate in _emit judges every table cell
+        with np.errstate(all="ignore"):
+            try:
+                return _HANDLERS[args.command](args)
+            except (OverflowError, ZeroDivisionError) as exc:  # a**4, (pi/a)**4 ...
+                raise NonFiniteResult(
+                    f"a prefactor is out of the double range"
+                    f" ({type(exc).__name__}: {exc})"
+                ) from exc
     except ConfigError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1

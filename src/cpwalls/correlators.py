@@ -35,6 +35,7 @@ from .profiles import (
     cot_profile_deriv,
     csc_profile,
     csc_profile_deriv,
+    profile_terms,
 )
 
 
@@ -56,6 +57,7 @@ class Wall(NamedTuple):
     profile: Callable[[float, GuardPolicy], float]
     profile_deriv: Callable[[float, GuardPolicy], float]
     diag_const: float
+    kernel: str  # profile_terms kind of the same profile
 
 
 # K is written out here rather than taken from profiles.COT_SERIES_CONST or
@@ -63,9 +65,11 @@ class Wall(NamedTuple):
 # checks, and this table is the one of potential_additivity and
 # potential_from_correlators, which keep their own copies of the constants.
 WALL_TABLE = {
-    WallKind.CONDUCTOR_CONDUCTOR: Wall(cot_profile, cot_profile_deriv, 1.0 / 120.0),
+    WallKind.CONDUCTOR_CONDUCTOR: Wall(
+        cot_profile, cot_profile_deriv, 1.0 / 120.0, "cot"
+    ),
     WallKind.CONDUCTOR_PERMEABLE: Wall(
-        csc_profile, csc_profile_deriv, -7.0 / 8.0 * (1.0 / 120.0)
+        csc_profile, csc_profile_deriv, -7.0 / 8.0 * (1.0 / 120.0), "csc"
     ),
 }
 
@@ -99,6 +103,25 @@ class Geometry:
         """d/dxi of the geometry's profile at xi(z)."""
         return WALL_TABLE[self.kind].profile_deriv(self.xi(z), guard)
 
+    def profile_terms(
+        self, z: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """profile, profile_deriv and the asymptotic mask over a grid of z.
+
+        One profiles.profile_terms call; the values equal the scalar methods
+        bit for bit. The first refused point in grid order raises the error
+        the scalar methods raise for it.
+        """
+        z = np.asarray(z, dtype=np.float64)
+        a = self.separation_a
+        kernel = WALL_TABLE[self.kind].kernel
+        outside = ~((0.0 < z) & (z < a))
+        if outside.any():
+            first = int(outside.argmax())
+            profile_terms(kernel, PI * (z[:first] / a), guard)  # earlier refusals
+            self.xi(float(z[first]))  # raises
+        return profile_terms(kernel, PI * (z / a), guard)
+
 
 @dataclass(frozen=True)
 class CorrelatorTensor:
@@ -126,8 +149,11 @@ def tensor_prefactor(separation_a: float) -> float:
     return (PI / separation_a) ** 4 * (2.0 / (3.0 * PI))
 
 
-def _tensor(geom: Geometry, p: float, field_pair: str) -> CorrelatorTensor:
-    """EE tensor for profile value p; the BB tensor is the EE one at -p."""
+def _tensor(geom: Geometry, p, field_pair: str) -> CorrelatorTensor:
+    """EE tensor for profile value p; the BB tensor is the EE one at -p.
+
+    p may also be an array of profile values, for a whole grid at once.
+    """
     pref = tensor_prefactor(geom.separation_a)
     k = WALL_TABLE[geom.kind].diag_const
     return CorrelatorTensor(pref * (p - k), pref * (p + k), field_pair)

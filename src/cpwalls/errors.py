@@ -25,6 +25,10 @@ class TailBoundViolated(DomainError):
     """Image-sum truncation cannot meet the requested absolute tolerance."""
 
 
+class NonFiniteResult(DomainError):
+    """A table cell would be inf, nan or subnormal, or a prefactor overflows."""
+
+
 class ConfigError(CpwallsError):
     """Malformed run configuration (bad flags, config file, or grid spec)."""
 

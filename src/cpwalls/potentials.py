@@ -112,28 +112,6 @@ def _force(atom: AtomResponse, geom: Geometry, dp: float) -> float:
     return (atom.alpha0 - atom.beta0) * PI ** 4 / geom.separation_a ** 5 * dp
 
 
-def _regime(geom: Geometry, z: float, guard: GuardPolicy) -> str:
-    """Regime tag of z: asymptotic inside the guard band, where reject raises."""
-    if guard.mode == "asymptotic" and wall_distance(geom.xi(z)) < guard.epsilon:
-        return "asymptotic"
-    return "exact"
-
-
-def _potential_row(
-    atom: AtomResponse, geom: Geometry, z: float, guard: GuardPolicy
-) -> tuple[float, float, float, float, str]:
-    """(V_E, V_M, V, force_z, regime) from one profile value and one slope."""
-    p = geom.profile(z, guard)
-    dp = geom.profile_deriv(z, guard)
-    return (
-        _electric(atom, geom, p),
-        _magnetic(atom, geom, p),
-        _total(atom, geom, p),
-        _force(atom, geom, dp),
-        _regime(geom, z, guard),
-    )
-
-
 def potential_electric(
     atom: AtomResponse,
     geom: Geometry,
@@ -178,8 +156,13 @@ def single_wall_limit(atom: AtomResponse, wall_type: str, distance: float) -> fl
         raise ValueError(f"unknown wall_type {wall_type!r}")
     if not (distance > 0.0 and math.isfinite(distance)):
         raise OutOfDomain(f"wall distance must be positive, got {distance!r}")
-    magnitude = 3.0 * (atom.alpha0 - atom.beta0) / (8.0 * PI * distance ** 4)
+    magnitude = _single_wall_magnitude(atom, distance ** 4)
     return -magnitude if wall_type == "conducting" else magnitude
+
+
+def _single_wall_magnitude(atom: AtomResponse, d4):
+    """|single_wall_limit| from the fourth power of the distance (or an array)."""
+    return 3.0 * (atom.alpha0 - atom.beta0) / (8.0 * PI * d4)
 
 
 def force(
@@ -198,12 +181,19 @@ def potential_sample(
     z: float,
     guard: GuardPolicy = DEFAULT_GUARD,
 ) -> PotentialSample:
-    """Potential and force at z, tagged with the evaluation regime."""
+    """Potential and force at z, tagged with the evaluation regime.
+
+    The regime is "asymptotic" inside the guard band (mode="reject" raises
+    there instead) and "exact" elsewhere.
+    """
+    asymptotic = (
+        guard.mode == "asymptotic" and wall_distance(geom.xi(z)) < guard.epsilon
+    )
     return PotentialSample(
         z=z,
         V=potential_total(atom, geom, z, guard),
         force_z=force(atom, geom, z, guard),
-        regime=_regime(geom, z, guard),
+        regime="asymptotic" if asymptotic else "exact",
     )
 
 

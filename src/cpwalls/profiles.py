@@ -26,6 +26,10 @@ u = (PI - xi) + PI_LO, because the poles sit at multiples of the *real* pi:
 with plain math.pi the pole offset of ~1.2e-16 already costs ~6e-10 absolute
 near u = 0.05, an order of magnitude above the 1e-10 oracle budget.
 
+profile_terms evaluates the same closed forms and series on a whole array
+of xi at once, for tables; the scalar functions stay on math, which is
+faster for one point.
+
 Two independent oracles cross-check the closed forms: a truncated image sum
 over the poles (with a certified tail bound) and a Hurwitz-zeta form summed
 directly with an Euler-Maclaurin tail.
@@ -189,6 +193,46 @@ def csc_profile_series(xi: float) -> float:
     """
     u, sign, _ = _wall(xi, None)
     return sign * (SERIES_LEADING * u ** -4 - CSC_SERIES_CONST)
+
+
+def profile_terms(
+    kind: str, xi: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Profile, slope and asymptotic mask over a whole grid of xi.
+
+    kind is "cot" or "csc". Every element equals the scalar profile and
+    derivative (series inside an asymptotic guard band) bit for bit: the
+    expressions and their order are the scalar ones, np.sin/np.cos agree
+    with libm on the platforms the golden tests pin, and powers go through
+    np.float_power, because the SIMD power behind ** and np.power differs
+    from libm in the last bit. A point outside (0, pi), or in the band under
+    mode="reject", raises the scalar path's error for the first such point.
+    """
+    if kind not in ("cot", "csc"):
+        raise ValueError(f"unknown profile kind {kind!r}")
+    xi = np.asarray(xi, dtype=np.float64)
+    near = xi <= HALF_PI
+    u = np.where(near, xi, (PI - xi) + PI_LO)
+    sign = np.where(near, 1.0, -1.0)
+    asymptotic = u < guard.epsilon
+    refused = ~((0.0 < xi) & (xi < PI)) | (asymptotic & (guard.mode == "reject"))
+    if refused.any():
+        _wall(float(xi[refused.argmax()]), guard)  # raises
+    with np.errstate(all="ignore"):
+        s, c = np.sin(u), np.cos(u)
+        ua, sa = u[asymptotic], sign[asymptotic]
+        lead = SERIES_LEADING * np.float_power(ua, -4)
+        slope = -1.5 * np.float_power(ua, -5)
+        if kind == "cot":
+            p = (2.0 * c * c + 1.0) / (8.0 * np.float_power(s, 4))
+            dp = -sign * c * (c * c + 2.0) / (2.0 * np.float_power(s, 5))
+            p[asymptotic], dp[asymptotic] = lead + COT_SERIES_CONST, sa * slope
+        else:
+            c2 = c * c
+            p = sign * c * (c2 + 5.0) / (16.0 * np.float_power(s, 4))
+            dp = -(c2 * c2 + 18.0 * c2 + 5.0) / (16.0 * np.float_power(s, 5))
+            p[asymptotic], dp[asymptotic] = sa * (lead - CSC_SERIES_CONST), slope
+    return p, dp, asymptotic
 
 
 def image_tail_bound(xi: float, image_terms: int) -> float:

@@ -144,6 +144,73 @@ def test_config_errors_exit_1(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("potential", "--a", "1e100", "--z", "5e99"), "NonFiniteResult"),
+        (("potential", "--a", "1e-90", "--z", "5e-91"), "NonFiniteResult"),
+        (("potential", "--z", "0.5", "--alpha=1e308", "--beta=-1e308"),
+         "NonFiniteResult"),
+        (("correlators", "--a", "1e80", "--z", "5e79"), "NonFiniteResult"),
+        (("potential", "--z", "0.5", "--out", "/nonexistent/dir/x.csv"),
+         "ConfigError"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::cpwalls.errors.NegativePolarizabilityWarning")
+def test_refusals_are_named_and_write_nothing(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (1, 2)
+    assert err.startswith(error + ": ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+# The whole grid is evaluated before any output, yet a refusal still names
+# the first refused row in grid order, with the scalar path's message.
+_TOO_CLOSE_LAST = (
+    "TooCloseToWall: xi=3.141592339430528 is within 1e-06 of a wall"
+    " (mode=reject)\n"
+)
+_TOO_CLOSE_BEFORE_OUTSIDE = (
+    "TooCloseToWall: xi=3.141592025271262 is within 1e-06 of a wall"
+    " (mode=reject)\n"
+)
+_LAST_ROW_BAD = ("--z-min", "0.5", "--z-max", "0.9999999", "--z-count", "5")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("potential",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+        (("potential", "--geometry", "cp", "--format", "json", "--z-min", "0.5",
+          "--z-max", "0.9999999", "--z-count", "100"), _TOO_CLOSE_LAST),
+        (("correlators",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+        (("sweep",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+        (("sweep", "--quantities", "force") + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+        # the guard-band row 5 comes before the rows outside the walls
+        (("potential", "--z-min", "0.999999", "--z-max", "1.0000002",
+          "--z-count", "7"), _TOO_CLOSE_BEFORE_OUTSIDE),
+        (("correlators", "--geometry", "cp", "--z-min", "-0.5", "--z-max",
+          "0.5", "--z-count", "3"),
+         "OutOfDomain: z=-0.5 is not strictly between the walls (0, 1.0)\n"),
+        (("potential", "--z-min", "0.5", "--z-max", "1.5", "--z-count", "3"),
+         "OutOfDomain: z=1.0 is not strictly between the walls (0, 1.0)\n"),
+    ],
+)
+def test_grid_refusal_matches_the_row_loop(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", want)
+
+
+def test_refused_run_leaves_the_out_file_untouched(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_text("kept\n")
+    for argv in (("--z", "1e-8"), ("--a", "1e100", "--z", "5e99")):
+        code, _, _ = run_cli(capsys, "potential", *argv, "--out", str(path))
+        assert code == 2
+    assert path.read_text() == "kept\n"
+
+
 # ----------------------------------------------------------------------
 # correlators
 # ----------------------------------------------------------------------
