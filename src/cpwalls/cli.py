@@ -24,6 +24,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,6 +43,12 @@ CORRELATOR_COLUMNS = (
     ("z",)
     + tuple(f"{pair}_{i}{j}" for pair in ("EE", "BB", "EB") for i in _AXES for j in _AXES)
     + ("trace_EE", "trace_BB", "trace_EE_plus_trace_BB")
+)
+# Off-diagonal and EB cells vanish identically: written as a literal 0 (what
+# %.17g prints for +0.0, in either unit system), held in no array.
+_CORRELATOR_ZEROS = frozenset(
+    f"{pair}_{i}{j}" for pair in ("EE", "BB", "EB") for i in _AXES for j in _AXES
+    if pair == "EB" or i != j
 )
 
 _BOOLEAN_KEYS = {"emit-limit-reference"}
@@ -217,10 +224,10 @@ def _output(out_path):
         raise ConfigError(f"cannot write --out {out_path!r}: {exc}") from exc
 
 
-def _row_templates(fmt: str, columns, n_floats: int, words) -> list[str]:
-    """One %-template per word: %.17g per float cell, the word baked in."""
+def _row_templates(fmt: str, columns, fields, words) -> list[str]:
+    """One %-template per word: the float fields, then the word baked in."""
     baked = [json.dumps(w) if fmt == "json" else w for w in words]
-    variants = [["%.17g"] * n_floats + [w] for w in baked] or [["%.17g"] * n_floats]
+    variants = [fields + [w] for w in baked] or [fields]
     if fmt == "json":
         keys = [json.dumps(c) for c in columns]
         return [
@@ -230,15 +237,18 @@ def _row_templates(fmt: str, columns, n_floats: int, words) -> list[str]:
     return [",".join(cells) + "\n" for cells in variants]
 
 
-def _write_table(fh, fmt: str, columns, cells, words, word_index) -> None:
+def _write_table(fh, fmt: str, columns, cells, words, word_index, zeros) -> None:
     """Write a table in CHUNK_ROWS-row chunks, one %-format call each.
 
-    cells holds the float columns as a (rows, columns) float64 array. If
-    words is not empty, a last word column takes words[word_index[row]]
-    (words[0] when word_index is None). "%.17g" formats a float exactly as
+    cells holds the float columns not named in zeros as a (rows, columns)
+    float64 array; a column in zeros is written as 0 on every row. If words
+    is not empty, a last word column takes words[word_index[row]] (words[0]
+    when word_index is None). "%.17g" formats a float exactly as
     format(x, ".17g"), so the bytes do not depend on the chunk size.
     """
-    templates = _row_templates(fmt, columns, cells.shape[1], words)
+    n_floats = cells.shape[1] + len(zeros)
+    fields = ["0" if c in zeros else "%.17g" for c in columns[:n_floats]]
+    templates = _row_templates(fmt, columns, fields, words)
     n = len(cells)
     fh.write("[\n" if fmt == "json" else ",".join(columns) + "\n")
     for start in range(0, n, CHUNK_ROWS):
@@ -273,19 +283,24 @@ def _check_finite(columns, cells: np.ndarray) -> None:
         )
 
 
-def _emit(args, columns, cells, words=(), word_index=None) -> None:
+def _emit(
+    args, columns, cells, words=(), word_index=None, zeros=frozenset()
+) -> None:
     """Convert units per column, gate every cell, then write the table.
 
-    The output file is opened only after the gate, so a refused run writes
-    nothing and leaves an existing file untouched.
+    cells holds the float columns, in order, that are not named in zeros;
+    the columns in zeros are identically zero and written as 0. The output
+    file is opened only after the gate, so a refused run writes nothing and
+    leaves an existing file untouched.
     """
+    live = [c for c in columns if c not in zeros]
     if args.units == "si":
-        floats = columns[: cells.shape[1]]
+        floats = live[: cells.shape[1]]
         factors = [HBAR_C_J_M if _convertible(c) else 1.0 for c in floats]
         cells = cells * np.array(factors)
-    _check_finite(columns, cells)
+    _check_finite(live, cells)
     with _output(args.out) as fh:
-        _write_table(fh, args.format, columns, cells, words, word_index)
+        _write_table(fh, args.format, columns, cells, words, word_index, zeros)
 
 
 def _guard_from(args) -> GuardPolicy:
@@ -347,13 +362,13 @@ def _cmd_correlators(args) -> int:
     p, _, _ = geom.profile_terms(z, guard)
     ee = _tensor(geom, p, "EE")
     bb = _tensor(geom, -p, "BB")
-    zero = np.zeros_like(z)
-    ee_cells = (ee.par, zero, zero, zero, ee.par, zero, zero, zero, ee.perp)
-    bb_cells = (bb.par, zero, zero, zero, bb.par, zero, zero, zero, bb.perp)
-    eb_cells = (zero,) * 9  # EB vanishes identically
-    traces = (ee.trace(), bb.trace(), ee.trace() + bb.trace())
-    cells = np.column_stack((z,) + ee_cells + bb_cells + eb_cells + traces)
-    _emit(args, CORRELATOR_COLUMNS, cells)
+    cells = np.column_stack((
+        z,
+        ee.par, ee.par, ee.perp,
+        bb.par, bb.par, bb.perp,
+        ee.trace(), bb.trace(), ee.trace() + bb.trace(),
+    ))
+    _emit(args, CORRELATOR_COLUMNS, cells, zeros=_CORRELATOR_ZEROS)
     return 0
 
 
@@ -454,26 +469,33 @@ _HANDLERS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One stderr line per warning: the class name and the message."""
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        argv = _inject_config(argv)
-        args = _build_parser().parse_args(argv)
-        # NumPy stays quiet: the finite gate in _emit judges every table cell
-        with np.errstate(all="ignore"):
-            try:
-                return _HANDLERS[args.command](args)
-            except (OverflowError, ZeroDivisionError) as exc:  # a**4, (pi/a)**4 ...
-                raise NonFiniteResult(
-                    f"a prefactor is out of the double range"
-                    f" ({type(exc).__name__}: {exc})"
-                ) from exc
-    except ConfigError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 1
-    except DomainError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            argv = _inject_config(argv)
+            args = _build_parser().parse_args(argv)
+            # NumPy stays quiet: the finite gate in _emit judges every table cell
+            with np.errstate(all="ignore"):
+                try:
+                    return _HANDLERS[args.command](args)
+                except (OverflowError, ZeroDivisionError) as exc:  # a**4 ...
+                    raise NonFiniteResult(
+                        f"a prefactor is out of the double range"
+                        f" ({type(exc).__name__}: {exc})"
+                    ) from exc
+        except ConfigError as exc:
+            sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+            return 1
+        except DomainError as exc:
+            sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+            return 2
 
 
 if __name__ == "__main__":

@@ -33,6 +33,13 @@ faster for one point.
 Two independent oracles cross-check the closed forms: a truncated image sum
 over the poles (with a certified tail bound) and a Hurwitz-zeta form summed
 directly with an Euler-Maclaurin tail.
+
+Both image sums run over the same terms (xi - n*pi)^-4, with all signs plus
+for cot_profile and alternating ones for csc_profile, so one pass per point
+(_image_sums) builds and powers the displacements once and returns both.
+The powers go through np.float_power, which is libm's pow: NumPy's ** uses
+a SIMD pow whose last bit depends on the CPU features it dispatches to, and
+an oracle should not change with the machine.
 """
 
 from __future__ import annotations
@@ -256,49 +263,49 @@ def image_terms_needed(xi: float, target_abs_tol: float) -> int:
     return max(n, 1)
 
 
-def _image_displacements(xi: float, n_terms: int) -> np.ndarray:
-    """Displacements xi - n*pi for n = -N..N, poles placed at true pi."""
+def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
+    """Both image sums in one pass: (3/8) * sum_n (+-1)^n (xi - n*pi)^-4.
+
+    Returns (plain, alternating), n = -N..N with N = cfg.image_terms: the
+    plain sum is the cot_profile oracle, the alternating one (sign (-1)^n)
+    the csc_profile oracle. The displacements are built and powered once
+    and each sum is one correctly rounded math.fsum, so neither depends on
+    the order of the terms. Raises OutOfDomain off (0, pi) and
+    TailBoundViolated when the truncated tail may exceed cfg.target_abs_tol.
+    """
+    _check_domain(xi)
+    n_terms = cfg.image_terms
+    bound = image_tail_bound(xi, n_terms)
+    if bound > cfg.target_abs_tol:
+        raise TailBoundViolated(
+            f"tail bound {bound:.3e} exceeds target {cfg.target_abs_tol:.3e}"
+            f" at xi={xi!r} with N={n_terms}"
+        )
     n = np.arange(1, n_terms + 1, dtype=np.float64)
-    # n*PI_LO is exact for n < 2^37, so each displacement carries one rounding.
-    right = (xi - n * PI) - n * PI_LO
-    left = (xi + n * PI) + n * PI_LO
-    return np.concatenate(([xi], right, left))
+    # Poles at the true pi: n*PI_LO is exact for n < 2^37, so each
+    # displacement carries one rounding.
+    d = np.concatenate(([xi], (xi - n * PI) - n * PI_LO, (xi + n * PI) + n * PI_LO))
+    # libm pow, as in math and profile_terms: the SIMD pow behind ** rounds
+    # differently depending on the CPU features NumPy dispatches to.
+    terms = np.float_power(d, -4)
+    plain = math.fsum(terms.tolist())
+    terms[1 : n_terms + 1 : 2] *= -1.0  # odd n, right of xi
+    terms[n_terms + 1 :: 2] *= -1.0  # odd n, left of xi
+    return SERIES_LEADING * plain, SERIES_LEADING * math.fsum(terms.tolist())
 
 
 def cot_profile_via_images(
     xi: float, cfg: OracleConfig = DEFAULT_ORACLE
 ) -> float:
     """Image-sum oracle: (3/8) * sum_n (xi - n*pi)^-4, n = -N..N."""
-    _check_domain(xi)
-    bound = image_tail_bound(xi, cfg.image_terms)
-    if bound > cfg.target_abs_tol:
-        raise TailBoundViolated(
-            f"tail bound {bound:.3e} exceeds target {cfg.target_abs_tol:.3e}"
-            f" at xi={xi!r} with N={cfg.image_terms}"
-        )
-    d = _image_displacements(xi, cfg.image_terms)
-    return SERIES_LEADING * math.fsum(d ** -4)
+    return _image_sums(xi, cfg)[0]
 
 
 def csc_profile_via_images(
     xi: float, cfg: OracleConfig = DEFAULT_ORACLE
 ) -> float:
     """Alternating image-sum oracle: (3/8) * sum_n (-1)^n (xi - n*pi)^-4."""
-    _check_domain(xi)
-    bound = image_tail_bound(xi, cfg.image_terms)
-    if bound > cfg.target_abs_tol:
-        raise TailBoundViolated(
-            f"tail bound {bound:.3e} exceeds target {cfg.target_abs_tol:.3e}"
-            f" at xi={xi!r} with N={cfg.image_terms}"
-        )
-    n = np.arange(1, cfg.image_terms + 1, dtype=np.float64)
-    signs = np.where(n % 2.0 == 0.0, 1.0, -1.0)
-    right = (xi - n * PI) - n * PI_LO
-    left = (xi + n * PI) + n * PI_LO
-    terms = np.concatenate(
-        ([xi ** -4], signs * right ** -4, signs * left ** -4)
-    )
-    return SERIES_LEADING * math.fsum(terms)
+    return _image_sums(xi, cfg)[1]
 
 
 _ZETA4_CUTOFF = 24

@@ -9,6 +9,9 @@ against a tolerance of zero).
 
 Levels: "quick" uses ~10 sample points per check with relaxed oracle
 tolerances (1e-8); "full" uses 100+ points and the certified 1e-10 budget.
+The cot and csc image-sum checks share one image pass per point
+(profiles._image_sums) and are still reported as two checks; nothing is
+kept from one run_verification call to the next.
 
 The near/far-wall series checks read the expansion constants through the
 profiles module object on purpose: perturbing profiles.COT_SERIES_CONST (a
@@ -47,13 +50,12 @@ from .potentials import (
 from .profiles import (
     PI,
     OracleConfig,
+    _image_sums,
     cot_profile,
     cot_profile_deriv,
     cot_profile_via_hurwitz,
-    cot_profile_via_images,
     csc_profile,
     csc_profile_deriv,
-    csc_profile_via_images,
     image_terms_needed,
     wall_distance,
 )
@@ -152,9 +154,17 @@ REQUIRED_CHECK_NAMES = (
 _REGISTRY: dict = {}
 
 
-def _register(name: str):
+def _register(*names: str):
+    """Register fn(level) as the check(s) under names.
+
+    A function registered under several names runs once per
+    run_verification call and returns one CheckResult per name, in order.
+    """
+
     def deco(fn):
-        _REGISTRY[name] = fn
+        run = fn if len(names) > 1 else lambda level: (fn(level),)
+        for name in names:
+            _REGISTRY[name] = run
         return fn
 
     return deco
@@ -195,16 +205,21 @@ def _oracle_setup(level: str) -> tuple[list[float], float, float]:
     return _grid(0.05, PI - 0.05, 120), 1e-12, 1e-10
 
 
-@_register("cot_profile_vs_image_sum")
-def _check_cot_images(level: str) -> CheckResult:
+@_register("cot_profile_vs_image_sum", "csc_profile_vs_image_sum")
+def _check_image_sums(level: str) -> tuple[CheckResult, CheckResult]:
     xs, target, tol = _oracle_setup(level)
-    diffs, refs = [], []
+    cot_diffs, csc_diffs, refs = [], [], []
     for x in xs:
         cfg = OracleConfig(image_terms_needed(x, target), target)
+        cot_images, csc_images = _image_sums(x, cfg)
         val = cot_profile(x)
-        diffs.append(abs(val - cot_profile_via_images(x, cfg)))
-        refs.append(val)
-    return _abs_result("cot_profile_vs_image_sum", diffs, refs, tol, len(xs))
+        cot_diffs.append(abs(val - cot_images))
+        csc_diffs.append(abs(csc_profile(x) - csc_images))
+        refs.append(val)  # csc profile crosses zero; scale both by cot
+    return (
+        _abs_result("cot_profile_vs_image_sum", cot_diffs, refs, tol, len(xs)),
+        _abs_result("csc_profile_vs_image_sum", csc_diffs, refs, tol, len(xs)),
+    )
 
 
 @_register("cot_profile_vs_hurwitz")
@@ -216,17 +231,6 @@ def _check_cot_hurwitz(level: str) -> CheckResult:
         diffs.append(abs(val - cot_profile_via_hurwitz(x)))
         refs.append(val)
     return _abs_result("cot_profile_vs_hurwitz", diffs, refs, tol, len(xs))
-
-
-@_register("csc_profile_vs_image_sum")
-def _check_csc_images(level: str) -> CheckResult:
-    xs, target, tol = _oracle_setup(level)
-    diffs, refs = [], []
-    for x in xs:
-        cfg = OracleConfig(image_terms_needed(x, target), target)
-        diffs.append(abs(csc_profile(x) - csc_profile_via_images(x, cfg)))
-        refs.append(cot_profile(x))  # csc profile crosses zero; scale by cot
-    return _abs_result("csc_profile_vs_image_sum", diffs, refs, tol, len(xs))
 
 
 @_register("cot_profile_reflection")
@@ -600,5 +604,9 @@ def run_verification(level: str = "quick") -> VerificationReport:
     """Run every registered check at the given level ("quick" or "full")."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verification level {level!r}")
-    checks = [_REGISTRY[name](level) for name in REQUIRED_CHECK_NAMES]
+    results: dict[str, CheckResult] = {}
+    for name in REQUIRED_CHECK_NAMES:
+        if name not in results:
+            results.update((r.name, r) for r in _REGISTRY[name](level))
+    checks = [results[name] for name in REQUIRED_CHECK_NAMES]
     return VerificationReport(level=level, checks=checks)

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cpwalls.profiles as profiles
@@ -195,6 +196,16 @@ _LAST_ROW_BAD = ("--z-min", "0.5", "--z-max", "0.9999999", "--z-count", "5")
          "OutOfDomain: z=-0.5 is not strictly between the walls (0, 1.0)\n"),
         (("potential", "--z-min", "0.5", "--z-max", "1.5", "--z-count", "3"),
          "OutOfDomain: z=1.0 is not strictly between the walls (0, 1.0)\n"),
+        # the first bad cell sits after the zero columns the table never holds
+        (("correlators", "--geometry", "cp", "--a", "1.598422e+69", "--units",
+          "si", "--z-min", "1e68", "--z-max", "7.873522582621254e+68",
+          "--z-count", "3"),
+         "NonFiniteResult: EE_zz=5.21004e-318 in row 3"
+         " (z=7.873522582621254e+68) is not a finite normal double\n"),
+        (("correlators", "--a", "6.7e76", "--z-min", "1e75", "--z-max",
+          "6e76", "--z-count", "5"),
+         "NonFiniteResult: trace_EE_plus_trace_BB=-1.7096527021243107e-308"
+         " in row 1 (z=1e+75) is not a finite normal double\n"),
     ],
 )
 def test_grid_refusal_matches_the_row_loop(capsys, argv, want):
@@ -491,11 +502,11 @@ def test_python_dash_m_subprocess():
     assert proc.stdout.startswith("z,V_E,V_M,V_total,force_z,regime\n")
 
 
-def _run_module(*args):
+def _run_module(*args, env=None):
     # The package may be importable only through PYTHONPATH (a source tree
     # run), so hand the child the directory this process imported it from.
     src = str(pathlib.Path(profiles.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
@@ -514,6 +525,63 @@ def test_optimized_interpreter_gives_the_same_output(argv):
     optimized = _run_module("-O", "-m", "cpwalls", *argv)
     assert plain.returncode == 0 and optimized.returncode == 0
     assert optimized.stdout == plain.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_head, stderr",
+    [
+        (("--z", "0.5"), 0, "z,V_E,V_M,V_total,force_z,regime\n",
+         "NegativePolarizabilityWarning: negative static polarizability"
+         " supplied\n"),
+        (("--z", "5"), 2, "",
+         "NegativePolarizabilityWarning: negative static polarizability"
+         " supplied\n"
+         "OutOfDomain: z=5.0 is not strictly between the walls (0, 1.0)\n"),
+    ],
+)
+def test_cli_warning_is_one_line_without_a_source_path(
+    argv, code, stdout_head, stderr
+):
+    proc = _run_module("-m", "cpwalls", "potential", "--beta=-1", *argv)
+    assert proc.returncode == code
+    assert proc.stdout.startswith(stdout_head)
+    assert proc.stderr == stderr
+
+
+def _avx512_targets() -> list[str]:
+    core = getattr(np, "_core", None) or np.core
+    dispatch = getattr(core._multiarray_umath, "__cpu_dispatch__", [])
+    return [t for t in dispatch if t.startswith("AVX512") or t == "X86_V4"]
+
+
+# On an AVX-512 host, d ** -4 changed the image sums at the first two points.
+_ORACLE_VALUES = (
+    "from cpwalls.profiles import *\n"
+    "for x in (0.060290071035260816, 0.7092037689048224, 1.3, 2.2, 3.09):\n"
+    "    cfg = OracleConfig(image_terms_needed(x, 1e-12), 1e-12)\n"
+    "    print(repr(cot_profile_via_images(x, cfg)),"
+    " repr(csc_profile_via_images(x, cfg)))\n"
+)
+
+
+def test_oracle_and_verify_bytes_do_not_depend_on_simd_dispatch():
+    # NumPy's ** dispatches to an AVX-512 pow whose last bit differs from
+    # libm's; the oracle powers through np.float_power so that a machine
+    # without AVX-512 gets the same values and the same verify report.
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("NumPy lists no AVX-512 dispatch target")
+    verify = ("-m", "cpwalls", "verify", "--level", "full", "--format", "csv")
+    plain = [_run_module("-c", _ORACLE_VALUES), _run_module(*verify)]
+    scalar = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    reduced = [
+        _run_module("-c", _ORACLE_VALUES, env=scalar),
+        _run_module(*verify, env=scalar),
+    ]
+    for a, b in zip(plain, reduced):
+        assert a.returncode == 0 and b.returncode == 0, b.stderr
+        assert b.stdout == a.stdout
+    assert len(plain[0].stdout.splitlines()) == 5
 
 
 def test_tensor_field_pair_checked_under_optimized_interpreter():

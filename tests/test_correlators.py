@@ -78,6 +78,22 @@ def test_tensor_structure(geom, z):
     assert ee.field_pair == "EE" and bb.field_pair == "BB" and eb.field_pair == "EB"
 
 
+@pytest.mark.parametrize(
+    "par, perp", [(1.5, -2.25), (-0.0, 0.0), (1e-300, 3e300), (0.0, 0.0)]
+)
+def test_components_is_a_fresh_writable_diag(par, perp):
+    t = CorrelatorTensor(par, perp, "EE")
+    m = t.components
+    want = np.diag([par, par, perp])
+    assert m.dtype == np.float64 and m.shape == (3, 3) and m.flags.writeable
+    assert np.array_equal(m, want)
+    assert np.array_equal(np.signbit(m), np.signbit(want))
+    m[0, 1] = 7.0
+    m[2, 2] = 7.0
+    assert np.array_equal(t.components, want)
+    assert t.components is not t.components
+
+
 def test_midpoint_values_cc():
     ee = diag(correlator_ee(CC, 0.5))
     bb = diag(correlator_bb(CC, 0.5))

@@ -78,6 +78,18 @@ GOLDEN = {
          "--format", "json") + _GRID,
         "fb0683d6269870c4ba48b1e004513c9e876c27ea81d0e893a204da93b71450ad",
     ),
+    # correlators write their zero cells as a literal 0: CSV in SI units
+    # and JSON in natural units complete the format x units square
+    "correlators-cp-csv-si": (
+        ("correlators", "--geometry", "cp", "--units", "si",
+         "--z-min", "0.01", "--z-max", "0.99", "--z-count", "33"),
+        "8bbf0c3fbd462c9d59fc92d8cdf77ec8acfece95ab9f7c218a440e3aca08dd5d",
+    ),
+    "correlators-cc-json": (
+        ("correlators", "--a", "2", "--format", "json",
+         "--z-min", "0.02", "--z-max", "1.98", "--z-count", "17"),
+        "7fa7bc06ad7b8f0abf0c347840c1485e99fe78c3f1ee685303a04127c948db89",
+    ),
     "sweep-cc-limit-reference": (
         ("sweep", "--alpha", "1", "--beta", "0.25", "--emit-limit-reference",
          "--z-min", "0.01", "--z-max", "0.99", "--z-count", "57")

@@ -99,6 +99,17 @@ def test_perturbed_table_constant_fails_both_potential_checks(monkeypatch, kind)
     }
 
 
+def test_image_sum_checks_recompute_on_every_run(monkeypatch):
+    # The closed forms do not read SERIES_LEADING, the image sums do: a run
+    # after the perturbation must not reuse the first run's oracle values.
+    assert run_verification("full").passed
+    monkeypatch.setattr(
+        profiles, "SERIES_LEADING", profiles.SERIES_LEADING * (1.0 + 1e-9)
+    )
+    failed = {c.name for c in run_verification("full").failures}
+    assert {"cot_profile_vs_image_sum", "csc_profile_vs_image_sum"} <= failed
+
+
 def test_restored_constants_pass_again():
     # the monkeypatched runs above must not leak into later ones
     assert run_verification("quick").passed
