@@ -108,7 +108,8 @@ def nearest_wall_reference(geom: Geometry, atom: AtomResponse, z: float) -> floa
 
 
 # Each sweep quantity as a column of the grid's profile values p and slopes
-# dp, in the scalar functions' own expressions.
+# dp, in the scalar functions' own expressions; CLI potential takes its value
+# columns from here too.
 _SWEEP_COLUMN = {
     "V": lambda atom, geom, p, dp: _total(atom, geom, p),
     "V_E": lambda atom, geom, p, dp: _electric(atom, geom, p),

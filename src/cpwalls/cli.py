@@ -28,15 +28,17 @@ import warnings
 
 import numpy as np
 
-from .analysis import SweepSpec, _sweep_table, limit_convergence_study
+from .analysis import _SWEEP_COLUMN, SweepSpec, _sweep_table, limit_convergence_study
 from .correlators import Geometry, WallKind, _tensor
 from .errors import ConfigError, DomainError, NonFiniteResult
-from .potentials import AtomResponse, _electric, _force, _magnetic, _total
+from .potentials import AtomResponse
 from .profiles import GuardPolicy
 from .units import HBAR_C_J_M
 from .verification import run_verification
 
 POTENTIAL_COLUMNS = ("z", "V_E", "V_M", "V_total", "force_z", "regime")
+# The sweep quantity behind each float column of POTENTIAL_COLUMNS after z.
+_POTENTIAL_QUANTITIES = ("V_E", "V_M", "V", "force")
 
 _AXES = "xyz"
 CORRELATOR_COLUMNS = (
@@ -198,8 +200,8 @@ def _format_float(x: float) -> str:
 def _json_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
+    if isinstance(value, float):  # JSON has no inf or nan
+        return _format_float(value) if math.isfinite(value) else "null"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -335,7 +337,10 @@ def _grid_from(args) -> np.ndarray:
         raise ConfigError(f"--z-count must be >= 2, got {args.z_count}")
     if not args.z_min < args.z_max:
         raise ConfigError("--z-min must be smaller than --z-max")
-    return np.linspace(args.z_min, args.z_max, args.z_count)
+    try:
+        return np.linspace(args.z_min, args.z_max, args.z_count)
+    except (MemoryError, ValueError) as exc:  # ValueError past the index range
+        raise ConfigError(f"--z-count {args.z_count} is too large ({exc})") from exc
 
 
 def _cmd_potential(args) -> int:
@@ -344,13 +349,9 @@ def _cmd_potential(args) -> int:
     guard = _guard_from(args)
     z = _grid_from(args)
     p, dp, asymptotic = geom.profile_terms(z, guard)
-    cells = np.column_stack((
-        z,
-        _electric(atom, geom, p),
-        _magnetic(atom, geom, p),
-        _total(atom, geom, p),
-        _force(atom, geom, dp),
-    ))
+    cells = np.column_stack(
+        [z] + [_SWEEP_COLUMN[q](atom, geom, p, dp) for q in _POTENTIAL_QUANTITIES]
+    )
     _emit(args, POTENTIAL_COLUMNS, cells, ("exact", "asymptotic"), asymptotic)
     return 0
 

@@ -22,19 +22,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfDomain
 from .profiles import (
+    COT_PROFILE,
+    COT_PROFILE_DERIV,
+    CSC_PROFILE,
+    CSC_PROFILE_DERIV,
     DEFAULT_GUARD,
     PI,
+    Form,
     GuardPolicy,
-    cot_profile,
-    cot_profile_deriv,
-    csc_profile,
-    csc_profile_deriv,
+    _evaluate,
     profile_terms,
 )
 
@@ -52,12 +54,11 @@ class WallKind(enum.Enum):
 
 
 class Wall(NamedTuple):
-    """The closed-form ingredients of one geometry, as functions of xi."""
+    """The closed-form ingredients of one geometry: two Forms in xi and K."""
 
-    profile: Callable[[float, GuardPolicy], float]
-    profile_deriv: Callable[[float, GuardPolicy], float]
+    profile: Form
+    profile_deriv: Form
     diag_const: float
-    kernel: str  # profile_terms kind of the same profile
 
 
 # K is written out here rather than taken from profiles.COT_SERIES_CONST or
@@ -66,10 +67,10 @@ class Wall(NamedTuple):
 # potential_from_correlators, which keep their own copies of the constants.
 WALL_TABLE = {
     WallKind.CONDUCTOR_CONDUCTOR: Wall(
-        cot_profile, cot_profile_deriv, 1.0 / 120.0, "cot"
+        COT_PROFILE, COT_PROFILE_DERIV, 1.0 / 120.0
     ),
     WallKind.CONDUCTOR_PERMEABLE: Wall(
-        csc_profile, csc_profile_deriv, -7.0 / 8.0 * (1.0 / 120.0), "csc"
+        CSC_PROFILE, CSC_PROFILE_DERIV, -7.0 / 8.0 * (1.0 / 120.0)
     ),
 }
 
@@ -97,11 +98,11 @@ class Geometry:
 
     def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""
-        return WALL_TABLE[self.kind].profile(self.xi(z), guard)
+        return _evaluate(WALL_TABLE[self.kind].profile, self.xi(z), guard)
 
     def profile_deriv(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """d/dxi of the geometry's profile at xi(z)."""
-        return WALL_TABLE[self.kind].profile_deriv(self.xi(z), guard)
+        return _evaluate(WALL_TABLE[self.kind].profile_deriv, self.xi(z), guard)
 
     def profile_terms(
         self, z: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
@@ -114,13 +115,13 @@ class Geometry:
         """
         z = np.asarray(z, dtype=np.float64)
         a = self.separation_a
-        kernel = WALL_TABLE[self.kind].kernel
+        forms = WALL_TABLE[self.kind][:2]  # profile, profile_deriv
         outside = ~((0.0 < z) & (z < a))
         if outside.any():
             first = int(outside.argmax())
-            profile_terms(kernel, PI * (z[:first] / a), guard)  # earlier refusals
+            profile_terms(*forms, PI * (z[:first] / a), guard)  # earlier refusals
             self.xi(float(z[first]))  # raises
-        return profile_terms(kernel, PI * (z / a), guard)
+        return profile_terms(*forms, PI * (z / a), guard)
 
 
 @dataclass(frozen=True)

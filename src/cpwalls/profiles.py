@@ -26,9 +26,17 @@ u = (PI - xi) + PI_LO, because the poles sit at multiples of the *real* pi:
 with plain math.pi the pole offset of ~1.2e-16 already costs ~6e-10 absolute
 near u = 0.05, an order of magnitude above the 1e-10 oracle budget.
 
-profile_terms evaluates the same closed forms and series on a whole array
-of xi at once, for tables; the scalar functions stay on math, which is
-faster for one point.
+Each of the four quantities (the two profiles and their xi-slopes) is
+written once, as a Form: a closed form in s = sin(u), c = cos(u) and the
+sign (+1 on (0, pi/2], -1 beyond) and a near-wall series in u and the sign.
+Both take the power function as an argument, so one transcription serves
+both paths. The scalar functions pass operator.pow, which is the ** operator
+itself: its bits, and its OverflowError and ZeroDivisionError messages, are
+those of plain float arithmetic (math.pow would say "math range error" and
+raise ValueError instead). profile_terms evaluates the same forms on a whole
+array of xi, for tables, and passes np.float_power, which is libm's pow as
+** is; ** on arrays and np.power use a SIMD pow that differs from libm in the
+last bit. No form may power with ** or np.power itself.
 
 Two independent oracles cross-check the closed forms: a truncated image sum
 over the poles (with a certified tail bound) and a Hurwitz-zeta form summed
@@ -45,7 +53,9 @@ an oracle should not change with the machine.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,13 +129,51 @@ def _check_domain(xi: float) -> None:
         raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
 
 
-def _wall(xi: float, guard: GuardPolicy | None) -> tuple[float, float, bool]:
-    """Domain check, reflection and guard decision for one point.
+class Form(NamedTuple):
+    """One profile quantity: its closed form and its near-wall series.
 
-    Returns (u, sign, asymptotic): u is the distance to the nearest wall
-    (the reflection about the true pi done in double-double), sign is +1 on
-    (0, pi/2] and -1 beyond, and asymptotic says the guard band asks for the
-    near-wall series. guard=None skips the band, for the series themselves.
+    closed(s, c, sign, pow) takes s = sin(u), c = cos(u) at the wall
+    distance u and sign = +1 on (0, pi/2], -1 beyond; series(u, sign, pow)
+    is the expansion about the nearest wall. pow is operator.pow for one
+    point and np.float_power for arrays.
+    """
+
+    closed: Callable
+    series: Callable
+
+
+# The series read SERIES_LEADING and the *_SERIES_CONST at call time, so a
+# perturbed constant reaches the scalar functions and the tables alike.
+COT_PROFILE = Form(
+    closed=lambda s, c, sign, pow: (2.0 * c * c + 1.0) / (8.0 * pow(s, 4)),
+    series=lambda u, sign, pow: SERIES_LEADING * pow(u, -4) + COT_SERIES_CONST,
+)
+CSC_PROFILE = Form(
+    closed=lambda s, c, sign, pow: sign * c * (c * c + 5.0) / (16.0 * pow(s, 4)),
+    series=lambda u, sign, pow: (
+        sign * (SERIES_LEADING * pow(u, -4) - CSC_SERIES_CONST)
+    ),
+)
+COT_PROFILE_DERIV = Form(
+    closed=lambda s, c, sign, pow: -sign * c * (c * c + 2.0) / (2.0 * pow(s, 5)),
+    series=lambda u, sign, pow: sign * (-1.5) * pow(u, -5),
+)
+CSC_PROFILE_DERIV = Form(
+    # (c * c) * (c * c) rounds as c2 * c2 with c2 = c * c
+    closed=lambda s, c, sign, pow: (
+        -((c * c) * (c * c) + 18.0 * (c * c) + 5.0) / (16.0 * pow(s, 5))
+    ),
+    series=lambda u, sign, pow: -1.5 * pow(u, -5),
+)
+
+
+def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
+    """One Form at one point: domain check, reflection, guard band, value.
+
+    u is the distance to the nearest wall (the reflection about the true pi
+    done in double-double) and sign is +1 on (0, pi/2] and -1 beyond. Inside
+    the guard band mode="reject" raises and mode="asymptotic" takes the
+    series; guard=None asks for the series everywhere.
     """
     if not 0.0 < xi < PI:  # inlined _check_domain: this is the hot path
         raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
@@ -133,54 +181,34 @@ def _wall(xi: float, guard: GuardPolicy | None) -> tuple[float, float, bool]:
         u, sign = xi, 1.0
     else:
         u, sign = (PI - xi) + PI_LO, -1.0
-    if guard is None or u >= guard.epsilon:
-        return u, sign, False
-    if guard.mode == "reject":
-        raise TooCloseToWall(
-            f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
-        )
-    return u, sign, True
+    if guard is not None:
+        if u >= guard.epsilon:
+            return form.closed(math.sin(u), math.cos(u), sign, operator.pow)
+        if guard.mode == "reject":
+            raise TooCloseToWall(
+                f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
+            )
+    return form.series(u, sign, operator.pow)
 
 
 def cot_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """-(1/16) d^3/dxi^3 cot(xi); even about pi/2, positive on (0, pi)."""
-    u, _, asymptotic = _wall(xi, guard)
-    if asymptotic:
-        return cot_profile_series(xi)
-    s = math.sin(u)
-    c = math.cos(u)
-    return (2.0 * c * c + 1.0) / (8.0 * s ** 4)
+    return _evaluate(COT_PROFILE, xi, guard)
 
 
 def csc_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """-(1/16) d^3/dxi^3 csc(xi); odd about pi/2."""
-    u, sign, asymptotic = _wall(xi, guard)
-    if asymptotic:
-        return csc_profile_series(xi)
-    s = math.sin(u)
-    c = math.cos(u)
-    return sign * c * (c * c + 5.0) / (16.0 * s ** 4)
+    return _evaluate(CSC_PROFILE, xi, guard)
 
 
 def cot_profile_deriv(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """d/dxi of cot_profile; odd about pi/2."""
-    u, sign, asymptotic = _wall(xi, guard)
-    if asymptotic:
-        return sign * (-1.5) * u ** -5
-    s = math.sin(u)
-    c = math.cos(u)
-    return -sign * c * (c * c + 2.0) / (2.0 * s ** 5)
+    return _evaluate(COT_PROFILE_DERIV, xi, guard)
 
 
 def csc_profile_deriv(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     """d/dxi of csc_profile; even about pi/2 and strictly negative."""
-    u, _, asymptotic = _wall(xi, guard)
-    if asymptotic:
-        return -1.5 * u ** -5
-    s = math.sin(u)
-    c = math.cos(u)
-    c2 = c * c
-    return -(c2 * c2 + 18.0 * c2 + 5.0) / (16.0 * s ** 5)
+    return _evaluate(CSC_PROFILE_DERIV, xi, guard)
 
 
 def cot_profile_series(xi: float) -> float:
@@ -189,8 +217,7 @@ def cot_profile_series(xi: float) -> float:
     The constant keeps the same sign at both walls (the image sum is even
     under reflection); relative error is about u^6/47 at distance u.
     """
-    u, _, _ = _wall(xi, None)
-    return SERIES_LEADING * u ** -4 + COT_SERIES_CONST
+    return _evaluate(COT_PROFILE, xi, None)
 
 
 def csc_profile_series(xi: float) -> float:
@@ -198,25 +225,22 @@ def csc_profile_series(xi: float) -> float:
 
     Near xi=0: (3/8)*u^-4 - 7/960. Near xi=pi: -(3/8)*u^-4 + 7/960.
     """
-    u, sign, _ = _wall(xi, None)
-    return sign * (SERIES_LEADING * u ** -4 - CSC_SERIES_CONST)
+    return _evaluate(CSC_PROFILE, xi, None)
 
 
 def profile_terms(
-    kind: str, xi: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
+    profile: Form, deriv: Form, xi: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profile, slope and asymptotic mask over a whole grid of xi.
 
-    kind is "cot" or "csc". Every element equals the scalar profile and
-    derivative (series inside an asymptotic guard band) bit for bit: the
-    expressions and their order are the scalar ones, np.sin/np.cos agree
-    with libm on the platforms the golden tests pin, and powers go through
-    np.float_power, because the SIMD power behind ** and np.power differs
-    from libm in the last bit. A point outside (0, pi), or in the band under
-    mode="reject", raises the scalar path's error for the first such point.
+    profile and deriv are the Forms of a profile and of its slope, for
+    example COT_PROFILE and COT_PROFILE_DERIV. Every element is the scalar
+    path's value (series inside an asymptotic guard band) bit for bit: the
+    forms are the same, np.sin/np.cos agree with libm on the platforms the
+    golden tests pin, and np.float_power is libm's pow. A point outside
+    (0, pi), or in the band under mode="reject", raises the scalar path's
+    error for the first such point.
     """
-    if kind not in ("cot", "csc"):
-        raise ValueError(f"unknown profile kind {kind!r}")
     xi = np.asarray(xi, dtype=np.float64)
     near = xi <= HALF_PI
     u = np.where(near, xi, (PI - xi) + PI_LO)
@@ -224,21 +248,14 @@ def profile_terms(
     asymptotic = u < guard.epsilon
     refused = ~((0.0 < xi) & (xi < PI)) | (asymptotic & (guard.mode == "reject"))
     if refused.any():
-        _wall(float(xi[refused.argmax()]), guard)  # raises
+        _evaluate(profile, float(xi[refused.argmax()]), guard)  # raises
     with np.errstate(all="ignore"):
         s, c = np.sin(u), np.cos(u)
+        p = profile.closed(s, c, sign, np.float_power)
+        dp = deriv.closed(s, c, sign, np.float_power)
         ua, sa = u[asymptotic], sign[asymptotic]
-        lead = SERIES_LEADING * np.float_power(ua, -4)
-        slope = -1.5 * np.float_power(ua, -5)
-        if kind == "cot":
-            p = (2.0 * c * c + 1.0) / (8.0 * np.float_power(s, 4))
-            dp = -sign * c * (c * c + 2.0) / (2.0 * np.float_power(s, 5))
-            p[asymptotic], dp[asymptotic] = lead + COT_SERIES_CONST, sa * slope
-        else:
-            c2 = c * c
-            p = sign * c * (c2 + 5.0) / (16.0 * np.float_power(s, 4))
-            dp = -(c2 * c2 + 18.0 * c2 + 5.0) / (16.0 * np.float_power(s, 5))
-            p[asymptotic], dp[asymptotic] = sa * (lead - CSC_SERIES_CONST), slope
+        p[asymptotic] = profile.series(ua, sa, np.float_power)
+        dp[asymptotic] = deriv.series(ua, sa, np.float_power)
     return p, dp, asymptotic
 
 

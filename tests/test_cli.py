@@ -16,7 +16,7 @@ import pytest
 import cpwalls.profiles as profiles
 from cpwalls.cli import CORRELATOR_COLUMNS, POTENTIAL_COLUMNS, main
 from cpwalls.potentials import AtomResponse, potential_total
-from cpwalls.correlators import Geometry, WallKind
+from cpwalls.correlators import WALL_TABLE, Geometry, WallKind
 from cpwalls.units import HBAR_C_J_M
 from cpwalls.verification import REQUIRED_CHECK_NAMES
 
@@ -137,6 +137,12 @@ def test_guard_rejection_exit_2(capsys):
         ("frobnicate",),
         ("limits", "--a-values", "2,nan"),
         ("limits", "--a-values", "2,inf"),
+        # hundreds of PiB (MemoryError) and past the index range (ValueError):
+        # both allocations fail at once
+        ("potential", "--z-min", "0.1", "--z-max", "0.9",
+         "--z-count", "99999999999999999"),
+        ("correlators", "--z-min", "0.1", "--z-max", "0.9",
+         "--z-count", "10000000000000000000"),
     ],
 )
 def test_config_errors_exit_1(capsys, argv):
@@ -478,6 +484,25 @@ def test_fault_injected_verify_names_the_series_check(capsys, monkeypatch):
     assert code != 0
     assert "FAIL near_wall_series_cot" in err
     assert "FAIL near_wall_series_cot" in out
+
+
+def test_failing_verify_json_writes_null_for_a_non_finite_error(
+    capsys, monkeypatch
+):
+    # K of the wrong sign makes trace_sum_constant's relative error inf,
+    # which JSON cannot hold
+    kind = WallKind.CONDUCTOR_PERMEABLE
+    entry = WALL_TABLE[kind]
+    monkeypatch.setitem(WALL_TABLE, kind, entry._replace(diag_const=-entry.diag_const))
+    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+    assert code != 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    checks = {c["name"]: c for c in json.loads(out, parse_constant=refuse)["checks"]}
+    assert checks["trace_sum_constant"]["passed"] is False
+    assert checks["trace_sum_constant"]["max_rel_error"] is None
 
 
 def test_verify_exit_counts_failures(capsys, monkeypatch):

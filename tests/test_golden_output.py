@@ -6,10 +6,12 @@ every one of these tables unchanged down to the last digit. The hashes were
 recorded with CPython 3.11 and NumPy 2.4 on x86-64 Linux; a platform whose
 libm rounds sin/cos differently in the last bit may need its own set.
 
-The tables come from the array kernel profiles.profile_terms, and the hashes
-hold only because its powers go through np.float_power, which calls libm's
-pow as the scalar `**` does. x**4 and np.power use a SIMD pow that differs
-from libm in the last bit on about 5% of points, which changes these bytes.
+The tables come from the array kernel profiles.profile_terms, which runs
+the same profile Forms as the scalar functions with np.float_power as their
+power function: that is libm's pow, as operator.pow (the scalar `**`) is.
+A form that powered with ** or np.power itself would, on arrays, use a SIMD
+pow that differs from libm in the last bit on about 5% of points, and change
+these bytes on hosts whose NumPy dispatches to it (AVX-512).
 The tables are written in cli.CHUNK_ROWS-row chunks; the bytes must not
 depend on the chunk size.
 """
