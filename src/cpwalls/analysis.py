@@ -8,8 +8,7 @@ back plain column/row containers the CLI can serialize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .correlators import Geometry, WallKind, _tensor
 from .errors import ConfigError, InvalidGrid
@@ -24,6 +23,9 @@ from .potentials import (
     single_wall_limit,
 )
 from .profiles import DEFAULT_GUARD, GuardPolicy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Canonical column order for sweep quantities.
 SWEEP_QUANTITIES = ("V", "V_E", "V_M", "force", "EE_trace", "BB_trace")
@@ -72,6 +74,8 @@ class SweepSpec:
                 f"need 0 < z_min < z_max < a, got z_min={z_min!r},"
                 f" z_max={z_max!r}, a={geometry.separation_a!r}"
             )
+        import numpy as np
+
         grid = tuple(np.linspace(z_min, z_max, count).tolist())
         return cls(geometry=geometry, atom=atom, z_grid=grid, **kwargs)
 
@@ -122,6 +126,8 @@ _SWEEP_COLUMN = {
 
 def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z: np.ndarray):
     """nearest_wall_reference over a grid of z, equal to it bit for bit."""
+    import numpy as np
+
     d_far = geom.separation_a - z
     far = z > d_far  # a tie goes to the near wall
     magnitude = _single_wall_magnitude(
@@ -138,6 +144,8 @@ def _sweep_table(spec: SweepSpec) -> tuple[tuple[str, ...], np.ndarray]:
     quantity is then one array expression; every cell equals the scalar
     public function at that z bit for bit.
     """
+    import numpy as np
+
     atom, geom = spec.atom, spec.geometry
     ordered = [q for q in SWEEP_QUANTITIES if q in spec.quantities]
     z = np.array(spec.z_grid)
@@ -189,6 +197,8 @@ class LimitStudy:
         a_vals = [r.a for r in self.rows if r.rel_error and r.rel_error > 0.0]
         if len(errs) < 2:
             raise ValueError("need at least two nonzero errors to fit an exponent")
+        import numpy as np
+
         slope = np.polyfit(np.log(a_vals), np.log(errs), 1)[0]
         return float(-slope)
 

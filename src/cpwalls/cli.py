@@ -9,8 +9,10 @@ an evaluation point or a table cell would be inf, nan or subnormal
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
 formats, which round-trips IEEE doubles losslessly, so re-running a command
-reproduces its output byte for byte. A table is evaluated whole, on arrays,
-before its first byte is written, so a refused run writes nothing.
+reproduces its output byte for byte. A table is evaluated whole before its
+first byte is written, so a refused run writes nothing: a grid on arrays,
+a single --z point and the limits ladder on floats through the scalar forms,
+which gives the same bits and does not load NumPy.
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"); explicit flags override
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
+import operator
 import sys
 import warnings
-
-import numpy as np
 
 from .analysis import _SWEEP_COLUMN, SweepSpec, _sweep_table, limit_convergence_study
 from .correlators import Geometry, WallKind, _tensor
@@ -34,7 +36,6 @@ from .errors import ConfigError, DomainError, NonFiniteResult
 from .potentials import AtomResponse
 from .profiles import GuardPolicy
 from .units import HBAR_C_J_M
-from .verification import run_verification
 
 POTENTIAL_COLUMNS = ("z", "V_E", "V_M", "V_total", "force_z", "regime")
 # The sweep quantity behind each float column of POTENTIAL_COLUMNS after z.
@@ -99,6 +100,7 @@ def _grid_flags(parser: _Parser) -> None:
     parser.add_argument("--z-count", type=int)
 
 
+@functools.cache  # once per process: parse_args leaves the tree unchanged
 def _build_parser() -> _Parser:
     top = _Parser(prog="cpwalls", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -239,16 +241,27 @@ def _row_templates(fmt: str, columns, fields, words) -> list[str]:
     return [",".join(cells) + "\n" for cells in variants]
 
 
+def _floats(block) -> list:
+    """Rows of a table as one flat list of Python floats, row after row.
+
+    A table is a list of float tuples (rows from the scalar forms) or a
+    (rows, columns) float64 array (a grid).
+    """
+    if isinstance(block, list):
+        return [x for row in block for x in row]
+    return block.ravel().tolist()
+
+
 def _write_table(fh, fmt: str, columns, cells, words, word_index, zeros) -> None:
     """Write a table in CHUNK_ROWS-row chunks, one %-format call each.
 
-    cells holds the float columns not named in zeros as a (rows, columns)
-    float64 array; a column in zeros is written as 0 on every row. If words
-    is not empty, a last word column takes words[word_index[row]] (words[0]
-    when word_index is None). "%.17g" formats a float exactly as
+    cells holds the float columns not named in zeros, one row per table
+    row; a column in zeros is written as 0 on every row. If words is not
+    empty, a last word column takes words[word_index[row]] (words[0] when
+    word_index is None). "%.17g" formats a float exactly as
     format(x, ".17g"), so the bytes do not depend on the chunk size.
     """
-    n_floats = cells.shape[1] + len(zeros)
+    n_floats = len(columns) - (1 if words else 0)
     fields = ["0" if c in zeros else "%.17g" for c in columns[:n_floats]]
     templates = _row_templates(fmt, columns, fields, words)
     n = len(cells)
@@ -258,9 +271,11 @@ def _write_table(fh, fmt: str, columns, cells, words, word_index, zeros) -> None
         if word_index is None:
             template = templates[0] * (stop - start)
         else:
-            picks = word_index[start:stop].tolist()
+            picks = word_index[start:stop]
+            if not isinstance(picks, list):
+                picks = picks.tolist()
             template = "".join([templates[i] for i in picks])
-        text = template % tuple(cells[start:stop].ravel().tolist())
+        text = template % tuple(_floats(cells[start:stop]))
         if fmt == "json" and stop == n:
             text = text[:-2]  # no comma after the last row
         fh.write(text)
@@ -273,16 +288,20 @@ def _convertible(column: str) -> bool:
     return column.startswith(("V", "force", "EE", "BB", "EB", "trace"))
 
 
-def _check_finite(columns, cells: np.ndarray) -> None:
-    """Refuse a table with an inf, nan or subnormal cell, naming the first."""
-    mag = np.abs(cells)
-    bad = ~(mag <= sys.float_info.max) | ((0.0 < mag) & (mag < sys.float_info.min))
-    if bad.any():
-        row, col = divmod(int(bad.argmax()), cells.shape[1])
-        raise NonFiniteResult(
-            f"{columns[col]}={float(cells[row, col])!r} in row {row + 1}"
-            f" ({columns[0]}={float(cells[row, 0])!r}) is not a finite normal double"
-        )
+def _first_bad(cells) -> tuple[int, int] | None:
+    """(row, column) of the first inf, nan or subnormal cell, or None."""
+    lo, hi = sys.float_info.min, sys.float_info.max
+    if isinstance(cells, list):
+        for row, values in enumerate(cells):
+            for col, x in enumerate(values):
+                if not (x == 0.0 or lo <= abs(x) <= hi):
+                    return row, col
+        return None
+    mag = abs(cells)
+    bad = ~(mag <= hi) | ((0.0 < mag) & (mag < lo))
+    if not bad.any():
+        return None
+    return divmod(int(bad.argmax()), cells.shape[1])
 
 
 def _emit(
@@ -296,11 +315,20 @@ def _emit(
     leaves an existing file untouched.
     """
     live = [c for c in columns if c not in zeros]
+    floats = live[: len(live) - (1 if words else 0)]
     if args.units == "si":
-        floats = live[: cells.shape[1]]
         factors = [HBAR_C_J_M if _convertible(c) else 1.0 for c in floats]
-        cells = cells * np.array(factors)
-    _check_finite(live, cells)
+        if isinstance(cells, list):
+            cells = [tuple(map(operator.mul, row, factors)) for row in cells]
+        else:
+            cells = cells * factors  # NumPy broadcasts the list over the rows
+    bad = _first_bad(cells)
+    if bad is not None:
+        row, col = bad
+        raise NonFiniteResult(
+            f"{floats[col]}={float(cells[row][col])!r} in row {row + 1}"
+            f" ({floats[0]}={float(cells[row][0])!r}) is not a finite normal double"
+        )
     with _output(args.out) as fh:
         _write_table(fh, args.format, columns, cells, words, word_index, zeros)
 
@@ -322,13 +350,17 @@ def _atom_from(args) -> AtomResponse:
     return AtomResponse(args.alpha, args.beta)
 
 
-def _grid_from(args) -> np.ndarray:
+def _grid_from(args):
+    """The --z point as a float, or the checked grid as an array.
+
+    NumPy loads here, and only for a grid that passed its checks.
+    """
     grid_flags = (args.z_min, args.z_max, args.z_count)
     has_grid = any(v is not None for v in grid_flags)
     if args.z is not None and has_grid:
         raise ConfigError("provide either --z or --z-min/--z-max/--z-count, not both")
     if args.z is not None:
-        return np.array([args.z])
+        return args.z
     if not has_grid:
         raise ConfigError("provide --z or a full --z-min/--z-max/--z-count grid")
     if any(v is None for v in grid_flags):
@@ -337,38 +369,68 @@ def _grid_from(args) -> np.ndarray:
         raise ConfigError(f"--z-count must be >= 2, got {args.z_count}")
     if not args.z_min < args.z_max:
         raise ConfigError("--z-min must be smaller than --z-max")
+    import numpy as np
+
     try:
-        return np.linspace(args.z_min, args.z_max, args.z_count)
+        with np.errstate(all="ignore"):  # z_max - z_min may overflow
+            return np.linspace(args.z_min, args.z_max, args.z_count)
     except (MemoryError, ValueError) as exc:  # ValueError past the index range
         raise ConfigError(f"--z-count {args.z_count} is too large ({exc})") from exc
+
+
+def _table(args, geom: Geometry, guard: GuardPolicy, columns_of):
+    """The cells columns_of(z, p, dp) gives, and each row's asymptotic flag.
+
+    A --z point is one row of floats from the scalar forms. Where a power in
+    them leaves the double range (OverflowError, ZeroDivisionError), and for
+    a grid, the array kernel evaluates instead, with NumPy quiet: its inf
+    and nan go to the finite gate in _emit, which names the first.
+    """
+    z = _grid_from(args)
+    if isinstance(z, float):
+        try:
+            p, dp, asymptotic = geom.point_terms(z, guard)
+        except (OverflowError, ZeroDivisionError):
+            z = [z]
+        else:
+            return [tuple(columns_of(z, p, dp))], [asymptotic]
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        z = np.asarray(z, dtype=np.float64)
+        p, dp, asymptotic = geom.profile_terms(z, guard)
+        return np.column_stack(columns_of(z, p, dp)), asymptotic
 
 
 def _cmd_potential(args) -> int:
     geom = _geometry_from(args)
     atom = _atom_from(args)
     guard = _guard_from(args)
-    z = _grid_from(args)
-    p, dp, asymptotic = geom.profile_terms(z, guard)
-    cells = np.column_stack(
-        [z] + [_SWEEP_COLUMN[q](atom, geom, p, dp) for q in _POTENTIAL_QUANTITIES]
-    )
+    cells, asymptotic = _table(args, geom, guard, lambda z, p, dp: [z] + [
+        _SWEEP_COLUMN[q](atom, geom, p, dp) for q in _POTENTIAL_QUANTITIES
+    ])
     _emit(args, POTENTIAL_COLUMNS, cells, ("exact", "asymptotic"), asymptotic)
     return 0
+
+
+def _correlator_cells(geom: Geometry, z, p) -> tuple:
+    """The live CORRELATOR_COLUMNS at profile value(s) p."""
+    ee = _tensor(geom, p, "EE")
+    bb = _tensor(geom, -p, "BB")
+    return (
+        z,
+        ee.par, ee.par, ee.perp,
+        bb.par, bb.par, bb.perp,
+        ee.trace(), bb.trace(), ee.trace() + bb.trace(),
+    )
 
 
 def _cmd_correlators(args) -> int:
     geom = _geometry_from(args)
     guard = _guard_from(args)
-    z = _grid_from(args)
-    p, _, _ = geom.profile_terms(z, guard)
-    ee = _tensor(geom, p, "EE")
-    bb = _tensor(geom, -p, "BB")
-    cells = np.column_stack((
-        z,
-        ee.par, ee.par, ee.perp,
-        bb.par, bb.par, bb.perp,
-        ee.trace(), bb.trace(), ee.trace() + bb.trace(),
-    ))
+    cells, _ = _table(
+        args, geom, guard, lambda z, p, dp: _correlator_cells(geom, z, p)
+    )
     _emit(args, CORRELATOR_COLUMNS, cells, zeros=_CORRELATOR_ZEROS)
     return 0
 
@@ -391,7 +453,11 @@ def _cmd_sweep(args) -> int:
         guard=guard,
         include_limit_reference=args.emit_limit_reference,
     )
-    _emit(args, *_sweep_table(spec))
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # the finite gate in _emit judges every cell
+        table = _sweep_table(spec)
+    _emit(args, *table)
     return 0
 
 
@@ -417,11 +483,13 @@ def _cmd_limits(args) -> int:
         for row in study.rows
     ]
     columns = ("a", "V_exact", "V_limit", "rel_error")
-    _emit(args, columns, np.array(rows), words)
+    _emit(args, columns, rows, words)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_verification
+
     report = run_verification(args.level)
     for check in report.failures:
         sys.stderr.write(
@@ -482,15 +550,13 @@ def main(argv=None) -> int:
         try:
             argv = _inject_config(argv)
             args = _build_parser().parse_args(argv)
-            # NumPy stays quiet: the finite gate in _emit judges every table cell
-            with np.errstate(all="ignore"):
-                try:
-                    return _HANDLERS[args.command](args)
-                except (OverflowError, ZeroDivisionError) as exc:  # a**4 ...
-                    raise NonFiniteResult(
-                        f"a prefactor is out of the double range"
-                        f" ({type(exc).__name__}: {exc})"
-                    ) from exc
+            try:
+                return _HANDLERS[args.command](args)
+            except (OverflowError, ZeroDivisionError) as exc:  # a**4 ...
+                raise NonFiniteResult(
+                    f"a prefactor is out of the double range"
+                    f" ({type(exc).__name__}: {exc})"
+                ) from exc
         except ConfigError as exc:
             sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
             return 1

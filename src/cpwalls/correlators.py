@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .errors import OutOfDomain
+from .errors import NonFiniteResult, OutOfDomain
 from .profiles import (
     COT_PROFILE,
     COT_PROFILE_DERIV,
@@ -37,8 +36,15 @@ from .profiles import (
     Form,
     GuardPolicy,
     _evaluate,
+    point_terms,
     profile_terms,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_np = None  # NumPy, once CorrelatorTensor.components first needs it
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class WallKind(enum.Enum):
@@ -104,6 +110,17 @@ class Geometry:
         """d/dxi of the geometry's profile at xi(z)."""
         return _evaluate(WALL_TABLE[self.kind].profile_deriv, self.xi(z), guard)
 
+    def point_terms(
+        self, z: float, guard: GuardPolicy = DEFAULT_GUARD
+    ) -> tuple[float, float, bool]:
+        """profile, profile_deriv and the asymptotic flag at one z, on floats.
+
+        One profiles.point_terms call: the values equal the scalar methods,
+        and profile_terms on a one-point grid, bit for bit (where a power
+        leaves the double range this raises as ** does instead of giving inf).
+        """
+        return point_terms(*WALL_TABLE[self.kind][:2], self.xi(z), guard)
+
     def profile_terms(
         self, z: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,6 +130,8 @@ class Geometry:
         bit for bit. The first refused point in grid order raises the error
         the scalar methods raise for it.
         """
+        import numpy as np
+
         z = np.asarray(z, dtype=np.float64)
         a = self.separation_a
         forms = WALL_TABLE[self.kind][:2]  # profile, profile_deriv
@@ -139,7 +158,10 @@ class CorrelatorTensor:
     @property
     def components(self) -> np.ndarray:
         """A fresh 3x3 float64 matrix; off-diagonal entries are zero."""
-        m = np.zeros((3, 3))  # a fifth of the cost of np.diag
+        global _np
+        if _np is None:  # an import statement on every call costs a quarter more
+            import numpy as _np
+        m = _np.zeros((3, 3))  # a fifth of the cost of np.diag
         m[0, 0] = m[1, 1] = self.par
         m[2, 2] = self.perp
         return m
@@ -149,8 +171,19 @@ class CorrelatorTensor:
 
 
 def tensor_prefactor(separation_a: float) -> float:
-    """Common scale (pi/a)^4 * 2/(3*pi) of every correlator component."""
-    return (PI / separation_a) ** 4 * (2.0 / (3.0 * PI))
+    """Common scale (pi/a)^4 * 2/(3*pi) of every correlator component.
+
+    Raises NonFiniteResult where the scale is not a normal double (a above
+    about 5.5e76): every component would come out subnormal or zero, its
+    digits lost.
+    """
+    pref = (PI / separation_a) ** 4 * (2.0 / (3.0 * PI))
+    if not pref >= _SMALLEST_NORMAL:
+        raise NonFiniteResult(
+            f"correlator prefactor (pi/a)^4*2/(3*pi)={pref!r} at"
+            f" a={separation_a!r} is not a finite normal double"
+        )
+    return pref
 
 
 def _tensor(geom: Geometry, p, field_pair: str) -> CorrelatorTensor:

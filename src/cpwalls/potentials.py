@@ -45,7 +45,7 @@ from .errors import (
     OutOfDomain,
     TooCloseToWall,
 )
-from .profiles import DEFAULT_GUARD, PI, GuardPolicy, wall_distance
+from .profiles import DEFAULT_GUARD, PI, GuardPolicy
 
 # Combined constant of potential_total, transcribed apart from the diagonal
 # constants in correlators.WALL_TABLE: potential_additivity compares the two.
@@ -184,15 +184,14 @@ def potential_sample(
     """Potential and force at z, tagged with the evaluation regime.
 
     The regime is "asymptotic" inside the guard band (mode="reject" raises
-    there instead) and "exact" elsewhere.
+    there instead) and "exact" elsewhere: the guard decision of the one
+    evaluation that gives both the profile and its slope.
     """
-    asymptotic = (
-        guard.mode == "asymptotic" and wall_distance(geom.xi(z)) < guard.epsilon
-    )
+    p, dp, asymptotic = geom.point_terms(z, guard)
     return PotentialSample(
         z=z,
-        V=potential_total(atom, geom, z, guard),
-        force_z=force(atom, geom, z, guard),
+        V=_total(atom, geom, p),
+        force_z=_force(atom, geom, dp),
         regime="asymptotic" if asymptotic else "exact",
     )
 

@@ -48,6 +48,9 @@ for cot_profile and alternating ones for csc_profile, so one pass per point
 The powers go through np.float_power, which is libm's pow: NumPy's ** uses
 a SIMD pow whose last bit depends on the CPU features it dispatches to, and
 an oracle should not change with the machine.
+
+NumPy is imported inside the array functions (profile_terms, _image_sums)
+only, so a process that evaluates single points never loads it.
 """
 
 from __future__ import annotations
@@ -55,11 +58,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
 from .errors import OutOfDomain, TailBoundViolated, TooCloseToWall
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PI = math.pi
 # pi = PI + PI_LO to ~1e-32; PI_LO == sin(math.pi) in IEEE double arithmetic.
@@ -129,6 +133,14 @@ def _check_domain(xi: float) -> None:
         raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
 
 
+def _refuse(xi: float, guard: GuardPolicy | None) -> NoReturn:
+    """Raise for xi outside (0, pi), else for xi in a rejecting guard band."""
+    _check_domain(xi)
+    raise TooCloseToWall(
+        f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
+    )
+
+
 class Form(NamedTuple):
     """One profile quantity: its closed form and its near-wall series.
 
@@ -175,8 +187,8 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
     the guard band mode="reject" raises and mode="asymptotic" takes the
     series; guard=None asks for the series everywhere.
     """
-    if not 0.0 < xi < PI:  # inlined _check_domain: this is the hot path
-        raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
+    if not 0.0 < xi < PI:  # also false for nan and inf
+        _refuse(xi, guard)
     if xi <= HALF_PI:
         u, sign = xi, 1.0
     else:
@@ -185,10 +197,40 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
         if u >= guard.epsilon:
             return form.closed(math.sin(u), math.cos(u), sign, operator.pow)
         if guard.mode == "reject":
-            raise TooCloseToWall(
-                f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
-            )
+            _refuse(xi, guard)
     return form.series(u, sign, operator.pow)
+
+
+def point_terms(
+    profile: Form, deriv: Form, xi: float, guard: GuardPolicy = DEFAULT_GUARD
+) -> tuple[float, float, bool]:
+    """profile_terms at one point, on floats: (profile, slope, asymptotic).
+
+    The two values are _evaluate's for the two forms bit for bit, and
+    asymptotic is the one guard decision that chose the series for both.
+    Where a power leaves the double range this raises as ** does
+    (OverflowError, ZeroDivisionError), while profile_terms gives inf.
+    """
+    if not 0.0 < xi < PI:  # also false for nan and inf
+        _refuse(xi, guard)
+    if xi <= HALF_PI:
+        u, sign = xi, 1.0
+    else:
+        u, sign = (PI - xi) + PI_LO, -1.0
+    if u >= guard.epsilon:
+        s, c = math.sin(u), math.cos(u)
+        return (
+            profile.closed(s, c, sign, operator.pow),
+            deriv.closed(s, c, sign, operator.pow),
+            False,
+        )
+    if guard.mode == "reject":
+        _refuse(xi, guard)
+    return (
+        profile.series(u, sign, operator.pow),
+        deriv.series(u, sign, operator.pow),
+        True,
+    )
 
 
 def cot_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
@@ -241,6 +283,8 @@ def profile_terms(
     (0, pi), or in the band under mode="reject", raises the scalar path's
     error for the first such point.
     """
+    import numpy as np
+
     xi = np.asarray(xi, dtype=np.float64)
     near = xi <= HALF_PI
     u = np.where(near, xi, (PI - xi) + PI_LO)
@@ -248,7 +292,7 @@ def profile_terms(
     asymptotic = u < guard.epsilon
     refused = ~((0.0 < xi) & (xi < PI)) | (asymptotic & (guard.mode == "reject"))
     if refused.any():
-        _evaluate(profile, float(xi[refused.argmax()]), guard)  # raises
+        _refuse(float(xi[refused.argmax()]), guard)
     with np.errstate(all="ignore"):
         s, c = np.sin(u), np.cos(u)
         p = profile.closed(s, c, sign, np.float_power)
@@ -298,6 +342,8 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
             f"tail bound {bound:.3e} exceeds target {cfg.target_abs_tol:.3e}"
             f" at xi={xi!r} with N={n_terms}"
         )
+    import numpy as np
+
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     # Poles at the true pi: n*PI_LO is exact for n < 2^37, so each
     # displacement carries one rounding.

@@ -159,6 +159,10 @@ def test_config_errors_exit_1(capsys, argv):
         (("potential", "--z", "0.5", "--alpha=1e308", "--beta=-1e308"),
          "NonFiniteResult"),
         (("correlators", "--a", "1e80", "--z", "5e79"), "NonFiniteResult"),
+        # (pi/a)^4 underflows to 0: every correlator cell would read 0
+        (("correlators", "--a", "1e100", "--z", "5e99"), "NonFiniteResult"),
+        (("sweep", "--a", "1e100", "--z-min", "1e99", "--z-max", "5e99",
+          "--z-count", "2", "--quantities", "EE_trace"), "NonFiniteResult"),
         (("potential", "--z", "0.5", "--out", "/nonexistent/dir/x.csv"),
          "ConfigError"),
     ],
@@ -212,11 +216,48 @@ _LAST_ROW_BAD = ("--z-min", "0.5", "--z-max", "0.9999999", "--z-count", "5")
           "6e76", "--z-count", "5"),
          "NonFiniteResult: trace_EE_plus_trace_BB=-1.7096527021243107e-308"
          " in row 1 (z=1e+75) is not a finite normal double\n"),
+        # one --z point whose scalar powers leave the double range (the
+        # series' u**-5, the closed form's sin(u)**5 == 0) is refused with
+        # the same message as a grid row
+        (("potential", "--guard-mode", "asymptotic", "--z", "1e-70"),
+         "NonFiniteResult: force_z=-inf in row 1 (z=1e-70) is not a finite"
+         " normal double\n"),
+        (("potential", "--guard-eps", "1e-300", "--z", "1e-70"),
+         "NonFiniteResult: force_z=-inf in row 1 (z=1e-70) is not a finite"
+         " normal double\n"),
     ],
 )
 def test_grid_refusal_matches_the_row_loop(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", want)
+
+
+# Each argv twice, with different neighbours: the argparse tree is built once
+# per process, so no flag, default or subcommand may carry over between runs.
+_INTERLEAVED = (
+    ("sweep", "--emit-limit-reference", "--geometry", "cp", "--z-min", "0.1",
+     "--z-max", "0.9", "--z-count", "3"),
+    ("sweep", "--z-min", "0.1", "--z-max", "0.9", "--z-count", "3",
+     "--quantities", "force"),
+    ("potential", "--z", "0.3", "--format", "json", "--units", "si"),
+    ("potential", "--z", "0.3"),
+    ("limits", "--wall-type", "permeable", "--z", "0.5", "--a-values", "2,4"),
+    ("correlators", "--guard-mode", "asymptotic", "--z-min", "1e-9",
+     "--z-max", "0.5", "--z-count", "3"),
+    ("correlators", "--z", "1e-9"),
+    ("potential", "--z-min", "0.9", "--z-max", "0.1", "--z-count", "5"),
+    ("potential", "--bogus"),
+)
+
+
+def test_interleaved_in_process_runs_match_separate_processes(capsys):
+    separate = {
+        argv: _run_module("-m", "cpwalls", *argv) for argv in _INTERLEAVED
+    }
+    for argv in _INTERLEAVED + _INTERLEAVED[::-1]:
+        proc = separate[argv]
+        got = run_cli(capsys, *argv)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def test_refused_run_leaves_the_out_file_untouched(tmp_path, capsys):

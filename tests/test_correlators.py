@@ -22,7 +22,7 @@ from cpwalls.correlators import (
     mean_square_e,
     tensor_prefactor,
 )
-from cpwalls.errors import OutOfDomain, TooCloseToWall
+from cpwalls.errors import NonFiniteResult, OutOfDomain, TooCloseToWall
 from cpwalls.profiles import GuardPolicy
 
 CC = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1.0)
@@ -62,6 +62,15 @@ def test_tensor_prefactor():
     )
     # a^-4 scale: halving a multiplies by 16
     assert tensor_prefactor(0.5) == pytest.approx(16.0 * tensor_prefactor(1.0), rel=1e-15)
+
+
+def test_tensor_prefactor_that_is_not_a_normal_double_is_refused():
+    assert tensor_prefactor(6.7e76) > 2.2250738585072014e-308
+    for a in (1e80, 1e100):  # a subnormal, an exact zero
+        with pytest.raises(NonFiniteResult, match="prefactor"):
+            tensor_prefactor(a)
+    with pytest.raises(NonFiniteResult):
+        correlator_ee(Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1e100), 5e99)
 
 
 @pytest.mark.parametrize("geom", [CC, CP])

@@ -14,9 +14,19 @@ pow that differs from libm in the last bit on about 5% of points, and change
 these bytes on hosts whose NumPy dispatches to it (AVX-512).
 The tables are written in cli.CHUNK_ROWS-row chunks; the bytes must not
 depend on the chunk size.
+
+A single --z point and the limits ladder are evaluated on floats through the
+scalar forms, without NumPy; their hashes are also checked in a process
+where NumPy cannot be imported, and the grid cases must fail there, which
+shows that the block holds.
 """
 
 import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +148,57 @@ GOLDEN = {
         ("limits", "--z", "1.0", "--alpha", "1", "--beta", "1"),
         "715e0700bfe7e4b0458f3d30c6844780164657541cfca810f39f7bf5ca74ae07",
     ),
+    # single points (--z): cc and cp, CSV, JSON and SI, a point past the
+    # midplane and guard-band points under mode=asymptotic
+    "potential-z-cc-csv": (
+        ("potential", "--a", "2", "--alpha", "1", "--beta", "0.25", "--z", "0.3"),
+        "4895562b7991ad6e24cf46706759b776ba7a0d6e4237520cf3c0d084a4b9a5e5",
+    ),
+    "potential-z-cp-csv": (
+        ("potential", "--geometry", "cp", "--a", "2.5", "--alpha", "0.5",
+         "--beta", "2", "--z", "0.7"),
+        "d256c46986743bd426099da1ac132c776c48ebbb8c0c8ac0d91f5a6533d26f83",
+    ),
+    "potential-z-cc-json": (
+        ("potential", "--alpha", "0.3", "--beta", "1.7", "--format", "json",
+         "--z", "0.45"),
+        "0d5555c4931e0a49136fe328fcb710dbbd3101de70926ba168fd18f8395181a0",
+    ),
+    "potential-z-cp-json-si": (
+        ("potential", "--geometry", "cp", "--a", "1e-6", "--alpha", "2e-30",
+         "--beta", "1e-31", "--units", "si", "--format", "json", "--z", "3e-7"),
+        "b184565ee8ce07d7633f2653a9f732f8f043f486ae09105bf1ae7c72d047b602",
+    ),
+    "potential-z-cc-csv-si": (
+        ("potential", "--a", "1e-6", "--alpha", "2e-30", "--beta", "1e-31",
+         "--units", "si", "--z", "2.2e-7"),
+        "204c870a9746b960aecde900b48f8a9de55701ad3a7aa046b20a814f231ec1e0",
+    ),
+    "potential-z-cp-far-half": (
+        ("potential", "--geometry", "cp", "--alpha", "1", "--beta", "0.25",
+         "--z", "0.8125"),
+        "453e235d2714d4dd3ed1a14378828c38d2f95fe1be25f2f82c9f339ae1a3896f",
+    ),
+    "potential-z-cc-asymptotic": (
+        ("potential", "--alpha", "1", "--beta", "0.25", "--guard-mode",
+         "asymptotic", "--guard-eps", "1e-3", "--z", "1e-4"),
+        "0460e27734218390597b886f0d6241e20e8877381a09c9fe98b604a98cc538b7",
+    ),
+    # V_M is -0 here (beta = 0 times a negative factor)
+    "potential-z-cp-far-asymptotic-json": (
+        ("potential", "--geometry", "cp", "--guard-mode", "asymptotic",
+         "--guard-eps", "1e-3", "--format", "json", "--z", "0.99995"),
+        "1e4a378edcb9699fb8d7479d5588df0b51d94d920adf7319b6594da4f01bf2d4",
+    ),
+    "correlators-z-cc-csv": (
+        ("correlators", "--a", "3", "--z", "1.1"),
+        "cf92d1f7f9aa5ed3b1bc8a2afdfd9a5a7d9cf8b09a0617005932f0fa71f00d9b",
+    ),
+    "correlators-z-cp-json-si": (
+        ("correlators", "--geometry", "cp", "--a", "1e-6", "--units", "si",
+         "--format", "json", "--z", "7e-7"),
+        "f9a21cce0d1f20bda701ec36c60c7804509cab485977a530aa53be12201cd536",
+    ),
     "verify-full-csv": (
         ("verify", "--level", "full", "--format", "csv"),
         "393e9e3923c9c041f67b0ae7bcaf1e380cb1886ae043cc5b25a0e8b20dc9b0ec",
@@ -165,3 +226,41 @@ def test_stdout_bytes_do_not_depend_on_the_chunk_size(
 ):
     monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
     test_stdout_bytes_are_pinned(capsys, case)
+
+
+# Runs the GOLDEN argv it is given with NumPy blocked and prints, per case,
+# [exit code, stdout hash] or "ImportError".
+_WITHOUT_NUMPY = """
+import contextlib, hashlib, io, json, sys
+sys.modules["numpy"] = None
+from cpwalls.cli import main
+result = {}
+for name, argv in json.loads(sys.stdin.read()).items():
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    except ImportError:
+        result[name] = "ImportError"
+    else:
+        result[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps(result))
+"""
+
+
+def test_single_points_and_limits_need_no_numpy():
+    cases = {k: list(argv) for k, (argv, _) in GOLDEN.items() if argv[0] != "verify"}
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY], input=json.dumps(cases),
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    points = [k for k, argv in cases.items() if "--z" in argv]
+    assert len(points) == 13  # ten --z points and three limits ladders
+    for name in cases:
+        want = [0, GOLDEN[name][1]] if name in points else "ImportError"
+        assert result[name] == want, name

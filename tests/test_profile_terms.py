@@ -1,5 +1,8 @@
 """The array kernel profile_terms against the scalar profile functions.
 
+point_terms, the kernel's one-point twin on floats that the CLI uses for a
+single --z, is held to the same `==` against the kernel.
+
 The CLI tables and run_sweep take every profile value from profile_terms,
 and their bytes are pinned to the scalar path's, so equality here is `==`,
 element by element, not a tolerance. Both paths run the same Forms, so what
@@ -29,6 +32,7 @@ from cpwalls.profiles import (
     csc_profile,
     csc_profile_deriv,
     csc_profile_series,
+    point_terms,
     profile_terms,
     wall_distance,
 )
@@ -96,6 +100,9 @@ def test_asymptotic_mode_equals_the_scalar_path(kind):
     assert p.tolist() == [profile(x, guard) for x in xs]
     assert dp.tolist() == [deriv(x, guard) for x in xs]
     assert asymptotic.tolist() == [wall_distance(x) < EPS for x in xs]
+    assert [point_terms(*FORMS[kind], x, guard) for x in xs] == list(
+        zip(p.tolist(), dp.tolist(), asymptotic.tolist())
+    )
     band = XI[asymptotic].tolist()
     assert 1_000 < len(band) < len(xs)
     assert p[asymptotic].tolist() == [series(x) for x in band]
@@ -111,6 +118,9 @@ def test_reject_mode_equals_the_scalar_path(kind):
     assert p.tolist() == [profile(x, guard) for x in xs]
     assert dp.tolist() == [deriv(x, guard) for x in xs]
     assert not asymptotic.any()
+    assert [point_terms(*FORMS[kind], x, guard) for x in xs] == list(
+        zip(p.tolist(), dp.tolist(), asymptotic.tolist())
+    )
 
 
 def _raised(call):
@@ -133,6 +143,7 @@ def test_first_refused_point_raises_the_scalar_error(xi):
     first = next(x for x in xi if not 0.0 < x < PI or wall_distance(x) < 1e-6)
     kernel = _raised(lambda: profile_terms(*FORMS["cot"], np.array(xi), guard))
     assert kernel == _raised(lambda: cot_profile(first, guard))
+    assert kernel == _raised(lambda: point_terms(*FORMS["cot"], first, guard))
 
 
 def test_geometry_grid_refuses_the_first_bad_row_in_grid_order():
