@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .correlators import Geometry, WallKind, _tensor
-from .errors import ConfigError, InvalidGrid
+from .errors import ConfigError, InvalidGrid, NonFiniteResult
 from .potentials import (
     AtomResponse,
     _electric,
@@ -43,19 +43,9 @@ class SweepSpec:
     include_limit_reference: bool = False
 
     def __post_init__(self) -> None:
-        grid = tuple(float(z) for z in self.z_grid)
-        object.__setattr__(self, "z_grid", grid)
-        if len(grid) < 1:
-            raise InvalidGrid("z_grid must contain at least one point")
-        if grid[0] <= 0.0 or grid[-1] >= self.geometry.separation_a:
-            raise InvalidGrid(
-                f"z_grid must lie strictly inside (0, {self.geometry.separation_a})"
-            )
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidGrid("z_grid must be strictly increasing")
-        unknown = set(self.quantities) - set(SWEEP_QUANTITIES)
-        if unknown:
-            raise ConfigError(f"unknown sweep quantities: {sorted(unknown)}")
+        grid = _checked_grid(self.z_grid, self.geometry.separation_a)
+        object.__setattr__(self, "z_grid", tuple(grid.tolist()))
+        _sweep_columns(self.quantities, self.include_limit_reference)
 
     @classmethod
     def from_range(
@@ -76,8 +66,31 @@ class SweepSpec:
             )
         import numpy as np
 
-        grid = tuple(np.linspace(z_min, z_max, count).tolist())
+        grid = np.linspace(z_min, z_max, count)
         return cls(geometry=geometry, atom=atom, z_grid=grid, **kwargs)
+
+
+def _checked_grid(z_grid, a: float) -> np.ndarray:
+    """z_grid as float64; InvalidGrid unless strictly increasing inside (0, a)."""
+    import numpy as np
+
+    z = np.asarray(z_grid, dtype=np.float64)
+    if len(z) < 1:
+        raise InvalidGrid("z_grid must contain at least one point")
+    if z[0] <= 0.0 or z[-1] >= a:
+        raise InvalidGrid(f"z_grid must lie strictly inside (0, {a})")
+    if (z[1:] <= z[:-1]).any():
+        raise InvalidGrid("z_grid must be strictly increasing")
+    return z
+
+
+def _sweep_columns(quantities, include_limit_reference: bool) -> tuple[str, ...]:
+    """The sweep table's columns: z, the quantities in canonical order, V_wall."""
+    unknown = set(quantities) - set(SWEEP_QUANTITIES)
+    if unknown:
+        raise ConfigError(f"unknown sweep quantities: {sorted(unknown)}")
+    ordered = tuple(q for q in SWEEP_QUANTITIES if q in quantities)
+    return ("z",) + ordered + (("V_wall",) if include_limit_reference else ())
 
 
 @dataclass
@@ -111,19 +124,6 @@ def nearest_wall_reference(geom: Geometry, atom: AtomResponse, z: float) -> floa
     return single_wall_limit(atom, far_type, d_far)
 
 
-# Each sweep quantity as a column of the grid's profile values p and slopes
-# dp, in the scalar functions' own expressions; CLI potential takes its value
-# columns from here too.
-_SWEEP_COLUMN = {
-    "V": lambda atom, geom, p, dp: _total(atom, geom, p),
-    "V_E": lambda atom, geom, p, dp: _electric(atom, geom, p),
-    "V_M": lambda atom, geom, p, dp: _magnetic(atom, geom, p),
-    "force": lambda atom, geom, p, dp: _force(atom, geom, dp),
-    "EE_trace": lambda atom, geom, p, dp: _tensor(geom, p, "EE").trace(),
-    "BB_trace": lambda atom, geom, p, dp: _tensor(geom, -p, "BB").trace(),
-}
-
-
 def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z: np.ndarray):
     """nearest_wall_reference over a grid of z, equal to it bit for bit."""
     import numpy as np
@@ -137,33 +137,73 @@ def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z: np.ndarray):
     return np.where(repelled, magnitude, -magnitude)
 
 
-def _sweep_table(spec: SweepSpec) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sweep's column names and its (rows, columns) float64 table.
+# Every table column as one expression in the position(s) z and the profile
+# values p and slopes dp there, in the scalar functions' own expressions: the
+# sweep quantities, V_wall, and the live cells of the CLI correlator table
+# (the BB tensor is the EE one at -p). Each takes floats (one CLI point) or
+# arrays (a grid chunk) alike, except V_wall, which takes arrays only.
+_COLUMN = {
+    "z": lambda atom, geom, z, p, dp: z,
+    "V": lambda atom, geom, z, p, dp: _total(atom, geom, p),
+    "V_E": lambda atom, geom, z, p, dp: _electric(atom, geom, p),
+    "V_M": lambda atom, geom, z, p, dp: _magnetic(atom, geom, p),
+    "force": lambda atom, geom, z, p, dp: _force(atom, geom, dp),
+    "EE_trace": lambda atom, geom, z, p, dp: _tensor(geom, p, "EE").trace(),
+    "BB_trace": lambda atom, geom, z, p, dp: _tensor(geom, -p, "BB").trace(),
+    "V_wall": lambda atom, geom, z, p, dp: _nearest_wall_column(geom, atom, z),
+    "EE_par": lambda atom, geom, z, p, dp: _tensor(geom, p, "EE").par,
+    "EE_perp": lambda atom, geom, z, p, dp: _tensor(geom, p, "EE").perp,
+    "BB_par": lambda atom, geom, z, p, dp: _tensor(geom, -p, "BB").par,
+    "BB_perp": lambda atom, geom, z, p, dp: _tensor(geom, -p, "BB").perp,
+    "trace_sum": lambda atom, geom, z, p, dp: (
+        _tensor(geom, p, "EE").trace() + _tensor(geom, -p, "BB").trace()
+    ),
+}
 
-    One profiles.profile_terms call covers the grid, and each requested
-    quantity is then one array expression; every cell equals the scalar
-    public function at that z bit for bit.
+# Rows per chunk of a table: what _table_chunks evaluates, and the CLI gates
+# and formats, at once. It bounds a table's memory, whatever its length.
+CHUNK_ROWS = 1 << 13
+
+
+def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy = DEFAULT_GUARD):
+    """The named _COLUMN cells over a grid z, CHUNK_ROWS rows at a time.
+
+    Yields (cells, asymptotic) per chunk: a (rows, columns) float64 array and
+    the rows' asymptotic mask. One profile_terms call covers a chunk, each
+    column is then one array expression, and every cell equals the scalar
+    public function at that z bit for bit; NumPy is quiet, so an overflow
+    gives inf, not a warning. Refusals come as for the whole grid at once:
+    the first domain refusal in grid order (OutOfDomain, TooCloseToWall)
+    wins over a prefactor error (OverflowError, ZeroDivisionError or
+    NonFiniteResult), which is raised only once every chunk has passed the
+    domain check. atom may be None where no column needs one.
     """
     import numpy as np
 
-    atom, geom = spec.atom, spec.geometry
-    ordered = [q for q in SWEEP_QUANTITIES if q in spec.quantities]
-    z = np.array(spec.z_grid)
-    cells = [z]
-    if ordered:
-        p, dp, _ = geom.profile_terms(z, spec.guard)
-        cells += [_SWEEP_COLUMN[q](atom, geom, p, dp) for q in ordered]
-    columns = ["z"] + ordered
-    if spec.include_limit_reference:
-        columns.append("V_wall")
-        cells.append(_nearest_wall_column(geom, atom, z))
-    return tuple(columns), np.column_stack(cells)
+    z = np.asarray(z, dtype=np.float64)
+    expressions = [_COLUMN[c] for c in columns]
+    for start in range(0, len(z), CHUNK_ROWS):
+        zc = z[start:start + CHUNK_ROWS]
+        p, dp, asymptotic = geom.profile_terms(zc, guard)
+        try:
+            with np.errstate(all="ignore"):
+                cells = np.column_stack([f(atom, geom, zc, p, dp) for f in expressions])
+        except (OverflowError, ZeroDivisionError, NonFiniteResult):
+            for rest in range(start + CHUNK_ROWS, len(z), CHUNK_ROWS):
+                geom.profile_terms(z[rest:rest + CHUNK_ROWS], guard)  # domain first
+            raise
+        yield cells, asymptotic
 
 
 def run_sweep(spec: SweepSpec) -> PotentialCurve:
     """Evaluate the requested quantities on the grid, one row per point."""
-    columns, cells = _sweep_table(spec)
-    return PotentialCurve(columns, list(map(tuple, cells.tolist())))
+    columns = _sweep_columns(spec.quantities, spec.include_limit_reference)
+    rows = []
+    for cells, _ in _table_chunks(
+        spec.geometry, spec.atom, spec.z_grid, columns, spec.guard
+    ):
+        rows += map(tuple, cells.tolist())
+    return PotentialCurve(columns, rows)
 
 
 @dataclass(frozen=True)

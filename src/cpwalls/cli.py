@@ -9,10 +9,15 @@ an evaluation point or a table cell would be inf, nan or subnormal
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
 formats, which round-trips IEEE doubles losslessly, so re-running a command
-reproduces its output byte for byte. A table is evaluated whole before its
-first byte is written, so a refused run writes nothing: a grid on arrays,
-a single --z point and the limits ladder on floats through the scalar forms,
-which gives the same bits and does not load NumPy.
+reproduces its output byte for byte. A table goes out in two passes over
+chunks of rows: a grid on arrays, analysis.CHUNK_ROWS rows at a time, and a
+single --z point or the limits ladder as one chunk of floats through the
+scalar forms, which gives the same bits and does not load NumPy. Pass 1
+evaluates, converts and gates every chunk and keeps none; a refusal names
+the first domain error in grid order, else a prefactor error, else the
+first non-finite cell in grid order, and writes nothing. Pass 2 opens the
+output, then evaluates, formats and writes each chunk again, so peak memory
+does not grow with --z-count.
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"); explicit flags override
@@ -30,16 +35,17 @@ import operator
 import sys
 import warnings
 
-from .analysis import _SWEEP_COLUMN, SweepSpec, _sweep_table, limit_convergence_study
-from .correlators import Geometry, WallKind, _tensor
+from .analysis import _COLUMN, _checked_grid, _sweep_columns, _table_chunks
+from .analysis import limit_convergence_study
+from .correlators import Geometry, WallKind
 from .errors import ConfigError, DomainError, NonFiniteResult
 from .potentials import AtomResponse
 from .profiles import GuardPolicy
 from .units import HBAR_C_J_M
 
 POTENTIAL_COLUMNS = ("z", "V_E", "V_M", "V_total", "force_z", "regime")
-# The sweep quantity behind each float column of POTENTIAL_COLUMNS after z.
-_POTENTIAL_QUANTITIES = ("V_E", "V_M", "V", "force")
+# The analysis._COLUMN behind each float column of POTENTIAL_COLUMNS.
+_POTENTIAL_CELLS = ("z", "V_E", "V_M", "V", "force")
 
 _AXES = "xyz"
 CORRELATOR_COLUMNS = (
@@ -53,6 +59,9 @@ _CORRELATOR_ZEROS = frozenset(
     f"{pair}_{i}{j}" for pair in ("EE", "BB", "EB") for i in _AXES for j in _AXES
     if pair == "EB" or i != j
 )
+# The analysis._COLUMN behind each other column of CORRELATOR_COLUMNS.
+_CORRELATOR_CELLS = ("z", "EE_par", "EE_par", "EE_perp", "BB_par", "BB_par",
+                     "BB_perp", "EE_trace", "BB_trace", "trace_sum")
 
 _BOOLEAN_KEYS = {"emit-limit-reference"}
 _TRUE_WORDS = {"1", "true", "yes", "on"}
@@ -191,10 +200,6 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [argv[0]] + _parse_config_file(path) + argv[1:]
 
 
-# Rows formatted and written per chunk: bounds the text held at once.
-CHUNK_ROWS = 1 << 16
-
-
 def _format_float(x: float) -> str:
     return format(x, ".17g")
 
@@ -229,22 +234,26 @@ def _output(out_path):
 
 
 def _row_templates(fmt: str, columns, fields, words) -> list[str]:
-    """One %-template per word: the float fields, then the word baked in."""
+    """One %-template per word: the float fields, then the word baked in.
+
+    A JSON row starts with the ",\n" that ends the row before it, which the
+    writer drops from the first row.
+    """
     baked = [json.dumps(w) if fmt == "json" else w for w in words]
     variants = [fields + [w] for w in baked] or [fields]
     if fmt == "json":
         keys = [json.dumps(c) for c in columns]
         return [
-            "  {" + ", ".join(f"{k}: {v}" for k, v in zip(keys, cells)) + "},\n"
+            ",\n  {" + ", ".join(f"{k}: {v}" for k, v in zip(keys, cells)) + "}"
             for cells in variants
         ]
     return [",".join(cells) + "\n" for cells in variants]
 
 
 def _floats(block) -> list:
-    """Rows of a table as one flat list of Python floats, row after row.
+    """Rows of a table chunk as one flat list of Python floats, row after row.
 
-    A table is a list of float tuples (rows from the scalar forms) or a
+    A chunk is a list of float tuples (rows from the scalar forms) or a
     (rows, columns) float64 array (a grid).
     """
     if isinstance(block, list):
@@ -252,33 +261,30 @@ def _floats(block) -> list:
     return block.ravel().tolist()
 
 
-def _write_table(fh, fmt: str, columns, cells, words, word_index, zeros) -> None:
-    """Write a table in CHUNK_ROWS-row chunks, one %-format call each.
+def _write_table(fh, fmt: str, columns, chunks, words, zeros) -> None:
+    """Write a table chunk by chunk, one %-format call each.
 
-    cells holds the float columns not named in zeros, one row per table
-    row; a column in zeros is written as 0 on every row. If words is not
-    empty, a last word column takes words[word_index[row]] (words[0] when
-    word_index is None). "%.17g" formats a float exactly as
-    format(x, ".17g"), so the bytes do not depend on the chunk size.
+    chunks yields (cells, asymptotic): the float columns not named in zeros,
+    one row per table row, and one flag per row. A column in zeros is
+    written as 0 on every row. If words is not empty, a last word column
+    takes words[flag] (words[0] if words has one entry). "%.17g" formats a
+    float exactly as format(x, ".17g"), so the bytes do not depend on the
+    chunk size.
     """
     n_floats = len(columns) - (1 if words else 0)
     fields = ["0" if c in zeros else "%.17g" for c in columns[:n_floats]]
     templates = _row_templates(fmt, columns, fields, words)
-    n = len(cells)
-    fh.write("[\n" if fmt == "json" else ",".join(columns) + "\n")
-    for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
-        if word_index is None:
-            template = templates[0] * (stop - start)
+    fh.write("[" if fmt == "json" else ",".join(columns) + "\n")
+    skip = 1 if fmt == "json" else 0  # "[" and the first row's ",\n" make "[\n"
+    for cells, asymptotic in chunks:
+        if len(templates) == 1:
+            template = templates[0] * len(cells)
         else:
-            picks = word_index[start:stop]
-            if not isinstance(picks, list):
-                picks = picks.tolist()
-            template = "".join([templates[i] for i in picks])
-        text = template % tuple(_floats(cells[start:stop]))
-        if fmt == "json" and stop == n:
-            text = text[:-2]  # no comma after the last row
-        fh.write(text)
+            if not isinstance(asymptotic, list):
+                asymptotic = asymptotic.tolist()
+            template = "".join([templates[i] for i in asymptotic])
+        fh.write((template % tuple(_floats(cells)))[skip:])
+        skip = 0
     if fmt == "json":
         fh.write("\n]\n")
 
@@ -304,33 +310,45 @@ def _first_bad(cells) -> tuple[int, int] | None:
     return divmod(int(bad.argmax()), cells.shape[1])
 
 
-def _emit(
-    args, columns, cells, words=(), word_index=None, zeros=frozenset()
-) -> None:
-    """Convert units per column, gate every cell, then write the table.
+def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
+    """Gate every cell of the table, then write it: two passes over chunks().
 
-    cells holds the float columns, in order, that are not named in zeros;
-    the columns in zeros are identically zero and written as 0. The output
-    file is opened only after the gate, so a refused run writes nothing and
-    leaves an existing file untouched.
+    chunks() yields the table as (cells, asymptotic) chunks, the same ones
+    on every call; cells holds the float columns, in order, that are not
+    named in zeros, which are identically zero and written as 0. Pass 1
+    converts units and gates each chunk, then drops it; it ends with the
+    refusal of the whole table: a domain or prefactor error chunks() raises
+    anywhere, else the first inf, nan or subnormal cell in table order.
+    Only then is the output file opened, so a refused run writes nothing and
+    leaves an existing file untouched. Pass 2 converts, formats and writes
+    each chunk again, so memory holds one chunk, however long the table.
     """
     live = [c for c in columns if c not in zeros]
     floats = live[: len(live) - (1 if words else 0)]
-    if args.units == "si":
-        factors = [HBAR_C_J_M if _convertible(c) else 1.0 for c in floats]
-        if isinstance(cells, list):
-            cells = [tuple(map(operator.mul, row, factors)) for row in cells]
-        else:
-            cells = cells * factors  # NumPy broadcasts the list over the rows
-    bad = _first_bad(cells)
-    if bad is not None:
-        row, col = bad
-        raise NonFiniteResult(
-            f"{floats[col]}={float(cells[row][col])!r} in row {row + 1}"
-            f" ({floats[0]}={float(cells[row][0])!r}) is not a finite normal double"
-        )
+    factors = [HBAR_C_J_M if _convertible(c) else 1.0 for c in floats]
+
+    def converted():
+        for cells, asymptotic in chunks():
+            if args.units == "si" and isinstance(cells, list):
+                cells = [tuple(map(operator.mul, row, factors)) for row in cells]
+            elif args.units == "si":
+                cells = cells * factors  # NumPy broadcasts the list over the rows
+            yield cells, asymptotic
+
+    refusal, seen = None, 0
+    for cells, _ in converted():
+        bad = None if refusal else _first_bad(cells)
+        if bad is not None:
+            row, col = bad
+            refusal = NonFiniteResult(
+                f"{floats[col]}={float(cells[row][col])!r} in row {seen + row + 1}"
+                f" ({floats[0]}={float(cells[row][0])!r}) is not a finite normal double"
+            )
+        seen += len(cells)
+    if refusal is not None:
+        raise refusal
     with _output(args.out) as fh:
-        _write_table(fh, args.format, columns, cells, words, word_index, zeros)
+        _write_table(fh, args.format, columns, converted(), words, zeros)
 
 
 def _guard_from(args) -> GuardPolicy:
@@ -378,13 +396,14 @@ def _grid_from(args):
         raise ConfigError(f"--z-count {args.z_count} is too large ({exc})") from exc
 
 
-def _table(args, geom: Geometry, guard: GuardPolicy, columns_of):
-    """The cells columns_of(z, p, dp) gives, and each row's asymptotic flag.
+def _table(args, geom: Geometry, atom, guard: GuardPolicy, columns):
+    """A callable giving the named analysis._COLUMN cells as chunks.
 
-    A --z point is one row of floats from the scalar forms. Where a power in
-    them leaves the double range (OverflowError, ZeroDivisionError), and for
-    a grid, the array kernel evaluates instead, with NumPy quiet: its inf
-    and nan go to the finite gate in _emit, which names the first.
+    A --z point is one chunk of one row of floats from the scalar forms,
+    evaluated here, without NumPy. Where a power in them leaves the double
+    range (OverflowError, ZeroDivisionError), and for a grid,
+    analysis._table_chunks evaluates instead, with NumPy quiet: its inf and
+    nan go to the finite gate in _emit, which names the first.
     """
     z = _grid_from(args)
     if isinstance(z, float):
@@ -393,45 +412,22 @@ def _table(args, geom: Geometry, guard: GuardPolicy, columns_of):
         except (OverflowError, ZeroDivisionError):
             z = [z]
         else:
-            return [tuple(columns_of(z, p, dp))], [asymptotic]
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        z = np.asarray(z, dtype=np.float64)
-        p, dp, asymptotic = geom.profile_terms(z, guard)
-        return np.column_stack(columns_of(z, p, dp)), asymptotic
+            row = [tuple(_COLUMN[c](atom, geom, z, p, dp) for c in columns)]
+            return lambda: [(row, [asymptotic])]
+    return lambda: _table_chunks(geom, atom, z, columns, guard)
 
 
 def _cmd_potential(args) -> int:
     geom = _geometry_from(args)
-    atom = _atom_from(args)
-    guard = _guard_from(args)
-    cells, asymptotic = _table(args, geom, guard, lambda z, p, dp: [z] + [
-        _SWEEP_COLUMN[q](atom, geom, p, dp) for q in _POTENTIAL_QUANTITIES
-    ])
-    _emit(args, POTENTIAL_COLUMNS, cells, ("exact", "asymptotic"), asymptotic)
+    chunks = _table(args, geom, _atom_from(args), _guard_from(args), _POTENTIAL_CELLS)
+    _emit(args, POTENTIAL_COLUMNS, chunks, ("exact", "asymptotic"))
     return 0
-
-
-def _correlator_cells(geom: Geometry, z, p) -> tuple:
-    """The live CORRELATOR_COLUMNS at profile value(s) p."""
-    ee = _tensor(geom, p, "EE")
-    bb = _tensor(geom, -p, "BB")
-    return (
-        z,
-        ee.par, ee.par, ee.perp,
-        bb.par, bb.par, bb.perp,
-        ee.trace(), bb.trace(), ee.trace() + bb.trace(),
-    )
 
 
 def _cmd_correlators(args) -> int:
     geom = _geometry_from(args)
-    guard = _guard_from(args)
-    cells, _ = _table(
-        args, geom, guard, lambda z, p, dp: _correlator_cells(geom, z, p)
-    )
-    _emit(args, CORRELATOR_COLUMNS, cells, zeros=_CORRELATOR_ZEROS)
+    chunks = _table(args, geom, None, _guard_from(args), _CORRELATOR_CELLS)
+    _emit(args, CORRELATOR_COLUMNS, chunks, zeros=_CORRELATOR_ZEROS)
     return 0
 
 
@@ -441,23 +437,13 @@ def _cmd_sweep(args) -> int:
     guard = _guard_from(args)
     if args.z is not None:
         raise ConfigError("sweep needs a grid: --z-min/--z-max/--z-count")
-    grid = _grid_from(args)
+    z = _grid_from(args)
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not quantities:
         raise ConfigError("--quantities must name at least one quantity")
-    spec = SweepSpec(
-        geometry=geom,
-        atom=atom,
-        z_grid=tuple(grid.tolist()),
-        quantities=quantities,
-        guard=guard,
-        include_limit_reference=args.emit_limit_reference,
-    )
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # the finite gate in _emit judges every cell
-        table = _sweep_table(spec)
-    _emit(args, *table)
+    _checked_grid(z, geom.separation_a)
+    columns = _sweep_columns(quantities, args.emit_limit_reference)
+    _emit(args, columns, lambda: _table_chunks(geom, atom, z, columns, guard))
     return 0
 
 
@@ -483,7 +469,7 @@ def _cmd_limits(args) -> int:
         for row in study.rows
     ]
     columns = ("a", "V_exact", "V_limit", "rel_error")
-    _emit(args, columns, rows, words)
+    _emit(args, columns, lambda: [(rows, None)], words)
     return 0
 
 

@@ -4,6 +4,7 @@ Most tests drive cpwalls.cli.main in process (stdout/stderr via capsys); one
 subprocess test checks the `python -m cpwalls` wiring for real.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -13,6 +14,8 @@ import sys
 import numpy as np
 import pytest
 
+import cpwalls.analysis as analysis
+import cpwalls.cli as cli
 import cpwalls.profiles as profiles
 from cpwalls.cli import CORRELATOR_COLUMNS, POTENTIAL_COLUMNS, main
 from cpwalls.potentials import AtomResponse, potential_total
@@ -176,8 +179,9 @@ def test_refusals_are_named_and_write_nothing(capsys, argv, error):
     assert out == ""
 
 
-# The whole grid is evaluated before any output, yet a refusal still names
-# the first refused row in grid order, with the scalar path's message.
+# A grid is gated whole before any output, chunk by chunk, yet a refusal
+# still names the first refused row in grid order, with the scalar path's
+# message.
 _TOO_CLOSE_LAST = (
     "TooCloseToWall: xi=3.141592339430528 is within 1e-06 of a wall"
     " (mode=reject)\n"
@@ -187,49 +191,97 @@ _TOO_CLOSE_BEFORE_OUTSIDE = (
     " (mode=reject)\n"
 )
 _LAST_ROW_BAD = ("--z-min", "0.5", "--z-max", "0.9999999", "--z-count", "5")
+_GRID_REFUSALS = [
+    (("potential",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+    (("potential", "--geometry", "cp", "--format", "json", "--z-min", "0.5",
+      "--z-max", "0.9999999", "--z-count", "100"), _TOO_CLOSE_LAST),
+    (("correlators",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+    (("sweep",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+    (("sweep", "--quantities", "force") + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
+    # the guard-band row 5 comes before the rows outside the walls
+    (("potential", "--z-min", "0.999999", "--z-max", "1.0000002",
+      "--z-count", "7"), _TOO_CLOSE_BEFORE_OUTSIDE),
+    (("correlators", "--geometry", "cp", "--z-min", "-0.5", "--z-max",
+      "0.5", "--z-count", "3"),
+     "OutOfDomain: z=-0.5 is not strictly between the walls (0, 1.0)\n"),
+    (("potential", "--z-min", "0.5", "--z-max", "1.5", "--z-count", "3"),
+     "OutOfDomain: z=1.0 is not strictly between the walls (0, 1.0)\n"),
+    # the first bad cell sits after the zero columns the table never holds
+    (("correlators", "--geometry", "cp", "--a", "1.598422e+69", "--units",
+      "si", "--z-min", "1e68", "--z-max", "7.873522582621254e+68",
+      "--z-count", "3"),
+     "NonFiniteResult: EE_zz=5.21004e-318 in row 3"
+     " (z=7.873522582621254e+68) is not a finite normal double\n"),
+    (("correlators", "--a", "6.7e76", "--z-min", "1e75", "--z-max",
+      "6e76", "--z-count", "5"),
+     "NonFiniteResult: trace_EE_plus_trace_BB=-1.7096527021243107e-308"
+     " in row 1 (z=1e+75) is not a finite normal double\n"),
+    # one --z point whose scalar powers leave the double range (the
+    # series' u**-5, the closed form's sin(u)**5 == 0) is refused with
+    # the same message as a grid row
+    (("potential", "--guard-mode", "asymptotic", "--z", "1e-70"),
+     "NonFiniteResult: force_z=-inf in row 1 (z=1e-70) is not a finite"
+     " normal double\n"),
+    (("potential", "--guard-eps", "1e-300", "--z", "1e-70"),
+     "NonFiniteResult: force_z=-inf in row 1 (z=1e-70) is not a finite"
+     " normal double\n"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, want",
-    [
-        (("potential",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
-        (("potential", "--geometry", "cp", "--format", "json", "--z-min", "0.5",
-          "--z-max", "0.9999999", "--z-count", "100"), _TOO_CLOSE_LAST),
-        (("correlators",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
-        (("sweep",) + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
-        (("sweep", "--quantities", "force") + _LAST_ROW_BAD, _TOO_CLOSE_LAST),
-        # the guard-band row 5 comes before the rows outside the walls
-        (("potential", "--z-min", "0.999999", "--z-max", "1.0000002",
-          "--z-count", "7"), _TOO_CLOSE_BEFORE_OUTSIDE),
-        (("correlators", "--geometry", "cp", "--z-min", "-0.5", "--z-max",
-          "0.5", "--z-count", "3"),
-         "OutOfDomain: z=-0.5 is not strictly between the walls (0, 1.0)\n"),
-        (("potential", "--z-min", "0.5", "--z-max", "1.5", "--z-count", "3"),
-         "OutOfDomain: z=1.0 is not strictly between the walls (0, 1.0)\n"),
-        # the first bad cell sits after the zero columns the table never holds
-        (("correlators", "--geometry", "cp", "--a", "1.598422e+69", "--units",
-          "si", "--z-min", "1e68", "--z-max", "7.873522582621254e+68",
-          "--z-count", "3"),
-         "NonFiniteResult: EE_zz=5.21004e-318 in row 3"
-         " (z=7.873522582621254e+68) is not a finite normal double\n"),
-        (("correlators", "--a", "6.7e76", "--z-min", "1e75", "--z-max",
-          "6e76", "--z-count", "5"),
-         "NonFiniteResult: trace_EE_plus_trace_BB=-1.7096527021243107e-308"
-         " in row 1 (z=1e+75) is not a finite normal double\n"),
-        # one --z point whose scalar powers leave the double range (the
-        # series' u**-5, the closed form's sin(u)**5 == 0) is refused with
-        # the same message as a grid row
-        (("potential", "--guard-mode", "asymptotic", "--z", "1e-70"),
-         "NonFiniteResult: force_z=-inf in row 1 (z=1e-70) is not a finite"
-         " normal double\n"),
-        (("potential", "--guard-eps", "1e-300", "--z", "1e-70"),
-         "NonFiniteResult: force_z=-inf in row 1 (z=1e-70) is not a finite"
-         " normal double\n"),
-    ],
-)
+@pytest.mark.parametrize("argv, want", _GRID_REFUSALS)
 def test_grid_refusal_matches_the_row_loop(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", want)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+@pytest.mark.parametrize("argv, want", _GRID_REFUSALS)
+def test_grid_refusal_does_not_depend_on_the_chunk_size(
+    capsys, monkeypatch, argv, want, chunk_rows
+):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    test_grid_refusal_matches_the_row_loop(capsys, argv, want)
+
+
+# sha256 of f"{exit code}\n{stderr}" for refusals whose grid spans several
+# chunks at a small chunk size. A grid is refused as a whole: the first
+# domain refusal anywhere in it, in grid order, before a prefactor error,
+# and that before the first non-finite cell in grid order.
+_REFUSAL_HASHES = {
+    # a**4 overflows, and row 2 lies outside the walls (OutOfDomain)
+    ("potential", "--a", "1e100", "--z-min", "1e99", "--z-max", "2e100",
+     "--z-count", "3"):
+        "be301e983f9aa743bfd70f650854a239809cdffd1621119307d3f84782f8dd9b",
+    # (pi/a)^4 underflows, and row 2 lies outside the walls (OutOfDomain)
+    ("correlators", "--a", "1e100", "--z-min", "1e99", "--z-max", "2e100",
+     "--z-count", "3"):
+        "be301e983f9aa743bfd70f650854a239809cdffd1621119307d3f84782f8dd9b",
+    # V_E is -inf from row 1 on; row 34 lies outside the walls (OutOfDomain)
+    ("potential", "--alpha=1e308", "--a", "1", "--z-min", "1e-3",
+     "--z-max", "1.5", "--z-count", "50"):
+        "64674ccc675198582fd59f1db4d57103f23b25ef91d2cbca796205bd31834c2a",
+    # rows 33 to 40 are inf: NonFiniteResult names row 33
+    ("potential", "--alpha=1e300", "--z-min", "0.9", "--z-max", "0.9999",
+     "--z-count", "40"):
+        "1bdd0a4c40ee7d50985657d5a91342b916f605d7f75a6e639c8715e1d1cdce7f",
+    # linspace repeats a value: InvalidGrid, not strictly increasing
+    ("sweep", "--a", "2", "--z-min", "1", "--z-max", "1.0000000000000002",
+     "--z-count", "5"):
+        "835f6c0e2813d347e69e0815e8aa1b841d0caf23e328e4a38bcc33b57d08f067",
+    # InvalidGrid: the grid ends past the far wall
+    ("sweep", "--a", "2", "--z-min", "0.5", "--z-max", "3", "--z-count", "5"):
+        "a87e19f3c81055a2d6533c5bfd57de0e3050fcb1336825cccaa09db2fbf9a8ad",
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("argv", sorted(_REFUSAL_HASHES))
+def test_refusal_across_chunks_is_pinned(capsys, monkeypatch, argv, chunk_rows):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    code, out, err = run_cli(capsys, *argv)
+    blob = f"{code}\n{err}".encode("utf-8")
+    assert out == ""
+    assert hashlib.sha256(blob).hexdigest() == _REFUSAL_HASHES[argv], err
 
 
 # Each argv twice, with different neighbours: the argparse tree is built once
@@ -395,6 +447,66 @@ def test_si_units_scale_output_columns(capsys):
         assert si_rows[0][key] == nat_rows[0][key] * HBAR_C_J_M
     assert si_rows[0]["z"] == nat_rows[0]["z"]  # positions stay in meters
     assert si_rows[0]["regime"] == "exact"
+
+
+# ----------------------------------------------------------------------
+# streaming: one chunk at a time
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command", [("potential",), ("correlators",), ("sweep", "--emit-limit-reference")]
+)
+def test_no_kernel_or_format_call_covers_more_than_one_chunk(
+    capsys, monkeypatch, command, fmt
+):
+    argv = command + ("--z-min", "0.01", "--z-max", "0.99", "--z-count", "100",
+                      "--format", fmt)
+    want = run_cli(capsys, *argv)
+    kernel_rows, format_rows = [], []
+    profile_terms, floats = Geometry.profile_terms, cli._floats
+
+    def spy_kernel(self, z, guard):
+        kernel_rows.append(len(z))
+        return profile_terms(self, z, guard)
+
+    def spy_floats(cells):  # what one %-format call of the writer formats
+        format_rows.append(len(cells))
+        return floats(cells)
+
+    monkeypatch.setattr(Geometry, "profile_terms", spy_kernel)
+    monkeypatch.setattr(cli, "_floats", spy_floats)
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", 7)
+    assert run_cli(capsys, *argv) == want
+    assert max(kernel_rows) == max(format_rows) == 7
+    # the gate pass and the write pass each evaluate every row once
+    assert sum(kernel_rows) == 2 * sum(format_rows) == 200
+
+
+# Runs `python -m cpwalls ARGV` as the child of this small process, with
+# stdout to /dev/null, and prints its exit code and peak RSS in KiB. Spawned
+# from the test process directly, the child's ru_maxrss could also count the
+# pages of the process it was forked from.
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "cpwalls", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_peak_memory_does_not_grow_with_the_row_count():
+    peaks_mb = []
+    for rows in (50_000, 500_000):
+        proc = _run_module("-c", _PEAK_RSS, "potential", "--geometry", "cp",
+                           "--z-min", "0.001", "--z-max", "0.999",
+                           "--z-count", str(rows))
+        code, kib = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        peaks_mb.append(kib / 1024.0)
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 10.0, peaks_mb
 
 
 # ----------------------------------------------------------------------

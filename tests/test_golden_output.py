@@ -12,8 +12,8 @@ power function: that is libm's pow, as operator.pow (the scalar `**`) is.
 A form that powered with ** or np.power itself would, on arrays, use a SIMD
 pow that differs from libm in the last bit on about 5% of points, and change
 these bytes on hosts whose NumPy dispatches to it (AVX-512).
-The tables are written in cli.CHUNK_ROWS-row chunks; the bytes must not
-depend on the chunk size.
+A grid is evaluated, gated and written in analysis.CHUNK_ROWS-row chunks;
+the bytes must not depend on the chunk size.
 
 A single --z point and the limits ladder are evaluated on floats through the
 scalar forms, without NumPy; their hashes are also checked in a process
@@ -30,7 +30,7 @@ import sys
 
 import pytest
 
-from cpwalls import cli
+from cpwalls import analysis, cli
 from cpwalls.cli import main
 
 _GRID = ("--z-min", "1e-9", "--z-max", "0.999999999", "--z-count", "41")
@@ -224,7 +224,7 @@ def test_stdout_bytes_are_pinned(capsys, case):
 def test_stdout_bytes_do_not_depend_on_the_chunk_size(
     capsys, monkeypatch, case, chunk_rows
 ):
-    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
     test_stdout_bytes_are_pinned(capsys, case)
 
 
