@@ -4,7 +4,8 @@
 For a grid of positions between the walls, tabulate the potential of three
 reference atoms (purely electric, purely magnetic, mixed) in both the
 conductor-conductor and conductor-permeable geometries, locate any trapping
-points, and print a compact report. Optionally dump the full curves as CSV.
+points, and print a compact report. Optionally dump the full curves as CSV,
+written by `cpwalls sweep` over the same grid.
 
 Usage:
     python scripts/potential_landscape.py [--a 1.0] [--count 201] [--csv-dir out/]
@@ -13,6 +14,7 @@ Usage:
 import argparse
 import pathlib
 
+from cpwalls import cli
 from cpwalls import (
     AtomResponse,
     Geometry,
@@ -40,21 +42,12 @@ def describe(geom: Geometry, atom: AtomResponse, count: int) -> dict:
     i_min = min(range(len(vs)), key=vs.__getitem__)
     traps = stationary_points(atom, geom, 0.02 * a, 0.98 * a)
     return {
-        "curve": curve,
         "v_mid": vs[len(vs) // 2],
         "v_min": vs[i_min],
         "z_min": zs[i_min],
         "repulsive_near_far_wall": vs[-1] > 0.0,
         "traps": traps,
     }
-
-
-def write_csv(path: pathlib.Path, curve) -> None:
-    """The curve as CSV in the CLI's output format (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(curve.columns) + "\n")
-        for row in curve.rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def main() -> None:
@@ -88,7 +81,15 @@ def main() -> None:
             if out_dir:
                 name = f"landscape_{kind.value}_{atom.alpha0}_{atom.beta0}.csv"
                 path = out_dir / name
-                write_csv(path, d["curve"])
+                code = cli.main([
+                    "sweep", "--geometry", kind.value, "--a", repr(args.a),
+                    "--alpha", repr(atom.alpha0), "--beta", repr(atom.beta0),
+                    "--z-min", repr(0.02 * args.a), "--z-max", repr(0.98 * args.a),
+                    "--z-count", str(args.count), "--quantities", "V,force",
+                    "--out", str(path),
+                ])
+                if code:
+                    raise SystemExit(code)
                 print(f"    wrote {path}")
 
 

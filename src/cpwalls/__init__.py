@@ -76,7 +76,7 @@ from .profiles import (
     wall_distance,
     zeta4,
 )
-from .units import HBAR_C_J_M, to_natural, to_si
+from .units import HBAR_C_J_M
 
 __version__ = "0.1.0"
 

@@ -100,9 +100,6 @@ class PotentialCurve:
     columns: tuple[str, ...]
     rows: list[tuple[float, ...]] = field(default_factory=list)
 
-    def as_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def column(self, name: str) -> list[float]:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]

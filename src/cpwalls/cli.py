@@ -3,8 +3,9 @@
 Subcommands: potential, correlators, sweep, limits, verify. Exit status is
 0 on success, 1 for a malformed configuration (bad flags, config file, grid,
 or an --out path that cannot be opened), 2 when the physics domain rejects
-an evaluation point or a table cell would be inf, nan or subnormal
-(NonFiniteResult); the error class name goes to stderr.
+an evaluation point or a table cell would be inf, nan or subnormal, or an
+--units si cell underflows to zero from a nonzero value (NonFiniteResult);
+the error class name goes to stderr.
 
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
@@ -294,17 +295,25 @@ def _convertible(column: str) -> bool:
     return column.startswith(("V", "force", "EE", "BB", "EB", "trace"))
 
 
-def _first_bad(cells) -> tuple[int, int] | None:
-    """(row, column) of the first inf, nan or subnormal cell, or None."""
+def _first_bad(cells, natural) -> tuple[int, int] | None:
+    """(row, column) of the first cell that is not a finite normal double.
+
+    cells is a chunk in the output units and natural the same chunk in
+    natural units. A cell is refused if it is inf or nan, or below the
+    normal range (subnormal or zero) while its natural-unit value is not
+    zero: an SI value that underflowed is refused as a subnormal natural
+    one is. In natural units (natural is cells) that is: inf, nan or
+    subnormal.
+    """
     lo, hi = sys.float_info.min, sys.float_info.max
     if isinstance(cells, list):
-        for row, values in enumerate(cells):
-            for col, x in enumerate(values):
-                if not (x == 0.0 or lo <= abs(x) <= hi):
+        for row, (values, nat) in enumerate(zip(cells, natural)):
+            for col, (x, n) in enumerate(zip(values, nat)):
+                if not (lo <= abs(x) <= hi or (x == 0.0 and n == 0.0)):
                     return row, col
         return None
     mag = abs(cells)
-    bad = ~(mag <= hi) | ((0.0 < mag) & (mag < lo))
+    bad = ~(mag <= hi) | ((mag < lo) & (natural != 0.0))
     if not bad.any():
         return None
     return divmod(int(bad.argmax()), cells.shape[1])
@@ -318,7 +327,7 @@ def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
     named in zeros, which are identically zero and written as 0. Pass 1
     converts units and gates each chunk, then drops it; it ends with the
     refusal of the whole table: a domain or prefactor error chunks() raises
-    anywhere, else the first inf, nan or subnormal cell in table order.
+    anywhere, else the first cell _first_bad refuses, in table order.
     Only then is the output file opened, so a refused run writes nothing and
     leaves an existing file untouched. Pass 2 converts, formats and writes
     each chunk again, so memory holds one chunk, however long the table.
@@ -327,17 +336,17 @@ def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
     floats = live[: len(live) - (1 if words else 0)]
     factors = [HBAR_C_J_M if _convertible(c) else 1.0 for c in floats]
 
-    def converted():
-        for cells, asymptotic in chunks():
-            if args.units == "si" and isinstance(cells, list):
-                cells = [tuple(map(operator.mul, row, factors)) for row in cells]
-            elif args.units == "si":
-                cells = cells * factors  # NumPy broadcasts the list over the rows
-            yield cells, asymptotic
+    def converted(cells):
+        if args.units != "si":
+            return cells
+        if isinstance(cells, list):
+            return [tuple(map(operator.mul, row, factors)) for row in cells]
+        return cells * factors  # NumPy broadcasts the list over the rows
 
     refusal, seen = None, 0
-    for cells, _ in converted():
-        bad = None if refusal else _first_bad(cells)
+    for natural, _ in chunks():
+        cells = converted(natural)
+        bad = None if refusal else _first_bad(cells, natural)
         if bad is not None:
             row, col = bad
             refusal = NonFiniteResult(
@@ -348,7 +357,8 @@ def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
     if refusal is not None:
         raise refusal
     with _output(args.out) as fh:
-        _write_table(fh, args.format, columns, converted(), words, zeros)
+        table = ((converted(cells), flags) for cells, flags in chunks())
+        _write_table(fh, args.format, columns, table, words, zeros)
 
 
 def _guard_from(args) -> GuardPolicy:

@@ -15,6 +15,11 @@ Each geometry has one profile function p and one diagonal constant K
 (WALL_TABLE): par = pref*(p - K) and perp = pref*(p + K) for EE, with p
 replaced by -p for BB, where pref = (pi/a)^4 * 2/(3*pi). K is 1/120 for "cc"
 and -7/8 * 1/120 for "cp".
+
+Geometry maps z to xi = pi*z/a and hands the geometry's forms to the
+profiles module: one profiles._evaluate call per form at one z (point_terms
+is two of them plus the band test wall_distance(xi) < guard.epsilon), one
+profiles.profile_terms call for a grid.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .profiles import (
     Form,
     GuardPolicy,
     _evaluate,
-    point_terms,
     profile_terms,
+    wall_distance,
 )
 
 if TYPE_CHECKING:
@@ -115,11 +120,18 @@ class Geometry:
     ) -> tuple[float, float, bool]:
         """profile, profile_deriv and the asymptotic flag at one z, on floats.
 
-        One profiles.point_terms call: the values equal the scalar methods,
-        and profile_terms on a one-point grid, bit for bit (where a power
-        leaves the double range this raises as ** does instead of giving inf).
+        The scalar methods' two _evaluate calls, profile first, then the
+        guard band's own test: the values equal profile_terms on a one-point
+        grid bit for bit (where a power leaves the double range this raises
+        as ** does instead of giving inf).
         """
-        return point_terms(*WALL_TABLE[self.kind][:2], self.xi(z), guard)
+        xi = self.xi(z)
+        wall = WALL_TABLE[self.kind]
+        return (
+            _evaluate(wall.profile, xi, guard),
+            _evaluate(wall.profile_deriv, xi, guard),
+            wall_distance(xi) < guard.epsilon,
+        )
 
     def profile_terms(
         self, z: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD

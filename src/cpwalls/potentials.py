@@ -45,7 +45,7 @@ from .errors import (
     OutOfDomain,
     TooCloseToWall,
 )
-from .profiles import DEFAULT_GUARD, PI, GuardPolicy
+from .profiles import DEFAULT_GUARD, PI, GuardPolicy, wall_distance
 
 # Combined constant of potential_total, transcribed apart from the diagonal
 # constants in correlators.WALL_TABLE: potential_additivity compares the two.
@@ -184,8 +184,8 @@ def potential_sample(
     """Potential and force at z, tagged with the evaluation regime.
 
     The regime is "asymptotic" inside the guard band (mode="reject" raises
-    there instead) and "exact" elsewhere: the guard decision of the one
-    evaluation that gives both the profile and its slope.
+    there instead) and "exact" elsewhere, as Geometry.point_terms flags it
+    along with the profile and its slope.
     """
     p, dp, asymptotic = geom.point_terms(z, guard)
     return PotentialSample(
@@ -212,15 +212,18 @@ def stationary_points(
     (alpha0-beta0)*pi^5/a^6 is within 1e-9 of the natural force-gradient
     scale pi^4*(|alpha0|+|beta0|)/a^6. A degenerate atom (alpha0 == beta0)
     has a position-independent potential: that returns [] with a
-    FlatPotentialWarning rather than every point.
+    FlatPotentialWarning rather than every point. A bracket end inside the
+    guard band raises TooCloseToWall in either guard mode; the band is the
+    one the profile evaluation refuses in, wall_distance(xi) < epsilon.
     """
     a = geom.separation_a
     if not (0.0 < z_lo < z_hi < a):
         raise OutOfDomain(
             f"need 0 < z_lo < z_hi < a, got z_lo={z_lo!r}, z_hi={z_hi!r}, a={a!r}"
         )
-    band = guard.epsilon * a / PI
-    if z_lo < band or z_hi > a - band:
+    eps = guard.epsilon
+    if wall_distance(geom.xi(z_lo)) < eps or wall_distance(geom.xi(z_hi)) < eps:
+        band = eps * a / PI  # the band's width in z, for the message only
         raise TooCloseToWall(
             f"bracket [{z_lo!r}, {z_hi!r}] enters the guard band of width {band!r}"
         )

@@ -33,10 +33,13 @@ Both take the power function as an argument, so one transcription serves
 both paths. The scalar functions pass operator.pow, which is the ** operator
 itself: its bits, and its OverflowError and ZeroDivisionError messages, are
 those of plain float arithmetic (math.pow would say "math range error" and
-raise ValueError instead). profile_terms evaluates the same forms on a whole
-array of xi, for tables, and passes np.float_power, which is libm's pow as
-** is; ** on arrays and np.power use a SIMD pow that differs from libm in the
-last bit. No form may power with ** or np.power itself.
+raise ValueError instead). _evaluate is the one evaluator on floats: every
+scalar function, and every Geometry method on one z, is one _evaluate call
+per form, and outside it the guard band on floats is only ever the test
+wall_distance(xi) < guard.epsilon. profile_terms evaluates the same forms
+on a whole array of xi, for tables, and passes np.float_power, which is
+libm's pow as ** is; ** on arrays and np.power use a SIMD pow that differs
+from libm in the last bit. No form may power with ** or np.power itself.
 
 Two independent oracles cross-check the closed forms: a truncated image sum
 over the poles (with a certified tail bound) and a Hurwitz-zeta form summed
@@ -199,38 +202,6 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
         if guard.mode == "reject":
             _refuse(xi, guard)
     return form.series(u, sign, operator.pow)
-
-
-def point_terms(
-    profile: Form, deriv: Form, xi: float, guard: GuardPolicy = DEFAULT_GUARD
-) -> tuple[float, float, bool]:
-    """profile_terms at one point, on floats: (profile, slope, asymptotic).
-
-    The two values are _evaluate's for the two forms bit for bit, and
-    asymptotic is the one guard decision that chose the series for both.
-    Where a power leaves the double range this raises as ** does
-    (OverflowError, ZeroDivisionError), while profile_terms gives inf.
-    """
-    if not 0.0 < xi < PI:  # also false for nan and inf
-        _refuse(xi, guard)
-    if xi <= HALF_PI:
-        u, sign = xi, 1.0
-    else:
-        u, sign = (PI - xi) + PI_LO, -1.0
-    if u >= guard.epsilon:
-        s, c = math.sin(u), math.cos(u)
-        return (
-            profile.closed(s, c, sign, operator.pow),
-            deriv.closed(s, c, sign, operator.pow),
-            False,
-        )
-    if guard.mode == "reject":
-        _refuse(xi, guard)
-    return (
-        profile.series(u, sign, operator.pow),
-        deriv.series(u, sign, operator.pow),
-        True,
-    )
 
 
 def cot_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:

@@ -9,7 +9,8 @@ hbar*c = h/(2*pi) * c in J*m:
     correlator [1/m^4] -> J/m^3  (energy density)
 
 Inputs (separations, positions, polarizabilities) are never converted:
-meters and cubic meters are already natural-unit values.
+meters and cubic meters are already natural-unit values. The CLI's
+--units si multiplies each output column of such a quantity by HBAR_C_J_M.
 """
 
 import math
@@ -18,13 +19,3 @@ import math
 PLANCK_H_J_S = 6.62607015e-34
 SPEED_OF_LIGHT_M_S = 299792458.0
 HBAR_C_J_M = PLANCK_H_J_S / (2.0 * math.pi) * SPEED_OF_LIGHT_M_S
-
-
-def to_si(value_natural: float) -> float:
-    """Multiply a length^-n natural-unit value by hbar*c (J*m)."""
-    return value_natural * HBAR_C_J_M
-
-
-def to_natural(value_si: float) -> float:
-    """Inverse of to_si; round-trips to within one rounding each way."""
-    return value_si / HBAR_C_J_M

@@ -63,7 +63,7 @@ def test_sweep_values_match_direct_evaluation():
     curve = run_sweep(spec)
     assert len(curve.rows) == 9
     assert curve.columns == ("z",) + SWEEP_QUANTITIES
-    for row in curve.as_dicts():
+    for row in (dict(zip(curve.columns, r)) for r in curve.rows):
         z = row["z"]
         assert row["V"] == potential_total(MIXED, CC, z)
         assert row["force"] == force(MIXED, CC, z)

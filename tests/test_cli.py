@@ -449,6 +449,42 @@ def test_si_units_scale_output_columns(capsys):
     assert si_rows[0]["regime"] == "exact"
 
 
+# A nonzero natural-unit value that the factor hbar*c takes below the normal
+# range, to a subnormal or to +-0, is refused as a subnormal cell is.
+_SI_UNDERFLOWS = [
+    (("potential", "--z", "0.5", "--alpha", "1e-301"),
+     "NonFiniteResult: V_E=-0.0 in row 1 (z=0.5) is not a finite normal"
+     " double\n"),
+    (("limits", "--z", "1", "--alpha", "1e-300"),
+     "NonFiniteResult: V_exact=-0.0 in row 1 (a=20.0) is not a finite normal"
+     " double\n"),
+    (("potential", "--z-min", "0.45", "--z-max", "0.55", "--z-count", "3",
+      "--alpha", "1e-300"),
+     "NonFiniteResult: V_E=-0.0 in row 1 (z=0.45) is not a finite normal"
+     " double\n"),
+    (("sweep", "--a", "2e75", "--z-min", "5e74", "--z-max", "1.5e75",
+      "--z-count", "3", "--quantities", "EE_trace", "--format", "json"),
+     "NonFiniteResult: EE_trace=0.0 in row 1 (z=5e+74) is not a finite normal"
+     " double\n"),
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, analysis.CHUNK_ROWS])
+@pytest.mark.parametrize("argv, want", _SI_UNDERFLOWS)
+def test_si_cell_that_underflows_is_refused(
+    capsys, monkeypatch, argv, want, chunk_rows
+):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    assert run_cli(capsys, *argv, "--units", "si") == (2, "", want)
+
+
+def test_si_cell_that_is_zero_in_natural_units_stays_zero(capsys):
+    argv = ("potential", "--z", "0.5", "--alpha", "0")
+    natural = run_cli(capsys, *argv)
+    assert natural == (0, "z,V_E,V_M,V_total,force_z,regime\n0.5,-0,0,0,-0,exact\n", "")
+    assert run_cli(capsys, *argv, "--units", "si") == natural
+
+
 # ----------------------------------------------------------------------
 # streaming: one chunk at a time
 # ----------------------------------------------------------------------

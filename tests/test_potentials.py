@@ -311,6 +311,63 @@ def test_stationary_points_validation():
         stationary_points(ELECTRIC, CC, 1e-9, 0.9)
 
 
+def _ulp_shift(x: float, k: int) -> float:
+    """x moved k ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _edge_brackets(n: int, seed: int):
+    """n seeded (geom, epsilon, mode, z_lo, z_hi) at the guard band's edges.
+
+    a and epsilon are log-uniform; one or both bracket ends sit within 4
+    ulps of the band edge in z, epsilon*a/pi from either wall.
+    """
+    rng = random.Random(seed)
+    for i in range(n):
+        a = 10.0 ** rng.uniform(-6.0, 6.0)
+        eps = 10.0 ** rng.uniform(-12.0, -2.0)
+        kind = rng.choice((WallKind.CONDUCTOR_CONDUCTOR, WallKind.CONDUCTOR_PERMEABLE))
+        mode = rng.choice(("reject", "asymptotic"))
+        band = eps * a / math.pi
+        z_lo = 0.25 * a if i % 3 == 2 else _ulp_shift(band, rng.randint(-4, 4))
+        z_hi = 0.75 * a if i % 3 == 1 else _ulp_shift(a - band, rng.randint(-4, 4))
+        yield Geometry(kind, a), eps, mode, z_lo, z_hi
+
+
+def _refuses(call) -> bool:
+    try:
+        call()
+    except TooCloseToWall:
+        return True
+    return False
+
+
+def test_stationary_points_refuse_exactly_where_the_profile_does():
+    # Two brackets that a band test in z, epsilon*a/pi from each wall, decides
+    # the other way.
+    assert _refuses(lambda: stationary_points(
+        ELECTRIC, Geometry(WallKind.CONDUCTOR_CONDUCTOR, 3.0), 0.75, 2.9999990450703415
+    ))
+    assert stationary_points(
+        ELECTRIC, Geometry(WallKind.CONDUCTOR_CONDUCTOR, 10.0),
+        3.1830988618379062e-06, 5.0,
+    ) == [(5.0, "max")]
+    refused = 0
+    for geom, eps, mode, z_lo, z_hi in _edge_brackets(12_000, 20240901):
+        reference = GuardPolicy(eps)
+        expected = _refuses(lambda: geom.profile(z_lo, reference)) or _refuses(
+            lambda: geom.profile(z_hi, reference)
+        )
+        guard = GuardPolicy(eps, mode)
+        assert _refuses(
+            lambda: stationary_points(ELECTRIC, geom, z_lo, z_hi, guard)
+        ) == expected, (geom, eps, mode, z_lo, z_hi)
+        refused += expected
+    assert 2_000 < refused < 10_000
+
+
 @settings(deadline=None)
 @given(
     st.floats(min_value=0.02, max_value=0.98),

@@ -14,7 +14,8 @@ import sys
 import cpwalls
 
 # Every name cpwalls/__init__.py exported when the verification suite was
-# still imported eagerly.
+# still imported eagerly, less the unused units.to_si and units.to_natural
+# deleted since.
 EXPORTED = (
     "LimitRow", "LimitStudy", "PotentialCurve", "SweepSpec",
     "limit_convergence_study", "nearest_wall_reference", "run_sweep",
@@ -32,7 +33,7 @@ EXPORTED = (
     "cot_profile_via_hurwitz", "cot_profile_via_images", "csc_profile",
     "csc_profile_deriv", "csc_profile_series", "csc_profile_via_images",
     "image_tail_bound", "image_terms_needed", "wall_distance", "zeta4",
-    "HBAR_C_J_M", "to_natural", "to_si",
+    "HBAR_C_J_M",
     "REQUIRED_CHECK_NAMES", "CheckResult", "VerificationReport",
     "run_verification",
     "__version__",

@@ -1,12 +1,10 @@
-"""Natural-unit <-> SI conversion."""
+"""The SI conversion factor hbar*c."""
 
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from cpwalls.units import HBAR_C_J_M, PLANCK_H_J_S, SPEED_OF_LIGHT_M_S, to_natural, to_si
+from cpwalls.units import HBAR_C_J_M, PLANCK_H_J_S, SPEED_OF_LIGHT_M_S
 
 
 def test_constants_are_exact_si_definitions():
@@ -15,16 +13,3 @@ def test_constants_are_exact_si_definitions():
     assert HBAR_C_J_M == PLANCK_H_J_S / (2.0 * math.pi) * SPEED_OF_LIGHT_M_S
     # hbar*c ~ 3.16e-26 J*m
     assert HBAR_C_J_M == pytest.approx(3.1615267734966903e-26, rel=1e-15)
-
-
-def test_single_factor_conversion():
-    assert to_si(1.0) == HBAR_C_J_M
-    assert to_natural(HBAR_C_J_M) == 1.0
-    assert to_si(0.0) == 0.0
-    assert to_si(-2.0) == -2.0 * HBAR_C_J_M
-
-
-@given(st.floats(min_value=-1e30, max_value=1e30, allow_nan=False))
-def test_round_trip(value):
-    assert to_natural(to_si(value)) == pytest.approx(value, rel=1e-12)
-    assert to_si(to_natural(value)) == pytest.approx(value, rel=1e-12)
