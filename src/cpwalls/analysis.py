@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .correlators import Geometry, WallKind, _tensor
+from .correlators import Geometry, WallKind, _par_perp, _trace
 from .errors import ConfigError, InvalidGrid, NonFiniteResult
 from .potentials import (
     AtomResponse,
@@ -145,16 +145,14 @@ _COLUMN = {
     "V_E": lambda atom, geom, z, p, dp: _electric(atom, geom, p),
     "V_M": lambda atom, geom, z, p, dp: _magnetic(atom, geom, p),
     "force": lambda atom, geom, z, p, dp: _force(atom, geom, dp),
-    "EE_trace": lambda atom, geom, z, p, dp: _tensor(geom, p, "EE").trace(),
-    "BB_trace": lambda atom, geom, z, p, dp: _tensor(geom, -p, "BB").trace(),
+    "EE_trace": lambda atom, geom, z, p, dp: _trace(geom, p),
+    "BB_trace": lambda atom, geom, z, p, dp: _trace(geom, -p),
     "V_wall": lambda atom, geom, z, p, dp: _nearest_wall_column(geom, atom, z),
-    "EE_par": lambda atom, geom, z, p, dp: _tensor(geom, p, "EE").par,
-    "EE_perp": lambda atom, geom, z, p, dp: _tensor(geom, p, "EE").perp,
-    "BB_par": lambda atom, geom, z, p, dp: _tensor(geom, -p, "BB").par,
-    "BB_perp": lambda atom, geom, z, p, dp: _tensor(geom, -p, "BB").perp,
-    "trace_sum": lambda atom, geom, z, p, dp: (
-        _tensor(geom, p, "EE").trace() + _tensor(geom, -p, "BB").trace()
-    ),
+    "EE_par": lambda atom, geom, z, p, dp: _par_perp(geom, p)[0],
+    "EE_perp": lambda atom, geom, z, p, dp: _par_perp(geom, p)[1],
+    "BB_par": lambda atom, geom, z, p, dp: _par_perp(geom, -p)[0],
+    "BB_perp": lambda atom, geom, z, p, dp: _par_perp(geom, -p)[1],
+    "trace_sum": lambda atom, geom, z, p, dp: _trace(geom, p) + _trace(geom, -p),
 }
 
 # Rows per chunk of a table: what _table_chunks evaluates, and the CLI gates

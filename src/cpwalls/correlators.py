@@ -14,12 +14,18 @@ length^-4.
 Each geometry has one profile function p and one diagonal constant K
 (WALL_TABLE): par = pref*(p - K) and perp = pref*(p + K) for EE, with p
 replaced by -p for BB, where pref = (pi/a)^4 * 2/(3*pi). K is 1/120 for "cc"
-and -7/8 * 1/120 for "cp".
+and -7/8 * 1/120 for "cp". _par_perp is the one transcription of that pair,
+for a profile value or a whole array of them: the tensor records, the
+traces (mean_square_e/b, par + par + perp, built without a record) and the
+correlator columns of the tables all take it from there.
 
 Geometry maps z to xi = pi*z/a and hands the geometry's forms to the
 profiles module: one profiles._evaluate call per form at one z (point_terms
 is two of them plus the band test wall_distance(xi) < guard.epsilon), one
-profiles.profile_terms call for a grid.
+profiles.profile_terms call for a grid. Where pi*z/a underflows to 0.0
+(z/a below about 1e-324) xi is the smallest positive double instead, on
+one z and on a grid alike, so the point is in the guard band as one with a
+subnormal xi is, not refused as outside the walls.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ if TYPE_CHECKING:
 
 _np = None  # NumPy, once CorrelatorTensor.components first needs it
 _SMALLEST_NORMAL = sys.float_info.min
+_XI_MIN = 5e-324  # the smallest positive double: xi where pi*z/a underflows
 
 
 class WallKind(enum.Enum):
@@ -100,12 +107,16 @@ class Geometry:
             )
 
     def xi(self, z: float) -> float:
-        """Scaled coordinate pi*z/a for a point strictly between the walls."""
+        """Scaled coordinate pi*z/a for a point strictly between the walls.
+
+        Never 0.0: where pi*z/a underflows, xi is the smallest positive
+        double.
+        """
         if not 0.0 < z < self.separation_a:  # also false for nan
             raise OutOfDomain(
                 f"z={z!r} is not strictly between the walls (0, {self.separation_a})"
             )
-        return PI * (z / self.separation_a)
+        return PI * (z / self.separation_a) or _XI_MIN
 
     def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""
@@ -138,9 +149,9 @@ class Geometry:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """profile, profile_deriv and the asymptotic mask over a grid of z.
 
-        One profiles.profile_terms call; the values equal the scalar methods
-        bit for bit. The first refused point in grid order raises the error
-        the scalar methods raise for it.
+        One profiles.profile_terms call on xi as Geometry.xi computes it;
+        the values equal the scalar methods bit for bit. The first refused
+        point in grid order raises the error the scalar methods raise for it.
         """
         import numpy as np
 
@@ -150,9 +161,10 @@ class Geometry:
         outside = ~((0.0 < z) & (z < a))
         if outside.any():
             first = int(outside.argmax())
-            profile_terms(*forms, PI * (z[:first] / a), guard)  # earlier refusals
+            self.profile_terms(z[:first], guard)  # earlier refusals
             self.xi(float(z[first]))  # raises
-        return profile_terms(*forms, PI * (z / a), guard)
+        # z > 0 throughout, so the floor only replaces an underflowed 0.0
+        return profile_terms(*forms, np.maximum(PI * (z / a), _XI_MIN), guard)
 
 
 @dataclass(frozen=True)
@@ -198,14 +210,26 @@ def tensor_prefactor(separation_a: float) -> float:
     return pref
 
 
-def _tensor(geom: Geometry, p, field_pair: str) -> CorrelatorTensor:
-    """EE tensor for profile value p; the BB tensor is the EE one at -p.
+def _par_perp(geom: Geometry, p):
+    """(par, perp) of the EE tensor for profile value p; BB is EE at -p.
 
-    p may also be an array of profile values, for a whole grid at once.
+    The one transcription of the components. p may also be an array of
+    profile values, for a whole grid at once.
     """
     pref = tensor_prefactor(geom.separation_a)
     k = WALL_TABLE[geom.kind].diag_const
-    return CorrelatorTensor(pref * (p - k), pref * (p + k), field_pair)
+    return pref * (p - k), pref * (p + k)
+
+
+def _tensor(geom: Geometry, p, field_pair: str) -> CorrelatorTensor:
+    """The tensor record with _par_perp(geom, p) as its components."""
+    return CorrelatorTensor(*_par_perp(geom, p), field_pair)
+
+
+def _trace(geom: Geometry, p):
+    """Trace par + par + perp of _par_perp(geom, p), without a tensor record."""
+    par, perp = _par_perp(geom, p)
+    return par + par + perp
 
 
 def correlator_ee(
@@ -232,11 +256,11 @@ def mean_square_e(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> float:
     """<E^2> = trace of the EE tensor."""
-    return correlator_ee(geom, z, guard).trace()
+    return _trace(geom, geom.profile(z, guard))
 
 
 def mean_square_b(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> float:
     """<B^2> = trace of the BB tensor."""
-    return correlator_bb(geom, z, guard).trace()
+    return _trace(geom, -geom.profile(z, guard))

@@ -47,7 +47,8 @@ directly with an Euler-Maclaurin tail.
 
 Both image sums run over the same terms (xi - n*pi)^-4, with all signs plus
 for cot_profile and alternating ones for csc_profile, so one pass per point
-(_image_sums) builds and powers the displacements once and returns both.
+(_image_sums) builds and powers the displacements once and returns both,
+each one math.fsum read straight off the float64 buffer.
 The powers go through np.float_power, which is libm's pow: NumPy's ** uses
 a SIMD pow whose last bit depends on the CPU features it dispatches to, and
 an oracle should not change with the machine.
@@ -302,7 +303,10 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
     plain sum is the cot_profile oracle, the alternating one (sign (-1)^n)
     the csc_profile oracle. The displacements are built and powered once
     and each sum is one correctly rounded math.fsum, so neither depends on
-    the order of the terms. Raises OutOfDomain off (0, pi) and
+    the order of the terms. fsum reads the float64 buffer through a
+    memoryview, as Python floats one at a time, so no list of the 2N+1
+    terms is built; being correctly rounded, it gives the bits a sum of any
+    copy of the same terms would. Raises OutOfDomain off (0, pi) and
     TailBoundViolated when the truncated tail may exceed cfg.target_abs_tol.
     """
     _check_domain(xi)
@@ -322,10 +326,10 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
     # libm pow, as in math and profile_terms: the SIMD pow behind ** rounds
     # differently depending on the CPU features NumPy dispatches to.
     terms = np.float_power(d, -4)
-    plain = math.fsum(terms.tolist())
+    plain = math.fsum(memoryview(terms))
     terms[1 : n_terms + 1 : 2] *= -1.0  # odd n, right of xi
     terms[n_terms + 1 :: 2] *= -1.0  # odd n, left of xi
-    return SERIES_LEADING * plain, SERIES_LEADING * math.fsum(terms.tolist())
+    return SERIES_LEADING * plain, SERIES_LEADING * math.fsum(memoryview(terms))
 
 
 def cot_profile_via_images(

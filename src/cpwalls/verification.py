@@ -7,11 +7,21 @@ the full inventory and reports one record per check; a check passes iff its
 measured error is at or below its tolerance (binary checks count violations
 against a tolerance of zero).
 
-Levels: "quick" uses ~10 sample points per check with relaxed oracle
-tolerances (1e-8); "full" uses 100+ points and the certified 1e-10 budget.
+Levels: "quick" samples about 10 positions per check (2 expansion scales
+for the series checks) with relaxed oracle tolerances (1e-8); "full"
+samples 20 to 200 positions per check (4 scales for the series checks, the
+same 4 separations for single_wall_convergence), 120 of them for the
+oracles at the certified 1e-10 budget. points_tested counts the positions
+times the geometries, atoms, scales or tensors a check sweeps over.
 The cot and csc image-sum checks share one image pass per point
 (profiles._image_sums) and are still reported as two checks; nothing is
 kept from one run_verification call to the next.
+
+The matrix checks (tensor_structure, eb_zero, correlator_scaling,
+cc_reflection_cp_asymmetry) read each tensor's 3x3 matrix as
+CorrelatorTensor.components builds it, converted once with tolist(), and
+compare plain floats: they never read par and perp, so a wrong matrix fails
+them even where the stored components are right.
 
 The near/far-wall series checks read the expansion constants through the
 profiles module object on purpose: perturbing profiles.COT_SERIES_CONST (a
@@ -339,12 +349,14 @@ def _check_tensor_structure(level: str) -> CheckResult:
     for geom in _GEOMETRIES:
         for z in _grid(0.1, 0.9, n):
             for build in (correlator_ee, correlator_bb):
-                t = build(geom, z).components
+                t = build(geom, z).components.tolist()
                 off = max(
-                    abs(t[i, j]) for i in range(3) for j in range(3) if i != j
+                    abs(t[i][j]) for i in range(3) for j in range(3) if i != j
                 )
-                xxyy = abs(t[0, 0] - t[1, 1])
-                asym = float(abs(t - t.T).max())
+                xxyy = abs(t[0][0] - t[1][1])
+                asym = max(  # t - t.T is zero on the diagonal
+                    abs(t[i][j] - t[j][i]) for i in range(3) for j in range(i + 1, 3)
+                )
                 worst = max(worst, off, xxyy, asym)
                 violations += (off != 0.0) + (xxyy != 0.0) + (asym != 0.0)
                 tested += 1
@@ -357,8 +369,8 @@ def _check_eb_zero(level: str) -> CheckResult:
     violations, worst, tested = 0, 0.0, 0
     for geom in _GEOMETRIES:
         for z in _grid(0.05, 0.95, n):
-            t = correlator_eb(geom, z).components
-            m = float(abs(t).max())
+            t = correlator_eb(geom, z).components.tolist()
+            m = max(abs(x) for row in t for x in row)
             worst = max(worst, m)
             violations += m != 0.0
             tested += 1
@@ -403,11 +415,11 @@ def _check_correlator_scaling(level: str) -> CheckResult:
             scaled = Geometry(kind, s)
             for frac in fracs:
                 for build in (correlator_ee, correlator_bb):
-                    t1 = build(base, frac).components
-                    t2 = build(scaled, s * frac).components
+                    t1 = build(base, frac).components.tolist()
+                    t2 = build(scaled, s * frac).components.tolist()
                     for i in range(3):
-                        diffs.append(abs(t2[i, i] * s ** 4 - t1[i, i]))
-                        denoms.append(abs(t1[i, i]))
+                        diffs.append(abs(t2[i][i] * s ** 4 - t1[i][i]))
+                        denoms.append(abs(t1[i][i]))
     return _rel_result(
         "correlator_scaling", diffs, denoms, 1e-12, len(diffs)
     )
@@ -419,17 +431,17 @@ def _check_reflection_asymmetry(level: str) -> CheckResult:
     diffs, denoms = [], []
     for z in _grid(0.05, 0.45, n):
         for build in (correlator_ee, correlator_bb):
-            t1 = build(_CC, z).components
-            t2 = build(_CC, 1.0 - z).components
+            t1 = build(_CC, z).components.tolist()
+            t2 = build(_CC, 1.0 - z).components.tolist()
             for i in range(3):
-                diffs.append(abs(t1[i, i] - t2[i, i]))
-                denoms.append(abs(t1[i, i]))
+                diffs.append(abs(t1[i][i] - t2[i][i]))
+                denoms.append(abs(t1[i][i]))
     res = _rel_result(
         "cc_reflection_cp_asymmetry", diffs, denoms, 1e-12, len(diffs)
     )
     # The conductor-permeable tensors must NOT be reflection symmetric.
-    zz_quarter = correlator_ee(_CP, 0.25).components[2, 2]
-    zz_three_quarter = correlator_ee(_CP, 0.75).components[2, 2]
+    zz_quarter = correlator_ee(_CP, 0.25).components.tolist()[2][2]
+    zz_three_quarter = correlator_ee(_CP, 0.75).components.tolist()[2][2]
     scale = abs(zz_quarter) + abs(zz_three_quarter)
     if abs(zz_quarter - zz_three_quarter) <= 1e-3 * scale:
         res = CheckResult(
@@ -467,22 +479,25 @@ def _check_potential_correlators(level: str) -> CheckResult:
     # from the correlator trace, and the closed form as documented, with this
     # module's own copy of K. The first two share correlators.WALL_TABLE, so
     # only the third catches a wrong constant there.
-    n = 10 if level == "quick" else 50
+    zs = _grid(0.05, 0.95, 10 if level == "quick" else 50)
     diffs, denoms = [], []
     for geom in _GEOMETRIES:
         k = _DIAG_CONST[geom.kind]
         a4 = geom.separation_a ** 4
         for atom in _ATOMS:
-            for z in _grid(0.05, 0.95, n):
+            # factors that depend on the atom and a only
+            scale_e = -(atom.alpha0 * PI ** 3 / (3.0 * a4))
+            scale_m = atom.beta0 * PI ** 3 / (3.0 * a4)
+            floor_e = abs(atom.alpha0) * PI ** 3 / (360.0 * a4)
+            floor_m = abs(atom.beta0) * PI ** 3 / (360.0 * a4)
+            for z in zs:
                 p = geom.profile(z)
                 ve = potential_electric(atom, geom, z)
-                ve_doc = -(atom.alpha0 * PI ** 3 / (3.0 * a4)) * (3.0 * p - k)
+                ve_doc = scale_e * (3.0 * p - k)
                 ve_trace = -0.5 * atom.alpha0 * mean_square_e(geom, z)
                 vm = potential_magnetic(atom, geom, z)
-                vm_doc = atom.beta0 * PI ** 3 / (3.0 * a4) * (3.0 * p + k)
+                vm_doc = scale_m * (3.0 * p + k)
                 vm_trace = -0.5 * atom.beta0 * mean_square_b(geom, z)
-                floor_e = abs(atom.alpha0) * PI ** 3 / (360.0 * a4)
-                floor_m = abs(atom.beta0) * PI ** 3 / (360.0 * a4)
                 for x, doc, y, fl in (
                     (ve, ve_doc, ve_trace, floor_e),
                     (vm, vm_doc, vm_trace, floor_m),

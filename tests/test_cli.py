@@ -225,6 +225,21 @@ _GRID_REFUSALS = [
     (("potential", "--guard-eps", "1e-300", "--z", "1e-70"),
      "NonFiniteResult: force_z=-inf in row 1 (z=1e-70) is not a finite"
      " normal double\n"),
+    # pi*z/a underflows to 0.0 although 0 < z < a: the smallest xi, in the
+    # band, as for a subnormal xi, on one point and on a grid
+    (("potential", "--a", "1e300", "--z", "1e-30"),
+     "TooCloseToWall: xi=5e-324 is within 1e-06 of a wall (mode=reject)\n"),
+    (("correlators", "--a", "1e300", "--z-min", "1e-30", "--z-max", "5e299",
+      "--z-count", "3"),
+     "TooCloseToWall: xi=5e-324 is within 1e-06 of a wall (mode=reject)\n"),
+    (("potential", "--a", "1e30", "--z", "1e-300", "--guard-mode",
+      "asymptotic"),
+     "NonFiniteResult: V_E=-inf in row 1 (z=1e-300) is not a finite normal"
+     " double\n"),
+    (("sweep", "--a", "1e30", "--z-min", "1e-300", "--z-max", "5e29",
+      "--z-count", "3", "--guard-mode", "asymptotic"),
+     "NonFiniteResult: V=-inf in row 1 (z=1e-300) is not a finite normal"
+     " double\n"),
 ]
 
 

@@ -5,12 +5,14 @@ defining expressions at the exact double inputs shown (a = 1, z = 0.3).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpwalls.analysis import _COLUMN
 from cpwalls.correlators import (
     CorrelatorTensor,
     Geometry,
@@ -214,3 +216,133 @@ def test_cp_reflection_swaps_ee_bb_property(z):
     bb = diag(correlator_bb(CP, 1.0 - z))
     for got, want in zip(ee, bb):
         assert abs(got - want) <= 1e-11 * max(abs(got), abs(want), 1.0)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+_TRACE_COLUMNS = ("EE_trace", "BB_trace", "trace_sum")
+
+
+def _trace_configs(rng, count):
+    """count (geometry, guard, z list) triples; xi near both walls too."""
+    configs = []
+    for _ in range(count):
+        geom = Geometry(rng.choice(list(WallKind)), 10.0 ** rng.uniform(-3.0, 80.0))
+        guard = GuardPolicy(
+            10.0 ** rng.uniform(-12.0, -2.0), rng.choice(["reject", "asymptotic"])
+        )
+        xis = []
+        for _ in range(100):
+            pick = rng.random()
+            if pick < 0.25:
+                xis.append(rng.uniform(0.0, 1e-9))
+            elif pick < 0.5:
+                xis.append(math.pi - rng.uniform(0.0, 1e-9))
+            else:
+                xis.append(rng.uniform(0.0, math.pi))
+        a = geom.separation_a
+        configs.append((geom, guard, [x * a / math.pi for x in xis]))
+    return configs
+
+
+def test_traces_equal_the_tensor_records_on_floats_and_arrays():
+    # mean_square_e/b and the table's trace columns compute par + par + perp
+    # without a CorrelatorTensor; every value, and every refusal, must be
+    # the record's .trace(), on one point and on a grid.
+    rng = random.Random(60417)
+    points = grid_values = refused = 0
+    for geom, guard, zs in _trace_configs(rng, 200):
+        def grid(name, z):
+            p, dp, _ = geom.profile_terms(z, guard)
+            return _COLUMN[name](None, geom, z, p, dp).tolist()
+
+        want = {name: [] for name in _TRACE_COLUMNS}
+        for z in zs:
+            ee = _outcome(lambda: correlator_ee(geom, z, guard).trace())
+            bb = _outcome(lambda: correlator_bb(geom, z, guard).trace())
+            assert _outcome(mean_square_e, geom, z, guard) == ee
+            assert _outcome(mean_square_b, geom, z, guard) == bb
+            # profile and prefactor fail alike for EE and BB
+            assert isinstance(ee, tuple) == isinstance(bb, tuple)
+            both = ee if isinstance(ee, tuple) else ee + bb
+            cells = dict(zip(_TRACE_COLUMNS, (ee, bb, both)))
+            p = _outcome(geom.profile, z, guard)
+            for name, cell in cells.items():
+                if not isinstance(p, tuple):
+                    assert _outcome(_COLUMN[name], None, geom, z, p, None) == cell
+                want[name].append(cell)
+            points += 1
+        errors = [c for c in want["EE_trace"] if isinstance(c, tuple)]
+        refused += len(errors)
+        # a grid refuses as its first domain refusal, else as the prefactor;
+        # the grid of the points that evaluate gives the floats' values
+        domain = [e for e in errors if e[0] is not NonFiniteResult]
+        ok = [i for i, c in enumerate(want["EE_trace"]) if not isinstance(c, tuple)]
+        for name in _TRACE_COLUMNS:
+            whole = _outcome(grid, name, np.array(zs))
+            assert whole == ((domain or errors)[0] if errors else want[name])
+            if errors and ok:
+                got = grid(name, np.array([zs[i] for i in ok]))
+                assert got == [want[name][i] for i in ok]
+        grid_values += len(ok)
+    assert points == 20000
+    assert refused > 1000 and grid_values > 10000
+
+
+def test_traces_build_no_tensor_record(monkeypatch):
+    built = []
+    monkeypatch.setattr(CorrelatorTensor, "__post_init__", lambda t: built.append(t))
+    zs = np.array([0.2, 0.5, 0.9])
+    for geom in (CC, CP):
+        mean_square_e(geom, 0.3)
+        mean_square_b(geom, 0.3)
+        for z, p in ((0.3, geom.profile(0.3)), (zs, geom.profile_terms(zs)[0])):
+            for name in _TRACE_COLUMNS + ("EE_par", "EE_perp", "BB_par", "BB_perp"):
+                _COLUMN[name](None, geom, z, p, None)
+    assert built == []
+    correlator_ee(CC, 0.3)  # the counter does see a record
+    assert len(built) == 1
+
+
+# pi*z/a rounds to 0.0 for these z although 0 < z < a.
+_XI_UNDERFLOWS = [(1e300, 1e-30), (4.0, 5e-324), (1e30, 1e-300)]
+
+
+@pytest.mark.parametrize("kind", list(WallKind))
+@pytest.mark.parametrize("a, z", _XI_UNDERFLOWS)
+def test_xi_that_underflows_is_the_smallest_double_in_the_band(kind, a, z):
+    # such a point is as close to the wall as one whose xi is subnormal,
+    # and is refused as one, not as a point outside the walls
+    geom = Geometry(kind, a)
+    assert math.pi * (z / a) == 0.0
+    assert geom.xi(z) == 5e-324
+    band = "TooCloseToWall: xi=5e-324 is within 1e-06 of a wall (mode=reject)"
+    grid = np.array([z, 0.5 * a])
+    for call in (geom.profile, geom.profile_deriv, geom.point_terms,
+                 lambda z: geom.profile_terms(grid)):
+        with pytest.raises(TooCloseToWall) as info:
+            call(z)
+        assert f"{info.typename}: {info.value}" == band
+    soft = GuardPolicy(mode="asymptotic")
+    with pytest.raises(OverflowError):  # as for a subnormal xi: u**-4
+        geom.profile(z, soft)
+    p, dp, asymptotic = geom.profile_terms(grid, soft)
+    assert (p[0], dp[0]) == (math.inf, -math.inf)
+    assert asymptotic.tolist() == [True, False]
+    assert p[1] == geom.profile(0.5 * a, soft)
+
+
+@pytest.mark.parametrize("a, z", [(1.0, 5e-324), (1e300, 1e-20), (1e30, 1e-290)])
+def test_xi_that_does_not_underflow_keeps_its_bits(a, z):
+    geom = Geometry(WallKind.CONDUCTOR_CONDUCTOR, a)
+    xi = math.pi * (z / a)
+    assert 0.0 < xi < 2.2250738585072014e-308  # subnormal
+    assert geom.xi(z) == xi
+    with pytest.raises(TooCloseToWall, match=f"xi={xi!r} is within"):
+        geom.profile_terms(np.array([z]))

@@ -5,12 +5,18 @@ profiles module and the per-geometry diagonal constants through
 correlators.WALL_TABLE (the documented fault-injection surfaces) and require
 the suite to catch exactly the matching checks - evidence that the checks
 compare genuinely independent routes rather than a value against itself.
+The matrix tests tamper with the 3x3 matrix CorrelatorTensor.components
+builds, leaving par and perp right, and require the matching check to fail:
+the checks read the matrix, not the stored components.
 """
+
+import math
 
 import pytest
 
 import cpwalls.profiles as profiles
-from cpwalls.correlators import WALL_TABLE, WallKind
+from cpwalls import verification
+from cpwalls.correlators import WALL_TABLE, CorrelatorTensor, WallKind
 from cpwalls.verification import (
     REQUIRED_CHECK_NAMES,
     CheckResult,
@@ -113,3 +119,52 @@ def test_image_sum_checks_recompute_on_every_run(monkeypatch):
 def test_restored_constants_pass_again():
     # the monkeypatched runs above must not leak into later ones
     assert run_verification("quick").passed
+
+
+def _off_diagonal(m, pair):
+    if pair != "EB":
+        m[0, 1] = 1e-300
+
+
+def _xx_not_yy(m, pair):
+    if pair != "EB":
+        m[1, 1] = math.nextafter(m[1, 1], math.inf)
+
+
+def _eb_nonzero(m, pair):
+    if pair == "EB":
+        m[2, 2] = 1e-300
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+@pytest.mark.parametrize(
+    "tamper, failing",
+    [(_off_diagonal, "tensor_structure"), (_xx_not_yy, "tensor_structure"),
+     (_eb_nonzero, "eb_zero")],
+)
+def test_matrix_checks_read_the_matrix_components_builds(
+    monkeypatch, level, tamper, failing
+):
+    # par and perp stay right; only the 3x3 matrix the checks read is off
+    built = CorrelatorTensor.components.fget
+
+    def tampered(self):
+        m = built(self)
+        tamper(m, self.field_pair)
+        return m
+
+    monkeypatch.setattr(CorrelatorTensor, "components", property(tampered))
+    assert {c.name for c in run_verification(level).failures} == {failing}
+
+
+@pytest.mark.parametrize("level, points", [("quick", 10), ("full", 120)])
+def test_one_image_pass_per_oracle_point(monkeypatch, level, points):
+    seen = []
+
+    def counted(xi, cfg):
+        seen.append(xi)
+        return profiles._image_sums(xi, cfg)
+
+    monkeypatch.setattr(verification, "_image_sums", counted)
+    assert run_verification(level).passed
+    assert len(seen) == len(set(seen)) == points
