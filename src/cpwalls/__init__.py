@@ -10,6 +10,12 @@ natural units (hbar = c = 1), with independent oracles for every closed form.
 Importing the package loads neither NumPy nor the verification suite: NumPy
 comes in with the first array (a grid table, an image sum, a 3x3 tensor),
 and cpwalls.verification with the first of its names that is asked for.
+
+Every record (GuardPolicy, Geometry, AtomResponse, CorrelatorTensor,
+SweepSpec, PotentialCurve, LimitStudy, CheckResult, ...) is an immutable
+named tuple: it iterates, equals the plain tuple of its fields, and offers
+_asdict and _replace. A record that checks or normalizes its fields does so
+in __new__, which _replace goes through too. Nothing imports dataclasses.
 """
 
 import importlib as _importlib

@@ -2,13 +2,17 @@
 
 Everything here is a pure tabulation layer over the correlator and potential
 modules: build a grid, evaluate the requested quantities per point, and hand
-back plain column/row containers the CLI can serialize.
+back plain column/row containers the CLI can serialize. The containers
+(SweepSpec, PotentialCurve, LimitRow, LimitStudy) are immutable named
+tuples; SweepSpec.__new__ checks the grid and the quantities and keeps the
+grid as a tuple of floats, and PotentialCurve and LimitStudy hold their
+rows in a list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .correlators import Geometry, WallKind, _par_perp, _trace
 from .errors import ConfigError, InvalidGrid, NonFiniteResult
@@ -31,21 +35,37 @@ if TYPE_CHECKING:
 SWEEP_QUANTITIES = ("V", "V_E", "V_M", "force", "EE_trace", "BB_trace")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A z-grid sweep request over one geometry and atom."""
+class SweepSpec(
+    namedtuple(
+        "SweepSpec",
+        "geometry atom z_grid quantities guard include_limit_reference",
+    )
+):
+    """A z-grid sweep request over one geometry and atom.
 
-    geometry: Geometry
-    atom: AtomResponse
-    z_grid: tuple[float, ...]
-    quantities: tuple[str, ...] = ("V", "V_E", "V_M", "force")
-    guard: GuardPolicy = DEFAULT_GUARD
-    include_limit_reference: bool = False
+    z_grid is kept as a tuple of floats, checked strictly increasing inside
+    (0, a); quantities are names from SWEEP_QUANTITIES.
+    """
 
-    def __post_init__(self) -> None:
-        grid = _checked_grid(self.z_grid, self.geometry.separation_a)
-        object.__setattr__(self, "z_grid", tuple(grid.tolist()))
-        _sweep_columns(self.quantities, self.include_limit_reference)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        geometry: Geometry,
+        atom: AtomResponse,
+        z_grid,
+        quantities: tuple[str, ...] = ("V", "V_E", "V_M", "force"),
+        guard: GuardPolicy = DEFAULT_GUARD,
+        include_limit_reference: bool = False,
+    ):
+        z_grid = tuple(_checked_grid(z_grid, geometry.separation_a).tolist())
+        _sweep_columns(quantities, include_limit_reference)
+        return tuple.__new__(
+            cls,
+            (geometry, atom, z_grid, quantities, guard, include_limit_reference),
+        )
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @classmethod
     def from_range(
@@ -93,12 +113,16 @@ def _sweep_columns(quantities, include_limit_reference: bool) -> tuple[str, ...]
     return ("z",) + ordered + (("V_wall",) if include_limit_reference else ())
 
 
-@dataclass
-class PotentialCurve:
-    """Column-named rows in ascending z, ready for serialization."""
+class PotentialCurve(namedtuple("PotentialCurve", "columns rows")):
+    """Column-named rows in ascending z, ready for serialization.
 
-    columns: tuple[str, ...]
-    rows: list[tuple[float, ...]] = field(default_factory=list)
+    rows is a list of float tuples, a new empty one by default.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, columns: tuple[str, ...], rows: list | None = None):
+        return tuple.__new__(cls, (columns, [] if rows is None else rows))
 
     def column(self, name: str) -> list[float]:
         idx = self.columns.index(name)
@@ -201,8 +225,7 @@ def run_sweep(spec: SweepSpec) -> PotentialCurve:
     return PotentialCurve(columns, rows)
 
 
-@dataclass(frozen=True)
-class LimitRow:
+class LimitRow(NamedTuple):
     """One separation in a convergence study; rel_error is None if degenerate."""
 
     a: float
@@ -211,8 +234,7 @@ class LimitRow:
     rel_error: float | None
 
 
-@dataclass
-class LimitStudy:
+class LimitStudy(NamedTuple):
     """Convergence of the two-wall potential toward its single-wall limit."""
 
     wall_type: str

@@ -10,7 +10,8 @@ the error class name goes to stderr.
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
 formats, which round-trips IEEE doubles losslessly, so re-running a command
-reproduces its output byte for byte. A table goes out in two passes over
+reproduces its output byte for byte. The json module loads only for JSON
+output. A table goes out in two passes over
 chunks of rows: a grid on arrays, analysis.CHUNK_ROWS rows at a time, and a
 single --z point or the limits ladder as one chunk of floats through the
 scalar forms, which gives the same bits and does not load NumPy. Pass 1
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import operator
 import sys
@@ -206,6 +206,8 @@ def _format_float(x: float) -> str:
 
 
 def _json_value(value) -> str:
+    import json  # here and in _row_templates only: a CSV run never loads it
+
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):  # JSON has no inf or nan
@@ -240,6 +242,8 @@ def _row_templates(fmt: str, columns, fields, words) -> list[str]:
     A JSON row starts with the ",\n" that ends the row before it, which the
     writer drops from the first row.
     """
+    if fmt == "json":
+        import json  # here and in _json_value only: a CSV run never loads it
     baked = [json.dumps(w) if fmt == "json" else w for w in words]
     variants = [fields + [w] for w in baked] or [fields]
     if fmt == "json":

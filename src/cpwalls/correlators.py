@@ -26,6 +26,10 @@ profiles.profile_terms call for a grid. Where pi*z/a underflows to 0.0
 (z/a below about 1e-324) xi is the smallest positive double instead, on
 one z and on a grid alike, so the point is in the guard band as one with a
 subnormal xi is, not refused as outside the walls.
+
+Geometry and CorrelatorTensor are named tuples checked in __new__: a
+Geometry's kind must be a WallKind (ValueError otherwise) and its
+separation positive and finite (OutOfDomain).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonFiniteResult, OutOfDomain
@@ -93,18 +97,24 @@ WALL_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Wall pair and separation; the permeable wall (if any) is at z = a."""
+class Geometry(namedtuple("Geometry", "kind separation_a")):
+    """Wall pair and separation; the permeable wall (if any) is at z = a.
 
-    kind: WallKind
-    separation_a: float
+    kind is a WallKind; separation_a is positive and finite.
+    """
 
-    def __post_init__(self) -> None:
-        if not (self.separation_a > 0.0 and math.isfinite(self.separation_a)):
+    __slots__ = ()
+
+    def __new__(cls, kind: WallKind, separation_a: float):
+        if not (separation_a > 0.0 and math.isfinite(separation_a)):
             raise OutOfDomain(
-                f"separation_a must be positive and finite, got {self.separation_a!r}"
+                f"separation_a must be positive and finite, got {separation_a!r}"
             )
+        if not isinstance(kind, WallKind):
+            raise ValueError(f"geometry kind must be a WallKind, got {kind!r}")
+        return tuple.__new__(cls, (kind, separation_a))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def xi(self, z: float) -> float:
         """Scaled coordinate pi*z/a for a point strictly between the walls.
@@ -167,17 +177,20 @@ class Geometry:
         return profile_terms(*forms, np.maximum(PI * (z / a), _XI_MIN), guard)
 
 
-@dataclass(frozen=True)
-class CorrelatorTensor:
-    """Diagonal correlator tensor diag(par, par, perp) at a point, natural units."""
+class CorrelatorTensor(namedtuple("CorrelatorTensor", "par perp field_pair")):
+    """Diagonal correlator tensor diag(par, par, perp) at a point, natural units.
 
-    par: float
-    perp: float
-    field_pair: str  # one of "EE", "BB", "EB"
+    field_pair is one of "EE", "BB", "EB".
+    """
 
-    def __post_init__(self) -> None:
-        if self.field_pair not in ("EE", "BB", "EB"):
-            raise ValueError(f"unknown field pair {self.field_pair!r}")
+    __slots__ = ()
+
+    def __new__(cls, par: float, perp: float, field_pair: str):
+        if field_pair not in ("EE", "BB", "EB"):
+            raise ValueError(f"unknown field pair {field_pair!r}")
+        return tuple.__new__(cls, (par, perp, field_pair))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def components(self) -> np.ndarray:

@@ -30,13 +30,18 @@ is strictly negative), so the potential has a stationary point at z = a/2 in
 Sign conventions: force_z = -dV/dz, so force_z > 0 pushes the atom toward
 the wall at z = a. Natural units (hbar = c = 1): with polarizabilities in
 length^3, potentials are inverse lengths and forces inverse lengths squared.
+
+AtomResponse and PotentialSample are named tuples; AtomResponse.__new__
+refuses a non-finite polarizability and warns, naming the caller's line,
+about a negative one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .correlators import WALL_TABLE, Geometry, WallKind
 from .errors import (
@@ -55,8 +60,7 @@ _COMBINED_CONST = {
 }
 
 
-@dataclass(frozen=True)
-class AtomResponse:
+class AtomResponse(namedtuple("AtomResponse", "alpha0 beta0")):
     """Static polarizabilities alpha0 (electric), beta0 (magnetic).
 
     Both in length^3 (natural units). Negative values are admitted - the
@@ -64,22 +68,27 @@ class AtomResponse:
     static responses are normally positive.
     """
 
-    alpha0: float
-    beta0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha0) and math.isfinite(self.beta0)):
+    def __new__(cls, alpha0: float, beta0: float):
+        if not (math.isfinite(alpha0) and math.isfinite(beta0)):
             raise ValueError("polarizabilities must be finite")
-        if self.alpha0 < 0.0 or self.beta0 < 0.0:
+        if alpha0 < 0.0 or beta0 < 0.0:
             warnings.warn(
                 "negative static polarizability supplied",
                 NegativePolarizabilityWarning,
-                stacklevel=3,  # the caller of the generated __init__
+                stacklevel=2,  # the caller of AtomResponse(...)
             )
+        return tuple.__new__(cls, (alpha0, beta0))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
+
+    def __reduce__(self):
+        # a copy or an unpickled record is not checked, nor warned about, again
+        return tuple.__new__, (type(self), tuple(self))
 
 
-@dataclass(frozen=True)
-class PotentialSample:
+class PotentialSample(NamedTuple):
     """One evaluated point: position, potential, force, evaluation regime."""
 
     z: float

@@ -55,13 +55,16 @@ an oracle should not change with the machine.
 
 NumPy is imported inside the array functions (profile_terms, _image_sums)
 only, so a process that evaluates single points never loads it.
+
+GuardPolicy and OracleConfig are named tuples whose __new__ checks the
+fields (OracleConfig.image_terms must be an integer, by operator.index).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
 from .errors import OutOfDomain, TailBoundViolated, TooCloseToWall
@@ -80,8 +83,7 @@ COT_SERIES_CONST = 1.0 / 120.0
 CSC_SERIES_CONST = 7.0 / 960.0
 
 
-@dataclass(frozen=True)
-class GuardPolicy:
+class GuardPolicy(namedtuple("GuardPolicy", "epsilon mode")):
     """What to do inside the guard band around xi = 0 and xi = pi.
 
     mode="reject" raises TooCloseToWall; mode="asymptotic" substitutes the
@@ -90,35 +92,43 @@ class GuardPolicy:
     below double precision at any plausible epsilon).
     """
 
-    epsilon: float = 1e-6
-    mode: str = "reject"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+    def __new__(cls, epsilon: float = 1e-6, mode: str = "reject"):
+        if not (epsilon > 0.0 and math.isfinite(epsilon)):
             raise ValueError("guard epsilon must be positive and finite")
-        if self.epsilon >= HALF_PI:
+        if epsilon >= HALF_PI:
             raise ValueError("guard epsilon must be smaller than pi/2")
-        if self.mode not in ("reject", "asymptotic"):
-            raise ValueError(f"unknown guard mode {self.mode!r}")
+        if mode not in ("reject", "asymptotic"):
+            raise ValueError(f"unknown guard mode {mode!r}")
+        return tuple.__new__(cls, (epsilon, mode))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "image_terms target_abs_tol")):
     """Truncation control for the image-sum oracles.
 
-    image_terms is the number N of image pairs kept on each side; the
-    truncated tail is bounded by (N*pi - xi)^-3 / (4*pi), and evaluation
-    refuses to proceed when that bound exceeds target_abs_tol.
+    image_terms is the number N of image pairs kept on each side, an
+    integer (operator.index); the truncated tail is bounded by
+    (N*pi - xi)^-3 / (4*pi), and evaluation refuses to proceed when that
+    bound exceeds target_abs_tol.
     """
 
-    image_terms: int = 1500
-    target_abs_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.image_terms < 1:
+    def __new__(cls, image_terms: int = 1500, target_abs_tol: float = 1e-12):
+        try:
+            image_terms = operator.index(image_terms)
+        except TypeError as exc:
+            raise ValueError("image_terms must be a positive integer") from exc
+        if image_terms < 1:
             raise ValueError("image_terms must be a positive integer")
-        if not (self.target_abs_tol > 0.0 and math.isfinite(self.target_abs_tol)):
+        if not (target_abs_tol > 0.0 and math.isfinite(target_abs_tol)):
             raise ValueError("target_abs_tol must be positive and finite")
+        return tuple.__new__(cls, (image_terms, target_abs_tol))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
 
 DEFAULT_GUARD = GuardPolicy()

@@ -5,7 +5,9 @@ authoritative inventory and the registry is asserted complete at import time,
 so a check cannot silently drop out of the suite. run_verification executes
 the full inventory and reports one record per check; a check passes iff its
 measured error is at or below its tolerance (binary checks count violations
-against a tolerance of zero).
+against a tolerance of zero). CheckResult and VerificationReport are named
+tuples; CheckResult.__new__ turns NumPy scalars into plain floats, bools and
+ints, and as_dict is _asdict.
 
 Levels: "quick" samples about 10 positions per check (2 expansion scales
 for the series checks) with relaxed oracle tolerances (1e-8); "full"
@@ -36,8 +38,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import partial
+from typing import NamedTuple
 
 from . import profiles
 from .analysis import limit_convergence_study
@@ -90,30 +93,41 @@ _ATOMS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_abs_error: float
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    points_tested: int
+class CheckResult(
+    namedtuple(
+        "CheckResult",
+        "name max_abs_error max_rel_error tolerance passed points_tested",
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        name: str,
+        max_abs_error: float,
+        max_rel_error: float,
+        tolerance: float,
+        passed: bool,
+        points_tested: int,
+    ):
         # normalize numpy scalars leaking in from grid arithmetic, so the
         # serializers see plain Python types
-        object.__setattr__(self, "max_abs_error", float(self.max_abs_error))
-        object.__setattr__(self, "max_rel_error", float(self.max_rel_error))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "points_tested", int(self.points_tested))
+        return tuple.__new__(cls, (
+            name,
+            float(max_abs_error),
+            float(max_rel_error),
+            float(tolerance),
+            bool(passed),
+            int(points_tested),
+        ))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace normalizes
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     level: str
     checks: list[CheckResult]
 

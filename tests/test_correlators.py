@@ -297,7 +297,13 @@ def test_traces_equal_the_tensor_records_on_floats_and_arrays():
 
 def test_traces_build_no_tensor_record(monkeypatch):
     built = []
-    monkeypatch.setattr(CorrelatorTensor, "__post_init__", lambda t: built.append(t))
+    new = CorrelatorTensor.__new__
+
+    def spy(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(CorrelatorTensor, "__new__", spy)
     zs = np.array([0.2, 0.5, 0.9])
     for geom in (CC, CP):
         mean_square_e(geom, 0.3)
