@@ -43,12 +43,19 @@ from libm in the last bit. No form may power with ** or np.power itself.
 
 Two independent oracles cross-check the closed forms: a truncated image sum
 over the poles (with a certified tail bound) and a Hurwitz-zeta form summed
-directly with an Euler-Maclaurin tail.
+directly with an Euler-Maclaurin tail. Both take pi's low part from
+math.sin(math.pi), which equals PI_LO, never from PI_LO itself, so a wrong
+PI_LO moves the closed forms and not their oracles.
 
 Both image sums run over the same terms (xi - n*pi)^-4, with all signs plus
 for cot_profile and alternating ones for csc_profile, so one pass per point
-(_image_sums) builds and powers the displacements once and returns both,
-each one math.fsum read straight off the float64 buffer.
+(_image_sums) builds and powers the displacements once and returns both.
+The sums are exact in NumPy: error-free vector extraction (Rump, Ogita and
+Oishi, SIAM J. Sci. Comput. 31, 2008) splits the terms of even and of odd n
+into levels on shrinking power-of-two grids, each level's slice sums exact,
+and stops once a level's grid is finer than the smallest term's ulp. A
+math.fsum over those few doubles gives the correctly rounded sums, so the
+bits are those of any correctly rounded sum of the same terms.
 The powers go through np.float_power, which is libm's pow: NumPy's ** uses
 a SIMD pow whose last bit depends on the CPU features it dispatches to, and
 an oracle should not change with the machine.
@@ -279,9 +286,10 @@ def profile_terms(
         s, c = np.sin(u), np.cos(u)
         p = profile.closed(s, c, sign, np.float_power)
         dp = deriv.closed(s, c, sign, np.float_power)
-        ua, sa = u[asymptotic], sign[asymptotic]
-        p[asymptotic] = profile.series(ua, sa, np.float_power)
-        dp[asymptotic] = deriv.series(ua, sa, np.float_power)
+        if asymptotic.any():
+            ua, sa = u[asymptotic], sign[asymptotic]
+            p[asymptotic] = profile.series(ua, sa, np.float_power)
+            dp[asymptotic] = deriv.series(ua, sa, np.float_power)
     return p, dp, asymptotic
 
 
@@ -311,13 +319,30 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
 
     Returns (plain, alternating), n = -N..N with N = cfg.image_terms: the
     plain sum is the cot_profile oracle, the alternating one (sign (-1)^n)
-    the csc_profile oracle. The displacements are built and powered once
-    and each sum is one correctly rounded math.fsum, so neither depends on
-    the order of the terms. fsum reads the float64 buffer through a
-    memoryview, as Python floats one at a time, so no list of the 2N+1
-    terms is built; being correctly rounded, it gives the bits a sum of any
-    copy of the same terms would. Raises OutOfDomain off (0, pi) and
-    TailBoundViolated when the truncated tail may exceed cfg.target_abs_tol.
+    the csc_profile oracle. Each is the correctly rounded sum of the same
+    2N+1 terms, so neither depends on the order of the terms.
+
+    The displacements are built and powered once, the terms with even
+    n != 0 in one slice and those with odd n in the other. Error-free
+    vector extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008) then splits both
+    slices into levels: with sigma = 2^e, e = (exponent of the largest
+    term) + m and 2^m above the number of terms, q = (sigma + t) - sigma
+    and t - q are exact, every q is a multiple of 2^(e-53) below 2^(e-m),
+    so each slice sum of q is exact in any order. The residuals t - q lie
+    within 2^(e-53), so the next level takes e - (53 - m). Every term is a
+    multiple of the grid g of the smallest one, and once 2^(e-53) < g the
+    level took each residual whole: the extraction stops there, leaving
+    both slice sums as a few exact doubles (the bound needs m <= 26, that
+    is N below 2^25, about 3.4e7). math.fsum over those doubles and the
+    n = 0 term, with the odd levels added or subtracted, gives the
+    correctly rounded sums. The n = 0 term stays out of the levels: it is
+    the only one that can be near overflow (inf for xi below about
+    8.6e-78, where both sums are inf), and it is a single exact double
+    already.
+
+    Raises OutOfDomain off (0, pi) and TailBoundViolated when the
+    truncated tail may exceed cfg.target_abs_tol.
     """
     _check_domain(xi)
     n_terms = cfg.image_terms
@@ -329,17 +354,37 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
         )
     import numpy as np
 
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    # Poles at the true pi: n*PI_LO is exact for n < 2^37, so each
-    # displacement carries one rounding.
-    d = np.concatenate(([xi], (xi - n * PI) - n * PI_LO, (xi + n * PI) + n * PI_LO))
+    even = np.arange(2, n_terms + 1, 2, dtype=np.float64)
+    odd = np.arange(1, n_terms + 1, 2, dtype=np.float64)
+    n = np.concatenate(([0.0], even, -even, odd, -odd))
+    # Poles at the true pi, its low part from sin(pi) rather than PI_LO so
+    # that the oracle does not move with production: n*lo is exact for
+    # |n| < 2^37, so each displacement carries one rounding.
+    lo = math.sin(math.pi)
+    d = (xi - n * PI) - n * lo
     # libm pow, as in math and profile_terms: the SIMD pow behind ** rounds
     # differently depending on the CPU features NumPy dispatches to.
     terms = np.float_power(d, -4)
-    plain = math.fsum(memoryview(terms))
-    terms[1 : n_terms + 1 : 2] *= -1.0  # odd n, right of xi
-    terms[n_terms + 1 :: 2] *= -1.0  # odd n, left of xi
-    return SERIES_LEADING * plain, SERIES_LEADING * math.fsum(memoryview(terms))
+    t = terms[1:]  # even n != 0, then odd n; all positive and normal
+    split = 2 * len(even)
+    m = len(t).bit_length()
+    e = math.frexp(t.max())[1] + m
+    e_min = math.frexp(t.min())[1]  # the smallest term's grid is 2^(e_min-53)
+    evens, odds = [], []
+    while True:
+        sigma = math.ldexp(1.0, e)
+        q = t + sigma
+        q -= sigma
+        t -= q
+        evens.append(float(q[:split].sum()))
+        odds.append(float(q[split:].sum()))
+        if e < e_min:
+            break
+        e -= 53 - m
+    t0 = float(terms[0])
+    plain = math.fsum([t0, *evens, *odds])
+    alternating = math.fsum([t0, *evens, *(-s for s in odds)])
+    return SERIES_LEADING * plain, SERIES_LEADING * alternating
 
 
 def cot_profile_via_images(
@@ -385,10 +430,12 @@ def zeta4(q: float) -> float:
 def cot_profile_via_hurwitz(xi: float) -> float:
     """Second independent oracle: (3/(8*pi^4)) * (zeta4(q) + zeta4(1-q)).
 
-    q = xi/pi; the reflected argument is formed from (PI - xi) + PI_LO
-    rather than 1 - q to avoid amplifying the pi representation error.
+    q = xi/pi; the reflected argument is formed from the wall distance
+    (PI - xi) + sin(pi) rather than 1 - q to avoid amplifying the pi
+    representation error. sin(pi) is pi's low part, equal to PI_LO, taken
+    from its own source so that the oracle does not move with production.
     """
     _check_domain(xi)
     q1 = xi / PI
-    q2 = ((PI - xi) + PI_LO) / PI
+    q2 = ((PI - xi) + math.sin(math.pi)) / PI
     return SERIES_LEADING / PI ** 4 * (zeta4(q1) + zeta4(q2))

@@ -1,14 +1,21 @@
 """The image-sum oracles: one pow pass per point gives both sums.
 
 profiles._image_sums builds the displacements xi - n*pi once, powers them
-with libm's pow and returns the plain and the alternating sum. It must equal
-a plain-Python transcription of the defining sums bit for bit (Python's
-float ** calls the same libm pow, and math.fsum is correctly rounded, so the
-term order does not matter), and the two public oracles are its halves.
+with libm's pow and sums the terms exactly in levels (error-free vector
+extraction), so it returns the correctly rounded plain and alternating sum.
+It must equal a plain-Python transcription of the defining sums bit for bit
+(Python's float ** calls the same libm pow, and math.fsum is correctly
+rounded, so neither the term order nor the summation method shows), on a
+uniform grid of xi, on log-uniform xi down to 1e-76 where the n = 0 term
+nears overflow, and with N from 1 to 1e5. The extreme points are pinned to
+their recorded values: below about 8.6e-78 the n = 0 term overflows and both
+sums are inf, with NumPy's overflow warning. The two public oracles are
+the halves of the pair.
 """
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -58,6 +65,45 @@ def test_pass_equals_the_python_transcription_bit_for_bit():
             )
             checked += 1
     assert checked == 5000
+
+
+def test_log_uniform_points_down_to_1e_76_equal_the_transcription():
+    rng = random.Random(20261018)
+    checked = 0
+    for i in range(300):
+        x = math.exp(rng.uniform(math.log(1e-76), math.log(PI)))
+        sizes = [1, 2, 3] + ([image_terms_needed(x, 1e-12)] if i % 3 == 0 else [])
+        if i % 60 == 0:
+            sizes.append(100_000 + i)
+        for n_terms in sizes:
+            cfg = OracleConfig(n_terms, 1e300)
+            assert _image_sums(x, cfg) == _transcribed(x, n_terms), (x, n_terms)
+            checked += 1
+    assert checked == 1005
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-78])
+def test_an_overflowing_first_term_gives_inf_with_numpys_warning(x):
+    with pytest.warns(RuntimeWarning, match="overflow encountered in float_power"):
+        assert _image_sums(x, profiles.DEFAULT_ORACLE) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (5e-77, (6.000000000000002e+304, 6.000000000000002e+304)),
+        (1e-76, (3.750000000000001e+303, 3.750000000000001e+303)),
+        (1e-70, (3.75e+279, 3.75e+279)),
+        (1e-20, (3.750000000000001e+79, 3.750000000000001e+79)),
+        (PI - 4.440892098500626e-16, (3.639706508581745e+60, -3.639706508581745e+60)),
+        (PI - 1e-15, (3.5945125752798957e+59, -3.5945125752798957e+59)),
+    ],
+)
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 1500])
+def test_points_next_to_the_walls_keep_their_values(x, want, n_terms):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _image_sums(x, OracleConfig(n_terms, 1e300)) == want
 
 
 @pytest.mark.parametrize("x", [0.05, 0.7, profiles.HALF_PI, 2.9, PI - 0.05])

@@ -1,10 +1,12 @@
 """The self-verification registry: completeness, passing runs, mutation tests.
 
-The mutation tests perturb the near-wall expansion constants through the
-profiles module and the per-geometry diagonal constants through
-correlators.WALL_TABLE (the documented fault-injection surfaces) and require
-the suite to catch exactly the matching checks - evidence that the checks
-compare genuinely independent routes rather than a value against itself.
+The mutation tests perturb the near-wall expansion constants and pi's low
+part PI_LO through the profiles module and the per-geometry diagonal
+constants through correlators.WALL_TABLE (the documented fault-injection
+surfaces) and require the suite to catch exactly the matching checks -
+evidence that the checks compare genuinely independent routes rather than a
+value against itself. The oracles take pi's low part from math.sin(math.pi),
+which must equal PI_LO.
 The matrix tests tamper with the 3x3 matrix CorrelatorTensor.components
 builds, leaving par and perp right, and require the matching check to fail:
 the checks read the matrix, not the stored components.
@@ -114,6 +116,22 @@ def test_image_sum_checks_recompute_on_every_run(monkeypatch):
     )
     failed = {c.name for c in run_verification("full").failures}
     assert {"cot_profile_vs_image_sum", "csc_profile_vs_image_sum"} <= failed
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, 10.0])
+def test_perturbed_pi_low_part_fails_exactly_the_oracle_checks(monkeypatch, scale):
+    # The closed forms reflect with PI_LO; the image sums and the Hurwitz
+    # route take pi's low part from sin(pi), so they do not move with it.
+    monkeypatch.setattr(profiles, "PI_LO", profiles.PI_LO * scale)
+    assert {c.name for c in run_verification("full").failures} == {
+        "cot_profile_vs_image_sum",
+        "cot_profile_vs_hurwitz",
+        "csc_profile_vs_image_sum",
+    }
+
+
+def test_the_oracles_low_part_of_pi_equals_pi_lo():
+    assert math.sin(math.pi) == profiles.PI_LO
 
 
 def test_restored_constants_pass_again():
