@@ -279,11 +279,9 @@ def limit_convergence_study(
         raise InvalidGrid("a_values must be strictly increasing")
     if not (z > 0.0 and z < min(a_list)):
         raise InvalidGrid(f"need 0 < z < min(a_values), got z={z!r}")
-    if wall_type not in ("conducting", "permeable"):
-        raise ValueError(f"unknown wall_type {wall_type!r}")
 
     degenerate = atom.alpha0 == atom.beta0
-    v_limit = single_wall_limit(atom, wall_type, z)
+    v_limit = single_wall_limit(atom, wall_type, z)  # refuses a bad wall_type
     conducting = wall_type == "conducting"
     kind = WallKind.CONDUCTOR_CONDUCTOR if conducting else WallKind.CONDUCTOR_PERMEABLE
     rows = []

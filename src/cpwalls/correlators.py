@@ -22,10 +22,12 @@ correlator columns of the tables all take it from there.
 Geometry maps z to xi = pi*z/a and hands the geometry's forms to the
 profiles module: one profiles._evaluate call per form at one z (point_terms
 is two of them plus the band test wall_distance(xi) < guard.epsilon), one
-profiles.profile_terms call for a grid. Where pi*z/a underflows to 0.0
-(z/a below about 1e-324) xi is the smallest positive double instead, on
-one z and on a grid alike, so the point is in the guard band as one with a
-subnormal xi is, not refused as outside the walls.
+profiles._profile_terms call for a grid. Where pi*z/a underflows to 0.0
+(z/a below about 1e-324) Geometry.xi gives the smallest positive double
+instead, so the point is in the guard band as one with a subnormal xi is,
+not refused as outside the walls; on a grid the kernel's band already
+holds xi = 0.0. A grid has one refusal rule, the scalar one: its first
+refused row goes to Geometry.profile, which raises.
 
 Geometry and CorrelatorTensor are named tuples checked in __new__: a
 Geometry's kind must be a WallKind (ValueError otherwise) and its
@@ -51,7 +53,7 @@ from .profiles import (
     Form,
     GuardPolicy,
     _evaluate,
-    profile_terms,
+    _profile_terms,
     wall_distance,
 )
 
@@ -159,22 +161,23 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """profile, profile_deriv and the asymptotic mask over a grid of z.
 
-        One profiles.profile_terms call on xi as Geometry.xi computes it;
-        the values equal the scalar methods bit for bit. The first refused
-        point in grid order raises the error the scalar methods raise for it.
+        The checked grid entry: one profiles._profile_terms call on
+        pi*(z/a), whose values equal the scalar methods bit for bit. The
+        refused rows are those outside (0, a) and, under mode="reject",
+        those in the band; the first of them in grid order goes to
+        self.profile, which raises the scalar error and message for it.
         """
         import numpy as np
 
         z = np.asarray(z, dtype=np.float64)
         a = self.separation_a
         forms = WALL_TABLE[self.kind][:2]  # profile, profile_deriv
-        outside = ~((0.0 < z) & (z < a))
-        if outside.any():
-            first = int(outside.argmax())
-            self.profile_terms(z[:first], guard)  # earlier refusals
-            self.xi(float(z[first]))  # raises
-        # z > 0 throughout, so the floor only replaces an underflowed 0.0
-        return profile_terms(*forms, np.maximum(PI * (z / a), _XI_MIN), guard)
+        with np.errstate(all="ignore"):  # inf and nan, not warnings
+            p, dp, asymptotic = _profile_terms(*forms, PI * (z / a), guard)
+        refused = ~((0.0 < z) & (z < a)) | (asymptotic & (guard.mode == "reject"))
+        if refused.any():
+            self.profile(float(z[refused.argmax()]), guard)  # raises
+        return p, dp, asymptotic
 
 
 class CorrelatorTensor(namedtuple("CorrelatorTensor", "par perp field_pair")):

@@ -33,13 +33,17 @@ Both take the power function as an argument, so one transcription serves
 both paths. The scalar functions pass operator.pow, which is the ** operator
 itself: its bits, and its OverflowError and ZeroDivisionError messages, are
 those of plain float arithmetic (math.pow would say "math range error" and
-raise ValueError instead). _evaluate is the one evaluator on floats: every
-scalar function, and every Geometry method on one z, is one _evaluate call
-per form, and outside it the guard band on floats is only ever the test
-wall_distance(xi) < guard.epsilon. profile_terms evaluates the same forms
-on a whole array of xi, for tables, and passes np.float_power, which is
-libm's pow as ** is; ** on arrays and np.power use a SIMD pow that differs
-from libm in the last bit. No form may power with ** or np.power itself.
+raise ValueError instead). _evaluate is the one evaluator on floats and
+the one place that words a refusal: every scalar function, and every
+Geometry method on one z, is one _evaluate call per form, and outside it
+the guard band on floats is only ever the test
+wall_distance(xi) < guard.epsilon. _profile_terms evaluates the same forms
+on a whole array of xi, for tables, and refuses nothing: it passes
+np.float_power, which is libm's pow as ** is (** on arrays and np.power use
+a SIMD pow that differs from libm in the last bit), and returns the band
+mask, from which Geometry.profile_terms picks the first refused row and
+hands it to the scalar path to raise. No form may power with ** or
+np.power itself.
 
 Two independent oracles cross-check the closed forms: a truncated image sum
 over the poles (with a certified tail bound) and a Hurwitz-zeta form summed
@@ -60,7 +64,7 @@ The powers go through np.float_power, which is libm's pow: NumPy's ** uses
 a SIMD pow whose last bit depends on the CPU features it dispatches to, and
 an oracle should not change with the machine.
 
-NumPy is imported inside the array functions (profile_terms, _image_sums)
+NumPy is imported inside the array functions (_profile_terms, _image_sums)
 only, so a process that evaluates single points never loads it.
 
 GuardPolicy and OracleConfig are named tuples whose __new__ checks the
@@ -72,7 +76,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import OutOfDomain, TailBoundViolated, TooCloseToWall
 
@@ -154,14 +158,6 @@ def _check_domain(xi: float) -> None:
         raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
 
 
-def _refuse(xi: float, guard: GuardPolicy | None) -> NoReturn:
-    """Raise for xi outside (0, pi), else for xi in a rejecting guard band."""
-    _check_domain(xi)
-    raise TooCloseToWall(
-        f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
-    )
-
-
 class Form(NamedTuple):
     """One profile quantity: its closed form and its near-wall series.
 
@@ -209,7 +205,7 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
     series; guard=None asks for the series everywhere.
     """
     if not 0.0 < xi < PI:  # also false for nan and inf
-        _refuse(xi, guard)
+        _check_domain(xi)  # raises
     if xi <= HALF_PI:
         u, sign = xi, 1.0
     else:
@@ -218,7 +214,9 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
         if u >= guard.epsilon:
             return form.closed(math.sin(u), math.cos(u), sign, operator.pow)
         if guard.mode == "reject":
-            _refuse(xi, guard)
+            raise TooCloseToWall(
+                f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
+            )
     return form.series(u, sign, operator.pow)
 
 
@@ -259,37 +257,36 @@ def csc_profile_series(xi: float) -> float:
     return _evaluate(CSC_PROFILE, xi, None)
 
 
-def profile_terms(
+def _profile_terms(
     profile: Form, deriv: Form, xi: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profile, slope and asymptotic mask over a whole grid of xi.
+    """Profile, slope and asymptotic mask over a float64 array of xi.
 
     profile and deriv are the Forms of a profile and of its slope, for
-    example COT_PROFILE and COT_PROFILE_DERIV. Every element is the scalar
-    path's value (series inside an asymptotic guard band) bit for bit: the
-    forms are the same, np.sin/np.cos agree with libm on the platforms the
-    golden tests pin, and np.float_power is libm's pow. A point outside
-    (0, pi), or in the band under mode="reject", raises the scalar path's
-    error for the first such point.
+    example COT_PROFILE and COT_PROFILE_DERIV. A pure evaluator: it checks
+    no domain and refuses nothing, and only guard.epsilon is read. Every
+    element with xi in (0, pi) is the scalar path's value in asymptotic
+    mode bit for bit (series inside the band): the forms are the same,
+    np.sin/np.cos agree with libm on the platforms the golden tests pin,
+    and np.float_power is libm's pow. Elements off (0, pi) are meaningless;
+    Geometry.profile_terms, the checked grid entry, refuses such rows and,
+    under mode="reject", the masked ones. NumPy's error state is the
+    caller's: Geometry.profile_terms runs this under np.errstate(all=
+    "ignore"), so an overflow gives inf, not a warning.
     """
     import numpy as np
 
-    xi = np.asarray(xi, dtype=np.float64)
     near = xi <= HALF_PI
     u = np.where(near, xi, (PI - xi) + PI_LO)
     sign = np.where(near, 1.0, -1.0)
     asymptotic = u < guard.epsilon
-    refused = ~((0.0 < xi) & (xi < PI)) | (asymptotic & (guard.mode == "reject"))
-    if refused.any():
-        _refuse(float(xi[refused.argmax()]), guard)
-    with np.errstate(all="ignore"):
-        s, c = np.sin(u), np.cos(u)
-        p = profile.closed(s, c, sign, np.float_power)
-        dp = deriv.closed(s, c, sign, np.float_power)
-        if asymptotic.any():
-            ua, sa = u[asymptotic], sign[asymptotic]
-            p[asymptotic] = profile.series(ua, sa, np.float_power)
-            dp[asymptotic] = deriv.series(ua, sa, np.float_power)
+    s, c = np.sin(u), np.cos(u)
+    p = profile.closed(s, c, sign, np.float_power)
+    dp = deriv.closed(s, c, sign, np.float_power)
+    if asymptotic.any():
+        ua, sa = u[asymptotic], sign[asymptotic]
+        p[asymptotic] = profile.series(ua, sa, np.float_power)
+        dp[asymptotic] = deriv.series(ua, sa, np.float_power)
     return p, dp, asymptotic
 
 
@@ -362,7 +359,7 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
     # |n| < 2^37, so each displacement carries one rounding.
     lo = math.sin(math.pi)
     d = (xi - n * PI) - n * lo
-    # libm pow, as in math and profile_terms: the SIMD pow behind ** rounds
+    # libm pow, as in math and _profile_terms: the SIMD pow behind ** rounds
     # differently depending on the CPU features NumPy dispatches to.
     terms = np.float_power(d, -4)
     t = terms[1:]  # even n != 0, then odd n; all positive and normal

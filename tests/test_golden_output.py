@@ -6,7 +6,7 @@ every one of these tables unchanged down to the last digit. The hashes were
 recorded with CPython 3.11 and NumPy 2.4 on x86-64 Linux; a platform whose
 libm rounds sin/cos differently in the last bit may need its own set.
 
-The tables come from the array kernel profiles.profile_terms, which runs
+The tables come from the array kernel profiles._profile_terms, which runs
 the same profile Forms as the scalar functions with np.float_power as their
 power function: that is libm's pow, as operator.pow (the scalar `**`) is.
 A form that powered with ** or np.power itself would, on arrays, use a SIMD

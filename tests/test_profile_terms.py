@@ -1,11 +1,11 @@
-"""The array kernel profile_terms against the scalar profile functions.
+"""The array kernel _profile_terms against the scalar profile functions.
 
 Geometry.point_terms, the kernel's one-point twin on floats that the CLI
 uses for a single --z, is held to the same `==` against the kernel and the
 scalar functions, at a = pi, where xi(z) = pi*(z/pi) is the seeded xi
 itself or one of its neighbours.
 
-The CLI tables and run_sweep take every profile value from profile_terms,
+The CLI tables and run_sweep take every profile value from the kernel,
 and their bytes are pinned to the scalar path's, so equality here is `==`,
 element by element, not a tolerance. Both paths run the same Forms, so what
 this checks is the platform: that np.sin, np.cos and np.float_power round as
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from cpwalls.correlators import Geometry, WallKind
-from cpwalls.errors import OutOfDomain, TooCloseToWall
+from cpwalls.errors import DomainError, OutOfDomain, TooCloseToWall
 from cpwalls.profiles import (
     COT_PROFILE,
     COT_PROFILE_DERIV,
@@ -34,7 +34,7 @@ from cpwalls.profiles import (
     csc_profile,
     csc_profile_deriv,
     csc_profile_series,
-    profile_terms,
+    _profile_terms,
     wall_distance,
 )
 
@@ -124,7 +124,7 @@ def _point_terms_agree(kind, guard, z):
 def test_asymptotic_mode_equals_the_scalar_path(kind):
     guard = GuardPolicy(EPS, "asymptotic")
     profile, deriv, series = SCALAR[kind]
-    p, dp, asymptotic = profile_terms(*FORMS[kind], XI, guard)
+    p, dp, asymptotic = _profile_terms(*FORMS[kind], XI, guard)
     xs = XI.tolist()
     assert p.tolist() == [profile(x, guard) for x in xs]
     assert dp.tolist() == [deriv(x, guard) for x in xs]
@@ -140,7 +140,7 @@ def test_reject_mode_equals_the_scalar_path(kind):
     guard = GuardPolicy(1e-6, "reject")
     profile, deriv, _ = SCALAR[kind]
     xi = XI[np.array([wall_distance(x) >= 1e-6 for x in XI.tolist()])]
-    p, dp, asymptotic = profile_terms(*FORMS[kind], xi, guard)
+    p, dp, asymptotic = _profile_terms(*FORMS[kind], xi, guard)
     xs = xi.tolist()
     assert p.tolist() == [profile(x, guard) for x in xs]
     assert dp.tolist() == [deriv(x, guard) for x in xs]
@@ -167,10 +167,7 @@ def _raised(call):
 )
 def test_first_refused_point_raises_the_scalar_error(xi):
     guard = GuardPolicy()
-    first = next(x for x in xi if not 0.0 < x < PI or wall_distance(x) < 1e-6)
-    kernel = _raised(lambda: profile_terms(*FORMS["cot"], np.array(xi), guard))
-    assert kernel == _raised(lambda: cot_profile(first, guard))
-    # the same list as positions z at a = pi, refused by Geometry
+    # the list as positions z at a = pi, refused by Geometry
     geom = GEOMETRY["cot"]
     first_z = next(
         z for z in xi if not 0.0 < z < PI or wall_distance(geom.xi(z)) < 1e-6
@@ -191,6 +188,72 @@ def test_geometry_grid_refuses_the_first_bad_row_in_grid_order():
         lambda: geom.profile(float(z[5]))
     )
 
+
+PARITY_A = (1.0, 2.5, 3.7e-5, 1e-300, 1e30, 1e300)
+PARITY_EPS = (1e-300, 1e-6, 1e-3, 0.5)
+
+
+def _parity_row(rng, a: float, eps: float) -> float:
+    """One z: inside, in either band, outside, a special value or underflowing."""
+    kind = rng.choice(6, p=[0.5, 0.15, 0.15, 0.06, 0.06, 0.08])
+    if kind == 0:
+        return a * rng.uniform(0.0, 1.0)
+    band = a * (eps / PI) * rng.uniform(0.5, 2.0)  # straddles the band edge
+    if kind == 1:
+        return band
+    if kind == 2:
+        return a - band
+    if kind == 3:
+        return a * rng.uniform(-1.0, 2.0)  # outside about two times in three
+    if kind == 4:
+        return float(rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf, a]))
+    return math.ldexp(a, -int(rng.integers(1070, 1100)))  # pi*z/a underflows, or z is 0
+
+
+def _scalar(call):
+    """call()'s value, a DomainError, or None for a double-range error."""
+    try:
+        return call()
+    except DomainError as exc:
+        return exc
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
+def test_grid_refuses_exactly_where_the_scalar_path_does():
+    """About 3000 seeded grids: same refusal, same class and message, same values.
+
+    A grid is refused if and only if Geometry.profile raises a DomainError
+    at one of its rows, and then with that error for the first such row. A
+    power that leaves the double range on one z is not a refusal.
+    """
+    rng = np.random.default_rng(20261018)
+    refused = underflowed = 0
+    for _ in range(3000):
+        a = float(rng.choice(PARITY_A))
+        geom = Geometry(rng.choice(list(WallKind)), a)
+        guard = GuardPolicy(float(rng.choice(PARITY_EPS)),
+                            str(rng.choice(["reject", "asymptotic"])))
+        z = [_parity_row(rng, a, guard.epsilon) for _ in range(rng.integers(1, 7))]
+        rows = [_scalar(lambda: geom.profile(x, guard)) for x in z]
+        first = next((r for r in rows if isinstance(r, DomainError)), None)
+        try:
+            p, dp, asymptotic = geom.profile_terms(np.array(z), guard)
+        except DomainError as exc:
+            assert first is not None, (geom, guard, z)
+            assert (type(exc), str(exc)) == (type(first), str(first))
+            refused += 1
+            continue
+        assert first is None, (geom, guard, z)
+        underflowed += any(PI * (x / a) == 0.0 for x in z)
+        for i, x in enumerate(z):
+            assert asymptotic[i] == (wall_distance(geom.xi(x)) < guard.epsilon)
+            if rows[i] is not None:
+                assert p[i] == rows[i]
+            slope = _scalar(lambda: geom.profile_deriv(x, guard))
+            if slope is not None:
+                assert dp[i] == slope
+    assert 1000 < refused < 2000 and underflowed > 40, (refused, underflowed)
 
 
 def _outcome(call):
