@@ -106,6 +106,8 @@ def _checked_grid(z_grid, a: float) -> np.ndarray:
 
 def _sweep_columns(quantities, include_limit_reference: bool) -> tuple[str, ...]:
     """The sweep table's columns: z, the quantities in canonical order, V_wall."""
+    if isinstance(quantities, str):  # set("force") would be its letters
+        raise ConfigError(f"sweep quantities must be names, not the str {quantities!r}")
     unknown = set(quantities) - set(SWEEP_QUANTITIES)
     if unknown:
         raise ConfigError(f"unknown sweep quantities: {sorted(unknown)}")

@@ -158,8 +158,12 @@ def test_limit_study_validation():
         limit_convergence_study(ELECTRIC, "conducting", 1.0, [40.0, 20.0])
     with pytest.raises(InvalidGrid):
         limit_convergence_study(ELECTRIC, "conducting", 30.0, [20.0, 40.0])
-    with pytest.raises(ValueError):
+    # the refusal is single_wall_limit's own, class and message
+    with pytest.raises(ValueError) as info:
         limit_convergence_study(ELECTRIC, "dielectric", 1.0, [20.0, 40.0])
+    with pytest.raises(ValueError) as direct:
+        single_wall_limit(ELECTRIC, "dielectric", 1.0)
+    assert str(info.value) == str(direct.value) == "unknown wall_type 'dielectric'"
 
 
 def test_limit_study_deviation_constant_matches_expansion():

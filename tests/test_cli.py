@@ -127,6 +127,7 @@ def test_guard_rejection_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        (),                                                 # no command
         ("potential",),                                     # no z at all
         ("potential", "--z", "0.5", "--z-min", "0.1"),      # both selectors
         ("potential", "--z-min", "0.1", "--z-max", "0.9"),  # missing count
@@ -137,6 +138,8 @@ def test_guard_rejection_exit_2(capsys):
         ("potential", "--z", "0.5", "--walrus"),
         ("potential", "--z", "nan"),
         ("sweep", "--z", "0.5"),                            # sweep needs a grid
+        ("sweep", "--z-min", "0.1", "--z-max", "0.9", "--z-count", "3",
+         "--quantities", ","),                              # no quantity named
         ("frobnicate",),
         ("limits", "--a-values", "2,nan"),
         ("limits", "--a-values", "2,inf"),
@@ -638,6 +641,19 @@ def test_malformed_config_exit_1(tmp_path, capsys, content):
             "--z-count", "5")
     code, _, err = run_cli(capsys, *argv)
     assert code == 1 and "bad.cfg" in err
+
+
+def test_config_as_the_last_token_exit_1(capsys):
+    code, out, err = run_cli(capsys, "potential", "--z", "0.5", "--config")
+    assert (code, out, err) == (1, "", "ConfigError: --config requires a path\n")
+
+
+def test_config_equals_path_gives_the_same_bytes(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry = cp\nz = 0.25\n")
+    spaced = run_cli(capsys, "potential", "--config", str(cfg))
+    assert spaced[0] == 0 and spaced[1]
+    assert run_cli(capsys, "potential", f"--config={cfg}") == spaced
 
 
 def test_missing_config_exit_1(capsys):

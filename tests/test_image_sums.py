@@ -28,6 +28,7 @@ from cpwalls.profiles import (
     _image_sums,
     cot_profile_via_images,
     csc_profile_via_images,
+    image_tail_bound,
     image_terms_needed,
 )
 
@@ -147,3 +148,15 @@ def test_points_off_the_interval_are_refused_first(oracle, x):
     # the domain check comes before the tail bound, even with N = 1
     with pytest.raises(OutOfDomain):
         oracle(x, OracleConfig(1, 1e-12))
+
+
+def test_image_terms_needed_refuses_a_tolerance_that_is_not_positive():
+    with pytest.raises(ValueError) as info:
+        image_terms_needed(1.0, 0.0)
+    assert str(info.value) == "target_abs_tol must be positive"
+
+
+def test_tail_bound_is_infinite_when_no_image_lies_beyond_xi():
+    # N*pi - xi <= 0: the kept images do not reach past xi, nothing is bounded
+    assert image_tail_bound(4.0, 1) == math.inf
+    assert image_tail_bound(3.0, 1) < math.inf

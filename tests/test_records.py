@@ -264,6 +264,11 @@ REFUSALS = [
      "z_grid must be strictly increasing"),
     (lambda: SweepSpec(GEOM, ATOM, [0.5], ("V", "W", "A")), ConfigError,
      "unknown sweep quantities: ['A', 'W']"),
+    # a bare str is refused whole, not split into its letters
+    (lambda: SweepSpec(GEOM, ATOM, [0.3], quantities="force"), ConfigError,
+     "sweep quantities must be names, not the str 'force'"),
+    (lambda: SweepSpec(GEOM, ATOM, [0.3], quantities="V"), ConfigError,
+     "sweep quantities must be names, not the str 'V'"),
     (lambda: SweepSpec.from_range(GEOM, ATOM, 0.5, 1.0, 1), InvalidGrid,
      "grid count must be >= 2, got 1"),
     (lambda: SweepSpec.from_range(GEOM, ATOM, 1.0, 0.5, 5), InvalidGrid,

@@ -49,3 +49,26 @@ def test_potential_landscape_dumps_the_pinned_csv(tmp_path):
 def test_limit_convergence_runs(tmp_path):
     out = _run_script("limit_convergence.py", "--rungs", "3", cwd=tmp_path)
     assert out.count("fitted convergence exponent") == 2
+
+
+def test_code_lines_counts_a_known_fixture(tmp_path):
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "import math  # a trailing comment\n"  # code line 1
+        "\n"
+        "\n"
+        "def f(x):\n"  # 2
+        '    """Function docstring."""\n'
+        "    return math.fsum(\n"  # 3
+        "        [x,\n"  # 4
+        "         x * 2],\n"  # 5
+        "    )\n"  # 6
+        "\n"
+        'TEXT = """a string that is not a docstring\n'  # 7
+        'spans two lines"""\n'  # 8
+    )
+    out = _run_script("code_lines.py", str(fixture), str(fixture), cwd=tmp_path)
+    assert out == f"8 {fixture}\n8 {fixture}\n16 total\n"

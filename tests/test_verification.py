@@ -175,6 +175,24 @@ def test_matrix_checks_read_the_matrix_components_builds(
     assert {c.name for c in run_verification(level).failures} == {failing}
 
 
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_reflection_symmetric_cp_tensor_fails_the_asymmetry_check(
+    monkeypatch, level
+):
+    # the cp tensor at z is made the one at the mirror point nearer z = 0
+    built = verification.correlator_ee
+
+    def mirrored(geom, z, *args):
+        if geom.kind is WallKind.CONDUCTOR_PERMEABLE:
+            z = min(z, geom.separation_a - z)
+        return built(geom, z, *args)
+
+    monkeypatch.setattr(verification, "correlator_ee", mirrored)
+    result = verification._check_reflection_asymmetry(level)
+    assert result.name == "cc_reflection_cp_asymmetry"
+    assert not result.passed and result.max_rel_error == math.inf
+
+
 @pytest.mark.parametrize("level, points", [("quick", 10), ("full", 120)])
 def test_one_image_pass_per_oracle_point(monkeypatch, level, points):
     seen = []
