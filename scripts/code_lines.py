@@ -15,6 +15,7 @@ Prints "<count> <path>" per file and "<total> total" last.
 """
 
 import ast
+import io
 import sys
 import tokenize
 
@@ -43,10 +44,8 @@ def code_lines(path: str) -> int:
     with open(path, "rb") as f:
         source = f.read()
     docstrings = _docstring_starts(ast.parse(source, path))
-    with open(path, "rb") as f:
-        tokens = list(tokenize.tokenize(f.readline))
     lines = set()
-    for tok in tokens:
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
         if tok.type in _NOT_CODE:
             continue
         if tok.type == tokenize.STRING and tok.start in docstrings:
