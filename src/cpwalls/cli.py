@@ -16,14 +16,17 @@ chunks of rows: a grid on arrays, analysis.CHUNK_ROWS rows at a time, and a
 single --z point or the limits ladder as one chunk of floats through the
 scalar forms, which gives the same bits and does not load NumPy. Pass 1
 evaluates, converts and gates every chunk and keeps none; a refusal names
-the first domain error in grid order, else a prefactor error, else the
-first non-finite cell in grid order, and writes nothing. Pass 2 opens the
+the first domain error in grid order, else a result out of the double
+range (an OverflowError or ZeroDivisionError of a prefactor or a profile
+power), else the first non-finite cell in grid order, and writes nothing. Pass 2 opens the
 output, then evaluates, formats and writes each chunk again, so peak memory
 does not grow with --z-count.
 
 An optional config file (--config PATH) holds flat key=value lines naming
-the long flags (e.g. "geometry=cp", "z-min=0.1"); explicit flags override
-file values.
+the long flags (e.g. "geometry=cp", "z-min=0.1"). argparse reads the option,
+so every spelling it accepts names the file (--config=PATH, a prefix such as
+--conf PATH). The file's flags are parsed again ahead of the user's own, so
+explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -183,35 +186,13 @@ def _parse_config_file(path: str) -> list[str]:
     return flags
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config into flags placed before the user's own flags."""
-    if not argv:
-        return argv
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config requires a path")
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return argv
-    # argv[0] is the subcommand; later duplicates win, so user flags override.
-    return [argv[0]] + _parse_config_file(path) + argv[1:]
-
-
-def _format_float(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _json_value(value) -> str:
     import json  # here and in _row_templates only: a CSV run never loads it
 
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):  # JSON has no inf or nan
-        return _format_float(value) if math.isfinite(value) else "null"
+        return "%.17g" % value if math.isfinite(value) else "null"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -330,8 +311,8 @@ def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
     on every call; cells holds the float columns, in order, that are not
     named in zeros, which are identically zero and written as 0. Pass 1
     converts units and gates each chunk, then drops it; it ends with the
-    refusal of the whole table: a domain or prefactor error chunks() raises
-    anywhere, else the first cell _first_bad refuses, in table order.
+    refusal of the whole table: a domain or double-range error chunks()
+    raises anywhere, else the first cell _first_bad refuses, in table order.
     Only then is the output file opened, so a refused run writes nothing and
     leaves an existing file untouched. Pass 2 converts, formats and writes
     each chunk again, so memory holds one chunk, however long the table.
@@ -488,42 +469,28 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verification import run_verification
+    from .verification import CheckResult, run_verification
 
     report = run_verification(args.level)
+
+    def line(c) -> str:  # a text line, and the stderr echo of a failure
+        return "%s %s: max_abs=%.17g max_rel=%.17g tolerance=%.17g" % (
+            "PASS" if c.passed else "FAIL", *c[:4])
+
     for check in report.failures:
-        sys.stderr.write(
-            f"FAIL {check.name}: max_abs={_format_float(check.max_abs_error)}"
-            f" max_rel={_format_float(check.max_rel_error)}"
-            f" tolerance={_format_float(check.tolerance)}\n"
-        )
+        sys.stderr.write(line(check) + "\n")
     if args.format == "json":
         text = _json_value(report.as_dict()) + "\n"
     elif args.format == "csv":
-        text = "name,max_abs_error,max_rel_error,tolerance,passed,points_tested\n"
-        text += "".join(
-            "%s,%.17g,%.17g,%.17g,%s,%d\n" % (
-                c.name, c.max_abs_error, c.max_rel_error, c.tolerance,
-                "true" if c.passed else "false", c.points_tested,
-            )
+        text = ",".join(CheckResult._fields) + "\n" + "".join(
+            "%s,%.17g,%.17g,%.17g,%s,%d\n"
+            % (*c[:4], "true" if c.passed else "false", c.points_tested)
             for c in report.checks
         )
     else:
-        lines = []
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(
-                f"{status} {c.name}: max_abs={_format_float(c.max_abs_error)}"
-                f" max_rel={_format_float(c.max_rel_error)}"
-                f" tolerance={_format_float(c.tolerance)}"
-                f" points={c.points_tested}"
-            )
-        n_fail = len(report.failures)
-        lines.append(
-            f"{report.level}: {len(report.checks) - n_fail}/{len(report.checks)}"
-            f" checks passed"
-        )
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{line(c)} points={c.points_tested}\n" for c in report.checks)
+        n_pass = len(report.checks) - len(report.failures)
+        text += f"{report.level}: {n_pass}/{len(report.checks)} checks passed\n"
     with _output(args.out) as fh:
         fh.write(text)
     return len(report.failures)
@@ -548,13 +515,15 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            argv = _inject_config(argv)
             args = _build_parser().parse_args(argv)
+            if args.config is not None:  # the file's flags first: the user's win
+                config = _parse_config_file(args.config)
+                args = _build_parser().parse_args(argv[:1] + config + argv[1:])
             try:
                 return _HANDLERS[args.command](args)
-            except (OverflowError, ZeroDivisionError) as exc:  # a**4 ...
+            except (OverflowError, ZeroDivisionError) as exc:  # a**4, u**-4 ...
                 raise NonFiniteResult(
-                    f"a prefactor is out of the double range"
+                    f"a result is out of the double range"
                     f" ({type(exc).__name__}: {exc})"
                 ) from exc
         except ConfigError as exc:

@@ -645,7 +645,9 @@ def test_malformed_config_exit_1(tmp_path, capsys, content):
 
 def test_config_as_the_last_token_exit_1(capsys):
     code, out, err = run_cli(capsys, "potential", "--z", "0.5", "--config")
-    assert (code, out, err) == (1, "", "ConfigError: --config requires a path\n")
+    assert (code, out, err) == (
+        1, "", "ConfigError: argument --config: expected one argument\n"
+    )
 
 
 def test_config_equals_path_gives_the_same_bytes(tmp_path, capsys):
@@ -660,6 +662,28 @@ def test_missing_config_exit_1(capsys):
     code, _, err = run_cli(capsys, "potential", "--config", "/no/such/file")
     assert code == 1
     assert "ConfigError" in err
+
+
+def test_config_prefix_gives_the_same_bytes(tmp_path, capsys):
+    # argparse takes an unambiguous prefix of --config; the file is read too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry = cp\nalpha = 0.5\nz = 0.1\n")
+    spelled = run_cli(capsys, "potential", "--config", str(cfg), "--z", "0.25")
+    assert spelled[0] == 0 and spelled[1]
+    assert run_cli(capsys, "potential", "--conf", str(cfg), "--z", "0.25") == spelled
+
+
+def test_missing_config_under_a_prefix_exit_1(capsys):
+    code, out, err = run_cli(capsys, "potential", "--conf", "/no/such/file",
+                             "--z", "0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("ConfigError: cannot read config file '/no/such/file'")
+
+
+def test_empty_config_path_exit_1(capsys):
+    code, out, err = run_cli(capsys, "potential", "--z", "0.5", "--config=")
+    assert (code, out) == (1, "")
+    assert err.startswith("ConfigError: cannot read config file ''")
 
 
 # ----------------------------------------------------------------------
@@ -731,6 +755,29 @@ def test_verify_exit_counts_failures(capsys, monkeypatch):
     )
     code, _, _ = run_cli(capsys, "verify", "--level", "quick")
     assert code == 2  # near- and far-wall cot expansion checks
+
+
+_COT_FAULT_STDERR = (
+    "FAIL near_wall_series_cot: max_abs=1.7611597629792093"
+    " max_rel=1.7611597629792093 tolerance=0.050000000000000003\n"
+    "FAIL far_wall_series_cot: max_abs=1.7611597325560513"
+    " max_rel=1.7611597325560513 tolerance=0.050000000000000003\n"
+)
+
+
+@pytest.mark.parametrize("fmt, stdout_sha256", [
+    ("text", "14328ed23efff1963a388a05b646101577da7ac3d9c0ce923d7bcd86526e4770"),
+    ("csv", "62d5f0eed87d8597e4f85cd503db51bedd49d2f0fa256a309c0e287715997e9d"),
+    ("json", "a29d89c6700a133a74395f58bd80773c0ba7387c6e06b7cfc59917f7483ea71f"),
+])
+def test_failing_verify_bytes_are_pinned(capsys, monkeypatch, fmt, stdout_sha256):
+    # the stderr echo of a failing check has the text format's line, less points
+    monkeypatch.setattr(
+        profiles, "COT_SERIES_CONST", profiles.COT_SERIES_CONST + 1e-4
+    )
+    code, out, err = run_cli(capsys, "verify", "--format", fmt)
+    assert (code, err) == (2, _COT_FAULT_STDERR)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
 
 
 # ----------------------------------------------------------------------

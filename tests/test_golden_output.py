@@ -207,6 +207,10 @@ GOLDEN = {
         ("verify", "--level", "quick"),
         "f9233dbef331bbfbcf700fcbf89e95abf098eb138d59df36ab83915a661878d6",
     ),
+    "verify-quick-json": (
+        ("verify", "--level", "quick", "--format", "json"),
+        "75ed6ab026a8b987d6fd2824716a35e522da820432bdd3a87823953f46597951",
+    ),
 }
 
 
