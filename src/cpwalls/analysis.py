@@ -11,6 +11,7 @@ rows in a list.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -77,6 +78,10 @@ class SweepSpec(
         count: int,
         **kwargs,
     ) -> "SweepSpec":
+        try:
+            count = operator.index(count)
+        except TypeError as exc:
+            raise InvalidGrid(f"grid count must be an integer, got {count!r}") from exc
         if count < 2:
             raise InvalidGrid(f"grid count must be >= 2, got {count!r}")
         if not (0.0 < z_min < z_max < geometry.separation_a):
@@ -86,7 +91,10 @@ class SweepSpec(
             )
         import numpy as np
 
-        grid = np.linspace(z_min, z_max, count)
+        try:
+            grid = np.linspace(z_min, z_max, count)
+        except (MemoryError, ValueError) as exc:  # ValueError past the index range
+            raise InvalidGrid(f"grid count {count} is too large ({exc})") from exc
         return cls(geometry=geometry, atom=atom, z_grid=grid, **kwargs)
 
 
@@ -97,9 +105,9 @@ def _checked_grid(z_grid, a: float) -> np.ndarray:
     z = np.asarray(z_grid, dtype=np.float64)
     if len(z) < 1:
         raise InvalidGrid("z_grid must contain at least one point")
-    if z[0] <= 0.0 or z[-1] >= a:
+    if not (z[0] > 0.0 and z[-1] < a):  # negated, so that nan is refused
         raise InvalidGrid(f"z_grid must lie strictly inside (0, {a})")
-    if (z[1:] <= z[:-1]).any():
+    if not (z[1:] > z[:-1]).all():
         raise InvalidGrid("z_grid must be strictly increasing")
     return z
 

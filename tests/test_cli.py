@@ -182,6 +182,29 @@ def test_refusals_are_named_and_write_nothing(capsys, argv, error):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        # the near-wall series' u**-4 overflows in the scalar profile
+        (("limits", "--z", "1", "--a-values", "1e80", "--guard-mode",
+          "asymptotic"), "OverflowError"),
+        # sin(u)**4 is 0 in the closed form at the smallest xi
+        (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
+          "5e-324", "--z-max", "1", "--z-count", "2"), "ZeroDivisionError"),
+    ],
+)
+def test_a_profile_power_out_of_range_is_not_called_a_prefactor(
+    capsys, argv, cause
+):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"NonFiniteResult: a result is out of the double range ({cause}: "
+    )
+    assert "prefactor" not in err and "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith(")\n")
+
+
 # A grid is gated whole before any output, chunk by chunk, yet a refusal
 # still names the first refused row in grid order, with the scalar path's
 # message.

@@ -262,6 +262,14 @@ REFUSALS = [
      "z_grid must lie strictly inside (0, 2.0)"),
     (lambda: SweepSpec(GEOM, ATOM, [0.5, 0.5, 1.0]), InvalidGrid,
      "z_grid must be strictly increasing"),
+    # nan fails every comparison, so the checks are written to pass only
+    # on points that are in order and inside the walls
+    (lambda: SweepSpec(GEOM, ATOM, [0.1, NAN, 0.5]), InvalidGrid,
+     "z_grid must be strictly increasing"),
+    (lambda: SweepSpec(GEOM, ATOM, [NAN]), InvalidGrid,
+     "z_grid must lie strictly inside (0, 2.0)"),
+    (lambda: SweepSpec(GEOM, ATOM, [0.1, NAN]), InvalidGrid,
+     "z_grid must lie strictly inside (0, 2.0)"),
     (lambda: SweepSpec(GEOM, ATOM, [0.5], ("V", "W", "A")), ConfigError,
      "unknown sweep quantities: ['A', 'W']"),
     # a bare str is refused whole, not split into its letters
@@ -273,6 +281,8 @@ REFUSALS = [
      "grid count must be >= 2, got 1"),
     (lambda: SweepSpec.from_range(GEOM, ATOM, 1.0, 0.5, 5), InvalidGrid,
      "need 0 < z_min < z_max < a, got z_min=1.0, z_max=0.5, a=2.0"),
+    (lambda: SweepSpec.from_range(GEOM, ATOM, 0.5, 1.0, 3.5), InvalidGrid,
+     "grid count must be an integer, got 3.5"),
     (lambda: LimitStudy("conducting", 0.5, [], True).convergence_exponent(),
      ValueError, "degenerate study (alpha0 == beta0) has no exponent"),
     (lambda: LimitStudy("conducting", 0.5, [LimitRow(1.0, 2.0, 3.0, 0.5)],
@@ -287,6 +297,14 @@ def test_validation_error_and_message(build, error, message):
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("count", [99999999999999999, 10**20])
+def test_a_grid_too_large_to_allocate_is_an_invalid_grid(count):
+    # hundreds of PiB (MemoryError) and past the index range (ValueError):
+    # both allocations fail at once
+    with pytest.raises(InvalidGrid, match=f"^grid count {count} is too large "):
+        SweepSpec.from_range(GEOM, ATOM, 0.5, 1.0, count)
 
 
 def test_validation_order_is_kept():
