@@ -18,9 +18,9 @@ scalar forms, which gives the same bits and does not load NumPy. Pass 1
 evaluates, converts and gates every chunk and keeps none; a refusal names
 the first domain error in grid order, else a result out of the double
 range (an OverflowError or ZeroDivisionError of a prefactor or a profile
-power), else the first non-finite cell in grid order, and writes nothing. Pass 2 opens the
-output, then evaluates, formats and writes each chunk again, so peak memory
-does not grow with --z-count.
+power), else the first non-finite cell in grid order, and writes nothing.
+Pass 2 opens the output, then evaluates, formats and writes each chunk
+again, so peak memory does not grow with --z-count.
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"). argparse reads the option,
@@ -523,7 +523,7 @@ def main(argv=None) -> int:
                 return _HANDLERS[args.command](args)
             except (OverflowError, ZeroDivisionError) as exc:  # a**4, u**-4 ...
                 raise NonFiniteResult(
-                    f"a result is out of the double range"
+                    "a result is out of the double range"
                     f" ({type(exc).__name__}: {exc})"
                 ) from exc
         except ConfigError as exc:
