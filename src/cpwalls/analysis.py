@@ -203,9 +203,10 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy = DEFAULT
     public function at that z bit for bit; NumPy is quiet, so an overflow
     gives inf, not a warning. Refusals come as for the whole grid at once:
     the first domain refusal in grid order (OutOfDomain, TooCloseToWall)
-    wins over a prefactor error (OverflowError, ZeroDivisionError or
-    NonFiniteResult), which is raised only once every chunk has passed the
-    domain check. atom may be None where no column needs one.
+    wins over a result out of the double range (a prefactor or a profile
+    power: OverflowError, ZeroDivisionError or NonFiniteResult), which is
+    raised only once every chunk has passed the domain check. atom may be
+    None where no column needs one.
     """
     import numpy as np
 

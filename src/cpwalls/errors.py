@@ -26,7 +26,8 @@ class TailBoundViolated(DomainError):
 
 
 class NonFiniteResult(DomainError):
-    """A table cell would be inf, nan or subnormal, or a prefactor overflows."""
+    """A table cell would be inf, nan or subnormal, or a result is out of the
+    double range (a prefactor or a profile power)."""
 
 
 class ConfigError(CpwallsError):

@@ -286,8 +286,9 @@ def test_grid_refusal_does_not_depend_on_the_chunk_size(
 
 # sha256 of f"{exit code}\n{stderr}" for refusals whose grid spans several
 # chunks at a small chunk size. A grid is refused as a whole: the first
-# domain refusal anywhere in it, in grid order, before a prefactor error,
-# and that before the first non-finite cell in grid order.
+# domain refusal anywhere in it, in grid order, before a result out of the
+# double range (a prefactor or a profile power), and that before the first
+# non-finite cell in grid order.
 _REFUSAL_HASHES = {
     # a**4 overflows, and row 2 lies outside the walls (OutOfDomain)
     ("potential", "--a", "1e100", "--z-min", "1e99", "--z-max", "2e100",
