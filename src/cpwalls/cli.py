@@ -25,7 +25,8 @@ again, so peak memory does not grow with --z-count.
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"). argparse reads the option,
 so every spelling it accepts names the file (--config=PATH, a prefix such as
---conf PATH). The file's flags are parsed again ahead of the user's own, so
+--conf PATH). The user's flags are parsed, and so checked, before the file
+is read; the file's flags are then parsed again ahead of the user's own, so
 explicit flags override file values.
 """
 

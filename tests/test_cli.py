@@ -171,38 +171,25 @@ def test_config_errors_exit_1(capsys, argv):
           "--z-count", "2", "--quantities", "EE_trace"), "NonFiniteResult"),
         (("potential", "--z", "0.5", "--out", "/nonexistent/dir/x.csv"),
          "ConfigError"),
+        # a profile power, not a prefactor: the near-wall series' u**-4
+        # overflows in the scalar profile
+        (("limits", "--z", "1", "--a-values", "1e80", "--guard-mode",
+          "asymptotic"),
+         "NonFiniteResult: a result is out of the double range (OverflowError"),
+        # sin(u)**4 is 0 in the closed form at the smallest xi
+        (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
+          "5e-324", "--z-max", "1", "--z-count", "2"),
+         "NonFiniteResult: a result is out of the double range"
+         " (ZeroDivisionError"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::cpwalls.errors.NegativePolarizabilityWarning")
 def test_refusals_are_named_and_write_nothing(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
-    assert code in (1, 2)
+    assert code == (1 if error.startswith("ConfigError") else 2)
     assert err.startswith(error + ": ")
     assert "Traceback" not in err
     assert out == ""
-
-
-@pytest.mark.parametrize(
-    "argv, cause",
-    [
-        # the near-wall series' u**-4 overflows in the scalar profile
-        (("limits", "--z", "1", "--a-values", "1e80", "--guard-mode",
-          "asymptotic"), "OverflowError"),
-        # sin(u)**4 is 0 in the closed form at the smallest xi
-        (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
-          "5e-324", "--z-max", "1", "--z-count", "2"), "ZeroDivisionError"),
-    ],
-)
-def test_a_profile_power_out_of_range_is_not_called_a_prefactor(
-    capsys, argv, cause
-):
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(
-        f"NonFiniteResult: a result is out of the double range ({cause}: "
-    )
-    assert "prefactor" not in err and "Traceback" not in err
-    assert err.count("\n") == 1 and err.endswith(")\n")
 
 
 # A grid is gated whole before any output, chunk by chunk, yet a refusal
@@ -674,40 +661,35 @@ def test_config_as_the_last_token_exit_1(capsys):
     )
 
 
-def test_config_equals_path_gives_the_same_bytes(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("geometry = cp\nz = 0.25\n")
-    spaced = run_cli(capsys, "potential", "--config", str(cfg))
-    assert spaced[0] == 0 and spaced[1]
-    assert run_cli(capsys, "potential", f"--config={cfg}") == spaced
-
-
-def test_missing_config_exit_1(capsys):
-    code, _, err = run_cli(capsys, "potential", "--config", "/no/such/file")
-    assert code == 1
-    assert "ConfigError" in err
-
-
-def test_config_prefix_gives_the_same_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("spelling", [
+    lambda cfg: [f"--config={cfg}"],
     # argparse takes an unambiguous prefix of --config; the file is read too
+    lambda cfg: ["--conf", str(cfg)],
+], ids=["equals", "prefix"])
+def test_config_equals_path_gives_the_same_bytes(tmp_path, capsys, spelling):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("geometry = cp\nalpha = 0.5\nz = 0.1\n")
-    spelled = run_cli(capsys, "potential", "--config", str(cfg), "--z", "0.25")
-    assert spelled[0] == 0 and spelled[1]
-    assert run_cli(capsys, "potential", "--conf", str(cfg), "--z", "0.25") == spelled
+    spaced = run_cli(capsys, "potential", "--config", str(cfg), "--z", "0.25")
+    assert spaced[0] == 0 and spaced[1]
+    assert run_cli(capsys, "potential", *spelling(cfg), "--z", "0.25") == spaced
 
 
-def test_missing_config_under_a_prefix_exit_1(capsys):
-    code, out, err = run_cli(capsys, "potential", "--conf", "/no/such/file",
-                             "--z", "0.5")
+@pytest.mark.parametrize("argv, want", [
+    (("--config", "/no/such/file"),
+     "ConfigError: cannot read config file '/no/such/file'"),
+    (("--conf", "/no/such/file", "--z", "0.5"),
+     "ConfigError: cannot read config file '/no/such/file'"),
+    (("--z", "0.5", "--config="), "ConfigError: cannot read config file ''"),
+    # the command-line flags are checked before the file is read
+    (("--config", "/no/such/file", "--z", "nan"),
+     "ConfigError: argument --z: value must be finite, got 'nan'\n"),
+    (("--config", "/no/such/file", "--walrus"),
+     "ConfigError: unrecognized arguments: --walrus\n"),
+], ids=["spaced", "prefix", "empty", "bad-flag-first", "unknown-flag-first"])
+def test_missing_config_exit_1(capsys, argv, want):
+    code, out, err = run_cli(capsys, "potential", *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("ConfigError: cannot read config file '/no/such/file'")
-
-
-def test_empty_config_path_exit_1(capsys):
-    code, out, err = run_cli(capsys, "potential", "--z", "0.5", "--config=")
-    assert (code, out) == (1, "")
-    assert err.startswith("ConfigError: cannot read config file ''")
+    assert err.startswith(want)
 
 
 # ----------------------------------------------------------------------
@@ -773,14 +755,6 @@ def test_failing_verify_json_writes_null_for_a_non_finite_error(
     assert checks["trace_sum_constant"]["max_rel_error"] is None
 
 
-def test_verify_exit_counts_failures(capsys, monkeypatch):
-    monkeypatch.setattr(
-        profiles, "COT_SERIES_CONST", profiles.COT_SERIES_CONST + 1e-4
-    )
-    code, _, _ = run_cli(capsys, "verify", "--level", "quick")
-    assert code == 2  # near- and far-wall cot expansion checks
-
-
 _COT_FAULT_STDERR = (
     "FAIL near_wall_series_cot: max_abs=1.7611597629792093"
     " max_rel=1.7611597629792093 tolerance=0.050000000000000003\n"
@@ -793,13 +767,14 @@ _COT_FAULT_STDERR = (
     ("text", "14328ed23efff1963a388a05b646101577da7ac3d9c0ce923d7bcd86526e4770"),
     ("csv", "62d5f0eed87d8597e4f85cd503db51bedd49d2f0fa256a309c0e287715997e9d"),
     ("json", "a29d89c6700a133a74395f58bd80773c0ba7387c6e06b7cfc59917f7483ea71f"),
-])
-def test_failing_verify_bytes_are_pinned(capsys, monkeypatch, fmt, stdout_sha256):
-    # the stderr echo of a failing check has the text format's line, less points
+], ids=["text", "csv", "json"])
+def test_verify_exit_counts_failures(capsys, monkeypatch, fmt, stdout_sha256):
     monkeypatch.setattr(
         profiles, "COT_SERIES_CONST", profiles.COT_SERIES_CONST + 1e-4
     )
-    code, out, err = run_cli(capsys, "verify", "--format", fmt)
+    code, out, err = run_cli(capsys, "verify", "--level", "quick", "--format", fmt)
+    # near- and far-wall cot expansion checks; the stderr echo of a failing
+    # check has the text format's line, less points
     assert (code, err) == (2, _COT_FAULT_STDERR)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
 
