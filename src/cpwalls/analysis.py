@@ -99,10 +99,15 @@ class SweepSpec(
 
 
 def _checked_grid(z_grid, a: float) -> np.ndarray:
-    """z_grid as float64; InvalidGrid unless strictly increasing inside (0, a)."""
+    """z_grid as 1-D float64; InvalidGrid unless strictly increasing inside (0, a)."""
     import numpy as np
 
-    z = np.asarray(z_grid, dtype=np.float64)
+    try:
+        z = np.asarray(z_grid, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a str, a ragged list ...
+        raise InvalidGrid("z_grid must be a sequence of numbers") from exc
+    if z.ndim != 1:
+        raise InvalidGrid(f"z_grid must be one-dimensional, got {z.ndim} dimensions")
     if len(z) < 1:
         raise InvalidGrid("z_grid must contain at least one point")
     if not (z[0] > 0.0 and z[-1] < a):  # negated, so that nan is refused

@@ -53,8 +53,8 @@ from .profiles import (
     Form,
     GuardPolicy,
     _evaluate,
+    _point_terms,
     _profile_terms,
-    wall_distance,
 )
 
 if TYPE_CHECKING:
@@ -62,6 +62,8 @@ if TYPE_CHECKING:
 
 _np = None  # NumPy, once CorrelatorTensor.components first needs it
 _SMALLEST_NORMAL = sys.float_info.min
+_TENSOR_SCALE = 2.0 / (3.0 * PI)  # tensor_prefactor's factor after (pi/a)^4
+_record = tuple.__new__  # builds a record from the library's own values, unchecked
 _XI_MIN = 5e-324  # the smallest positive double: xi where pi*z/a underflows
 
 
@@ -108,10 +110,13 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
     __slots__ = ()
 
     def __new__(cls, kind: WallKind, separation_a: float):
-        if not (separation_a > 0.0 and math.isfinite(separation_a)):
-            raise OutOfDomain(
-                f"separation_a must be positive and finite, got {separation_a!r}"
-            )
+        try:
+            if not (separation_a > 0.0 and math.isfinite(separation_a)):
+                raise OutOfDomain(
+                    f"separation_a must be positive and finite, got {separation_a!r}"
+                )
+        except TypeError as exc:  # not a number
+            raise ValueError(f"separation_a is not a number: {separation_a!r}") from exc
         if not isinstance(kind, WallKind):
             raise ValueError(f"geometry kind must be a WallKind, got {kind!r}")
         return tuple.__new__(cls, (kind, separation_a))
@@ -124,37 +129,54 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         Never 0.0: where pi*z/a underflows, xi is the smallest positive
         double.
         """
-        if not 0.0 < z < self.separation_a:  # also false for nan
-            raise OutOfDomain(
-                f"z={z!r} is not strictly between the walls (0, {self.separation_a})"
-            )
-        return PI * (z / self.separation_a) or _XI_MIN
+        a = self.separation_a
+        try:
+            inside = 0.0 < z < a  # also false for nan
+        except TypeError:  # not a number: refused as outside
+            inside = False
+        if not inside:
+            raise OutOfDomain(f"z={z!r} is not strictly between the walls (0, {a})")
+        return PI * (z / a) or _XI_MIN
+
+    # The methods on one z form xi inline and reach profiles in one call;
+    # a refused z goes to self.xi, which raises.
 
     def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""
-        return _evaluate(WALL_TABLE[self.kind].profile, self.xi(z), guard)
+        a = self.separation_a
+        try:
+            xi = (PI * (z / a) or _XI_MIN) if 0.0 < z < a else self.xi(z)
+        except TypeError:  # not a number
+            xi = self.xi(z)
+        return _evaluate(WALL_TABLE[self.kind].profile, xi, guard)
 
     def profile_deriv(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """d/dxi of the geometry's profile at xi(z)."""
-        return _evaluate(WALL_TABLE[self.kind].profile_deriv, self.xi(z), guard)
+        a = self.separation_a
+        try:
+            xi = (PI * (z / a) or _XI_MIN) if 0.0 < z < a else self.xi(z)
+        except TypeError:  # not a number
+            xi = self.xi(z)
+        return _evaluate(WALL_TABLE[self.kind].profile_deriv, xi, guard)
 
     def point_terms(
         self, z: float, guard: GuardPolicy = DEFAULT_GUARD
     ) -> tuple[float, float, bool]:
         """profile, profile_deriv and the asymptotic flag at one z, on floats.
 
-        The scalar methods' two _evaluate calls, profile first, then the
-        guard band's own test: the values equal profile_terms on a one-point
-        grid bit for bit (where a power leaves the double range this raises
-        as ** does instead of giving inf).
+        One profiles._point_terms call: one reflection, one sin/cos pair and
+        one band test for both forms. The values equal profile_terms on a
+        one-point grid bit for bit (where a power leaves the double range
+        this raises as ** does instead of giving inf, the profile before
+        the slope), and a refusal is the scalar methods' own.
         """
-        xi = self.xi(z)
+        a = self.separation_a
+        try:
+            xi = (PI * (z / a) or _XI_MIN) if 0.0 < z < a else self.xi(z)
+        except TypeError:  # not a number
+            xi = self.xi(z)
         wall = WALL_TABLE[self.kind]
-        return (
-            _evaluate(wall.profile, xi, guard),
-            _evaluate(wall.profile_deriv, xi, guard),
-            wall_distance(xi) < guard.epsilon,
-        )
+        return _point_terms(wall.profile, wall.profile_deriv, xi, guard)
 
     def profile_terms(
         self, z: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
@@ -210,6 +232,9 @@ class CorrelatorTensor(namedtuple("CorrelatorTensor", "par perp field_pair")):
         return self.par + self.par + self.perp
 
 
+_EB = CorrelatorTensor(0.0, 0.0, "EB")  # the one <E_i B_j> record
+
+
 def tensor_prefactor(separation_a: float) -> float:
     """Common scale (pi/a)^4 * 2/(3*pi) of every correlator component.
 
@@ -217,7 +242,7 @@ def tensor_prefactor(separation_a: float) -> float:
     about 5.5e76): every component would come out subnormal or zero, its
     digits lost.
     """
-    pref = (PI / separation_a) ** 4 * (2.0 / (3.0 * PI))
+    pref = (PI / separation_a) ** 4 * _TENSOR_SCALE
     if not pref >= _SMALLEST_NORMAL:
         raise NonFiniteResult(
             f"correlator prefactor (pi/a)^4*2/(3*pi)={pref!r} at"
@@ -239,7 +264,7 @@ def _par_perp(geom: Geometry, p):
 
 def _tensor(geom: Geometry, p, field_pair: str) -> CorrelatorTensor:
     """The tensor record with _par_perp(geom, p) as its components."""
-    return CorrelatorTensor(*_par_perp(geom, p), field_pair)
+    return _record(CorrelatorTensor, _par_perp(geom, p) + (field_pair,))
 
 
 def _trace(geom: Geometry, p):
@@ -265,7 +290,7 @@ def correlator_bb(
 def correlator_eb(geom: Geometry, z: float) -> CorrelatorTensor:
     """<E_i B_j> tensor, identically zero in both geometries."""
     geom.xi(z)  # domain check only
-    return CorrelatorTensor(0.0, 0.0, "EB")
+    return _EB
 
 
 def mean_square_e(

@@ -43,7 +43,7 @@ import warnings
 from collections import namedtuple
 from typing import NamedTuple
 
-from .correlators import WALL_TABLE, Geometry, WallKind
+from .correlators import WALL_TABLE, Geometry, WallKind, _record
 from .errors import (
     FlatPotentialWarning,
     NegativePolarizabilityWarning,
@@ -58,6 +58,8 @@ _COMBINED_CONST = {
     WallKind.CONDUCTOR_CONDUCTOR: 1.0 / 360.0,
     WallKind.CONDUCTOR_PERMEABLE: -7.0 / 8.0 / 360.0,
 }
+_PI3, _PI4 = PI ** 3, PI ** 4
+_REGIME = ("exact", "asymptotic")  # potential_sample's regime by its flag
 
 
 class AtomResponse(namedtuple("AtomResponse", "alpha0 beta0")):
@@ -71,8 +73,11 @@ class AtomResponse(namedtuple("AtomResponse", "alpha0 beta0")):
     __slots__ = ()
 
     def __new__(cls, alpha0: float, beta0: float):
-        if not (math.isfinite(alpha0) and math.isfinite(beta0)):
-            raise ValueError("polarizabilities must be finite")
+        try:
+            if not (math.isfinite(alpha0) and math.isfinite(beta0)):
+                raise ValueError("polarizabilities must be finite")
+        except TypeError as exc:  # not a number
+            raise ValueError("polarizabilities must be numbers") from exc
         if alpha0 < 0.0 or beta0 < 0.0:
             warnings.warn(
                 "negative static polarizability supplied",
@@ -98,12 +103,12 @@ class PotentialSample(NamedTuple):
 
 
 def _electric(atom: AtomResponse, geom: Geometry, p: float) -> float:
-    pref = atom.alpha0 * PI ** 3 / (3.0 * geom.separation_a ** 4)
+    pref = atom.alpha0 * _PI3 / (3.0 * geom.separation_a ** 4)
     return -pref * (3.0 * p - WALL_TABLE[geom.kind].diag_const)
 
 
 def _magnetic(atom: AtomResponse, geom: Geometry, p: float) -> float:
-    pref = atom.beta0 * PI ** 3 / (3.0 * geom.separation_a ** 4)
+    pref = atom.beta0 * _PI3 / (3.0 * geom.separation_a ** 4)
     return pref * (3.0 * p + WALL_TABLE[geom.kind].diag_const)
 
 
@@ -112,13 +117,13 @@ def _total(atom: AtomResponse, geom: Geometry, p: float) -> float:
     diff = atom.alpha0 - atom.beta0
     both = atom.alpha0 + atom.beta0
     return (
-        -diff * PI ** 3 / a4 * p
-        + both * PI ** 3 * _COMBINED_CONST[geom.kind] / a4
+        -diff * _PI3 / a4 * p
+        + both * _PI3 * _COMBINED_CONST[geom.kind] / a4
     )
 
 
 def _force(atom: AtomResponse, geom: Geometry, dp: float) -> float:
-    return (atom.alpha0 - atom.beta0) * PI ** 4 / geom.separation_a ** 5 * dp
+    return (atom.alpha0 - atom.beta0) * _PI4 / geom.separation_a ** 5 * dp
 
 
 def potential_electric(
@@ -197,12 +202,8 @@ def potential_sample(
     along with the profile and its slope.
     """
     p, dp, asymptotic = geom.point_terms(z, guard)
-    return PotentialSample(
-        z=z,
-        V=_total(atom, geom, p),
-        force_z=_force(atom, geom, dp),
-        regime="asymptotic" if asymptotic else "exact",
-    )
+    V, force_z = _total(atom, geom, p), _force(atom, geom, dp)
+    return _record(PotentialSample, (z, V, force_z, _REGIME[asymptotic]))
 
 
 def stationary_points(

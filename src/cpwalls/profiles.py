@@ -87,6 +87,7 @@ PI = math.pi
 # pi = PI + PI_LO to ~1e-32; PI_LO == sin(math.pi) in IEEE double arithmetic.
 PI_LO = 1.2246467991473532e-16
 HALF_PI = 0.5 * math.pi
+_sin, _cos, _pow = math.sin, math.cos, operator.pow  # bound once for _evaluate
 
 # Series data about a wall (distance u): profile = (3/8)*u^-4 + const + O(u^2).
 SERIES_LEADING = 0.375
@@ -106,8 +107,11 @@ class GuardPolicy(namedtuple("GuardPolicy", "epsilon mode")):
     __slots__ = ()
 
     def __new__(cls, epsilon: float = 1e-6, mode: str = "reject"):
-        if not (epsilon > 0.0 and math.isfinite(epsilon)):
-            raise ValueError("guard epsilon must be positive and finite")
+        try:
+            if not (epsilon > 0.0 and math.isfinite(epsilon)):
+                raise ValueError("guard epsilon must be positive and finite")
+        except TypeError as exc:  # not a number
+            raise ValueError("guard epsilon must be a number") from exc
         if epsilon >= HALF_PI:
             raise ValueError("guard epsilon must be smaller than pi/2")
         if mode not in ("reject", "asymptotic"):
@@ -135,8 +139,11 @@ class OracleConfig(namedtuple("OracleConfig", "image_terms target_abs_tol")):
             raise ValueError("image_terms must be a positive integer") from exc
         if image_terms < 1:
             raise ValueError("image_terms must be a positive integer")
-        if not (target_abs_tol > 0.0 and math.isfinite(target_abs_tol)):
-            raise ValueError("target_abs_tol must be positive and finite")
+        try:
+            if not (target_abs_tol > 0.0 and math.isfinite(target_abs_tol)):
+                raise ValueError("target_abs_tol must be positive and finite")
+        except TypeError as exc:  # not a number
+            raise ValueError("target_abs_tol must be a number") from exc
         return tuple.__new__(cls, (image_terms, target_abs_tol))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
@@ -154,8 +161,12 @@ def wall_distance(xi: float) -> float:
 
 
 def _check_domain(xi: float) -> None:
-    if not 0.0 < xi < PI:  # also false for nan and inf
-        raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
+    try:
+        if 0.0 < xi < PI:  # also false for nan and inf
+            return
+    except TypeError:  # not a number: refused as outside
+        pass
+    raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
 
 
 class Form(NamedTuple):
@@ -196,6 +207,12 @@ CSC_PROFILE_DERIV = Form(
 )
 
 
+def _refuse(xi, guard: GuardPolicy | None):
+    """Raise the refusal of xi: OutOfDomain off (0, pi), else TooCloseToWall."""
+    _check_domain(xi)
+    raise TooCloseToWall(f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)")
+
+
 def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
     """One Form at one point: domain check, reflection, guard band, value.
 
@@ -204,20 +221,42 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
     the guard band mode="reject" raises and mode="asymptotic" takes the
     series; guard=None asks for the series everywhere.
     """
-    if not 0.0 < xi < PI:  # also false for nan and inf
-        _check_domain(xi)  # raises
+    try:
+        if not 0.0 < xi < PI:  # also false for nan and inf
+            _refuse(xi, guard)
+    except TypeError:  # not a number
+        _refuse(xi, guard)
     if xi <= HALF_PI:
         u, sign = xi, 1.0
     else:
         u, sign = (PI - xi) + PI_LO, -1.0
     if guard is not None:
         if u >= guard.epsilon:
-            return form.closed(math.sin(u), math.cos(u), sign, operator.pow)
+            return form.closed(_sin(u), _cos(u), sign, _pow)
         if guard.mode == "reject":
-            raise TooCloseToWall(
-                f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)"
-            )
-    return form.series(u, sign, operator.pow)
+            _refuse(xi, guard)
+    return form.series(u, sign, _pow)
+
+
+def _point_terms(profile: Form, deriv: Form, xi: float, guard: GuardPolicy):
+    """Scalar twin of _profile_terms: (profile, slope, asymptotic) at one xi.
+
+    One domain check, reflection, sin/cos pair and band test serve both
+    Forms. It refuses as _evaluate does, and where a power leaves the
+    double range the profile raises before the slope is evaluated.
+    """
+    if not 0.0 < xi < PI:  # also false for nan and inf
+        _refuse(xi, guard)
+    if xi <= HALF_PI:
+        u, sign = xi, 1.0
+    else:
+        u, sign = (PI - xi) + PI_LO, -1.0
+    if u >= guard.epsilon:
+        s, c = _sin(u), _cos(u)
+        return profile.closed(s, c, sign, _pow), deriv.closed(s, c, sign, _pow), False
+    if guard.mode == "reject":
+        _refuse(xi, guard)
+    return profile.series(u, sign, _pow), deriv.series(u, sign, _pow), True
 
 
 def cot_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:

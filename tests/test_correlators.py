@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpwalls import correlators
 from cpwalls.analysis import _COLUMN
 from cpwalls.correlators import (
     CorrelatorTensor,
@@ -296,14 +297,21 @@ def test_traces_equal_the_tensor_records_on_floats_and_arrays():
 
 
 def test_traces_build_no_tensor_record(monkeypatch):
+    # a record is built either checked (CorrelatorTensor.__new__) or, by the
+    # library from its own values, unchecked (correlators._record)
     built = []
-    new = CorrelatorTensor.__new__
+    new, record = CorrelatorTensor.__new__, correlators._record
 
     def spy(cls, *args):
         built.append(args)
         return new(cls, *args)
 
+    def spy_record(cls, fields):
+        built.append(fields)
+        return record(cls, fields)
+
     monkeypatch.setattr(CorrelatorTensor, "__new__", spy)
+    monkeypatch.setattr(correlators, "_record", spy_record)
     zs = np.array([0.2, 0.5, 0.9])
     for geom in (CC, CP):
         mean_square_e(geom, 0.3)

@@ -238,11 +238,14 @@ REFUSALS = [
     (lambda: GuardPolicy(NAN), ValueError, "guard epsilon must be positive and finite"),
     (lambda: GuardPolicy(2.0), ValueError, "guard epsilon must be smaller than pi/2"),
     (lambda: GuardPolicy(1e-6, "exact"), ValueError, "unknown guard mode 'exact'"),
+    # a field that is not a number is refused by the check that guards it
+    (lambda: GuardPolicy("1e-3"), ValueError, "guard epsilon must be a number"),
     (lambda: OracleConfig(0), ValueError, "image_terms must be a positive integer"),
     (lambda: OracleConfig(-3), ValueError, "image_terms must be a positive integer"),
     (lambda: OracleConfig(10, 0.0), ValueError, "target_abs_tol must be positive and finite"),
     (lambda: OracleConfig(10, INF), ValueError, "target_abs_tol must be positive and finite"),
     (lambda: OracleConfig(10, NAN), ValueError, "target_abs_tol must be positive and finite"),
+    (lambda: OracleConfig(5, "1e-3"), ValueError, "target_abs_tol must be a number"),
     (lambda: Geometry(CC, 0.0), OutOfDomain,
      "separation_a must be positive and finite, got 0.0"),
     (lambda: Geometry(CC, -1.0), OutOfDomain,
@@ -251,9 +254,13 @@ REFUSALS = [
      "separation_a must be positive and finite, got inf"),
     (lambda: Geometry(CC, NAN), OutOfDomain,
      "separation_a must be positive and finite, got nan"),
+    (lambda: Geometry(CC, "2"), ValueError, "separation_a is not a number: '2'"),
+    (lambda: Geometry(CC, None), ValueError, "separation_a is not a number: None"),
     (lambda: CorrelatorTensor(1.0, 2.0, "EE "), ValueError, "unknown field pair 'EE '"),
     (lambda: AtomResponse(INF, 0.0), ValueError, "polarizabilities must be finite"),
     (lambda: AtomResponse(0.0, NAN), ValueError, "polarizabilities must be finite"),
+    (lambda: AtomResponse("1", 0.0), ValueError, "polarizabilities must be numbers"),
+    (lambda: AtomResponse(1.0, 2j), ValueError, "polarizabilities must be numbers"),
     (lambda: SweepSpec(GEOM, ATOM, []), InvalidGrid,
      "z_grid must contain at least one point"),
     (lambda: SweepSpec(GEOM, ATOM, [0.0, 1.0]), InvalidGrid,
@@ -270,6 +277,15 @@ REFUSALS = [
      "z_grid must lie strictly inside (0, 2.0)"),
     (lambda: SweepSpec(GEOM, ATOM, [0.1, NAN]), InvalidGrid,
      "z_grid must lie strictly inside (0, 2.0)"),
+    # a grid is a one-dimensional sequence of numbers
+    (lambda: SweepSpec(GEOM, ATOM, [[0.1, 0.2]]), InvalidGrid,
+     "z_grid must be one-dimensional, got 2 dimensions"),
+    (lambda: SweepSpec(GEOM, ATOM, 0.5), InvalidGrid,
+     "z_grid must be one-dimensional, got 0 dimensions"),
+    (lambda: SweepSpec(GEOM, ATOM, ["a", "b"]), InvalidGrid,
+     "z_grid must be a sequence of numbers"),
+    (lambda: SweepSpec(GEOM, ATOM, [[0.1], [0.2, 0.3]]), InvalidGrid,
+     "z_grid must be a sequence of numbers"),
     (lambda: SweepSpec(GEOM, ATOM, [0.5], ("V", "W", "A")), ConfigError,
      "unknown sweep quantities: ['A', 'W']"),
     # a bare str is refused whole, not split into its letters

@@ -22,6 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cpwalls import correlators, profiles
 from cpwalls.analysis import _COLUMN
 from cpwalls.correlators import (
     Geometry,
@@ -225,3 +226,103 @@ def test_band_edges_and_midplane_to_the_ulp(kind):
                     sample = potential_sample(atom, geom, z, guard)
                     assert (sample.V, sample.force_z) == (cells["V"], cells["force"])
                 z = math.nextafter(z, 1.0)
+
+
+# public call -> (evaluations of the profile form, of the slope form)
+FORM_EVALUATIONS = {
+    "potential_electric": (1, 0),
+    "potential_magnetic": (1, 0),
+    "potential_total": (1, 0),
+    "force": (0, 1),
+    "potential_sample": (1, 1),
+    "correlator_ee": (1, 0),
+    "correlator_bb": (1, 0),
+    "correlator_eb": (0, 0),
+    "mean_square_e": (1, 0),
+    "mean_square_b": (1, 0),
+    "profile": (1, 0),
+    "profile_deriv": (0, 1),
+    "point_terms": (1, 1),
+}
+
+
+def _public_call(name, atom, geom, z, guard):
+    if name in ("profile", "profile_deriv", "point_terms"):
+        return getattr(geom, name)(z, guard)
+    if name == "correlator_eb":
+        return correlator_eb(geom, z)
+    if name.startswith(("correlator", "mean_square")):
+        return globals()[name](geom, z, guard)
+    return globals()[name](atom, geom, z, guard)
+
+
+@pytest.mark.parametrize("kind", list(WallKind))
+@pytest.mark.parametrize("z", [0.3, 1.4, 1e-9, 2.0 - 1e-9])
+def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z):
+    """Each form is evaluated once per call, in one evaluator call, with xi inline.
+
+    The geometry's two forms count their closed-form and series evaluations;
+    profiles._evaluate and profiles._point_terms count their calls, and
+    Geometry.xi, which a point between the walls does not need, its own.
+    """
+    counts = {}
+
+    def counted(key, fn):
+        def spy(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args)
+        return spy
+
+    wall = correlators.WALL_TABLE[kind]
+    forms = {
+        "profile": wall.profile._replace(
+            closed=counted("profile", wall.profile.closed),
+            series=counted("profile", wall.profile.series)),
+        "slope": wall.profile_deriv._replace(
+            closed=counted("slope", wall.profile_deriv.closed),
+            series=counted("slope", wall.profile_deriv.series)),
+    }
+    monkeypatch.setitem(correlators.WALL_TABLE, kind,
+                        wall._replace(profile=forms["profile"], profile_deriv=forms["slope"]))
+    for name in ("_evaluate", "_point_terms"):
+        monkeypatch.setattr(correlators, name, counted(name, getattr(profiles, name)))
+    monkeypatch.setattr(Geometry, "xi", counted("xi", Geometry.xi))
+    geom, atom = Geometry(kind, 2.0), AtomResponse(1.0, 0.25)
+    guard = GuardPolicy(1e-6, "asymptotic")
+    for name, (profile, slope) in FORM_EVALUATIONS.items():
+        counts.clear()
+        _public_call(name, atom, geom, z, guard)
+        pair = name in ("potential_sample", "point_terms")
+        assert counts.get("profile", 0) == profile, name
+        assert counts.get("slope", 0) == slope, name
+        assert counts.get("_point_terms", 0) == pair, name
+        assert counts.get("_evaluate", 0) == (0 if pair else profile + slope), name
+        assert counts.get("xi", 0) == (name == "correlator_eb"), name
+
+
+@pytest.mark.parametrize("name", ["cot_profile", "csc_profile", "cot_profile_deriv",
+                                  "csc_profile_deriv", "cot_profile_series",
+                                  "csc_profile_series"])
+def test_profile_functions_are_one_evaluation(monkeypatch, name):
+    calls = []
+    evaluate = profiles._evaluate
+    monkeypatch.setattr(profiles, "_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    assert getattr(profiles, name)(2.5) == evaluate(*calls[0])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("z", ["0.5", None, [1.0], b"1", 1j])
+@pytest.mark.parametrize("name", sorted(FORM_EVALUATIONS))
+def test_a_position_that_is_not_a_number_is_refused_as_outside(name, z):
+    geom = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 2.0)
+    with pytest.raises(OutOfDomain) as info:
+        _public_call(name, AtomResponse(1.0, 0.0), geom, z, GuardPolicy())
+    assert str(info.value) == f"z={z!r} is not strictly between the walls (0, 2.0)"
+
+
+@pytest.mark.parametrize("xi", ["1.0", None, [1.0]])
+@pytest.mark.parametrize("name", ["cot_profile", "csc_profile_deriv", "cot_profile_series"])
+def test_a_profile_argument_that_is_not_a_number_is_refused_as_outside(name, xi):
+    with pytest.raises(OutOfDomain) as info:
+        getattr(profiles, name)(xi)
+    assert str(info.value) == f"xi={xi!r} is outside the open interval (0, pi)"
