@@ -20,10 +20,15 @@ traces (mean_square_e/b, par + par + perp, built without a record) and the
 correlator columns of the tables all take it from there.
 
 Geometry maps z to xi = pi*z/a and hands the geometry's forms to the
-profiles module: one profiles._evaluate call per form at one z (point_terms
-is two of them plus the band test wall_distance(xi) < guard.epsilon), one
-profiles._profile_terms call for a grid. Where pi*z/a underflows to 0.0
-(z/a below about 1e-324) Geometry.xi gives the smallest positive double
+profiles module: one profiles._evaluate call per form at one z, one
+profiles._point_terms call for point_terms (profile, slope and the
+asymptotic flag from one reflection), one profiles._profile_terms call for
+a grid. The methods on one z check 0 < z < a and form xi inline; a refused
+z, or one that is not a number, goes to Geometry.xi, which words the
+refusal. Records the module builds from its own values (the tensors of
+correlator_ee and correlator_bb, the one zero EB record) skip the checks of
+CorrelatorTensor.__new__. Where pi*z/a underflows to 0.0
+(z/a below about 1e-324) xi is the smallest positive double
 instead, so the point is in the guard band as one with a subnormal xi is,
 not refused as outside the walls; on a grid the kernel's band already
 holds xi = 0.0. A grid has one refusal rule, the scalar one: its first
@@ -31,7 +36,8 @@ refused row goes to Geometry.profile, which raises.
 
 Geometry and CorrelatorTensor are named tuples checked in __new__: a
 Geometry's kind must be a WallKind (ValueError otherwise) and its
-separation positive and finite (OutOfDomain).
+separation a number (ValueError otherwise), positive and finite
+(OutOfDomain otherwise).
 """
 
 from __future__ import annotations
@@ -137,9 +143,6 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         if not inside:
             raise OutOfDomain(f"z={z!r} is not strictly between the walls (0, {a})")
         return PI * (z / a) or _XI_MIN
-
-    # The methods on one z form xi inline and reach profiles in one call;
-    # a refused z goes to self.xi, which raises.
 
     def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""

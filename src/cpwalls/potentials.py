@@ -32,8 +32,8 @@ the wall at z = a. Natural units (hbar = c = 1): with polarizabilities in
 length^3, potentials are inverse lengths and forces inverse lengths squared.
 
 AtomResponse and PotentialSample are named tuples; AtomResponse.__new__
-refuses a non-finite polarizability and warns, naming the caller's line,
-about a negative one.
+refuses a polarizability that is not a finite number and warns, naming the
+caller's line, about a negative one.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ _COMBINED_CONST = {
     WallKind.CONDUCTOR_CONDUCTOR: 1.0 / 360.0,
     WallKind.CONDUCTOR_PERMEABLE: -7.0 / 8.0 / 360.0,
 }
-_PI3, _PI4 = PI ** 3, PI ** 4
+_PI3, _PI4 = PI ** 3, PI ** 4  # the doubles PI ** 3 and PI ** 4, taken once
 _REGIME = ("exact", "asymptotic")  # potential_sample's regime by its flag
 
 
@@ -199,7 +199,8 @@ def potential_sample(
 
     The regime is "asymptotic" inside the guard band (mode="reject" raises
     there instead) and "exact" elsewhere, as Geometry.point_terms flags it
-    along with the profile and its slope.
+    along with the profile and its slope, in one call. The record holds the
+    library's own values and is built without a check.
     """
     p, dp, asymptotic = geom.point_terms(z, guard)
     V, force_z = _total(atom, geom, p), _force(atom, geom, dp)

@@ -33,11 +33,15 @@ Both take the power function as an argument, so one transcription serves
 both paths. The scalar functions pass operator.pow, which is the ** operator
 itself: its bits, and its OverflowError and ZeroDivisionError messages, are
 those of plain float arithmetic (math.pow would say "math range error" and
-raise ValueError instead). _evaluate is the one evaluator on floats and
-the one place that words a refusal: every scalar function, and every
-Geometry method on one z, is one _evaluate call per form, and outside it
-the guard band on floats is only ever the test
-wall_distance(xi) < guard.epsilon. _profile_terms evaluates the same forms
+raise ValueError instead); math.sin, math.cos and operator.pow are bound
+once, at import. On floats _evaluate evaluates one form and _point_terms,
+the scalar twin of _profile_terms, a profile and its slope from one
+domain check, reflection, sin/cos pair and band test, with the
+asymptotic flag. Both word their refusals through _refuse, the one place
+that does: every scalar function, and every Geometry method on one z, is
+one _evaluate call per form, or one _point_terms call for both. An xi
+that is not a number is refused as outside (0, pi), with no type test on
+the way of a number. _profile_terms evaluates the same forms
 on a whole array of xi, for tables, and refuses nothing: it passes
 np.float_power, which is libm's pow as ** is (** on arrays and np.power use
 a SIMD pow that differs from libm in the last bit), and returns the band
@@ -68,7 +72,8 @@ NumPy is imported inside the array functions (_profile_terms, _image_sums)
 only, so a process that evaluates single points never loads it.
 
 GuardPolicy and OracleConfig are named tuples whose __new__ checks the
-fields (OracleConfig.image_terms must be an integer, by operator.index).
+fields (OracleConfig.image_terms must be an integer, by operator.index;
+a float field that is not a number is a ValueError).
 """
 
 from __future__ import annotations

@@ -48,19 +48,41 @@ SEPARATIONS = (1.0, 2.5, 3.7e-5, 1e-300, 1e-60, 1e30, 1e300)
 BAND_WIDTHS = (1e-300, 1e-6, 1e-3, 0.5)
 POLARIZABILITIES = (0.0, 1.0, 0.25, 3.0e-7, 1e150, 1e-200, -2.0)
 
-# public call -> (the call, its column, whether it takes the slope dp)
-FLOAT_CALLS = {
-    "potential_electric": (lambda atom, geom, z, g: potential_electric(atom, geom, z, g), "V_E", False),
-    "potential_magnetic": (lambda atom, geom, z, g: potential_magnetic(atom, geom, z, g), "V_M", False),
-    "potential_total": (lambda atom, geom, z, g: potential_total(atom, geom, z, g), "V", False),
-    "force": (lambda atom, geom, z, g: force(atom, geom, z, g), "force", True),
-    "mean_square_e": (lambda atom, geom, z, g: mean_square_e(geom, z, g), "EE_trace", False),
-    "mean_square_b": (lambda atom, geom, z, g: mean_square_b(geom, z, g), "BB_trace", False),
+# public call -> (evaluations of the profile form, of the slope form)
+FORM_EVALUATIONS = {
+    "potential_electric": (1, 0),
+    "potential_magnetic": (1, 0),
+    "potential_total": (1, 0),
+    "force": (0, 1),
+    "potential_sample": (1, 1),
+    "correlator_ee": (1, 0),
+    "correlator_bb": (1, 0),
+    "correlator_eb": (0, 0),
+    "mean_square_e": (1, 0),
+    "mean_square_b": (1, 0),
+    "profile": (1, 0),
+    "profile_deriv": (0, 1),
+    "point_terms": (1, 1),
 }
-TENSOR_CALLS = {
-    "correlator_ee": (correlator_ee, "EE"),
-    "correlator_bb": (correlator_bb, "BB"),
+# public call with a float value -> the table column that gives it
+FLOAT_COLUMNS = {
+    "potential_electric": "V_E",
+    "potential_magnetic": "V_M",
+    "potential_total": "V",
+    "force": "force",
+    "mean_square_e": "EE_trace",
+    "mean_square_b": "BB_trace",
 }
+
+
+def _public_call(name, atom, geom, z, guard):
+    if name in ("profile", "profile_deriv", "point_terms"):
+        return getattr(geom, name)(z, guard)
+    if name == "correlator_eb":
+        return correlator_eb(geom, z)
+    if name.startswith(("correlator", "mean_square")):
+        return globals()[name](geom, z, guard)
+    return globals()[name](atom, geom, z, guard)
 
 
 def _z(rng, a: float, eps: float) -> float:
@@ -157,15 +179,10 @@ def test_the_scalar_layer_equals_the_array_path():
             if expected is not None:
                 assert grid == expected, case
                 seen["refused"] += 1
-                for call, _, _ in FLOAT_CALLS.values():
-                    assert _outcome(lambda: call(atom, geom, z, guard)) == grid, case
-                for call, _ in TENSOR_CALLS.values():
-                    assert _outcome(lambda: call(geom, z, guard)) == grid, case
-                for call in (geom.profile, geom.profile_deriv, geom.point_terms,
-                             lambda z, g: potential_sample(atom, geom, z, g)):
-                    assert _outcome(lambda: call(z, guard)) == grid, case
-                eb = _outcome(lambda: correlator_eb(geom, z))
-                assert eb == (grid if grid[0] is OutOfDomain else (0.0, 0.0, "EB")), case
+                for name in FORM_EVALUATIONS:  # correlator_eb has no guard band
+                    band = name == "correlator_eb" and grid[0] is TooCloseToWall
+                    got = _outcome(lambda: _public_call(name, atom, geom, z, guard))
+                    assert got == ((0.0, 0.0, "EB") if band else grid), (name, case)
                 continue
             p, dp, asymptotic, cells = grid
             seen["value"] += 1
@@ -183,10 +200,10 @@ def test_the_scalar_layer_equals_the_array_path():
             else:
                 assert _same(terms[0], p) and _same(terms[1], dp), case
                 assert terms[2] is asymptotic, case
-            for call, column, slope in FLOAT_CALLS.values():
-                got = _outcome(lambda: call(atom, geom, z, guard))
-                assert _same(got, cells[column], dp if slope else p), case
-            for call, pair in TENSOR_CALLS.values():
+            for name, column in FLOAT_COLUMNS.items():
+                got = _outcome(lambda: _public_call(name, atom, geom, z, guard))
+                assert _same(got, cells[column], dp if name == "force" else p), (name, case)
+            for pair, call in (("EE", correlator_ee), ("BB", correlator_bb)):
                 got = _outcome(lambda: call(geom, z, guard))
                 par, perp = cells[pair + "_par"], cells[pair + "_perp"]
                 if isinstance(got, tuple) and isinstance(got[0], type):
@@ -200,60 +217,11 @@ def test_the_scalar_layer_equals_the_array_path():
                 assert not (math.isfinite(p) and math.isfinite(dp)) or _same(
                     sample, cells["V"]) or _same(sample, cells["force"]), case
             else:
-                assert sample.z == z and sample.regime == ("asymptotic" if asymptotic else "exact")
+                assert sample.z == z, case
+                assert sample.regime == ("asymptotic" if asymptotic else "exact"), case
                 assert _same(sample.V, cells["V"]) and _same(sample.force_z, cells["force"]), case
     assert seen["value"] > 1000 and seen["refused"] > 400, seen
     assert min(seen.values()) > 20, seen
-
-
-@pytest.mark.parametrize("kind", list(WallKind))
-def test_band_edges_and_midplane_to_the_ulp(kind):
-    """The exact band edges and pi/2 at a = 1, each with its neighbours."""
-    geom = Geometry(kind, 1.0)
-    atom = AtomResponse(1.0, 0.25)
-    for guard in (GuardPolicy(1e-3, "reject"), GuardPolicy(1e-3, "asymptotic")):
-        for centre in (1e-3 / PI, 1.0 - 1e-3 / PI, 0.5):
-            z = centre
-            for _ in range(3):
-                z = math.nextafter(z, 0.0)
-            for _ in range(7):
-                grid = _grid(geom, atom, z, guard)
-                if isinstance(grid[0], type):
-                    assert _outcome(lambda: geom.point_terms(z, guard)) == grid
-                else:
-                    p, dp, asymptotic, cells = grid
-                    assert geom.point_terms(z, guard) == (p, dp, asymptotic)
-                    sample = potential_sample(atom, geom, z, guard)
-                    assert (sample.V, sample.force_z) == (cells["V"], cells["force"])
-                z = math.nextafter(z, 1.0)
-
-
-# public call -> (evaluations of the profile form, of the slope form)
-FORM_EVALUATIONS = {
-    "potential_electric": (1, 0),
-    "potential_magnetic": (1, 0),
-    "potential_total": (1, 0),
-    "force": (0, 1),
-    "potential_sample": (1, 1),
-    "correlator_ee": (1, 0),
-    "correlator_bb": (1, 0),
-    "correlator_eb": (0, 0),
-    "mean_square_e": (1, 0),
-    "mean_square_b": (1, 0),
-    "profile": (1, 0),
-    "profile_deriv": (0, 1),
-    "point_terms": (1, 1),
-}
-
-
-def _public_call(name, atom, geom, z, guard):
-    if name in ("profile", "profile_deriv", "point_terms"):
-        return getattr(geom, name)(z, guard)
-    if name == "correlator_eb":
-        return correlator_eb(geom, z)
-    if name.startswith(("correlator", "mean_square")):
-        return globals()[name](geom, z, guard)
-    return globals()[name](atom, geom, z, guard)
 
 
 @pytest.mark.parametrize("kind", list(WallKind))
@@ -304,9 +272,13 @@ def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z):
                                   "csc_profile_deriv", "cot_profile_series",
                                   "csc_profile_series"])
 def test_profile_functions_are_one_evaluation(monkeypatch, name):
-    calls = []
-    evaluate = profiles._evaluate
-    monkeypatch.setattr(profiles, "_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    calls, evaluate = [], profiles._evaluate
+
+    def spy(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(profiles, "_evaluate", spy)
     assert getattr(profiles, name)(2.5) == evaluate(*calls[0])
     assert len(calls) == 1
 
