@@ -17,6 +17,7 @@ import pytest
 import cpwalls.analysis as analysis
 import cpwalls.cli as cli
 import cpwalls.profiles as profiles
+from cpwalls import verification
 from cpwalls.cli import CORRELATOR_COLUMNS, POTENTIAL_COLUMNS, main
 from cpwalls.potentials import AtomResponse, potential_total
 from cpwalls.correlators import WALL_TABLE, Geometry, WallKind
@@ -736,14 +737,30 @@ def test_fault_injected_verify_names_the_series_check(capsys, monkeypatch):
     assert "FAIL near_wall_series_cot" in out
 
 
+def _flip_cp_diag_const(monkeypatch):
+    kind = WallKind.CONDUCTOR_PERMEABLE
+    entry = WALL_TABLE[kind]
+    monkeypatch.setitem(WALL_TABLE, kind, entry._replace(diag_const=-entry.diag_const))
+
+
+def _mirror_cp_tensor(monkeypatch):
+    # the cp tensor at z is made the one at the mirror point nearer z = 0
+    built = verification.correlator_ee
+
+    def mirrored(geom, z, *args):
+        if geom.kind is WallKind.CONDUCTOR_PERMEABLE:
+            z = min(z, geom.separation_a - z)
+        return built(geom, z, *args)
+
+    monkeypatch.setattr(verification, "correlator_ee", mirrored)
+
+
 def test_failing_verify_json_writes_null_for_a_non_finite_error(
     capsys, monkeypatch
 ):
     # K of the wrong sign makes trace_sum_constant's relative error inf,
     # which JSON cannot hold
-    kind = WallKind.CONDUCTOR_PERMEABLE
-    entry = WALL_TABLE[kind]
-    monkeypatch.setitem(WALL_TABLE, kind, entry._replace(diag_const=-entry.diag_const))
+    _flip_cp_diag_const(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--format", "json")
     assert code != 0
 
@@ -779,6 +796,35 @@ def test_verify_exit_counts_failures(capsys, monkeypatch, fmt, stdout_sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
 
 
+_FAULTS = {"diag-sign": _flip_cp_diag_const, "mirrored-tensor": _mirror_cp_tensor}
+# exit code and sha256 of stdout and stderr of verify --level full under the
+# two faults a check answers with max_rel = inf: a cp K of the wrong sign
+# (trace_sum_constant, with both potential checks) and a reflection-symmetric
+# cp tensor (cc_reflection_cp_asymmetry alone)
+_FORCED_FAILURES = {
+    ("diag-sign", "text"): (
+        3, "004273a48d915ba5d329b90b02396955a90f066590ab56c11335af6a5bcc720c",
+        "c24051e1655e7c31d3ca668ce7868afc62fd8496aa9282505c8df2f40e6a8d12"),
+    ("diag-sign", "json"): (
+        3, "1fe1e3d71373dbd484424f5076803def58dda6624d7ab7f28ec5e4914acccd8e",
+        "c24051e1655e7c31d3ca668ce7868afc62fd8496aa9282505c8df2f40e6a8d12"),
+    ("mirrored-tensor", "text"): (
+        1, "85963f62f34e9022bae2cf381452f2dd974fa371c2fa31194ce6d424c7c432df",
+        "cd31cd09051acb22d2a1deaae3a9ea5d5714e8148b0e8596e9ded5aa5c1b4a30"),
+    ("mirrored-tensor", "json"): (
+        1, "d6e499451c4ed3ebb2c956accedb76783f8181da0a443691fe5ca5d32d6379dc",
+        "cd31cd09051acb22d2a1deaae3a9ea5d5714e8148b0e8596e9ded5aa5c1b4a30"),
+}
+
+
+@pytest.mark.parametrize("fault, fmt", sorted(_FORCED_FAILURES))
+def test_forced_verify_failures_are_pinned(capsys, monkeypatch, fault, fmt):
+    _FAULTS[fault](monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--level", "full", "--format", fmt)
+    digest = [hashlib.sha256(s.encode("utf-8")).hexdigest() for s in (out, err)]
+    assert (code, *digest) == _FORCED_FAILURES[fault, fmt]
+
+
 # ----------------------------------------------------------------------
 # module entry point
 # ----------------------------------------------------------------------
@@ -808,7 +854,8 @@ def _run_module(*args, env=None):
 
 
 @pytest.mark.parametrize(
-    "argv", [("correlators", "--z", "0.3"), ("verify", "--level", "quick")]
+    "argv", [("correlators", "--z", "0.3"), ("verify", "--level", "quick"),
+             ("verify", "--level", "full")]
 )
 def test_optimized_interpreter_gives_the_same_output(argv):
     # python -O strips assert statements; no invariant may depend on them

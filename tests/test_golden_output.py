@@ -1,4 +1,5 @@
-"""Golden bytes: the SHA-256 of stdout for a fixed set of CLI invocations.
+"""Golden bytes: the SHA-256 of stdout for a fixed set of CLI invocations,
+each of which exits 0 with nothing on stderr.
 
 The output contract (17 significant digits, LF endings, byte-identical
 reruns) is a frozen interface, so a refactor of the physics layer must leave
@@ -203,6 +204,14 @@ GOLDEN = {
         ("verify", "--level", "full", "--format", "csv"),
         "393e9e3923c9c041f67b0ae7bcaf1e380cb1886ae043cc5b25a0e8b20dc9b0ec",
     ),
+    "verify-full-text": (
+        ("verify", "--level", "full"),
+        "790ef1822297c7ed43650f08b8383f79911935282138c6db2bc02d9d84ece1f8",
+    ),
+    "verify-full-json": (
+        ("verify", "--level", "full", "--format", "json"),
+        "9a91d90f7dc80a31f4b5abd80c5b6616e3f694ddab3ae06ec4ba523dec79144e",
+    ),
     "verify-quick-text": (
         ("verify", "--level", "quick"),
         "f9233dbef331bbfbcf700fcbf89e95abf098eb138d59df36ab83915a661878d6",
@@ -218,8 +227,8 @@ GOLDEN = {
 def test_stdout_bytes_are_pinned(capsys, case):
     argv, want = GOLDEN[case]
     code = main(list(argv))
-    out = capsys.readouterr().out
-    assert code == 0
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
 
 
