@@ -1,13 +1,19 @@
-"""Self-verification registry: every cross-module invariant as a named check.
+"""Self-verification: every cross-module invariant as a named check.
 
-Each check is registered under a stable name; REQUIRED_CHECK_NAMES is the
-authoritative inventory and the registry is asserted complete at import time,
-so a check cannot silently drop out of the suite. run_verification executes
-the full inventory and reports one record per check; a check passes iff its
-measured error is at or below its tolerance (binary checks count violations
-against a tolerance of zero). CheckResult and VerificationReport are named
-tuples; CheckResult.__new__ turns NumPy scalars into plain floats, bools and
-ints, and as_dict is _asdict.
+REQUIRED_CHECK_NAMES is the authoritative inventory. _CHECKS is one ordered
+table of (names, check) rows; check(level) yields one (max_abs, max_rel,
+tolerance, passed, points) tuple per name of its row. At import time the
+table's names must equal REQUIRED_CHECK_NAMES in order, or the module raises
+(an explicit raise, so it holds under python -O), and a check cannot
+silently drop out of the suite. run_verification runs the rows in that
+order, pairs each row's names with what its check yields (zip strict, so a
+check that yields too few or too many results raises instead of being cut
+short) and builds every CheckResult in that one place. A check passes iff
+its measured error is at or below its tolerance (binary checks count
+violations against a tolerance of zero); a check that finds its structural
+condition broken reports max_rel = inf and fails. CheckResult and
+VerificationReport are named tuples; CheckResult.__new__ turns NumPy
+scalars into plain floats, bools and ints, and as_dict is _asdict.
 
 Levels: "quick" samples about 10 positions per check (2 expansion scales
 for the series checks) with relaxed oracle tolerances (1e-8); "full"
@@ -15,9 +21,13 @@ samples 20 to 200 positions per check (4 scales for the series checks, the
 same 4 separations for single_wall_convergence), 120 of them for the
 oracles at the certified 1e-10 budget. points_tested counts the positions
 times the geometries, atoms, scales or tensors a check sweeps over.
-The cot and csc image-sum checks share one image pass per point
-(profiles._image_sums) and are still reported as two checks; nothing is
-kept from one run_verification call to the next.
+The three oracle checks (cot_profile_vs_image_sum, cot_profile_vs_hurwitz,
+csc_profile_vs_image_sum) are one row: one pass per point evaluates
+cot_profile once and runs one image pass (profiles._image_sums) for both
+sums, and they are still reported as three checks. Rows whose checks differ
+only in their arguments share one function: the four series checks, the two
+finite-difference checks and the two reflection checks. Nothing is kept
+from one run_verification call to the next.
 
 The matrix checks (tensor_structure, eb_zero, correlator_scaling,
 cc_reflection_cp_asymmetry) read each tensor's 3x3 matrix as
@@ -175,104 +185,66 @@ REQUIRED_CHECK_NAMES = (
     "force_fd_consistency",
 )
 
-_REGISTRY: dict = {}
-
-
-def _register(*names: str):
-    """Register fn(level) as the check(s) under names.
-
-    A function registered under several names runs once per
-    run_verification call and returns one CheckResult per name, in order.
-    """
-
-    def deco(fn):
-        run = fn if len(names) > 1 else lambda level: (fn(level),)
-        for name in names:
-            _REGISTRY[name] = run
-        return fn
-
-    return deco
-
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
-def _abs_result(name, diffs, refs, tol, points) -> CheckResult:
+def _abs_result(diffs, refs, tol, points):
     """Pass/fail on max absolute error; relative column is informational."""
     max_abs = max(diffs)
     max_rel = max(d / abs(r) for d, r in zip(diffs, refs))
-    return CheckResult(name, max_abs, max_rel, tol, max_abs <= tol, points)
+    return max_abs, max_rel, tol, max_abs <= tol, points
 
 
-def _rel_result(name, diffs, denoms, tol, points) -> CheckResult:
-    """Pass/fail on max relative error; denominators supplied by the check."""
+def _rel_result(diffs, denoms, tol, points, broken=False):
+    """Pass/fail on max relative error; denominators supplied by the check.
+
+    broken=True (a structural condition the check also tests does not hold)
+    reports max_rel = inf, which fails the check.
+    """
     max_abs = max(diffs)
-    max_rel = max(
+    max_rel = math.inf if broken else max(
         (d / dn if dn > 0.0 else (0.0 if d == 0.0 else math.inf))
         for d, dn in zip(diffs, denoms)
     )
-    return CheckResult(name, max_abs, max_rel, tol, max_rel <= tol, points)
+    return max_abs, max_rel, tol, max_rel <= tol, points
 
 
-def _count_result(name, violations, worst, points) -> CheckResult:
+def _count_result(violations, worst, points):
     """Binary check: passes iff no violations; worst is informational."""
-    return CheckResult(
-        name, float(violations), worst, 0.0, violations == 0, points
-    )
+    return violations, worst, 0.0, violations == 0, points
 
 
-def _oracle_setup(level: str) -> tuple[list[float], float, float]:
-    if level == "quick":
-        return _grid(0.05, PI - 0.05, 10), 1e-10, 1e-8
-    return _grid(0.05, PI - 0.05, 120), 1e-12, 1e-10
+def _check_oracles(level: str):
+    """cot and csc against the image sums, and cot against the Hurwitz route.
 
-
-@_register("cot_profile_vs_image_sum", "csc_profile_vs_image_sum")
-def _check_image_sums(level: str) -> tuple[CheckResult, CheckResult]:
-    xs, target, tol = _oracle_setup(level)
-    cot_diffs, csc_diffs, refs = [], [], []
-    for x in xs:
+    One pass per point: one cot_profile value and one image pass serve all
+    three checks.
+    """
+    n, target, tol = (10, 1e-10, 1e-8) if level == "quick" else (120, 1e-12, 1e-10)
+    cot_diffs, hurwitz_diffs, csc_diffs, refs = [], [], [], []
+    for x in _grid(0.05, PI - 0.05, n):
         cfg = OracleConfig(image_terms_needed(x, target), target)
         cot_images, csc_images = _image_sums(x, cfg)
         val = cot_profile(x)
         cot_diffs.append(abs(val - cot_images))
+        hurwitz_diffs.append(abs(val - cot_profile_via_hurwitz(x)))
         csc_diffs.append(abs(csc_profile(x) - csc_images))
-        refs.append(val)  # csc profile crosses zero; scale both by cot
-    return (
-        _abs_result("cot_profile_vs_image_sum", cot_diffs, refs, tol, len(xs)),
-        _abs_result("csc_profile_vs_image_sum", csc_diffs, refs, tol, len(xs)),
-    )
+        refs.append(val)  # csc profile crosses zero; scale all three by cot
+    yield _abs_result(cot_diffs, refs, tol, n)
+    yield _abs_result(hurwitz_diffs, refs, tol, n)
+    yield _abs_result(csc_diffs, refs, tol, n)
 
 
-@_register("cot_profile_vs_hurwitz")
-def _check_cot_hurwitz(level: str) -> CheckResult:
-    xs, _, tol = _oracle_setup(level)
-    diffs, refs = [], []
-    for x in xs:
-        val = cot_profile(x)
-        diffs.append(abs(val - cot_profile_via_hurwitz(x)))
-        refs.append(val)
-    return _abs_result("cot_profile_vs_hurwitz", diffs, refs, tol, len(xs))
-
-
-@_register("cot_profile_reflection")
-def _check_cot_reflection(level: str) -> CheckResult:
+def _check_reflection(fn, parity, floor, level: str):
+    """fn(x) against parity * fn(pi - x), relative to max(|fn(x)|, floor)."""
     n = 10 if level == "quick" else 100
     xs = _grid(0.02, 1.55, n)
-    diffs = [abs(cot_profile(x) - cot_profile(PI - x)) for x in xs]
-    denoms = [abs(cot_profile(x)) for x in xs]
-    return _rel_result("cot_profile_reflection", diffs, denoms, 1e-12, n)
-
-
-@_register("csc_profile_antisymmetry")
-def _check_csc_antisymmetry(level: str) -> CheckResult:
-    n = 10 if level == "quick" else 100
-    xs = _grid(0.02, 1.55, n)
-    diffs = [abs(csc_profile(x) + csc_profile(PI - x)) for x in xs]
-    denoms = [max(abs(csc_profile(x)), 1.0) for x in xs]
-    return _rel_result("csc_profile_antisymmetry", diffs, denoms, 1e-12, n)
+    diffs = [abs(fn(x) - parity * fn(PI - x)) for x in xs]
+    denoms = [max(abs(fn(x)), floor) for x in xs]
+    yield _rel_result(diffs, denoms, 1e-12, n)
 
 
 def _series_ratio_spread(values: list[float]) -> float:
@@ -287,7 +259,7 @@ def _series_scales(level: str) -> list[float]:
     return [0.1, 0.05] if level == "quick" else [0.1, 0.05, 0.025, 0.0125]
 
 
-def _series_check(name, fn, far, sign, const, level) -> CheckResult:
+def _series_check(fn, far, sign, const, level: str):
     """Fit (fn - sign*(3/8)*w^-4 - const())/w^2 at shrinking wall distances w.
 
     far=True expands about xi = pi instead of xi = 0. const() reads the
@@ -303,24 +275,10 @@ def _series_check(name, fn, far, sign, const, level) -> CheckResult:
             (fn(x) - sign * profiles.SERIES_LEADING * w ** -4 - const()) / w ** 2
         )
     spread = _series_ratio_spread(cs)
-    return CheckResult(name, spread, spread, 0.05, spread <= 0.05, len(us))
+    yield spread, spread, 0.05, spread <= 0.05, len(us)
 
 
-# Far from xi = 0 the csc expansion flips sign wholesale: -(3/8)w^-4 + 7/960.
-for _name, _fn, _far, _sign, _const in (
-    ("near_wall_series_cot", cot_profile, False, 1.0,
-     lambda: profiles.COT_SERIES_CONST),
-    ("near_wall_series_csc", csc_profile, False, 1.0,
-     lambda: -profiles.CSC_SERIES_CONST),
-    ("far_wall_series_cot", cot_profile, True, 1.0,
-     lambda: profiles.COT_SERIES_CONST),
-    ("far_wall_series_csc", csc_profile, True, -1.0,
-     lambda: profiles.CSC_SERIES_CONST),
-):
-    _register(_name)(partial(_series_check, _name, _fn, _far, _sign, _const))
-
-
-def _fd_derivative_check(name, fn, deriv, level, seed) -> CheckResult:
+def _check_derivative_fd(fn, deriv, seed, level: str):
     n = 10 if level == "quick" else 50
     rng = random.Random(seed)
     h = 1e-6
@@ -330,34 +288,18 @@ def _fd_derivative_check(name, fn, deriv, level, seed) -> CheckResult:
         fd = (fn(x + h) - fn(x - h)) / (2.0 * h)
         diffs.append(abs(deriv(x) - fd))
         denoms.append(abs(deriv(x)))
-    return _rel_result(name, diffs, denoms, 1e-7, n)
+    yield _rel_result(diffs, denoms, 1e-7, n)
 
 
-@_register("cot_profile_derivative_fd")
-def _check_cot_deriv_fd(level: str) -> CheckResult:
-    return _fd_derivative_check(
-        "cot_profile_derivative_fd", cot_profile, cot_profile_deriv, level, 1297
-    )
-
-
-@_register("csc_profile_derivative_fd")
-def _check_csc_deriv_fd(level: str) -> CheckResult:
-    return _fd_derivative_check(
-        "csc_profile_derivative_fd", csc_profile, csc_profile_deriv, level, 4021
-    )
-
-
-@_register("cot_profile_positive")
-def _check_cot_positive(level: str) -> CheckResult:
+def _check_cot_positive(level: str):
     n = 10 if level == "quick" else 200
     xs = _grid(0.01, PI - 0.01, n)
     worst = min(cot_profile(x) for x in xs)
     violations = sum(1 for x in xs if cot_profile(x) <= 0.0)
-    return _count_result("cot_profile_positive", violations, worst, n)
+    yield _count_result(violations, worst, n)
 
 
-@_register("tensor_structure")
-def _check_tensor_structure(level: str) -> CheckResult:
+def _check_tensor_structure(level: str):
     n = 10 if level == "quick" else 40
     violations, worst, tested = 0, 0.0, 0
     for geom in _GEOMETRIES:
@@ -374,11 +316,10 @@ def _check_tensor_structure(level: str) -> CheckResult:
                 worst = max(worst, off, xxyy, asym)
                 violations += (off != 0.0) + (xxyy != 0.0) + (asym != 0.0)
                 tested += 1
-    return _count_result("tensor_structure", violations, worst, tested)
+    yield _count_result(violations, worst, tested)
 
 
-@_register("eb_zero")
-def _check_eb_zero(level: str) -> CheckResult:
+def _check_eb_zero(level: str):
     n = 10 if level == "quick" else 40
     violations, worst, tested = 0, 0.0, 0
     for geom in _GEOMETRIES:
@@ -388,17 +329,15 @@ def _check_eb_zero(level: str) -> CheckResult:
             worst = max(worst, m)
             violations += m != 0.0
             tested += 1
-    return _count_result("eb_zero", violations, worst, tested)
+    yield _count_result(violations, worst, tested)
 
 
-@_register("trace_sum_constant")
-def _check_trace_sum(level: str) -> CheckResult:
+def _check_trace_sum(level: str):
     # The cancellation 3*p - 3*p leaves the trace sum ~1e4 times smaller than
     # either trace near the walls, so the 1e-12 relative claim is tested on
     # [0.2a, 0.8a] where both traces stay O(10) times the sum.
     n = 10 if level == "quick" else 100
-    diffs, denoms = [], []
-    sign_violations = 0
+    diffs, denoms, wrong_sign = [], [], False
     for geom, expected_sign in ((_CC, -1.0), (_CP, 1.0)):
         a = geom.separation_a
         sums = [
@@ -406,21 +345,13 @@ def _check_trace_sum(level: str) -> CheckResult:
             for z in _grid(0.2 * a, 0.8 * a, n)
         ]
         ref = sums[0]
-        if ref * expected_sign <= 0.0:
-            sign_violations += 1
+        wrong_sign = wrong_sign or ref * expected_sign <= 0.0
         diffs.extend(abs(s - ref) for s in sums)
         denoms.extend(abs(ref) for _ in sums)
-    res = _rel_result("trace_sum_constant", diffs, denoms, 1e-12, 2 * n)
-    if sign_violations:
-        res = CheckResult(
-            res.name, res.max_abs_error, math.inf, res.tolerance, False,
-            res.points_tested,
-        )
-    return res
+    yield _rel_result(diffs, denoms, 1e-12, 2 * n, broken=wrong_sign)
 
 
-@_register("correlator_scaling")
-def _check_correlator_scaling(level: str) -> CheckResult:
+def _check_correlator_scaling(level: str):
     fracs = [0.3, 0.5, 0.77] if level == "quick" else _grid(0.1, 0.9, 20)
     diffs, denoms = [], []
     for kind in WallKind:
@@ -434,13 +365,10 @@ def _check_correlator_scaling(level: str) -> CheckResult:
                     for i in range(3):
                         diffs.append(abs(t2[i][i] * s ** 4 - t1[i][i]))
                         denoms.append(abs(t1[i][i]))
-    return _rel_result(
-        "correlator_scaling", diffs, denoms, 1e-12, len(diffs)
-    )
+    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
 
 
-@_register("cc_reflection_cp_asymmetry")
-def _check_reflection_asymmetry(level: str) -> CheckResult:
+def _check_reflection_asymmetry(level: str):
     n = 10 if level == "quick" else 50
     diffs, denoms = [], []
     for z in _grid(0.05, 0.45, n):
@@ -450,19 +378,12 @@ def _check_reflection_asymmetry(level: str) -> CheckResult:
             for i in range(3):
                 diffs.append(abs(t1[i][i] - t2[i][i]))
                 denoms.append(abs(t1[i][i]))
-    res = _rel_result(
-        "cc_reflection_cp_asymmetry", diffs, denoms, 1e-12, len(diffs)
-    )
     # The conductor-permeable tensors must NOT be reflection symmetric.
     zz_quarter = correlator_ee(_CP, 0.25).components.tolist()[2][2]
     zz_three_quarter = correlator_ee(_CP, 0.75).components.tolist()[2][2]
     scale = abs(zz_quarter) + abs(zz_three_quarter)
-    if abs(zz_quarter - zz_three_quarter) <= 1e-3 * scale:
-        res = CheckResult(
-            res.name, res.max_abs_error, math.inf, res.tolerance, False,
-            res.points_tested,
-        )
-    return res
+    symmetric = abs(zz_quarter - zz_three_quarter) <= 1e-3 * scale
+    yield _rel_result(diffs, denoms, 1e-12, len(diffs), broken=symmetric)
 
 
 def _potential_floor(atom: AtomResponse, a: float) -> float:
@@ -470,8 +391,7 @@ def _potential_floor(atom: AtomResponse, a: float) -> float:
     return (abs(atom.alpha0) + abs(atom.beta0)) * PI ** 3 / (360.0 * a ** 4)
 
 
-@_register("potential_additivity")
-def _check_additivity(level: str) -> CheckResult:
+def _check_additivity(level: str):
     n = 10 if level == "quick" else 50
     diffs, denoms = [], []
     for geom in _GEOMETRIES:
@@ -484,11 +404,10 @@ def _check_additivity(level: str) -> CheckResult:
                 )
                 diffs.append(abs(total - parts))
                 denoms.append(max(abs(total), abs(parts), floor))
-    return _rel_result("potential_additivity", diffs, denoms, 1e-12, len(diffs))
+    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
 
 
-@_register("potential_from_correlators")
-def _check_potential_correlators(level: str) -> CheckResult:
+def _check_potential_correlators(level: str):
     # Three routes per part: the closed form in potentials, -alpha0/2 * <E^2>
     # from the correlator trace, and the closed form as documented, with this
     # module's own copy of K. The first two share correlators.WALL_TABLE, so
@@ -518,13 +437,10 @@ def _check_potential_correlators(level: str) -> CheckResult:
                 ):
                     diffs.append(max(abs(x - y), abs(doc - y)))
                     denoms.append(max(abs(x), abs(y), fl))
-    return _rel_result(
-        "potential_from_correlators", diffs, denoms, 1e-12, len(diffs)
-    )
+    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
 
 
-@_register("potential_linearity")
-def _check_linearity(level: str) -> CheckResult:
+def _check_linearity(level: str):
     n = 10 if level == "quick" else 25
     diffs, denoms = [], []
     atom = AtomResponse(1.0, 0.25)
@@ -537,11 +453,10 @@ def _check_linearity(level: str) -> CheckResult:
                 v2 = potential_total(scaled, geom, z)
                 diffs.append(abs(v1 - v2))
                 denoms.append(max(abs(v1), abs(v2), floor))
-    return _rel_result("potential_linearity", diffs, denoms, 1e-15, len(diffs))
+    yield _rel_result(diffs, denoms, 1e-15, len(diffs))
 
 
-@_register("potential_scaling")
-def _check_potential_scaling(level: str) -> CheckResult:
+def _check_potential_scaling(level: str):
     n = 10 if level == "quick" else 25
     diffs, denoms = [], []
     atom = AtomResponse(1.0, 0.25)
@@ -555,11 +470,10 @@ def _check_potential_scaling(level: str) -> CheckResult:
                 v2 = s ** 4 * potential_total(atom, scaled, s * z)
                 diffs.append(abs(v1 - v2))
                 denoms.append(max(abs(v1), abs(v2), floor))
-    return _rel_result("potential_scaling", diffs, denoms, 1e-12, len(diffs))
+    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
 
 
-@_register("cc_potential_reflection")
-def _check_cc_potential_reflection(level: str) -> CheckResult:
+def _check_cc_potential_reflection(level: str):
     n = 10 if level == "quick" else 50
     diffs, denoms = [], []
     for atom in _ATOMS:
@@ -578,13 +492,10 @@ def _check_cc_potential_reflection(level: str) -> CheckResult:
             p2 = potential_total(atom, _CP, 1.0 - z) - const
             diffs.append(abs(p1 + p2))
             denoms.append(max(abs(p1), abs(p2), floor))
-    return _rel_result(
-        "cc_potential_reflection", diffs, denoms, 1e-12, len(diffs)
-    )
+    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
 
 
-@_register("single_wall_convergence")
-def _check_single_wall(level: str) -> CheckResult:
+def _check_single_wall(level: str):
     a_values = [20.0, 40.0, 80.0, 160.0]
     atom = AtomResponse(1.0, 0.0)
     violations, worst = 0, 0.0
@@ -596,11 +507,10 @@ def _check_single_wall(level: str) -> CheckResult:
         if not 3.5 <= exponent <= 4.5:
             violations += 1
         worst = max(worst, errs[-1])
-    return _count_result("single_wall_convergence", violations, worst, 2 * len(a_values))
+    yield _count_result(violations, worst, 2 * len(a_values))
 
 
-@_register("force_fd_consistency")
-def _check_force_fd(level: str) -> CheckResult:
+def _check_force_fd(level: str):
     n = 10 if level == "quick" else 100
     rng = random.Random(90125)
     diffs, denoms = [], []
@@ -617,25 +527,58 @@ def _check_force_fd(level: str) -> CheckResult:
             analytic = force(atom, geom, z)
             diffs.append(abs(analytic - fd))
             denoms.append(abs(analytic))
-    return _rel_result("force_fd_consistency", diffs, denoms, 1e-6, 2 * n)
+    yield _rel_result(diffs, denoms, 1e-6, 2 * n)
 
 
-_missing = set(REQUIRED_CHECK_NAMES) - set(_REGISTRY)
-_extra = set(_REGISTRY) - set(REQUIRED_CHECK_NAMES)
-if _missing or _extra:  # registry must be complete at import time
+# (names, check) in REQUIRED_CHECK_NAMES order; check(level) yields one
+# result tuple per name. Far from xi = 0 the csc expansion flips sign
+# wholesale: -(3/8)w^-4 + 7/960.
+_CHECKS = (
+    (("cot_profile_vs_image_sum", "cot_profile_vs_hurwitz",
+      "csc_profile_vs_image_sum"), _check_oracles),
+    (("cot_profile_reflection",), partial(_check_reflection, cot_profile, 1.0, 0.0)),
+    (("csc_profile_antisymmetry",),
+     partial(_check_reflection, csc_profile, -1.0, 1.0)),
+    (("near_wall_series_cot",), partial(
+        _series_check, cot_profile, False, 1.0, lambda: profiles.COT_SERIES_CONST)),
+    (("near_wall_series_csc",), partial(
+        _series_check, csc_profile, False, 1.0, lambda: -profiles.CSC_SERIES_CONST)),
+    (("far_wall_series_cot",), partial(
+        _series_check, cot_profile, True, 1.0, lambda: profiles.COT_SERIES_CONST)),
+    (("far_wall_series_csc",), partial(
+        _series_check, csc_profile, True, -1.0, lambda: profiles.CSC_SERIES_CONST)),
+    (("cot_profile_derivative_fd",),
+     partial(_check_derivative_fd, cot_profile, cot_profile_deriv, 1297)),
+    (("csc_profile_derivative_fd",),
+     partial(_check_derivative_fd, csc_profile, csc_profile_deriv, 4021)),
+    (("cot_profile_positive",), _check_cot_positive),
+    (("tensor_structure",), _check_tensor_structure),
+    (("eb_zero",), _check_eb_zero),
+    (("trace_sum_constant",), _check_trace_sum),
+    (("correlator_scaling",), _check_correlator_scaling),
+    (("cc_reflection_cp_asymmetry",), _check_reflection_asymmetry),
+    (("potential_additivity",), _check_additivity),
+    (("potential_from_correlators",), _check_potential_correlators),
+    (("potential_linearity",), _check_linearity),
+    (("potential_scaling",), _check_potential_scaling),
+    (("cc_potential_reflection",), _check_cc_potential_reflection),
+    (("single_wall_convergence",), _check_single_wall),
+    (("force_fd_consistency",), _check_force_fd),
+)
+_table_names = tuple(name for names, _ in _CHECKS for name in names)
+if _table_names != REQUIRED_CHECK_NAMES:
     raise AssertionError(
-        f"verification registry incomplete: missing={sorted(_missing)},"
-        f" unexpected={sorted(_extra)}"
+        f"verification table {_table_names} differs from REQUIRED_CHECK_NAMES"
     )
 
 
 def run_verification(level: str = "quick") -> VerificationReport:
-    """Run every registered check at the given level ("quick" or "full")."""
+    """Run every check of the table at the given level ("quick" or "full")."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verification level {level!r}")
-    results: dict[str, CheckResult] = {}
-    for name in REQUIRED_CHECK_NAMES:
-        if name not in results:
-            results.update((r.name, r) for r in _REGISTRY[name](level))
-    checks = [results[name] for name in REQUIRED_CHECK_NAMES]
+    checks = [
+        CheckResult(name, *result)
+        for names, check in _CHECKS
+        for name, result in zip(names, check(level), strict=True)
+    ]
     return VerificationReport(level=level, checks=checks)

@@ -1,4 +1,4 @@
-"""The self-verification registry: completeness, passing runs, mutation tests.
+"""The self-verification table: completeness, passing runs, mutation tests.
 
 The mutation tests perturb the near-wall expansion constants and pi's low
 part PI_LO through the profiles module and the per-geometry diagonal
@@ -188,9 +188,21 @@ def test_reflection_symmetric_cp_tensor_fails_the_asymmetry_check(
         return built(geom, z, *args)
 
     monkeypatch.setattr(verification, "correlator_ee", mirrored)
-    result = verification._check_reflection_asymmetry(level)
-    assert result.name == "cc_reflection_cp_asymmetry"
-    assert not result.passed and result.max_rel_error == math.inf
+    failures = run_verification(level).failures
+    assert [c.name for c in failures] == ["cc_reflection_cp_asymmetry"]
+    assert failures[0].max_rel_error == math.inf
+
+
+def test_a_check_that_yields_fewer_results_than_names_is_refused(monkeypatch):
+    # the oracle row has three names; its check is cut to two results
+    (names, check), *rest = verification._CHECKS
+    assert len(names) == 3
+    monkeypatch.setattr(
+        verification, "_CHECKS",
+        ((names, lambda level: list(check(level))[:2]), *rest),
+    )
+    with pytest.raises(ValueError, match="shorter"):
+        run_verification("quick")
 
 
 @pytest.mark.parametrize("level, points", [("quick", 10), ("full", 120)])
