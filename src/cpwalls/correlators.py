@@ -137,12 +137,11 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         """
         a = self.separation_a
         try:
-            inside = 0.0 < z < a  # also false for nan
-        except TypeError:  # not a number: refused as outside
-            inside = False
-        if not inside:
-            raise OutOfDomain(f"z={z!r} is not strictly between the walls (0, {a})")
-        return PI * (z / a) or _XI_MIN
+            if 0.0 < z < a:  # also false for nan
+                return PI * (z / a) or _XI_MIN
+        except TypeError:  # not a number, or not divisible by a float
+            pass
+        raise OutOfDomain(f"z={z!r} is not strictly between the walls (0, {a})")
 
     def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""

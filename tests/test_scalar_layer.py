@@ -18,6 +18,7 @@ finite, and points whose xi underflows.
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_profile_functions_are_one_evaluation(monkeypatch, name):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("z", ["0.5", None, [1.0], b"1", 1j])
+@pytest.mark.parametrize("z", ["0.5", None, [1.0], b"1", 1j, Decimal("0.5")])
 @pytest.mark.parametrize("name", sorted(FORM_EVALUATIONS))
 def test_a_position_that_is_not_a_number_is_refused_as_outside(name, z):
     geom = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 2.0)
