@@ -13,18 +13,23 @@ one allowed difference.
 The points are seeded over both kinds, separations from 1e-300 to 1e300,
 both guard modes and several band widths: both band edges to the ulp,
 z > a/2, xi within a few ulps of pi/2, points outside the walls or not
-finite, and points whose xi underflows.
+finite, and points whose xi underflows. Fixed points follow for each kind
+and separation: the double just below a (it evaluates), a itself (it is
+refused), the midplane and the doubles on either side of it. A refusal
+raises with no exception in its __context__, and nearest_wall_reference
+equals the V_wall column at every point that evaluates.
 """
 
 import math
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cpwalls import correlators, profiles
-from cpwalls.analysis import _COLUMN
+from cpwalls.analysis import _COLUMN, nearest_wall_reference
 from cpwalls.correlators import (
     Geometry,
     WallKind,
@@ -119,12 +124,40 @@ def _refusal(geom: Geometry, z: float, guard: GuardPolicy):
     return None
 
 
+def _cases(rng):
+    """(geom, guard, atom, z): 2500 seeded points, then the fixed boundary ones."""
+    for _ in range(2500):
+        a = float(rng.choice(SEPARATIONS))
+        geom = Geometry(rng.choice(list(WallKind)), a)
+        guard = GuardPolicy(float(rng.choice(BAND_WIDTHS)),
+                            str(rng.choice(["reject", "asymptotic"])))
+        atom = AtomResponse(float(rng.choice(POLARIZABILITIES)),
+                            float(rng.choice(POLARIZABILITIES)))
+        yield geom, guard, atom, _z(rng, a, guard.epsilon)
+    guard, atom = GuardPolicy(1e-6, "asymptotic"), AtomResponse(1.0, 0.25)
+    for kind in WallKind:
+        for a in SEPARATIONS:
+            half = 0.5 * a
+            for z in (math.nextafter(a, 0.0), a, math.nextafter(half, 0.0), half,
+                      math.nextafter(half, a)):
+                yield Geometry(kind, a), guard, atom, z
+
+
 def _outcome(call):
     """call()'s value, or the class and message of what it raised."""
     try:
         return call()
     except (DomainError, OverflowError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
+
+
+def _context(call):
+    """The __context__ of the DomainError that call() raises."""
+    try:
+        call()
+    except DomainError as exc:
+        return exc.__context__
+    raise AssertionError("not refused")
 
 
 def _same(scalar, grid, term: float = 0.0) -> bool:
@@ -155,7 +188,7 @@ def _grid(geom, atom, z, guard):
     p, dp, asymptotic = terms
     with np.errstate(all="ignore"):
         cells = {name: _outcome(lambda: f(atom, geom, zs, p, dp)[0])
-                 for name, f in _COLUMN.items() if name not in ("z", "V_wall")}
+                 for name, f in _COLUMN.items() if name != "z"}
     return p[0], dp[0], bool(asymptotic[0]), cells
 
 
@@ -166,14 +199,8 @@ def test_the_scalar_layer_equals_the_array_path():
          "double_range"), 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # negative polarizabilities
-        for _ in range(2500):
-            a = float(rng.choice(SEPARATIONS))
-            geom = Geometry(rng.choice(list(WallKind)), a)
-            guard = GuardPolicy(float(rng.choice(BAND_WIDTHS)),
-                                str(rng.choice(["reject", "asymptotic"])))
-            atom = AtomResponse(float(rng.choice(POLARIZABILITIES)),
-                                float(rng.choice(POLARIZABILITIES)))
-            z = _z(rng, a, guard.epsilon)
+        for geom, guard, atom, z in _cases(rng):
+            a = geom.separation_a
             case = (geom, guard, atom, z)
             grid = _grid(geom, atom, z, guard)
             expected = _refusal(geom, z, guard)
@@ -184,6 +211,9 @@ def test_the_scalar_layer_equals_the_array_path():
                     band = name == "correlator_eb" and grid[0] is TooCloseToWall
                     got = _outcome(lambda: _public_call(name, atom, geom, z, guard))
                     assert got == ((0.0, 0.0, "EB") if band else grid), (name, case)
+                    if not band:
+                        assert _context(lambda: _public_call(
+                            name, atom, geom, z, guard)) is None, (name, case)
                 continue
             p, dp, asymptotic, cells = grid
             seen["value"] += 1
@@ -221,6 +251,13 @@ def test_the_scalar_layer_equals_the_array_path():
                 assert sample.z == z, case
                 assert sample.regime == ("asymptotic" if asymptotic else "exact"), case
                 assert _same(sample.V, cells["V"]) and _same(sample.force_z, cells["force"]), case
+            wall, cell = _outcome(lambda: nearest_wall_reference(geom, atom, z)), cells["V_wall"]
+            if isinstance(wall, tuple):  # d**4 left the double range; the cell did not raise
+                assert wall[0] in (OverflowError, ZeroDivisionError), case
+                assert cell == 0.0 or math.isinf(cell) or (
+                    math.isnan(cell) and atom.alpha0 == atom.beta0), case
+            else:
+                assert _same(wall, cell), case
     assert seen["value"] > 1000 and seen["refused"] > 400, seen
     assert min(seen.values()) > 20, seen
 
@@ -291,6 +328,16 @@ def test_a_position_that_is_not_a_number_is_refused_as_outside(name, z):
     with pytest.raises(OutOfDomain) as info:
         _public_call(name, AtomResponse(1.0, 0.0), geom, z, GuardPolicy())
     assert str(info.value) == f"z={z!r} is not strictly between the walls (0, 2.0)"
+
+
+@pytest.mark.parametrize("z", [10 ** 400, -10 ** 400, Fraction(10 ** 400)])
+@pytest.mark.parametrize("name", sorted(FORM_EVALUATIONS))
+def test_a_position_beyond_the_double_range_is_refused_as_outside(name, z):
+    geom = Geometry(WallKind.CONDUCTOR_PERMEABLE, 2.0)
+    with pytest.raises(OutOfDomain) as info:
+        _public_call(name, AtomResponse(1.0, 0.0), geom, z, GuardPolicy())
+    assert str(info.value) == f"z={z!r} is not strictly between the walls (0, 2.0)"
+    assert info.value.__context__ is None
 
 
 @pytest.mark.parametrize("xi", ["1.0", None, [1.0]])
