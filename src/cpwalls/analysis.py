@@ -22,12 +22,13 @@ from .potentials import (
     _electric,
     _force,
     _magnetic,
-    _single_wall_magnitude,
+    _check_wall_distance,
+    _single_wall,
     _total,
     potential_total,
     single_wall_limit,
 )
-from .profiles import DEFAULT_GUARD, GuardPolicy
+from .profiles import DEFAULT_GUARD, GuardPolicy, _pow
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,27 +151,27 @@ def nearest_wall_reference(geom: Geometry, atom: AtomResponse, z: float) -> floa
     For "cc" both walls are conducting; for "cp" the far wall (z = a) is
     permeable. The reference uses the distance to whichever wall is closer.
     """
-    a = geom.separation_a
-    d_near, d_far = z, a - z
-    if d_near <= d_far:
-        return single_wall_limit(atom, "conducting", d_near)
-    far_type = (
-        "conducting" if geom.kind is WallKind.CONDUCTOR_CONDUCTOR else "permeable"
-    )
-    return single_wall_limit(atom, far_type, d_far)
+    _check_wall_distance(min(z, geom.separation_a - z))
+    return _nearest_wall(geom, atom, z, _pow, min)
+
+
+def _nearest_wall(geom: Geometry, atom: AtomResponse, z, pow, minimum):
+    """The single-wall law of the wall nearer to z, on floats or arrays.
+
+    pow and minimum are operator.pow and min for one z, np.float_power and
+    np.minimum for a grid. A tie goes to the near wall, z = 0, which is
+    conducting; only the far wall of "cp" repels.
+    """
+    d_far = geom.separation_a - z
+    repels = (z > d_far) & (geom.kind is WallKind.CONDUCTOR_PERMEABLE)
+    return _single_wall(atom, minimum(z, d_far), repels, pow)
 
 
 def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z: np.ndarray):
-    """nearest_wall_reference over a grid of z, equal to it bit for bit."""
+    """_nearest_wall over a grid of z, equal to nearest_wall_reference bit for bit."""
     import numpy as np
 
-    d_far = geom.separation_a - z
-    far = z > d_far  # a tie goes to the near wall
-    magnitude = _single_wall_magnitude(
-        atom, np.float_power(np.where(far, d_far, z), 4)
-    )
-    repelled = far & (geom.kind is WallKind.CONDUCTOR_PERMEABLE)
-    return np.where(repelled, magnitude, -magnitude)
+    return _nearest_wall(geom, atom, z, np.float_power, np.minimum)
 
 
 # Every table column as one expression in the position(s) z and the profile

@@ -23,10 +23,15 @@ Geometry maps z to xi = pi*z/a and hands the geometry's forms to the
 profiles module: one profiles._evaluate call per form at one z, one
 profiles._point_terms call for point_terms (profile, slope and the
 asymptotic flag from one reflection), one profiles._profile_terms call for
-a grid. The methods on one z check 0 < z < a and form xi inline; a refused
-z, or one that is not a number, goes to Geometry.xi, which words the
-refusal. Records the module builds from its own values (the tensors of
-correlator_ee and correlator_bb, the one zero EB record) skip the checks of
+a grid. Geometry.xi is the one rule for a z: 0 < z < a, by
+profiles._inside, so a z that float arithmetic refuses (a str, a Decimal)
+is outside; it words every refusal of a z. The methods on one z call the
+evaluator on pi*(z/a) directly: for a float z, pi*(z/a) is in (0, pi)
+exactly where z is in (0, a), save where pi*z/a underflows to 0.0. Only
+if that call raises (_VIA_XI) do they call it again, after the except
+block, on Geometry.xi(z), so a refusal chains no exception. Records the
+module builds from its own values (the tensors of correlator_ee and
+correlator_bb, the one zero EB record) skip the checks of
 CorrelatorTensor.__new__. Where pi*z/a underflows to 0.0
 (z/a below about 1e-324) xi is the smallest positive double
 instead, so the point is in the guard band as one with a subnormal xi is,
@@ -59,6 +64,7 @@ from .profiles import (
     Form,
     GuardPolicy,
     _evaluate,
+    _inside,
     _point_terms,
     _profile_terms,
 )
@@ -71,6 +77,12 @@ _SMALLEST_NORMAL = sys.float_info.min
 _TENSOR_SCALE = 2.0 / (3.0 * PI)  # tensor_prefactor's factor after (pi/a)^4
 _record = tuple.__new__  # builds a record from the library's own values, unchecked
 _XI_MIN = 5e-324  # the smallest positive double: xi where pi*z/a underflows
+# What the direct evaluator call on pi*(z/a) raises where Geometry.xi must
+# decide: OutOfDomain for an xi off (0, pi) (z outside, or pi*z/a
+# underflowed to 0.0), TypeError for a z that is not a number and
+# OverflowError for one beyond the double range. The call on Geometry.xi(z)
+# then refuses z, or raises again what the evaluation itself raised.
+_VIA_XI = (OutOfDomain, TypeError, OverflowError)
 
 
 class WallKind(enum.Enum):
@@ -136,30 +148,27 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         double.
         """
         a = self.separation_a
-        try:
-            if 0.0 < z < a:  # also false for nan
-                return PI * (z / a) or _XI_MIN
-        except TypeError:  # not a number, or not divisible by a float
-            pass
+        if _inside(z, a):  # 0 < z < a, false for nan and for what is not a number
+            return PI * (z / a) or _XI_MIN
         raise OutOfDomain(f"z={z!r} is not strictly between the walls (0, {a})")
 
     def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""
-        a = self.separation_a
+        form = WALL_TABLE[self.kind].profile
         try:
-            xi = (PI * (z / a) or _XI_MIN) if 0.0 < z < a else self.xi(z)
-        except TypeError:  # not a number
-            xi = self.xi(z)
-        return _evaluate(WALL_TABLE[self.kind].profile, xi, guard)
+            return _evaluate(form, PI * (z / self.separation_a), guard)
+        except _VIA_XI:
+            pass
+        return _evaluate(form, self.xi(z), guard)
 
     def profile_deriv(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """d/dxi of the geometry's profile at xi(z)."""
-        a = self.separation_a
+        form = WALL_TABLE[self.kind].profile_deriv
         try:
-            xi = (PI * (z / a) or _XI_MIN) if 0.0 < z < a else self.xi(z)
-        except TypeError:  # not a number
-            xi = self.xi(z)
-        return _evaluate(WALL_TABLE[self.kind].profile_deriv, xi, guard)
+            return _evaluate(form, PI * (z / self.separation_a), guard)
+        except _VIA_XI:
+            pass
+        return _evaluate(form, self.xi(z), guard)
 
     def point_terms(
         self, z: float, guard: GuardPolicy = DEFAULT_GUARD
@@ -172,13 +181,12 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         this raises as ** does instead of giving inf, the profile before
         the slope), and a refusal is the scalar methods' own.
         """
-        a = self.separation_a
+        profile, slope = WALL_TABLE[self.kind][:2]
         try:
-            xi = (PI * (z / a) or _XI_MIN) if 0.0 < z < a else self.xi(z)
-        except TypeError:  # not a number
-            xi = self.xi(z)
-        wall = WALL_TABLE[self.kind]
-        return _point_terms(wall.profile, wall.profile_deriv, xi, guard)
+            return _point_terms(profile, slope, PI * (z / self.separation_a), guard)
+        except _VIA_XI:
+            pass
+        return _point_terms(profile, slope, self.xi(z), guard)
 
     def profile_terms(
         self, z: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD

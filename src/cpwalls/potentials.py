@@ -50,7 +50,7 @@ from .errors import (
     OutOfDomain,
     TooCloseToWall,
 )
-from .profiles import DEFAULT_GUARD, PI, GuardPolicy, wall_distance
+from .profiles import DEFAULT_GUARD, PI, GuardPolicy, _pow, wall_distance
 
 # Combined constant of potential_total, transcribed apart from the diagonal
 # constants in correlators.WALL_TABLE: potential_additivity compares the two.
@@ -168,15 +168,24 @@ def single_wall_limit(atom: AtomResponse, wall_type: str, distance: float) -> fl
     """
     if wall_type not in ("conducting", "permeable"):
         raise ValueError(f"unknown wall_type {wall_type!r}")
-    if not (distance > 0.0 and math.isfinite(distance)):
-        raise OutOfDomain(f"wall distance must be positive, got {distance!r}")
-    magnitude = _single_wall_magnitude(atom, distance ** 4)
-    return -magnitude if wall_type == "conducting" else magnitude
+    _check_wall_distance(distance)
+    return _single_wall(atom, distance, wall_type == "permeable", _pow)
 
 
-def _single_wall_magnitude(atom: AtomResponse, d4):
-    """|single_wall_limit| from the fourth power of the distance (or an array)."""
-    return 3.0 * (atom.alpha0 - atom.beta0) / (8.0 * PI * d4)
+def _check_wall_distance(d) -> None:
+    if not (d > 0.0 and math.isfinite(d)):
+        raise OutOfDomain(f"wall distance must be positive, got {d!r}")
+
+
+def _single_wall(atom: AtomResponse, d, repels, pow):
+    """single_wall_limit at distance d from a wall that repels (True) or not.
+
+    d and repels are floats and a bool, or arrays of them; pow is
+    operator.pow or np.float_power. The sign is a factor of +-1.0, which
+    is exact.
+    """
+    magnitude = 3.0 * (atom.alpha0 - atom.beta0) / (8.0 * PI * pow(d, 4))
+    return (2.0 * repels - 1.0) * magnitude
 
 
 def force(

@@ -39,9 +39,11 @@ the scalar twin of _profile_terms, a profile and its slope from one
 domain check, reflection, sin/cos pair and band test, with the
 asymptotic flag. Both word their refusals through _refuse, the one place
 that does: every scalar function, and every Geometry method on one z, is
-one _evaluate call per form, or one _point_terms call for both. An xi
-that is not a number is refused as outside (0, pi), with no type test on
-the way of a number. _profile_terms evaluates the same forms
+one _evaluate call per form, or one _point_terms call for both. An
+argument that float arithmetic refuses is outside the domain: a str, a
+Decimal or an int beyond the double range is refused as outside (0, pi)
+(zeta4: as not q > 0), by the test 0.0 * x < x < hi of _inside, with no
+type test on the way of a number. _profile_terms evaluates the same forms
 on a whole array of xi, for tables, and refuses nothing: it passes
 np.float_power, which is libm's pow as ** is (** on arrays and np.power use
 a SIMD pow that differs from libm in the last bit), and returns the band
@@ -165,13 +167,23 @@ def wall_distance(xi: float) -> float:
     return (PI - xi) + PI_LO
 
 
-def _check_domain(xi: float) -> None:
+def _inside(x, hi: float) -> bool:
+    """0 < x < hi, and False for an x that float arithmetic refuses.
+
+    0.0 * x is 0.0 for a positive number (nan for inf and nan) and raises
+    for an x that float arithmetic refuses: TypeError for one that is not
+    a number, a Decimal included, OverflowError for an int or a Fraction
+    beyond the double range. The comparisons stay exact.
+    """
     try:
-        if 0.0 < xi < PI:  # also false for nan and inf
-            return
-    except TypeError:  # not a number: refused as outside
-        pass
-    raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
+        return 0.0 * x < x < hi
+    except (TypeError, OverflowError):
+        return False
+
+
+def _check_domain(xi: float) -> None:
+    if not _inside(xi, PI):
+        raise OutOfDomain(f"xi={xi!r} is outside the open interval (0, pi)")
 
 
 class Form(NamedTuple):
@@ -227,9 +239,9 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
     series; guard=None asks for the series everywhere.
     """
     try:
-        if not 0.0 < xi < PI:  # also false for nan and inf
+        if not 0.0 * xi < xi < PI:  # the test of _inside(xi, PI), inline
             _refuse(xi, guard)
-    except TypeError:  # not a number
+    except (TypeError, OverflowError):  # refused by float arithmetic
         _refuse(xi, guard)
     if xi <= HALF_PI:
         u, sign = xi, 1.0
@@ -460,7 +472,7 @@ def zeta4(q: float) -> float:
     Direct summation of the first terms plus an Euler-Maclaurin tail; the
     absolute error is dominated by rounding of the leading q^-4 term.
     """
-    if not (q > 0.0 and math.isfinite(q)):
+    if not _inside(q, math.inf):
         raise OutOfDomain(f"zeta4 requires q > 0, got {q!r}")
     head = math.fsum((q + k) ** -4 for k in range(_ZETA4_CUTOFF))
     x = q + _ZETA4_CUTOFF

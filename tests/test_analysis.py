@@ -86,6 +86,7 @@ def test_sweep_limit_reference_column():
     assert curve.columns[-1] == "V_wall"
     refs = dict(zip(curve.column("z"), curve.column("V_wall")))
     assert refs[0.1] == single_wall_limit(ELECTRIC, "conducting", 0.1)
+    assert refs[0.5] == single_wall_limit(ELECTRIC, "conducting", 0.5)  # a tie
     assert refs[0.9] == single_wall_limit(ELECTRIC, "permeable", 1.0 - 0.9)
 
 
@@ -100,6 +101,10 @@ def test_nearest_wall_reference_sides():
     # far wall in "cp" is permeable: positive reference
     assert nearest_wall_reference(CP, ELECTRIC, 0.8) > 0.0
     assert nearest_wall_reference(CP, ELECTRIC, 0.2) < 0.0
+    # a tie goes to the near wall, which is conducting in both geometries
+    assert nearest_wall_reference(CP, ELECTRIC, 0.5) == single_wall_limit(
+        ELECTRIC, "conducting", 0.5
+    )
 
 
 def test_curve_column_lookup():

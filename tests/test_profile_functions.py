@@ -8,6 +8,7 @@ exact double-precision inputs shown.
 """
 
 import math
+import operator
 
 import mpmath
 import pytest
@@ -18,6 +19,10 @@ from hypothesis import strategies as st
 
 from cpwalls.errors import OutOfDomain, TailBoundViolated, TooCloseToWall
 from cpwalls.profiles import (
+    COT_PROFILE,
+    COT_PROFILE_DERIV,
+    CSC_PROFILE,
+    CSC_PROFILE_DERIV,
     HALF_PI,
     PI,
     PI_LO,
@@ -113,6 +118,38 @@ def test_far_wall_series_coefficients():
 def test_exact_symmetries_symbolically():
     assert sp.simplify(_COT_CLOSED.subs(_X, sp.pi - _X) - _COT_CLOSED) == 0
     assert sp.simplify(_CSC_CLOSED.subs(_X, sp.pi - _X) + _CSC_CLOSED) == 0
+
+
+# The production Forms against their definitions: -(1/16) d^3/dx^3 cot x
+# or csc x, and the x-derivative of that.
+_FORMS = {
+    "COT_PROFILE": (COT_PROFILE, -sp.diff(sp.cot(_X), _X, 3) / 16),
+    "CSC_PROFILE": (CSC_PROFILE, -sp.diff(sp.csc(_X), _X, 3) / 16),
+    "COT_PROFILE_DERIV": (COT_PROFILE_DERIV, -sp.diff(sp.cot(_X), _X, 4) / 16),
+    "CSC_PROFILE_DERIV": (CSC_PROFILE_DERIV, -sp.diff(sp.csc(_X), _X, 4) / 16),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_FORMS))
+def test_production_forms_are_their_definitions(name, sign):
+    """Form.closed and Form.series, as the evaluators call them, in sympy.
+
+    At wall distance u, sign = +1 is the point x = u and sign = -1 the
+    point x = pi - u. The closed form at (sin u, cos u) simplifies to the
+    definition at x, its float literals taken as the rationals they are.
+    Each series coefficient at u^-5, u^-4 and u^0 is the double of the
+    exact Laurent coefficient of the definition about the wall.
+    """
+    form, defining = _FORMS[name]
+    u = sp.symbols("u", positive=True)
+    exact = defining.subs(_X, u if sign > 0 else sp.pi - u)
+    closed = form.closed(sp.sin(u), sp.cos(u), sign, operator.pow)
+    assert sp.simplify(sp.nsimplify(closed, rational=True) - exact) == 0
+    series = sp.expand(form.series(u, sign, operator.pow))
+    laurent = sp.series(exact, u, 0, 1).removeO()
+    for k in (-5, -4, 0):
+        assert float(series.coeff(u, k)) == float(laurent.coeff(u, k)), k
 
 
 # ----------------------------------------------------------------------

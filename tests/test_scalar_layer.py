@@ -21,6 +21,7 @@ equals the V_wall column at every point that evaluates.
 """
 
 import math
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -306,6 +307,56 @@ def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z):
         assert counts.get("xi", 0) == (name == "correlator_eb"), name
 
 
+# (call, kind) -> opcode events of one warm call, the calling lambda's included
+BYTECODES = {
+    ("potential_total z < a/2", "cc"): 137, ("potential_total z < a/2", "cp"): 139,
+    ("potential_total z > a/2", "cc"): 140, ("potential_total z > a/2", "cp"): 142,
+    ("potential_sample", "cc"): 210, ("potential_sample", "cp"): 218,
+    ("force", "cc"): 118, ("force", "cp"): 124,
+    ("correlator_ee", "cc"): 150, ("correlator_ee", "cp"): 152,
+    ("cot_profile", None): 75,
+}
+
+
+def _bytecodes(call) -> int:
+    """Opcode events that one call() runs once it has run once already."""
+    call()
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="bytecode counts are those of CPython 3.11")
+def test_the_scalar_path_runs_a_pinned_number_of_bytecodes():
+    """A change in these counts is a change in the scalar path's cost: re-pin it on purpose."""
+    atom, guard = AtomResponse(1.0, 0.25), GuardPolicy()
+    counts = {("cot_profile", None): _bytecodes(lambda: profiles.cot_profile(1.1, guard))}
+    for kind in WallKind:
+        geom = Geometry(kind, 2.0)
+        for name, call in {
+            "potential_total z < a/2": lambda: potential_total(atom, geom, 0.7, guard),
+            "potential_total z > a/2": lambda: potential_total(atom, geom, 1.3, guard),
+            "potential_sample": lambda: potential_sample(atom, geom, 0.7, guard),
+            "force": lambda: force(atom, geom, 0.7, guard),
+            "correlator_ee": lambda: correlator_ee(geom, 0.7, guard),
+        }.items():
+            counts[name, kind.value] = _bytecodes(call)
+    assert counts == BYTECODES
+
+
 @pytest.mark.parametrize("name", ["cot_profile", "csc_profile", "cot_profile_deriv",
                                   "csc_profile_deriv", "cot_profile_series",
                                   "csc_profile_series"])
@@ -321,28 +372,29 @@ def test_profile_functions_are_one_evaluation(monkeypatch, name):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("z", ["0.5", None, [1.0], b"1", 1j, Decimal("0.5")])
+@pytest.mark.parametrize("z", ["0.5", None, [1.0], b"1", 1j, Decimal("0.5"),
+                               10 ** 400, -10 ** 400, Fraction(10 ** 400)])
 @pytest.mark.parametrize("name", sorted(FORM_EVALUATIONS))
 def test_a_position_that_is_not_a_number_is_refused_as_outside(name, z):
+    """So is one beyond the double range; neither refusal chains an exception."""
     geom = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 2.0)
-    with pytest.raises(OutOfDomain) as info:
-        _public_call(name, AtomResponse(1.0, 0.0), geom, z, GuardPolicy())
-    assert str(info.value) == f"z={z!r} is not strictly between the walls (0, 2.0)"
-
-
-@pytest.mark.parametrize("z", [10 ** 400, -10 ** 400, Fraction(10 ** 400)])
-@pytest.mark.parametrize("name", sorted(FORM_EVALUATIONS))
-def test_a_position_beyond_the_double_range_is_refused_as_outside(name, z):
-    geom = Geometry(WallKind.CONDUCTOR_PERMEABLE, 2.0)
     with pytest.raises(OutOfDomain) as info:
         _public_call(name, AtomResponse(1.0, 0.0), geom, z, GuardPolicy())
     assert str(info.value) == f"z={z!r} is not strictly between the walls (0, 2.0)"
     assert info.value.__context__ is None
 
 
-@pytest.mark.parametrize("xi", ["1.0", None, [1.0]])
-@pytest.mark.parametrize("name", ["cot_profile", "csc_profile_deriv", "cot_profile_series"])
+@pytest.mark.parametrize("xi", ["1.0", None, [1.0], Decimal("1.0"), Decimal("2.0")])
+@pytest.mark.parametrize("name", [
+    "cot_profile", "csc_profile", "cot_profile_deriv", "csc_profile_deriv",
+    "cot_profile_series", "csc_profile_series", "cot_profile_via_images",
+    "csc_profile_via_images", "cot_profile_via_hurwitz", "image_terms_needed", "zeta4"])
 def test_a_profile_argument_that_is_not_a_number_is_refused_as_outside(name, xi):
+    """An argument that float arithmetic refuses, a Decimal too, is outside."""
+    args = (xi, 1e-12) if name == "image_terms_needed" else (xi,)
     with pytest.raises(OutOfDomain) as info:
-        getattr(profiles, name)(xi)
-    assert str(info.value) == f"xi={xi!r} is outside the open interval (0, pi)"
+        getattr(profiles, name)(*args)
+    if name == "zeta4":
+        assert str(info.value) == f"zeta4 requires q > 0, got {xi!r}"
+    else:
+        assert str(info.value) == f"xi={xi!r} is outside the open interval (0, pi)"
