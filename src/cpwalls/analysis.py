@@ -22,13 +22,12 @@ from .potentials import (
     _electric,
     _force,
     _magnetic,
-    _check_wall_distance,
     _single_wall,
     _total,
     potential_total,
     single_wall_limit,
 )
-from .profiles import DEFAULT_GUARD, GuardPolicy, _pow
+from .profiles import DEFAULT_GUARD, GuardPolicy, _inside, _pow
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,7 +84,7 @@ class SweepSpec(
             raise InvalidGrid(f"grid count must be an integer, got {count!r}") from exc
         if count < 2:
             raise InvalidGrid(f"grid count must be >= 2, got {count!r}")
-        if not (0.0 < z_min < z_max < geometry.separation_a):
+        if not (_inside(z_min, z_max) and _inside(z_max, geometry.separation_a)):
             raise InvalidGrid(
                 f"need 0 < z_min < z_max < a, got z_min={z_min!r},"
                 f" z_max={z_max!r}, a={geometry.separation_a!r}"
@@ -151,7 +150,7 @@ def nearest_wall_reference(geom: Geometry, atom: AtomResponse, z: float) -> floa
     For "cc" both walls are conducting; for "cp" the far wall (z = a) is
     permeable. The reference uses the distance to whichever wall is closer.
     """
-    _check_wall_distance(min(z, geom.separation_a - z))
+    geom.xi(z)  # refuses a z outside the walls
     return _nearest_wall(geom, atom, z, _pow, min)
 
 
@@ -289,12 +288,15 @@ def limit_convergence_study(
     z is measured from the named wall: from z=0 for "conducting", from z=a
     for "permeable" (the atom sits at position a - z in that geometry).
     """
-    a_list = [float(a) for a in a_values]
+    try:
+        a_list = [float(a) for a in a_values]
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: 10**400
+        raise InvalidGrid("a_values must be a sequence of numbers") from exc
     if not a_list:
         raise InvalidGrid("a_values must be non-empty")
     if any(b <= a for a, b in zip(a_list, a_list[1:])):
         raise InvalidGrid("a_values must be strictly increasing")
-    if not (z > 0.0 and z < min(a_list)):
+    if not _inside(z, min(a_list)):
         raise InvalidGrid(f"need 0 < z < min(a_values), got z={z!r}")
 
     degenerate = atom.alpha0 == atom.beta0

@@ -41,14 +41,13 @@ refused row goes to Geometry.profile, which raises.
 
 Geometry and CorrelatorTensor are named tuples checked in __new__: a
 Geometry's kind must be a WallKind (ValueError otherwise) and its
-separation a number (ValueError otherwise), positive and finite
-(OutOfDomain otherwise).
+separation a number by profiles._finite (ValueError otherwise), positive
+and finite (OutOfDomain otherwise, an int beyond the double range too).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
@@ -64,6 +63,7 @@ from .profiles import (
     Form,
     GuardPolicy,
     _evaluate,
+    _finite,
     _inside,
     _point_terms,
     _profile_terms,
@@ -128,13 +128,9 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
     __slots__ = ()
 
     def __new__(cls, kind: WallKind, separation_a: float):
-        try:
-            if not (separation_a > 0.0 and math.isfinite(separation_a)):
-                raise OutOfDomain(
-                    f"separation_a must be positive and finite, got {separation_a!r}"
-                )
-        except TypeError as exc:  # not a number
-            raise ValueError(f"separation_a is not a number: {separation_a!r}") from exc
+        a = separation_a
+        if not (_finite(a, "separation_a is not a number: {!r}") and a > 0.0):
+            raise OutOfDomain(f"separation_a must be positive and finite, got {a!r}")
         if not isinstance(kind, WallKind):
             raise ValueError(f"geometry kind must be a WallKind, got {kind!r}")
         return tuple.__new__(cls, (kind, separation_a))

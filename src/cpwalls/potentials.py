@@ -32,8 +32,9 @@ the wall at z = a. Natural units (hbar = c = 1): with polarizabilities in
 length^3, potentials are inverse lengths and forces inverse lengths squared.
 
 AtomResponse and PotentialSample are named tuples; AtomResponse.__new__
-refuses a polarizability that is not a finite number and warns, naming the
-caller's line, about a negative one.
+refuses a polarizability that is not a number or not finite, by
+profiles._finite, and warns, naming the caller's line, about a negative
+one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from .errors import (
     OutOfDomain,
     TooCloseToWall,
 )
-from .profiles import DEFAULT_GUARD, PI, GuardPolicy, _pow, wall_distance
+from .profiles import (
+    DEFAULT_GUARD, PI, GuardPolicy, _finite, _inside, _pow, wall_distance,
+)
 
 # Combined constant of potential_total, transcribed apart from the diagonal
 # constants in correlators.WALL_TABLE: potential_additivity compares the two.
@@ -73,11 +76,9 @@ class AtomResponse(namedtuple("AtomResponse", "alpha0 beta0")):
     __slots__ = ()
 
     def __new__(cls, alpha0: float, beta0: float):
-        try:
-            if not (math.isfinite(alpha0) and math.isfinite(beta0)):
-                raise ValueError("polarizabilities must be finite")
-        except TypeError as exc:  # not a number
-            raise ValueError("polarizabilities must be numbers") from exc
+        numbers = "polarizabilities must be numbers"
+        if not (_finite(alpha0, numbers) and _finite(beta0, numbers)):
+            raise ValueError("polarizabilities must be finite")
         if alpha0 < 0.0 or beta0 < 0.0:
             warnings.warn(
                 "negative static polarizability supplied",
@@ -168,13 +169,9 @@ def single_wall_limit(atom: AtomResponse, wall_type: str, distance: float) -> fl
     """
     if wall_type not in ("conducting", "permeable"):
         raise ValueError(f"unknown wall_type {wall_type!r}")
-    _check_wall_distance(distance)
+    if not _inside(distance, math.inf):
+        raise OutOfDomain(f"wall distance must be positive, got {distance!r}")
     return _single_wall(atom, distance, wall_type == "permeable", _pow)
-
-
-def _check_wall_distance(d) -> None:
-    if not (d > 0.0 and math.isfinite(d)):
-        raise OutOfDomain(f"wall distance must be positive, got {d!r}")
 
 
 def _single_wall(atom: AtomResponse, d, repels, pow):
@@ -237,7 +234,7 @@ def stationary_points(
     one the profile evaluation refuses in, wall_distance(xi) < epsilon.
     """
     a = geom.separation_a
-    if not (0.0 < z_lo < z_hi < a):
+    if not (_inside(z_lo, z_hi) and _inside(z_hi, a)):
         raise OutOfDomain(
             f"need 0 < z_lo < z_hi < a, got z_lo={z_lo!r}, z_hi={z_hi!r}, a={a!r}"
         )

@@ -153,7 +153,7 @@ def test_points_off_the_interval_are_refused_first(oracle, x):
 def test_image_terms_needed_refuses_a_tolerance_that_is_not_positive():
     with pytest.raises(ValueError) as info:
         image_terms_needed(1.0, 0.0)
-    assert str(info.value) == "target_abs_tol must be positive"
+    assert str(info.value) == "target_abs_tol must be positive and finite"
 
 
 def test_tail_bound_is_infinite_when_no_image_lies_beyond_xi():

@@ -17,15 +17,20 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpwalls.correlators import _TENSOR_SCALE, WALL_TABLE, WallKind
 from cpwalls.errors import OutOfDomain, TailBoundViolated, TooCloseToWall
+from cpwalls.potentials import _COMBINED_CONST, _PI3, _PI4
 from cpwalls.profiles import (
     COT_PROFILE,
     COT_PROFILE_DERIV,
+    COT_SERIES_CONST,
     CSC_PROFILE,
     CSC_PROFILE_DERIV,
+    CSC_SERIES_CONST,
     HALF_PI,
     PI,
     PI_LO,
+    SERIES_LEADING,
     GuardPolicy,
     OracleConfig,
     cot_profile,
@@ -42,6 +47,7 @@ from cpwalls.profiles import (
     wall_distance,
     zeta4,
 )
+from cpwalls.units import HBAR_C_J_M
 
 mpmath.mp.dps = 50
 
@@ -150,6 +156,56 @@ def test_production_forms_are_their_definitions(name, sign):
     laurent = sp.series(exact, u, 0, 1).removeO()
     for k in (-5, -4, 0):
         assert float(series.coeff(u, k)) == float(laurent.coeff(u, k)), k
+
+
+def _pi_ulps(x: float, n: int, roundings: float) -> float:
+    """Ulps of x that an expression in PI**n may be off by.
+
+    PI is pi less PI_LO, so PI**n carries n*PI_LO/pi of relative error,
+    and each rounding on the way adds at most 2^-53 relative (libm's pow
+    counts as two: it is within one ulp, not half of one).
+    """
+    return (n * PI_LO / PI + roundings * 2.0 ** -53) * abs(x) / math.ulp(x)
+
+
+# name -> (production double, its exact value, the ulps it may be off by).
+# A correctly rounded double is within 0.5 ulp; every literal here is one,
+# and so are 2/(3*pi) (+0.47 ulp) and pi - PI (+0.12), although formed by
+# an expression. Measured ulps at 60 digits are given for the others.
+CONSTANTS = {
+    "SERIES_LEADING": (SERIES_LEADING, lambda: mpmath.mpf(3) / 8, 0.5),
+    "COT_SERIES_CONST": (COT_SERIES_CONST, lambda: mpmath.mpf(1) / 120, 0.5),
+    "CSC_SERIES_CONST": (CSC_SERIES_CONST, lambda: mpmath.mpf(7) / 960, 0.5),
+    "WALL_TABLE cc K": (
+        WALL_TABLE[WallKind.CONDUCTOR_CONDUCTOR].diag_const,
+        lambda: mpmath.mpf(1) / 120, 0.5),
+    "WALL_TABLE cp K": (
+        WALL_TABLE[WallKind.CONDUCTOR_PERMEABLE].diag_const,
+        lambda: -mpmath.mpf(7) / 960, 0.5),
+    "_COMBINED_CONST cc": (
+        _COMBINED_CONST[WallKind.CONDUCTOR_CONDUCTOR], lambda: mpmath.mpf(1) / 360, 0.5),
+    "_COMBINED_CONST cp": (
+        _COMBINED_CONST[WallKind.CONDUCTOR_PERMEABLE], lambda: -mpmath.mpf(7) / 2880, 0.5),
+    "_TENSOR_SCALE": (_TENSOR_SCALE, lambda: 2 / (3 * mpmath.pi), 0.5),
+    "PI_LO": (PI_LO, lambda: mpmath.pi - mpmath.mpf(PI), 0.5),
+    # PI ** 3 and PI ** 4: PI's own error and one pow; measured -1.12, -1.55
+    "_PI3": (_PI3, lambda: mpmath.pi ** 3, _pi_ulps(_PI3, 3, 2)),
+    "_PI4": (_PI4, lambda: mpmath.pi ** 4, _pi_ulps(_PI4, 4, 2)),
+    # h / (2 * PI) * c, with h and c exact by SI definition: the literal h,
+    # PI's error, a quotient and a product; measured +0.58
+    "HBAR_C_J_M": (
+        HBAR_C_J_M,
+        lambda: mpmath.mpf("6.62607015e-34") * 299792458 / (2 * mpmath.pi),
+        _pi_ulps(HBAR_C_J_M, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANTS)
+def test_production_constants_are_their_exact_values(name):
+    value, exact, ulps = CONSTANTS[name]
+    with mpmath.workdps(60):
+        off = (mpmath.mpf(value) - exact()) / math.ulp(value)
+    assert abs(off) <= ulps, (name, float(off))
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +468,40 @@ def test_series_tracks_closed_form_near_wall(u):
     assert rel_err(csc_profile_series(u), csc_profile(u)) < budget
     assert rel_err(cot_profile_series(PI - u), cot_profile(PI - u)) < budget
     assert rel_err(csc_profile_series(PI - u), csc_profile(PI - u)) < budget
+
+
+# The guard band's error as GuardPolicy and README state it: the series'
+# relative error at wall distance u, to leading order and, to two digits,
+# at u = 0.1, 0.5 and 1.0.
+SERIES_ERROR = {
+    "COT_PROFILE": (COT_PROFILE, 4 / 189, (2.1e-8, 3.6e-4, 2.9e-2)),
+    "CSC_PROFILE": (CSC_PROFILE, 31 / 1512, (2.1e-8, 3.5e-4, 3.2e-2)),
+    "COT_PROFILE_DERIV": (COT_PROFILE_DERIV, 2 / 189, (1.1e-8, 2.0e-4, 2.2e-2)),
+    "CSC_PROFILE_DERIV": (CSC_PROFILE_DERIV, 31 / 3024, (1.0e-8, 1.9e-4, 2.1e-2)),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_ERROR)
+def test_the_guard_band_error_is_the_documented_one(name):
+    """The series against the closed form in mpmath (proven above) at u.
+
+    Within one ulp up to u = 4e-3, and no longer at 6e-3; the stated
+    figures at 0.1, 0.5 and 1.0; the leading order to 1% at 0.03.
+    """
+    form, leading, figures = SERIES_ERROR[name]
+
+    def error(u: float) -> tuple[float, float]:
+        """(relative error, error in ulps) of the series at u."""
+        exact = form.closed(mpmath.sin(u), mpmath.cos(u), 1.0, operator.pow)
+        off = form.series(u, 1.0, operator.pow) - exact
+        return float(abs(off / exact)), float(abs(off) / math.ulp(float(exact)))
+
+    for u in (1e-3, 2e-3, 3e-3, 4e-3):
+        assert error(u)[1] <= 1.0, u
+    assert error(6e-3)[1] > 1.0
+    assert rel_err(error(0.03)[0], leading * 0.03 ** 6) < 0.01
+    for u, figure in zip((0.1, 0.5, 1.0), figures):
+        assert float(f"{error(u)[0]:.2g}") == figure, u
 
 
 @settings(deadline=None)

@@ -14,6 +14,9 @@ import copy
 import math
 import pickle
 import warnings
+from decimal import Decimal
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -304,6 +307,39 @@ REFUSALS = [
     (lambda: LimitStudy("conducting", 0.5, [LimitRow(1.0, 2.0, 3.0, 0.5)],
                         False).convergence_exponent(),
      ValueError, "need at least two nonzero errors to fit an exponent"),
+]
+
+
+# Each number field -> a build from one value, the ValueError message for a
+# value that is not a number, and the class and message for a number that is
+# not in range. One rule decides between the two, float arithmetic's: what
+# 0.0 * x < inf refuses as a type (a Decimal, a complex) is not a number, and
+# an int or a Fraction beyond the double range is not finite.
+NUMBER_FIELDS = {
+    ("GuardPolicy", "epsilon"): (
+        GuardPolicy, "guard epsilon must be a number",
+        ValueError, "guard epsilon must be positive and finite"),
+    ("OracleConfig", "target_abs_tol"): (
+        partial(OracleConfig, 5), "target_abs_tol must be a number",
+        ValueError, "target_abs_tol must be positive and finite"),
+    ("Geometry", "separation_a"): (
+        partial(Geometry, CC), "separation_a is not a number: {!r}",
+        OutOfDomain, "separation_a must be positive and finite, got {!r}"),
+    ("AtomResponse", "alpha0"): (
+        lambda x: AtomResponse(x, 0.0), "polarizabilities must be numbers",
+        ValueError, "polarizabilities must be finite"),
+    ("AtomResponse", "beta0"): (
+        lambda x: AtomResponse(1.0, x), "polarizabilities must be numbers",
+        ValueError, "polarizabilities must be finite"),
+}
+NOT_NUMBERS = (Decimal("0.5"), 0.5j)
+NOT_FINITE = (10 ** 400, -10 ** 400, Fraction(10 ** 400))
+REFUSALS += [
+    (partial(build, x), ValueError, not_a_number.format(x))
+    for build, not_a_number, _, _ in NUMBER_FIELDS.values() for x in NOT_NUMBERS
+] + [
+    (partial(build, x), error, out_of_range.format(x))
+    for build, _, error, out_of_range in NUMBER_FIELDS.values() for x in NOT_FINITE
 ]
 
 

@@ -28,9 +28,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_records import NUMBER_FIELDS
 
+import cpwalls
 from cpwalls import correlators, profiles
-from cpwalls.analysis import _COLUMN, nearest_wall_reference
+from cpwalls.analysis import (
+    _COLUMN,
+    SweepSpec,
+    limit_convergence_study,
+    nearest_wall_reference,
+)
 from cpwalls.correlators import (
     Geometry,
     WallKind,
@@ -40,7 +47,7 @@ from cpwalls.correlators import (
     mean_square_b,
     mean_square_e,
 )
-from cpwalls.errors import DomainError, OutOfDomain, TooCloseToWall
+from cpwalls.errors import DomainError, InvalidGrid, OutOfDomain, TooCloseToWall
 from cpwalls.potentials import (
     AtomResponse,
     force,
@@ -48,8 +55,10 @@ from cpwalls.potentials import (
     potential_magnetic,
     potential_sample,
     potential_total,
+    single_wall_limit,
+    stationary_points,
 )
-from cpwalls.profiles import PI, GuardPolicy, wall_distance
+from cpwalls.profiles import PI, GuardPolicy, image_terms_needed, wall_distance
 
 SEPARATIONS = (1.0, 2.5, 3.7e-5, 1e-300, 1e-60, 1e30, 1e300)
 BAND_WIDTHS = (1e-300, 1e-6, 1e-3, 0.5)
@@ -309,12 +318,12 @@ def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z):
 
 # (call, kind) -> opcode events of one warm call, the calling lambda's included
 BYTECODES = {
-    ("potential_total z < a/2", "cc"): 137, ("potential_total z < a/2", "cp"): 139,
-    ("potential_total z > a/2", "cc"): 140, ("potential_total z > a/2", "cp"): 142,
+    ("potential_total z < a/2", "cc"): 136, ("potential_total z < a/2", "cp"): 138,
+    ("potential_total z > a/2", "cc"): 139, ("potential_total z > a/2", "cp"): 141,
     ("potential_sample", "cc"): 210, ("potential_sample", "cp"): 218,
-    ("force", "cc"): 118, ("force", "cp"): 124,
-    ("correlator_ee", "cc"): 150, ("correlator_ee", "cp"): 152,
-    ("cot_profile", None): 75,
+    ("force", "cc"): 117, ("force", "cp"): 123,
+    ("correlator_ee", "cc"): 149, ("correlator_ee", "cp"): 151,
+    ("cot_profile", None): 74,
 }
 
 
@@ -384,11 +393,15 @@ def test_a_position_that_is_not_a_number_is_refused_as_outside(name, z):
     assert info.value.__context__ is None
 
 
-@pytest.mark.parametrize("xi", ["1.0", None, [1.0], Decimal("1.0"), Decimal("2.0")])
-@pytest.mark.parametrize("name", [
+# The public functions of xi, and zeta4 of q
+XI_FUNCTIONS = (
     "cot_profile", "csc_profile", "cot_profile_deriv", "csc_profile_deriv",
     "cot_profile_series", "csc_profile_series", "cot_profile_via_images",
-    "csc_profile_via_images", "cot_profile_via_hurwitz", "image_terms_needed", "zeta4"])
+    "csc_profile_via_images", "cot_profile_via_hurwitz", "image_terms_needed", "zeta4")
+
+
+@pytest.mark.parametrize("xi", ["1.0", None, [1.0], Decimal("1.0"), Decimal("2.0")])
+@pytest.mark.parametrize("name", XI_FUNCTIONS)
 def test_a_profile_argument_that_is_not_a_number_is_refused_as_outside(name, xi):
     """An argument that float arithmetic refuses, a Decimal too, is outside."""
     args = (xi, 1e-12) if name == "image_terms_needed" else (xi,)
@@ -398,3 +411,106 @@ def test_a_profile_argument_that_is_not_a_number_is_refused_as_outside(name, xi)
         assert str(info.value) == f"zeta4 requires q > 0, got {xi!r}"
     else:
         assert str(info.value) == f"xi={xi!r} is outside the open interval (0, pi)"
+    assert info.value.__context__ is None
+
+
+GEOM = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 2.0)
+ATOM = AtomResponse(1.0, 0.0)
+# Five values that are not numbers, then three numbers out of every range here
+ODD_VALUES = ("0.5", None, [0.5], Decimal("0.5"), 0.5j, 10 ** 400, math.nan, math.inf)
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _a_values_refusal(x):
+    """What a_values = [20.0, x] raises: float(x) converts, then the grid rules decide."""
+    try:
+        a = float(x)
+    except (TypeError, ValueError, OverflowError):
+        return InvalidGrid, "a_values must be a sequence of numbers"
+    if a <= 20.0:  # nan passes, as in the study
+        return InvalidGrid, "a_values must be strictly increasing"
+    return OutOfDomain, f"separation_a must be positive and finite, got {a!r}"
+
+
+# (public name, argument) -> (the call with x as that argument, its refusal of x)
+ARGUMENT_RULES = {
+    ("single_wall_limit", "distance"): (
+        lambda x: single_wall_limit(ATOM, "conducting", x),
+        lambda x: (OutOfDomain, f"wall distance must be positive, got {x!r}")),
+    ("nearest_wall_reference", "z"): (
+        lambda x: nearest_wall_reference(GEOM, ATOM, x),
+        lambda x: (OutOfDomain, f"z={x!r} is not strictly between the walls (0, 2.0)")),
+    ("stationary_points", "z_lo"): (
+        lambda x: stationary_points(ATOM, GEOM, x, 1.5),
+        lambda x: (OutOfDomain,
+                   f"need 0 < z_lo < z_hi < a, got z_lo={x!r}, z_hi=1.5, a=2.0")),
+    ("stationary_points", "z_hi"): (
+        lambda x: stationary_points(ATOM, GEOM, 0.5, x),
+        lambda x: (OutOfDomain,
+                   f"need 0 < z_lo < z_hi < a, got z_lo=0.5, z_hi={x!r}, a=2.0")),
+    ("SweepSpec", "z_min"): (
+        lambda x: SweepSpec.from_range(GEOM, ATOM, x, 1.5, 3),
+        lambda x: (InvalidGrid,
+                   f"need 0 < z_min < z_max < a, got z_min={x!r}, z_max=1.5, a=2.0")),
+    ("SweepSpec", "z_max"): (
+        lambda x: SweepSpec.from_range(GEOM, ATOM, 0.5, x, 3),
+        lambda x: (InvalidGrid,
+                   f"need 0 < z_min < z_max < a, got z_min=0.5, z_max={x!r}, a=2.0")),
+    ("limit_convergence_study", "z"): (
+        lambda x: limit_convergence_study(ATOM, "conducting", x, [20.0, 40.0]),
+        lambda x: (InvalidGrid, f"need 0 < z < min(a_values), got z={x!r}")),
+    ("limit_convergence_study", "a_values"): (
+        lambda x: limit_convergence_study(ATOM, "conducting", 1.0, [20.0, x]),
+        _a_values_refusal),
+    ("image_terms_needed", "target_abs_tol"): (
+        lambda x: image_terms_needed(1.0, x),
+        lambda x: (ValueError, "target_abs_tol must be positive and finite"
+                   if _is_number(x) else "target_abs_tol must be a number")),
+}
+
+
+@pytest.mark.parametrize("x", ODD_VALUES)
+@pytest.mark.parametrize("rule", ARGUMENT_RULES, ids="-".join)
+def test_an_odd_argument_gets_the_refusal_of_its_check(rule, x):
+    """Never a bare TypeError or OverflowError.
+
+    A refusal of a position or a distance chains no exception. An a_values
+    entry that float() refuses is an InvalidGrid that carries float's own
+    error, as a z_grid's does.
+    """
+    call, refusal = ARGUMENT_RULES[rule]
+    error, message = refusal(x)
+    with pytest.raises(Exception) as info:
+        call(x)
+    assert (type(info.value), str(info.value)) == (error, message)
+    if rule[1] not in ("a_values", "target_abs_tol"):  # a position or a distance
+        assert info.value.__context__ is None
+
+
+# Public callables with no number rule of their own, and why
+NO_ARGUMENT_CONTRACT = (
+    # helpers of the checked calls, unchecked so as to cost nothing there
+    "wall_distance", "image_tail_bound", "tensor_prefactor",
+    # records that hold the library's results, their numbers unchecked
+    "CorrelatorTensor", "PotentialSample", "PotentialCurve", "LimitRow",
+    "LimitStudy", "CheckResult", "VerificationReport",
+    # no numeric argument: an enum value, a checked SweepSpec, a level name
+    "WallKind", "run_sweep", "run_verification",
+)
+
+
+def test_every_public_callable_has_its_number_rule_tested():
+    """A public name added later fails here until its rule is decided."""
+    public = set()
+    for name in cpwalls.__all__:
+        obj = getattr(cpwalls, name)
+        if callable(obj) and not (
+            isinstance(obj, type) and issubclass(obj, (Exception, Warning))
+        ):
+            public.add(name)
+    tested = {*FORM_EVALUATIONS, *XI_FUNCTIONS}
+    tested |= {name for name, _ in NUMBER_FIELDS} | {name for name, _ in ARGUMENT_RULES}
+    assert public - tested == set(NO_ARGUMENT_CONTRACT)
