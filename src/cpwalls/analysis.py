@@ -11,6 +11,7 @@ rows in a list.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
@@ -27,7 +28,7 @@ from .potentials import (
     potential_total,
     single_wall_limit,
 )
-from .profiles import DEFAULT_GUARD, GuardPolicy, _inside, _pow
+from .profiles import DEFAULT_GUARD, GuardPolicy, _finite, _inside, _pow
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,17 +100,31 @@ class SweepSpec(
 
 
 def _checked_grid(z_grid, a: float) -> np.ndarray:
-    """z_grid as 1-D float64; InvalidGrid unless strictly increasing inside (0, a)."""
+    """z_grid as 1-D float64; InvalidGrid unless strictly increasing inside (0, a).
+
+    Each entry is a number by the one rule, profiles._finite: NumPy converts
+    a str, a Decimal and None, which float arithmetic refuses, so each entry
+    of anything but a float, int or bool array is tried on its own. An int
+    or a Fraction beyond the double range lies outside, as inf does.
+    """
     import numpy as np
 
     try:
         z = np.asarray(z_grid, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a str, a ragged list ...
+    except OverflowError as exc:
+        raise InvalidGrid(f"z_grid must lie strictly inside (0, {a})") from exc
+    except (TypeError, ValueError) as exc:  # a complex, a ragged list ...
         raise InvalidGrid("z_grid must be a sequence of numbers") from exc
     if z.ndim != 1:
         raise InvalidGrid(f"z_grid must be one-dimensional, got {z.ndim} dimensions")
     if len(z) < 1:
         raise InvalidGrid("z_grid must contain at least one point")
+    if not (isinstance(z_grid, np.ndarray) and z_grid.dtype.kind in "biuf"):
+        try:
+            for x in z_grid:
+                _finite(x, "z_grid entry {!r} is not a number")
+        except ValueError as exc:
+            raise InvalidGrid(str(exc)) from None
     if not (z[0] > 0.0 and z[-1] < a):  # negated, so that nan is refused
         raise InvalidGrid(f"z_grid must lie strictly inside (0, {a})")
     if not (z[1:] > z[:-1]).all():
@@ -173,60 +188,87 @@ def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z: np.ndarray):
     return _nearest_wall(geom, atom, z, np.float_power, np.minimum)
 
 
-# Every table column as one expression in the position(s) z and the profile
-# values p and slopes dp there, in the scalar functions' own expressions: the
-# sweep quantities, V_wall, and the live cells of the CLI correlator table
-# (the BB tensor is the EE one at -p). Each takes floats (one CLI point) or
-# arrays (a grid chunk) alike, except V_wall, which takes arrays only.
+class _Terms(dict):
+    """The terms of a table at z: one float (a CLI point) or a grid chunk.
+
+    Built from z and the profile values p and slopes dp there. Any other
+    name is the _COLUMN expression of that name, evaluated when it is first
+    asked for and then kept, so each term is computed once per chunk
+    however many columns read it.
+    """
+
+    __slots__ = ("atom", "geom")
+
+    def __init__(self, atom, geom: Geometry, z, p, dp):
+        super().__init__(z=z, p=p, dp=dp)
+        self.atom, self.geom = atom, geom
+
+    def __missing__(self, name: str):
+        value = self[name] = _COLUMN[name](self)
+        return value
+
+
+# Every table column as one expression in the _Terms t, in the scalar
+# functions' own expressions: the sweep quantities, V_wall, and the live
+# cells of the CLI correlator table, which read the EE and BB pairs of
+# _par_perp (the BB tensor is the EE one at -p). Each takes floats (one CLI
+# point) or arrays (a grid chunk) alike, except V_wall, which takes arrays
+# only.
 _COLUMN = {
-    "z": lambda atom, geom, z, p, dp: z,
-    "V": lambda atom, geom, z, p, dp: _total(atom, geom, p),
-    "V_E": lambda atom, geom, z, p, dp: _electric(atom, geom, p),
-    "V_M": lambda atom, geom, z, p, dp: _magnetic(atom, geom, p),
-    "force": lambda atom, geom, z, p, dp: _force(atom, geom, dp),
-    "EE_trace": lambda atom, geom, z, p, dp: _trace(geom, p),
-    "BB_trace": lambda atom, geom, z, p, dp: _trace(geom, -p),
-    "V_wall": lambda atom, geom, z, p, dp: _nearest_wall_column(geom, atom, z),
-    "EE_par": lambda atom, geom, z, p, dp: _par_perp(geom, p)[0],
-    "EE_perp": lambda atom, geom, z, p, dp: _par_perp(geom, p)[1],
-    "BB_par": lambda atom, geom, z, p, dp: _par_perp(geom, -p)[0],
-    "BB_perp": lambda atom, geom, z, p, dp: _par_perp(geom, -p)[1],
-    "trace_sum": lambda atom, geom, z, p, dp: _trace(geom, p) + _trace(geom, -p),
+    "V": lambda t: _total(t.atom, t.geom, t["p"]),
+    "V_E": lambda t: _electric(t.atom, t.geom, t["p"]),
+    "V_M": lambda t: _magnetic(t.atom, t.geom, t["p"]),
+    "force": lambda t: _force(t.atom, t.geom, t["dp"]),
+    "V_wall": lambda t: _nearest_wall_column(t.geom, t.atom, t["z"]),
+    "EE": lambda t: _par_perp(t.geom, t["p"]),
+    "BB": lambda t: _par_perp(t.geom, -t["p"]),
+    "EE_par": lambda t: t["EE"][0],
+    "EE_perp": lambda t: t["EE"][1],
+    "BB_par": lambda t: t["BB"][0],
+    "BB_perp": lambda t: t["BB"][1],
+    "EE_trace": lambda t: _trace(*t["EE"]),
+    "BB_trace": lambda t: _trace(*t["BB"]),
+    "trace_sum": lambda t: t["EE_trace"] + t["BB_trace"],
 }
 
 # Rows per chunk of a table: what _table_chunks evaluates, and the CLI gates
-# and formats, at once. It bounds a table's memory, whatever its length.
-CHUNK_ROWS = 1 << 13
+# and formats, at once. It bounds a table's working set, whatever its
+# length. A chunk of the widest table, the ten float columns of the CLI
+# correlator table, peaks at about 1.9 MiB under tracemalloc (6.4 MiB at
+# 8192 rows); the grid's positions, 8 bytes a row, come on top.
+CHUNK_ROWS = 1 << 11
 
 
 def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy = DEFAULT_GUARD):
-    """The named _COLUMN cells over a grid z, CHUNK_ROWS rows at a time.
+    """The named _Terms over a grid z, CHUNK_ROWS rows at a time.
 
     Yields (cells, asymptotic) per chunk: a (rows, columns) float64 array and
-    the rows' asymptotic mask. One profile_terms call covers a chunk, each
-    column is then one array expression, and every cell equals the scalar
-    public function at that z bit for bit; NumPy is quiet, so an overflow
-    gives inf, not a warning. Refusals come as for the whole grid at once:
-    the first domain refusal in grid order (OutOfDomain, TooCloseToWall)
-    wins over a result out of the double range (a prefactor or a profile
-    power: OverflowError, ZeroDivisionError or NonFiniteResult), which is
-    raised only once every chunk has passed the domain check. atom may be
-    None where no column needs one.
+    the rows' asymptotic mask. One Geometry._grid_terms call covers a chunk,
+    each distinct term is then one array expression, and every cell equals
+    the scalar public function at that z bit for bit; NumPy is quiet, so an
+    overflow gives inf, not a warning. Refusals come as for the whole grid
+    at once: the first domain refusal in grid order (OutOfDomain,
+    TooCloseToWall) wins over a result out of the double range (a
+    prefactor or a profile power: OverflowError, ZeroDivisionError or
+    NonFiniteResult), which is raised only once every chunk has passed the
+    domain check. atom may be None where no column needs one.
     """
     import numpy as np
 
     z = np.asarray(z, dtype=np.float64)
-    expressions = [_COLUMN[c] for c in columns]
     for start in range(0, len(z), CHUNK_ROWS):
         zc = z[start:start + CHUNK_ROWS]
-        p, dp, asymptotic = geom.profile_terms(zc, guard)
-        try:
-            with np.errstate(all="ignore"):
-                cells = np.column_stack([f(atom, geom, zc, p, dp) for f in expressions])
-        except (OverflowError, ZeroDivisionError, NonFiniteResult):
-            for rest in range(start + CHUNK_ROWS, len(z), CHUNK_ROWS):
-                geom.profile_terms(z[rest:rest + CHUNK_ROWS], guard)  # domain first
-            raise
+        with np.errstate(all="ignore"):  # for the kernel and the columns alike
+            p, dp, asymptotic = geom._grid_terms(zc, guard)
+            terms = _Terms(atom, geom, zc, p, dp)
+            cells = np.empty((len(zc), len(columns)))
+            try:
+                for i, c in enumerate(columns):
+                    cells[:, i] = terms[c]
+            except (OverflowError, ZeroDivisionError, NonFiniteResult):
+                for rest in range(start + CHUNK_ROWS, len(z), CHUNK_ROWS):
+                    geom._grid_terms(z[rest:rest + CHUNK_ROWS], guard)  # domain first
+                raise
         yield cells, asymptotic
 
 
@@ -287,11 +329,17 @@ def limit_convergence_study(
 
     z is measured from the named wall: from z=0 for "conducting", from z=a
     for "permeable" (the atom sits at position a - z in that geometry).
+    Every a_values entry must be a positive finite number, by
+    profiles._inside; one that is not is an InvalidGrid before any row.
     """
     try:
-        a_list = [float(a) for a in a_values]
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: 10**400
+        a_list = list(a_values)
+    except TypeError as exc:
         raise InvalidGrid("a_values must be a sequence of numbers") from exc
+    for a in a_list:
+        if not _inside(a, math.inf):
+            raise InvalidGrid(f"a_values entry {a!r} is not a positive finite number")
+    a_list = [float(a) for a in a_list]
     if not a_list:
         raise InvalidGrid("a_values must be non-empty")
     if any(b <= a for a, b in zip(a_list, a_list[1:])):

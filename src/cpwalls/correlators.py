@@ -197,14 +197,19 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         """
         import numpy as np
 
-        z = np.asarray(z, dtype=np.float64)
+        with np.errstate(all="ignore"):  # inf and nan, not warnings
+            return self._grid_terms(np.asarray(z, dtype=np.float64), guard)
+
+    def _grid_terms(self, z: np.ndarray, guard: GuardPolicy):
+        """profile_terms on a float64 array, in the caller's NumPy error state."""
         a = self.separation_a
         forms = WALL_TABLE[self.kind][:2]  # profile, profile_deriv
-        with np.errstate(all="ignore"):  # inf and nan, not warnings
-            p, dp, asymptotic = _profile_terms(*forms, PI * (z / a), guard)
-        refused = ~((0.0 < z) & (z < a)) | (asymptotic & (guard.mode == "reject"))
-        if refused.any():
-            self.profile(float(z[refused.argmax()]), guard)  # raises
+        p, dp, asymptotic = _profile_terms(*forms, PI * (z / a), guard)
+        ok = (0.0 < z) & (z < a)
+        if guard.mode == "reject":
+            ok = ok > asymptotic  # inside and not in the band
+        if not ok.all():
+            self.profile(float(z[ok.argmin()]), guard)  # raises
         return p, dp, asymptotic
 
 
@@ -273,9 +278,8 @@ def _tensor(geom: Geometry, p, field_pair: str) -> CorrelatorTensor:
     return _record(CorrelatorTensor, _par_perp(geom, p) + (field_pair,))
 
 
-def _trace(geom: Geometry, p):
-    """Trace par + par + perp of _par_perp(geom, p), without a tensor record."""
-    par, perp = _par_perp(geom, p)
+def _trace(par, perp):
+    """Trace par + par + perp of a _par_perp pair, without a tensor record."""
     return par + par + perp
 
 
@@ -303,11 +307,11 @@ def mean_square_e(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> float:
     """<E^2> = trace of the EE tensor."""
-    return _trace(geom, geom.profile(z, guard))
+    return _trace(*_par_perp(geom, geom.profile(z, guard)))
 
 
 def mean_square_b(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> float:
     """<B^2> = trace of the BB tensor."""
-    return _trace(geom, -geom.profile(z, guard))
+    return _trace(*_par_perp(geom, -geom.profile(z, guard)))

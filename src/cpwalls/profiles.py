@@ -358,8 +358,8 @@ def _profile_terms(
     and np.float_power is libm's pow. Elements off (0, pi) are meaningless;
     Geometry.profile_terms, the checked grid entry, refuses such rows and,
     under mode="reject", the masked ones. NumPy's error state is the
-    caller's: Geometry.profile_terms runs this under np.errstate(all=
-    "ignore"), so an overflow gives inf, not a warning.
+    caller's: Geometry.profile_terms and the table chunks run this under
+    np.errstate(all="ignore"), so an overflow gives inf, not a warning.
     """
     import numpy as np
 

@@ -4,12 +4,15 @@ Most tests drive cpwalls.cli.main in process (stdout/stderr via capsys); one
 subprocess test checks the `python -m cpwalls` wiring for real.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,17 +534,17 @@ def test_no_kernel_or_format_call_covers_more_than_one_chunk(
                       "--format", fmt)
     want = run_cli(capsys, *argv)
     kernel_rows, format_rows = [], []
-    profile_terms, floats = Geometry.profile_terms, cli._floats
+    grid_terms, floats = Geometry._grid_terms, cli._floats
 
     def spy_kernel(self, z, guard):
         kernel_rows.append(len(z))
-        return profile_terms(self, z, guard)
+        return grid_terms(self, z, guard)
 
     def spy_floats(cells):  # what one %-format call of the writer formats
         format_rows.append(len(cells))
         return floats(cells)
 
-    monkeypatch.setattr(Geometry, "profile_terms", spy_kernel)
+    monkeypatch.setattr(Geometry, "_grid_terms", spy_kernel)
     monkeypatch.setattr(cli, "_floats", spy_floats)
     monkeypatch.setattr(analysis, "CHUNK_ROWS", 7)
     assert run_cli(capsys, *argv) == want
@@ -573,6 +576,40 @@ def test_peak_memory_does_not_grow_with_the_row_count():
         assert code == 0, proc.stderr
         peaks_mb.append(kib / 1024.0)
     assert abs(peaks_mb[1] - peaks_mb[0]) < 10.0, peaks_mb
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the count of the lines written to it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_a_table_holds_one_chunk_of_its_widest_rows():
+    """A 2e4-row cp correlator table, ten live float columns, peaks below 3 MiB.
+
+    tracemalloc counts what Python and NumPy allocate while cli.main runs,
+    after a small run has built the parser and loaded NumPy. A chunk of
+    2048 rows peaks at about 1.9 MiB; one of 8192 rows at about 6.4 MiB,
+    as would the table held whole.
+    """
+    argv = ["correlators", "--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999"]
+    with contextlib.redirect_stdout(_CountingSink()):
+        assert main(argv + ["--z-count", "2"]) == 0
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv + ["--z-count", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (0, 20001)
+    assert peak < 3 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 # ----------------------------------------------------------------------

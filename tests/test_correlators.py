@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpwalls import correlators
-from cpwalls.analysis import _COLUMN
+from cpwalls.analysis import _Terms
 from cpwalls.correlators import (
     CorrelatorTensor,
     Geometry,
@@ -261,7 +261,7 @@ def test_traces_equal_the_tensor_records_on_floats_and_arrays():
     for geom, guard, zs in _trace_configs(rng, 200):
         def grid(name, z):
             p, dp, _ = geom.profile_terms(z, guard)
-            return _COLUMN[name](None, geom, z, p, dp).tolist()
+            return _Terms(None, geom, z, p, dp)[name].tolist()
 
         want = {name: [] for name in _TRACE_COLUMNS}
         for z in zs:
@@ -276,7 +276,7 @@ def test_traces_equal_the_tensor_records_on_floats_and_arrays():
             p = _outcome(geom.profile, z, guard)
             for name, cell in cells.items():
                 if not isinstance(p, tuple):
-                    assert _outcome(_COLUMN[name], None, geom, z, p, None) == cell
+                    assert _outcome(lambda: _Terms(None, geom, z, p, None)[name]) == cell
                 want[name].append(cell)
             points += 1
         errors = [c for c in want["EE_trace"] if isinstance(c, tuple)]
@@ -318,7 +318,7 @@ def test_traces_build_no_tensor_record(monkeypatch):
         mean_square_b(geom, 0.3)
         for z, p in ((0.3, geom.profile(0.3)), (zs, geom.profile_terms(zs)[0])):
             for name in _TRACE_COLUMNS + ("EE_par", "EE_perp", "BB_par", "BB_perp"):
-                _COLUMN[name](None, geom, z, p, None)
+                _Terms(None, geom, z, p, None)[name]
     assert built == []
     correlator_ee(CC, 0.3)  # the counter does see a record
     assert len(built) == 1

@@ -17,9 +17,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpwalls.correlators import _TENSOR_SCALE, WALL_TABLE, WallKind
+from cpwalls import correlators, potentials
+from cpwalls.correlators import _TENSOR_SCALE, WALL_TABLE, Geometry, WallKind
 from cpwalls.errors import OutOfDomain, TailBoundViolated, TooCloseToWall
-from cpwalls.potentials import _COMBINED_CONST, _PI3, _PI4
+from cpwalls.potentials import _COMBINED_CONST, _PI3, _PI4, AtomResponse
 from cpwalls.profiles import (
     COT_PROFILE,
     COT_PROFILE_DERIV,
@@ -206,6 +207,61 @@ def test_production_constants_are_their_exact_values(name):
     with mpmath.workdps(60):
         off = (mpmath.mpf(value) - exact()) / math.ulp(value)
     assert abs(off) <= ulps, (name, float(off))
+
+
+# The module docstrings' constants per kind: the one in V_E = -(alpha0*pi^3)/
+# (3*a^4) * (3*p - K) and par, perp = pref*(p -+ K), and the one in V's
+# (alpha0+beta0)*pi^3*C/a^4: 1/120 and 1/360 for "cc", -7/8 of each for "cp".
+_DOCUMENTED_K = {
+    WallKind.CONDUCTOR_CONDUCTOR: (sp.Rational(1, 120), sp.Rational(1, 360)),
+    WallKind.CONDUCTOR_PERMEABLE: (-sp.Rational(7, 960), -sp.Rational(7, 2880)),
+}
+
+
+@pytest.mark.parametrize("kind", list(WallKind))
+def test_production_potentials_and_tensor_are_their_documented_forms(monkeypatch, kind):
+    """potentials._electric, _magnetic, _total, _force and correlators._par_perp in sympy.
+
+    Symbols for alpha0, beta0, a and the profile value p and slope dp go
+    through the production functions, in records built by tuple.__new__,
+    with K, the combined constant, pi^3, pi^4, pi and 2/(3*pi) set to their
+    exact values (test_production_constants_are_their_exact_values holds
+    each double to its own). Each result, its float literals taken as the
+    rationals they are, equals the documented expression. The force is
+    also -dV/dz of the documented V at p = f(xi), with dxi/dz = pi/a, and
+    V_E is -alpha0/2 times the trace of the EE tensor. tensor_prefactor
+    checks that its value is a normal double, which needs a number: a = 2
+    for the tensor.
+    """
+    alpha, beta, a = sp.symbols("alpha beta a", positive=True)
+    p, dp, xi = sp.symbols("p dp xi", real=True)
+    k, c = _DOCUMENTED_K[kind]
+    monkeypatch.setitem(WALL_TABLE, kind, WALL_TABLE[kind]._replace(diag_const=k))
+    monkeypatch.setitem(potentials._COMBINED_CONST, kind, c)
+    monkeypatch.setattr(potentials, "_PI3", sp.pi ** 3)
+    monkeypatch.setattr(potentials, "_PI4", sp.pi ** 4)
+    monkeypatch.setattr(correlators, "PI", sp.pi)
+    monkeypatch.setattr(correlators, "_TENSOR_SCALE", 2 / (3 * sp.pi))
+    atom = tuple.__new__(AtomResponse, (alpha, beta))
+    geom, geom2 = (tuple.__new__(Geometry, (kind, sep)) for sep in (a, 2))
+
+    def same(got, want):
+        return sp.simplify(sp.nsimplify(got, rational=True) - want) == 0
+
+    v = -(alpha - beta) * sp.pi ** 3 / a ** 4 * p + (alpha + beta) * sp.pi ** 3 * c / a ** 4
+    f = sp.Function("f")
+    slope = sp.diff(v.subs(p, f(xi)), xi).subs(sp.Derivative(f(xi), xi), dp)
+    assert same(potentials._electric(atom, geom, p),
+                -(alpha * sp.pi ** 3) / (3 * a ** 4) * (3 * p - k))
+    assert same(potentials._magnetic(atom, geom, p),
+                (beta * sp.pi ** 3) / (3 * a ** 4) * (3 * p + k))
+    assert same(potentials._total(atom, geom, p), v)
+    assert same(potentials._force(atom, geom, dp), -slope * sp.pi / a)
+    pref = (sp.pi / 2) ** 4 * 2 / (3 * sp.pi)
+    par, perp = correlators._par_perp(geom2, p)
+    assert same(par, pref * (p - k)) and same(perp, pref * (p + k))
+    trace = correlators._trace(par, perp)
+    assert same(potentials._electric(atom, geom2, p), -alpha / 2 * trace)
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ import cpwalls
 from cpwalls import correlators, profiles
 from cpwalls.analysis import (
     _COLUMN,
+    _Terms,
     SweepSpec,
     limit_convergence_study,
     nearest_wall_reference,
@@ -197,8 +198,8 @@ def _grid(geom, atom, z, guard):
         return terms
     p, dp, asymptotic = terms
     with np.errstate(all="ignore"):
-        cells = {name: _outcome(lambda: f(atom, geom, zs, p, dp)[0])
-                 for name, f in _COLUMN.items() if name != "z"}
+        cells = {name: _outcome(lambda: _Terms(atom, geom, zs, p, dp)[name][0])
+                 for name in _COLUMN if name not in ("EE", "BB")}
     return p[0], dp[0], bool(asymptotic[0]), cells
 
 
@@ -424,15 +425,13 @@ def _is_number(x) -> bool:
     return type(x) in (int, float)
 
 
-def _a_values_refusal(x):
-    """What a_values = [20.0, x] raises: float(x) converts, then the grid rules decide."""
-    try:
-        a = float(x)
-    except (TypeError, ValueError, OverflowError):
-        return InvalidGrid, "a_values must be a sequence of numbers"
-    if a <= 20.0:  # nan passes, as in the study
-        return InvalidGrid, "a_values must be strictly increasing"
-    return OutOfDomain, f"separation_a must be positive and finite, got {a!r}"
+def _z_grid_refusal(x):
+    """What z_grid = [0.5, x] raises: NumPy converts, then the one number rule decides."""
+    if isinstance(x, (str, Decimal)) or x is None:  # converted by NumPy, not by float arithmetic
+        return InvalidGrid, f"z_grid entry {x!r} is not a number"
+    if not _is_number(x):  # NumPy refuses a complex and a list itself
+        return InvalidGrid, "z_grid must be a sequence of numbers"
+    return InvalidGrid, "z_grid must lie strictly inside (0, 2.0)"  # nan, inf, 10**400
 
 
 # (public name, argument) -> (the call with x as that argument, its refusal of x)
@@ -464,7 +463,13 @@ ARGUMENT_RULES = {
         lambda x: (InvalidGrid, f"need 0 < z < min(a_values), got z={x!r}")),
     ("limit_convergence_study", "a_values"): (
         lambda x: limit_convergence_study(ATOM, "conducting", 1.0, [20.0, x]),
-        _a_values_refusal),
+        lambda x: (InvalidGrid, f"a_values entry {x!r} is not a positive finite number")),
+    ("limit_convergence_study", "a_values[0]"): (
+        lambda x: limit_convergence_study(ATOM, "conducting", 1.0, [x, 40.0]),
+        lambda x: (InvalidGrid, f"a_values entry {x!r} is not a positive finite number")),
+    ("SweepSpec", "z_grid"): (
+        lambda x: SweepSpec(GEOM, ATOM, [0.5, x]),
+        _z_grid_refusal),
     ("image_terms_needed", "target_abs_tol"): (
         lambda x: image_terms_needed(1.0, x),
         lambda x: (ValueError, "target_abs_tol must be positive and finite"
@@ -477,17 +482,32 @@ ARGUMENT_RULES = {
 def test_an_odd_argument_gets_the_refusal_of_its_check(rule, x):
     """Never a bare TypeError or OverflowError.
 
-    A refusal of a position or a distance chains no exception. An a_values
-    entry that float() refuses is an InvalidGrid that carries float's own
-    error, as a z_grid's does.
+    A refusal of a position, a distance or a separation chains no
+    exception. A z_grid that NumPy cannot convert is an InvalidGrid that
+    carries NumPy's own error.
     """
     call, refusal = ARGUMENT_RULES[rule]
     error, message = refusal(x)
     with pytest.raises(Exception) as info:
         call(x)
     assert (type(info.value), str(info.value)) == (error, message)
-    if rule[1] not in ("a_values", "target_abs_tol"):  # a position or a distance
+    if rule[1] not in ("z_grid", "target_abs_tol"):
         assert info.value.__context__ is None
+
+
+def test_a_grid_of_ints_and_fractions_is_a_grid_of_numbers():
+    grid = [Fraction(1, 2), 1, np.float64(1.5), Fraction(7, 4)]
+    assert SweepSpec(GEOM, ATOM, grid).z_grid == (0.5, 1.0, 1.5, 1.75)
+
+
+@pytest.mark.parametrize("a_values", [[20.0, math.nan], [20.0, 40.0, -80.0],
+                                      [20.0, 40.0, 0.0], [20.0, "40"]])
+def test_a_bad_separation_is_refused_before_any_row(monkeypatch, a_values):
+    rows = []
+    monkeypatch.setattr(cpwalls.analysis, "potential_total", lambda *args: rows.append(args))
+    with pytest.raises(InvalidGrid, match="is not a positive finite number"):
+        limit_convergence_study(ATOM, "conducting", 1.0, a_values)
+    assert rows == []
 
 
 # Public callables with no number rule of their own, and why
