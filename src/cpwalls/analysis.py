@@ -46,7 +46,8 @@ class SweepSpec(
     """A z-grid sweep request over one geometry and atom.
 
     z_grid is kept as a tuple of floats, checked strictly increasing inside
-    (0, a); quantities are names from SWEEP_QUANTITIES.
+    (0, a); quantities, kept as a tuple, are one or more names from
+    SWEEP_QUANTITIES.
     """
 
     __slots__ = ()
@@ -61,6 +62,8 @@ class SweepSpec(
         include_limit_reference: bool = False,
     ):
         z_grid = tuple(_checked_grid(z_grid, geometry.separation_a).tolist())
+        if not isinstance(quantities, str):  # _sweep_columns refuses a str whole
+            quantities = tuple(quantities)  # so a generator is kept, not run dry
         _sweep_columns(quantities, include_limit_reference)
         return tuple.__new__(
             cls,
@@ -102,10 +105,14 @@ class SweepSpec(
 def _checked_grid(z_grid, a: float) -> np.ndarray:
     """z_grid as 1-D float64; InvalidGrid unless strictly increasing inside (0, a).
 
-    Each entry is a number by the one rule, profiles._finite: NumPy converts
-    a str, a Decimal and None, which float arithmetic refuses, so each entry
-    of anything but a float, int or bool array is tried on its own. An int
-    or a Fraction beyond the double range lies outside, as inf does.
+    Each entry is a number by the one rule, profiles._finite, whatever
+    NumPy makes of it. NumPy converts a str, a Decimal and None, which float
+    arithmetic refuses, so each entry of anything but a float, int or bool
+    array is tried on its own. Where NumPy refuses the grid, the first
+    scalar entry that is not a number is named; only a grid whose scalar
+    entries are all numbers (a ragged or nested one), or a bare str, is not
+    a sequence of numbers. An int or a Fraction beyond the double range
+    lies outside, as inf does.
     """
     import numpy as np
 
@@ -113,23 +120,30 @@ def _checked_grid(z_grid, a: float) -> np.ndarray:
         z = np.asarray(z_grid, dtype=np.float64)
     except OverflowError as exc:
         raise InvalidGrid(f"z_grid must lie strictly inside (0, {a})") from exc
-    except (TypeError, ValueError) as exc:  # a complex, a ragged list ...
+    except (TypeError, ValueError) as exc:  # a complex, "x", a ragged list ...
+        if np.iterable(z_grid) and not isinstance(z_grid, str):
+            _check_numbers([x for x in z_grid if np.ndim(x) == 0])
         raise InvalidGrid("z_grid must be a sequence of numbers") from exc
     if z.ndim != 1:
         raise InvalidGrid(f"z_grid must be one-dimensional, got {z.ndim} dimensions")
     if len(z) < 1:
         raise InvalidGrid("z_grid must contain at least one point")
     if not (isinstance(z_grid, np.ndarray) and z_grid.dtype.kind in "biuf"):
-        try:
-            for x in z_grid:
-                _finite(x, "z_grid entry {!r} is not a number")
-        except ValueError as exc:
-            raise InvalidGrid(str(exc)) from None
+        _check_numbers(z_grid)
     if not (z[0] > 0.0 and z[-1] < a):  # negated, so that nan is refused
         raise InvalidGrid(f"z_grid must lie strictly inside (0, {a})")
     if not (z[1:] > z[:-1]).all():
         raise InvalidGrid("z_grid must be strictly increasing")
     return z
+
+
+def _check_numbers(entries) -> None:
+    """InvalidGrid naming the first of the grid entries that is not a number."""
+    try:
+        for x in entries:
+            _finite(x, "z_grid entry {!r} is not a number")
+    except ValueError as exc:
+        raise InvalidGrid(str(exc)) from None
 
 
 def _sweep_columns(quantities, include_limit_reference: bool) -> tuple[str, ...]:
@@ -140,6 +154,8 @@ def _sweep_columns(quantities, include_limit_reference: bool) -> tuple[str, ...]
     if unknown:
         raise ConfigError(f"unknown sweep quantities: {sorted(unknown)}")
     ordered = tuple(q for q in SWEEP_QUANTITIES if q in quantities)
+    if not ordered:
+        raise ConfigError("sweep quantities must name at least one quantity")
     return ("z",) + ordered + (("V_wall",) if include_limit_reference else ())
 
 
@@ -155,6 +171,8 @@ class PotentialCurve(namedtuple("PotentialCurve", "columns rows")):
         return tuple.__new__(cls, (columns, [] if rows is None else rows))
 
     def column(self, name: str) -> list[float]:
+        if name not in self.columns:
+            raise ValueError(f"no column {name!r}; the curve has {self.columns}")
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 

@@ -10,18 +10,18 @@ the error class name goes to stderr.
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
 formats, which round-trips IEEE doubles losslessly, so re-running a command
-reproduces its output byte for byte. The json module loads only for JSON
-output. A table goes out in two passes over
-chunks of rows: a grid on arrays, analysis.CHUNK_ROWS rows at a time, and a
-single --z point or the limits ladder as one chunk of floats through the
-scalar forms, which gives the same bits and does not load NumPy. Pass 1
-evaluates, converts and gates every chunk and keeps none; a refusal names
-the first domain error in grid order, else a result out of the double
-range (an OverflowError or ZeroDivisionError of a prefactor or a profile
-power), else the first non-finite cell in grid order, and writes nothing.
-Pass 2 opens the output, then evaluates, formats and writes each chunk
-again. A run holds one chunk (2048 rows; the widest, a correlators chunk,
-peaks at about 1.9 MiB under tracemalloc) and the grid's positions
+reproduces its output byte for byte. The json module loads only for a JSON
+table; verify writes its JSON from a %-template. A table goes out in two
+passes over chunks of rows: a grid on arrays, analysis.CHUNK_ROWS rows at a
+time, and a single --z point or the limits ladder as one chunk of floats
+through the scalar forms, which gives the same bits and does not load
+NumPy. Pass 1 evaluates, converts and gates every chunk and keeps none; a
+refusal names the first domain error in grid order, else a result out of
+the double range (an OverflowError or ZeroDivisionError of a prefactor or a
+profile power), else the first non-finite cell in grid order, and writes
+nothing. Pass 2 opens the output, then evaluates, formats and writes each
+chunk again. A run holds one chunk (2048 rows; the widest, a correlators
+chunk, peaks at about 1.9 MiB under tracemalloc) and the grid's positions
 (8 bytes a row).
 
 An optional config file (--config PATH) holds flat key=value lines naming
@@ -70,6 +70,7 @@ _CORRELATOR_ZEROS = frozenset(
 _CORRELATOR_CELLS = ("z", "EE_par", "EE_par", "EE_perp", "BB_par", "BB_par",
                      "BB_perp", "EE_trace", "BB_trace", "trace_sum")
 
+_BOOLS = ("false", "true")  # a bool as JSON and verify's CSV write it
 _BOOLEAN_KEYS = {"emit-limit-reference"}
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -189,27 +190,6 @@ def _parse_config_file(path: str) -> list[str]:
     return flags
 
 
-def _json_value(value) -> str:
-    import json  # here and in _row_templates only: a CSV run never loads it
-
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):  # JSON has no inf or nan
-        return "%.17g" % value if math.isfinite(value) else "null"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(
-            f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items()
-        )
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _output(out_path):
     """The --out file opened for writing, or stdout when there is none."""
     if not out_path:
@@ -227,7 +207,7 @@ def _row_templates(fmt: str, columns, fields, words) -> list[str]:
     writer drops from the first row.
     """
     if fmt == "json":
-        import json  # here and in _json_value only: a CSV run never loads it
+        import json  # here only: a CSV run never loads it
     baked = [json.dumps(w) if fmt == "json" else w for w in words]
     variants = [fields + [w] for w in baked] or [fields]
     if fmt == "json":
@@ -484,14 +464,22 @@ def _cmd_verify(args) -> int:
         return "%s %s: max_abs=%.17g max_rel=%.17g tolerance=%.17g" % (
             "PASS" if c.passed else "FAIL", *c[:4])
 
+    def number(x: float) -> str:  # JSON has no inf or nan
+        return "%.17g" % x if math.isfinite(x) else "null"
+
     for check in report.failures:
         sys.stderr.write(line(check) + "\n")
-    if args.format == "json":
-        text = _json_value(report.as_dict()) + "\n"
+    if args.format == "json":  # the level and check names need no escaping
+        row = "{%s}" % ", ".join('"%s": %%s' % f for f in CheckResult._fields)
+        checks = ", ".join(
+            row % ('"%s"' % c.name, *map(number, c[1:4]), _BOOLS[c.passed], c.points_tested)
+            for c in report.checks
+        )
+        text = '{"level": "%s", "passed": %s, "failure_count": %d, "checks": [%s]}\n' % (
+            report.level, _BOOLS[report.passed], len(report.failures), checks)
     elif args.format == "csv":
         text = ",".join(CheckResult._fields) + "\n" + "".join(
-            "%s,%.17g,%.17g,%.17g,%s,%d\n"
-            % (*c[:4], "true" if c.passed else "false", c.points_tested)
+            "%s,%.17g,%.17g,%.17g,%s,%d\n" % (*c[:4], _BOOLS[c.passed], c.points_tested)
             for c in report.checks
         )
     else:

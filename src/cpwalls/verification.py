@@ -29,6 +29,18 @@ only in their arguments share one function: the four series checks, the two
 finite-difference checks and the two reflection checks. Nothing is kept
 from one run_verification call to the next.
 
+The relative checks compare by one of two rules. _agree takes (x, y,
+floor) triples, two routes to one value, and measures |x - y| against
+max(|x|, |y|, floor): potential_additivity, potential_linearity,
+potential_scaling and cc_potential_reflection. _near takes (x, r) pairs, a
+value and its reference, and measures |x - r| against |r|: the two
+derivative_fd checks, trace_sum_constant, correlator_scaling,
+cc_reflection_cp_asymmetry and force_fd_consistency. Two checks keep their
+own denominators, which fit neither rule: the profile reflections
+(cot_profile_reflection, csc_profile_antisymmetry) measure against
+max(|fn(x)|, floor), and potential_from_correlators takes the larger of two
+errors against one trace route.
+
 The matrix checks (tensor_structure, eb_zero, correlator_scaling,
 cc_reflection_cp_asymmetry) read each tensor's 3x3 matrix as
 CorrelatorTensor.components builds it, converted once with tolist(), and
@@ -198,18 +210,31 @@ def _abs_result(diffs, refs, tol, points):
     return max_abs, max_rel, tol, max_abs <= tol, points
 
 
-def _rel_result(diffs, denoms, tol, points, broken=False):
+def _rel_result(diffs, denoms, tol, broken=False):
     """Pass/fail on max relative error; denominators supplied by the check.
 
-    broken=True (a structural condition the check also tests does not hold)
-    reports max_rel = inf, which fails the check.
+    points is the number of diffs. broken=True (a structural condition the
+    check also tests does not hold) reports max_rel = inf, which fails the
+    check.
     """
     max_abs = max(diffs)
     max_rel = math.inf if broken else max(
         (d / dn if dn > 0.0 else (0.0 if d == 0.0 else math.inf))
         for d, dn in zip(diffs, denoms)
     )
-    return max_abs, max_rel, tol, max_rel <= tol, points
+    return max_abs, max_rel, tol, max_rel <= tol, len(diffs)
+
+
+def _agree(triples, tol):
+    """Two routes to one value: |x - y| / max(|x|, |y|, floor) per (x, y, floor)."""
+    diffs = [abs(x - y) for x, y, _ in triples]
+    return _rel_result(diffs, [max(abs(x), abs(y), fl) for x, y, fl in triples], tol)
+
+
+def _near(pairs, tol, broken=False):
+    """A value against its reference: |x - r| / |r| per (x, r)."""
+    diffs = [abs(x - r) for x, r in pairs]
+    return _rel_result(diffs, [abs(r) for _, r in pairs], tol, broken)
 
 
 def _count_result(violations, worst, points):
@@ -244,7 +269,7 @@ def _check_reflection(fn, parity, floor, level: str):
     xs = _grid(0.02, 1.55, n)
     diffs = [abs(fn(x) - parity * fn(PI - x)) for x in xs]
     denoms = [max(abs(fn(x)), floor) for x in xs]
-    yield _rel_result(diffs, denoms, 1e-12, n)
+    yield _rel_result(diffs, denoms, 1e-12)
 
 
 def _series_ratio_spread(values: list[float]) -> float:
@@ -279,16 +304,10 @@ def _series_check(fn, far, sign, const, level: str):
 
 
 def _check_derivative_fd(fn, deriv, seed, level: str):
-    n = 10 if level == "quick" else 50
     rng = random.Random(seed)
+    xs = [rng.uniform(0.1, PI - 0.1) for _ in range(10 if level == "quick" else 50)]
     h = 1e-6
-    diffs, denoms = [], []
-    for _ in range(n):
-        x = rng.uniform(0.1, PI - 0.1)
-        fd = (fn(x + h) - fn(x - h)) / (2.0 * h)
-        diffs.append(abs(deriv(x) - fd))
-        denoms.append(abs(deriv(x)))
-    yield _rel_result(diffs, denoms, 1e-7, n)
+    yield _near([((fn(x + h) - fn(x - h)) / (2.0 * h), deriv(x)) for x in xs], 1e-7)
 
 
 def _check_cot_positive(level: str):
@@ -337,23 +356,21 @@ def _check_trace_sum(level: str):
     # either trace near the walls, so the 1e-12 relative claim is tested on
     # [0.2a, 0.8a] where both traces stay O(10) times the sum.
     n = 10 if level == "quick" else 100
-    diffs, denoms, wrong_sign = [], [], False
+    pairs, wrong_sign = [], False
     for geom, expected_sign in ((_CC, -1.0), (_CP, 1.0)):
         a = geom.separation_a
         sums = [
             mean_square_e(geom, z) + mean_square_b(geom, z)
             for z in _grid(0.2 * a, 0.8 * a, n)
         ]
-        ref = sums[0]
-        wrong_sign = wrong_sign or ref * expected_sign <= 0.0
-        diffs.extend(abs(s - ref) for s in sums)
-        denoms.extend(abs(ref) for _ in sums)
-    yield _rel_result(diffs, denoms, 1e-12, 2 * n, broken=wrong_sign)
+        wrong_sign = wrong_sign or sums[0] * expected_sign <= 0.0
+        pairs += [(s, sums[0]) for s in sums]
+    yield _near(pairs, 1e-12, broken=wrong_sign)
 
 
 def _check_correlator_scaling(level: str):
     fracs = [0.3, 0.5, 0.77] if level == "quick" else _grid(0.1, 0.9, 20)
-    diffs, denoms = [], []
+    pairs = []
     for kind in WallKind:
         base = Geometry(kind, 1.0)
         for s in (2.0, 3.0, 10.0):
@@ -362,28 +379,24 @@ def _check_correlator_scaling(level: str):
                 for build in (correlator_ee, correlator_bb):
                     t1 = build(base, frac).components.tolist()
                     t2 = build(scaled, s * frac).components.tolist()
-                    for i in range(3):
-                        diffs.append(abs(t2[i][i] * s ** 4 - t1[i][i]))
-                        denoms.append(abs(t1[i][i]))
-    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
+                    pairs += [(t2[i][i] * s ** 4, t1[i][i]) for i in range(3)]
+    yield _near(pairs, 1e-12)
 
 
 def _check_reflection_asymmetry(level: str):
     n = 10 if level == "quick" else 50
-    diffs, denoms = [], []
+    pairs = []
     for z in _grid(0.05, 0.45, n):
         for build in (correlator_ee, correlator_bb):
             t1 = build(_CC, z).components.tolist()
             t2 = build(_CC, 1.0 - z).components.tolist()
-            for i in range(3):
-                diffs.append(abs(t1[i][i] - t2[i][i]))
-                denoms.append(abs(t1[i][i]))
+            pairs += [(t2[i][i], t1[i][i]) for i in range(3)]
     # The conductor-permeable tensors must NOT be reflection symmetric.
     zz_quarter = correlator_ee(_CP, 0.25).components.tolist()[2][2]
     zz_three_quarter = correlator_ee(_CP, 0.75).components.tolist()[2][2]
     scale = abs(zz_quarter) + abs(zz_three_quarter)
     symmetric = abs(zz_quarter - zz_three_quarter) <= 1e-3 * scale
-    yield _rel_result(diffs, denoms, 1e-12, len(diffs), broken=symmetric)
+    yield _near(pairs, 1e-12, broken=symmetric)
 
 
 def _potential_floor(atom: AtomResponse, a: float) -> float:
@@ -392,19 +405,13 @@ def _potential_floor(atom: AtomResponse, a: float) -> float:
 
 
 def _check_additivity(level: str):
-    n = 10 if level == "quick" else 50
-    diffs, denoms = [], []
-    for geom in _GEOMETRIES:
-        for atom in _ATOMS:
-            floor = _potential_floor(atom, geom.separation_a)
-            for z in _grid(0.05, 0.95, n):
-                total = potential_total(atom, geom, z)
-                parts = potential_electric(atom, geom, z) + potential_magnetic(
-                    atom, geom, z
-                )
-                diffs.append(abs(total - parts))
-                denoms.append(max(abs(total), abs(parts), floor))
-    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
+    zs = _grid(0.05, 0.95, 10 if level == "quick" else 50)
+    yield _agree([
+        (potential_total(atom, geom, z),
+         potential_electric(atom, geom, z) + potential_magnetic(atom, geom, z),
+         _potential_floor(atom, geom.separation_a))
+        for geom in _GEOMETRIES for atom in _ATOMS for z in zs
+    ], 1e-12)
 
 
 def _check_potential_correlators(level: str):
@@ -437,62 +444,50 @@ def _check_potential_correlators(level: str):
                 ):
                     diffs.append(max(abs(x - y), abs(doc - y)))
                     denoms.append(max(abs(x), abs(y), fl))
-    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
+    yield _rel_result(diffs, denoms, 1e-12)
 
 
 def _check_linearity(level: str):
-    n = 10 if level == "quick" else 25
-    diffs, denoms = [], []
+    zs = _grid(0.05, 0.95, 10 if level == "quick" else 25)
     atom = AtomResponse(1.0, 0.25)
-    for geom in _GEOMETRIES:
-        for c in (2.0, 3.0, 10.0, 0.5):
-            scaled = AtomResponse(c * atom.alpha0, c * atom.beta0)
-            floor = c * _potential_floor(atom, geom.separation_a)
-            for z in _grid(0.05, 0.95, n):
-                v1 = c * potential_total(atom, geom, z)
-                v2 = potential_total(scaled, geom, z)
-                diffs.append(abs(v1 - v2))
-                denoms.append(max(abs(v1), abs(v2), floor))
-    yield _rel_result(diffs, denoms, 1e-15, len(diffs))
+    yield _agree([
+        (c * potential_total(atom, geom, z),
+         potential_total(AtomResponse(c * atom.alpha0, c * atom.beta0), geom, z),
+         c * _potential_floor(atom, geom.separation_a))
+        for geom in _GEOMETRIES for c in (2.0, 3.0, 10.0, 0.5) for z in zs
+    ], 1e-15)
 
 
 def _check_potential_scaling(level: str):
-    n = 10 if level == "quick" else 25
-    diffs, denoms = [], []
+    zs = _grid(0.05, 0.95, 10 if level == "quick" else 25)
     atom = AtomResponse(1.0, 0.25)
-    for kind in WallKind:
-        base = Geometry(kind, 1.0)
-        for s in (2.0, 3.0, 10.0, 0.5):
-            scaled = Geometry(kind, s)
-            floor = _potential_floor(atom, 1.0)
-            for z in _grid(0.05, 0.95, n):
-                v1 = potential_total(atom, base, z)
-                v2 = s ** 4 * potential_total(atom, scaled, s * z)
-                diffs.append(abs(v1 - v2))
-                denoms.append(max(abs(v1), abs(v2), floor))
-    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
+    floor = _potential_floor(atom, 1.0)
+    yield _agree([
+        (potential_total(atom, base, z),
+         s ** 4 * potential_total(atom, Geometry(base.kind, s), s * z), floor)
+        for base in _GEOMETRIES for s in (2.0, 3.0, 10.0, 0.5) for z in zs
+    ], 1e-12)
 
 
 def _check_cc_potential_reflection(level: str):
-    n = 10 if level == "quick" else 50
-    diffs, denoms = [], []
+    zs = _grid(0.05, 0.45, 10 if level == "quick" else 50)
+    triples = []
     for atom in _ATOMS:
         floor = _potential_floor(atom, 1.0)
-        for z in _grid(0.05, 0.45, n):
-            v1 = potential_total(atom, _CC, z)
-            v2 = potential_total(atom, _CC, 1.0 - z)
-            diffs.append(abs(v1 - v2))
-            denoms.append(max(abs(v1), abs(v2), floor))
+        triples += [
+            (potential_total(atom, _CC, z), potential_total(atom, _CC, 1.0 - z), floor)
+            for z in zs
+        ]
         # Conductor-permeable anti-pattern: subtracting the constant part
-        # leaves the profile term, which must be odd about the midplane.
-        both = atom.alpha0 + atom.beta0
-        const = -7.0 / 8.0 * both * PI ** 3 / 360.0
-        for z in _grid(0.05, 0.45, n):
-            p1 = potential_total(atom, _CP, z) - const
-            p2 = potential_total(atom, _CP, 1.0 - z) - const
-            diffs.append(abs(p1 + p2))
-            denoms.append(max(abs(p1), abs(p2), floor))
-    yield _rel_result(diffs, denoms, 1e-12, len(diffs))
+        # leaves the profile term p, which must be odd about the midplane:
+        # p(z) against -p(1 - z).
+        const = -7.0 / 8.0 * (atom.alpha0 + atom.beta0) * PI ** 3 / 360.0
+        triples += [(
+            potential_total(atom, _CP, z) - const,
+            -(potential_total(atom, _CP, 1.0 - z) - const),
+            floor,
+        ) for z in zs]
+    yield _agree(triples, 1e-12)
 
 
 def _check_single_wall(level: str):
@@ -513,21 +508,18 @@ def _check_single_wall(level: str):
 def _check_force_fd(level: str):
     n = 10 if level == "quick" else 100
     rng = random.Random(90125)
-    diffs, denoms = [], []
+    pairs = []
     atom = AtomResponse(1.0, 0.25)
     for geom in _GEOMETRIES:
         a = geom.separation_a
         h = 1e-6 * a
-        for _ in range(n):
-            z = rng.uniform(0.05 * a, 0.95 * a)
+        for z in [rng.uniform(0.05 * a, 0.95 * a) for _ in range(n)]:
             fd = -(
                 potential_total(atom, geom, z + h)
                 - potential_total(atom, geom, z - h)
             ) / (2.0 * h)
-            analytic = force(atom, geom, z)
-            diffs.append(abs(analytic - fd))
-            denoms.append(abs(analytic))
-    yield _rel_result(diffs, denoms, 1e-6, 2 * n)
+            pairs.append((fd, force(atom, geom, z)))
+    yield _near(pairs, 1e-6)
 
 
 # (names, check) in REQUIRED_CHECK_NAMES order; check(level) yields one

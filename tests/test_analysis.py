@@ -55,6 +55,19 @@ def test_sweep_columns_follow_canonical_order():
     assert curve.columns == ("z", "V", "force")
 
 
+def test_sweep_quantities_given_as_a_generator_are_all_tabulated():
+    spec = SweepSpec(CC, MIXED, [0.5, 0.75], quantities=(q for q in ["V", "force"]))
+    assert spec.quantities == ("V", "force")
+    assert run_sweep(spec).columns == ("z", "V", "force")
+
+
+@pytest.mark.parametrize("quantities", [[], (), iter([])])
+def test_an_empty_sweep_selection_is_refused(quantities):
+    with pytest.raises(ConfigError) as info:
+        SweepSpec(CC, MIXED, [0.5, 0.75], quantities=quantities)
+    assert str(info.value) == "sweep quantities must name at least one quantity"
+
+
 def test_sweep_values_match_direct_evaluation():
     spec = SweepSpec.from_range(
         CC, MIXED, 0.1, 0.9, 9,
@@ -113,6 +126,13 @@ def test_curve_column_lookup():
     assert curve.column("z") == [0.25, 0.5]
     with pytest.raises(ValueError):
         curve.column("missing")
+
+
+def test_a_missing_curve_column_is_named_with_the_curve_columns():
+    curve = run_sweep(SweepSpec(CC, MIXED, z_grid=(0.25, 0.5), quantities=("V",)))
+    with pytest.raises(ValueError) as info:
+        curve.column("V_total")
+    assert str(info.value) == "no column 'V_total'; the curve has ('z', 'V')"
 
 
 # ----------------------------------------------------------------------

@@ -286,6 +286,9 @@ REFUSALS = [
     (lambda: SweepSpec(GEOM, ATOM, 0.5), InvalidGrid,
      "z_grid must be one-dimensional, got 0 dimensions"),
     (lambda: SweepSpec(GEOM, ATOM, ["a", "b"]), InvalidGrid,
+     "z_grid entry 'a' is not a number"),
+    # a bare str is refused whole, not named by its first letter
+    (lambda: SweepSpec(GEOM, ATOM, "abc"), InvalidGrid,
      "z_grid must be a sequence of numbers"),
     (lambda: SweepSpec(GEOM, ATOM, [[0.1], [0.2, 0.3]]), InvalidGrid,
      "z_grid must be a sequence of numbers"),

@@ -426,10 +426,10 @@ def _is_number(x) -> bool:
 
 
 def _z_grid_refusal(x):
-    """What z_grid = [0.5, x] raises: NumPy converts, then the one number rule decides."""
-    if isinstance(x, (str, Decimal)) or x is None:  # converted by NumPy, not by float arithmetic
+    """What z_grid = [0.5, x] raises: the one number rule decides, not NumPy."""
+    if isinstance(x, (str, Decimal, complex)) or x is None:  # not a number
         return InvalidGrid, f"z_grid entry {x!r} is not a number"
-    if not _is_number(x):  # NumPy refuses a complex and a list itself
+    if not _is_number(x):  # a list entry makes the grid ragged
         return InvalidGrid, "z_grid must be a sequence of numbers"
     return InvalidGrid, "z_grid must lie strictly inside (0, 2.0)"  # nan, inf, 10**400
 

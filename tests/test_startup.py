@@ -5,7 +5,7 @@ work loads it: grid tables, the image-sum oracles, 3x3 tensor matrices and
 the convergence fit. `import cpwalls` loads neither NumPy nor the
 verification suite, whose names resolve on first use. The records are
 named tuples, so nothing loads `dataclasses` (or, through it, `inspect`),
-and `json` loads only for a JSON table or `verify --format json`.
+and `json` loads only for a JSON table.
 """
 
 import os

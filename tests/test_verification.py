@@ -10,6 +10,8 @@ which must equal PI_LO.
 The matrix tests tamper with the 3x3 matrix CorrelatorTensor.components
 builds, leaving par and perp right, and require the matching check to fail:
 the checks read the matrix, not the stored components.
+The value-fault table gives every check on the two comparison rules
+(_agree, _near) a fault it must fail by its measured error alone.
 """
 
 import math
@@ -17,8 +19,9 @@ import math
 import pytest
 
 import cpwalls.profiles as profiles
-from cpwalls import verification
-from cpwalls.correlators import WALL_TABLE, CorrelatorTensor, WallKind
+from cpwalls import correlators, potentials, verification
+from cpwalls.correlators import WALL_TABLE, CorrelatorTensor, Geometry, WallKind
+from cpwalls.potentials import AtomResponse
 from cpwalls.verification import (
     REQUIRED_CHECK_NAMES,
     CheckResult,
@@ -216,3 +219,84 @@ def test_one_image_pass_per_oracle_point(monkeypatch, level, points):
     monkeypatch.setattr(verification, "_image_sums", counted)
     assert run_verification(level).passed
     assert len(seen) == len(set(seen)) == points
+
+
+# Production faults, each injected where the checks read it, and the exact
+# set of checks each one fails, by value: every failing check reports a
+# finite relative error above its tolerance. A check that compared a value
+# with itself would pass its fault and fail its row.
+def _scaled_closed_form(name, factor):
+    def inject(monkeypatch):
+        form = getattr(profiles, name)
+        closed = form.closed
+        scaled = form._replace(closed=lambda *args: closed(*args) * factor)
+        monkeypatch.setattr(profiles, name, scaled)
+
+    return inject
+
+
+def _force_pi4_off(monkeypatch):
+    monkeypatch.setattr(potentials, "_PI4", potentials._PI4 * (1.0 + 1e-5))
+
+
+def _atom_alpha_stored_nonlinearly(monkeypatch):
+    # alpha0 kept as alpha0 * (1 + 1e-12 * alpha0): V stops being linear in it
+    new = AtomResponse.__new__
+    monkeypatch.setattr(
+        AtomResponse, "__new__",
+        lambda cls, alpha0, beta0: new(cls, alpha0 * (1.0 + 1e-12 * alpha0), beta0))
+
+
+def _total_power_of_a_off(monkeypatch):
+    # V_total falls like a^-(4 + 1e-11); exact at a = 1
+    total = potentials._total
+    monkeypatch.setattr(
+        potentials, "_total",
+        lambda atom, geom, p: total(atom, geom, p) * geom.separation_a ** -1e-11)
+
+
+def _prefactor_power_of_a_off(monkeypatch):
+    # the correlator prefactor falls like a^-(4 + 1e-11); exact at a = 1
+    prefactor = correlators.tensor_prefactor
+    monkeypatch.setattr(
+        correlators, "tensor_prefactor", lambda a: prefactor(a) * a ** -1e-11)
+
+
+def _b_square_prefactor_off(monkeypatch):
+    # <B^2> 1e-13 too large: the trace sum keeps its sign but varies with z
+    mean_square_b = verification.mean_square_b
+    monkeypatch.setattr(
+        verification, "mean_square_b",
+        lambda geom, z, *args: mean_square_b(geom, z, *args) * (1.0 + 1e-13))
+
+
+def _profile_position_off(monkeypatch):
+    # Geometry.profile reads z as z * (1 + 1e-12): the midplane moves
+    profile = Geometry.profile
+    monkeypatch.setattr(
+        Geometry, "profile", lambda self, z, *args: profile(self, z * (1.0 + 1e-12), *args))
+
+
+VALUE_FAULTS = {
+    "force-pi4": (_force_pi4_off, {"force_fd_consistency"}),
+    "cot-deriv-closed-form": (_scaled_closed_form("COT_PROFILE_DERIV", 1.0 + 1e-6),
+                              {"cot_profile_derivative_fd"}),
+    "csc-deriv-closed-form": (_scaled_closed_form("CSC_PROFILE_DERIV", 1.0 + 1e-6),
+                              {"csc_profile_derivative_fd"}),
+    "atom-alpha-nonlinear": (_atom_alpha_stored_nonlinearly, {"potential_linearity"}),
+    "total-power-of-a": (_total_power_of_a_off, {"potential_scaling"}),
+    "prefactor-power-of-a": (_prefactor_power_of_a_off, {"correlator_scaling"}),
+    "b-square-prefactor": (_b_square_prefactor_off, {"trace_sum_constant"}),
+    "profile-position": (_profile_position_off,
+                         {"cc_potential_reflection", "cc_reflection_cp_asymmetry"}),
+}
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+@pytest.mark.parametrize("fault", VALUE_FAULTS)
+def test_a_production_fault_fails_exactly_its_checks_by_value(monkeypatch, fault, level):
+    inject, failing = VALUE_FAULTS[fault]
+    inject(monkeypatch)
+    failures = run_verification(level).failures
+    assert {c.name for c in failures} == failing
+    assert all(c.tolerance < c.max_rel_error < math.inf for c in failures)
