@@ -63,7 +63,10 @@ class SweepSpec(
     ):
         z_grid = tuple(_checked_grid(z_grid, geometry.separation_a).tolist())
         if not isinstance(quantities, str):  # _sweep_columns refuses a str whole
-            quantities = tuple(quantities)  # so a generator is kept, not run dry
+            try:
+                quantities = tuple(quantities)  # so a generator is kept, not run dry
+            except TypeError as exc:
+                raise ConfigError(f"sweep quantities must be names, not {quantities!r}") from exc
         _sweep_columns(quantities, include_limit_reference)
         return tuple.__new__(
             cls,
@@ -150,9 +153,10 @@ def _sweep_columns(quantities, include_limit_reference: bool) -> tuple[str, ...]
     """The sweep table's columns: z, the quantities in canonical order, V_wall."""
     if isinstance(quantities, str):  # set("force") would be its letters
         raise ConfigError(f"sweep quantities must be names, not the str {quantities!r}")
-    unknown = set(quantities) - set(SWEEP_QUANTITIES)
+    # entries are compared by ==, so one need not be hashable; each is named once
+    unknown = {repr(q) for q in quantities if q not in SWEEP_QUANTITIES}
     if unknown:
-        raise ConfigError(f"unknown sweep quantities: {sorted(unknown)}")
+        raise ConfigError("unknown sweep quantities: [%s]" % ", ".join(sorted(unknown)))
     ordered = tuple(q for q in SWEEP_QUANTITIES if q in quantities)
     if not ordered:
         raise ConfigError("sweep quantities must name at least one quantity")

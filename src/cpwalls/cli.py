@@ -10,26 +10,27 @@ the error class name goes to stderr.
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
 formats, which round-trips IEEE doubles losslessly, so re-running a command
-reproduces its output byte for byte. The json module loads only for a JSON
-table; verify writes its JSON from a %-template. A table goes out in two
-passes over chunks of rows: a grid on arrays, analysis.CHUNK_ROWS rows at a
-time, and a single --z point or the limits ladder as one chunk of floats
-through the scalar forms, which gives the same bits and does not load
-NumPy. Pass 1 evaluates, converts and gates every chunk and keeps none; a
-refusal names the first domain error in grid order, else a result out of
-the double range (an OverflowError or ZeroDivisionError of a prefactor or a
-profile power), else the first non-finite cell in grid order, and writes
-nothing. Pass 2 opens the output, then evaluates, formats and writes each
-chunk again. A run holds one chunk (2048 rows; the widest, a correlators
-chunk, peaks at about 1.9 MiB under tracemalloc) and the grid's positions
-(8 bytes a row).
+reproduces its output byte for byte. No command loads the json module: a
+JSON table, like verify's JSON, is written from %-templates, its column
+names and words quoted as '"%s"' (they are fixed ASCII names and need no
+escaping). A table goes out in two passes over chunks of rows: a grid on
+arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point or the
+limits ladder as one chunk of floats through the scalar forms, which gives
+the same bits and does not load NumPy. Pass 1 evaluates, converts and gates
+every chunk and keeps none; a refusal names the first domain error in grid
+order, else a result out of the double range (an OverflowError or
+ZeroDivisionError of a prefactor or a profile power), else the first
+non-finite cell in grid order, and writes nothing. Pass 2 opens the output,
+then evaluates, formats and writes each chunk again. A run holds one chunk
+(2048 rows; the widest, a correlators chunk, peaks at about 1.9 MiB under
+tracemalloc) and the grid's positions (8 bytes a row).
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"). argparse reads the option,
 so every spelling it accepts names the file (--config=PATH, a prefix such as
---conf PATH). The user's flags are parsed, and so checked, before the file
-is read; the file's flags are then parsed again ahead of the user's own, so
-explicit flags override file values.
+--conf PATH). The user's flags, --a-values among them, are parsed, and so
+checked, before the file is read; the file's flags are then parsed again
+ahead of the user's own, so explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -84,10 +85,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"value must be a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
     return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    """A comma list of finite floats; empty entries are skipped."""
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _common_flags(parser: _Parser) -> None:
@@ -110,49 +119,43 @@ def _common_flags(parser: _Parser) -> None:
     parser.add_argument("--out", help="output path (default: stdout)")
 
 
-def _grid_flags(parser: _Parser) -> None:
-    parser.add_argument("--z", type=_finite_float, help="single evaluation position")
-    parser.add_argument("--z-min", type=_finite_float)
-    parser.add_argument("--z-max", type=_finite_float)
-    parser.add_argument("--z-count", type=int)
-
-
 @functools.cache  # once per process: parse_args leaves the tree unchanged
 def _build_parser() -> _Parser:
     top = _Parser(prog="cpwalls", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("potential",
-                       help="potential, parts, and force at one or many z")
-    _common_flags(p)
-    _grid_flags(p)
-
-    p = sub.add_parser("correlators",
-                       help="vacuum correlator tensors at one or many z")
-    _common_flags(p)
-    _grid_flags(p)
-
-    p = sub.add_parser("sweep",
-                       help="tabulate requested quantities over a z grid")
-    _common_flags(p)
-    _grid_flags(p)
-    p.add_argument("--quantities", default="V,V_E,V_M,force",
-                   help="comma list from: V,V_E,V_M,force,EE_trace,BB_trace")
-    p.add_argument("--emit-limit-reference", action="store_true",
-                   help="append the nearest-wall single-wall limit column V_wall")
+    for name, summary, handler in (
+        ("potential", "potential, parts, and force at one or many z", _cmd_potential),
+        ("correlators", "vacuum correlator tensors at one or many z", _cmd_correlators),
+        ("sweep", "tabulate requested quantities over a z grid", _cmd_sweep),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        _common_flags(p)
+        p.add_argument("--z", type=_finite_float, help="single evaluation position")
+        p.add_argument("--z-min", type=_finite_float)
+        p.add_argument("--z-max", type=_finite_float)
+        p.add_argument("--z-count", type=int)
+    sweep = sub.choices["sweep"]
+    sweep.add_argument("--quantities", default="V,V_E,V_M,force",
+                       help="comma list from: V,V_E,V_M,force,EE_trace,BB_trace")
+    sweep.add_argument("--emit-limit-reference", action="store_true",
+                       help="append the nearest-wall single-wall limit column V_wall")
 
     p = sub.add_parser("limits",
                        help="convergence of the two-wall potential to the single-wall limit")
+    p.set_defaults(handler=_cmd_limits)
     _common_flags(p)
     p.add_argument("--wall-type", choices=["conducting", "permeable"],
                    default="conducting")
     p.add_argument("--z", type=_finite_float, default=1.0,
                    help="fixed distance from the named wall")
-    p.add_argument("--a-values",
+    p.add_argument("--a-values", type=_finite_floats,
                    help="comma list of separations (default: 20,40,80,160 times z)")
 
     p = sub.add_parser("verify",
                        help="run the built-in verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--config", help="key=value file mirroring the flags")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
@@ -206,14 +209,11 @@ def _row_templates(fmt: str, columns, fields, words) -> list[str]:
     A JSON row starts with the ",\n" that ends the row before it, which the
     writer drops from the first row.
     """
-    if fmt == "json":
-        import json  # here only: a CSV run never loads it
-    baked = [json.dumps(w) if fmt == "json" else w for w in words]
+    baked = ['"%s"' % w if fmt == "json" else w for w in words]
     variants = [fields + [w] for w in baked] or [fields]
-    if fmt == "json":
-        keys = [json.dumps(c) for c in columns]
+    if fmt == "json":  # the column names and words need no escaping
         return [
-            ",\n  {" + ", ".join(f"{k}: {v}" for k, v in zip(keys, cells)) + "}"
+            ",\n  {" + ", ".join(f'"{k}": {v}' for k, v in zip(columns, cells)) + "}"
             for cells in variants
         ]
     return [",".join(cells) + "\n" for cells in variants]
@@ -421,8 +421,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a grid: --z-min/--z-max/--z-count")
     z = _grid_from(args)
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-    if not quantities:
-        raise ConfigError("--quantities must name at least one quantity")
     _checked_grid(z, geom.separation_a)
     columns = _sweep_columns(quantities, args.emit_limit_reference)
     _emit(args, columns, lambda: _table_chunks(geom, atom, z, columns, guard))
@@ -434,15 +432,8 @@ def _cmd_limits(args) -> int:
     guard = _guard_from(args)
     if not args.z > 0.0:
         raise ConfigError(f"--z must be positive, got {args.z!r}")
-    if args.a_values is None:
-        a_values = [m * args.z for m in (20.0, 40.0, 80.0, 160.0)]
-    else:
-        try:
-            a_values = [
-                _finite_float(tok) for tok in args.a_values.split(",") if tok.strip()
-            ]
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"bad --a-values: {exc}") from exc
+    ladder = [m * args.z for m in (20.0, 40.0, 80.0, 160.0)]
+    a_values = ladder if args.a_values is None else args.a_values
     study = limit_convergence_study(atom, args.wall_type, args.z, a_values, guard)
     # rel_error is None on every row of a degenerate study, and a word there
     words = ("limit degenerate",) if study.degenerate else ()
@@ -450,8 +441,7 @@ def _cmd_limits(args) -> int:
         (row.a, row.v_exact, row.v_limit) + ((row.rel_error,) if not words else ())
         for row in study.rows
     ]
-    columns = ("a", "V_exact", "V_limit", "rel_error")
-    _emit(args, columns, lambda: [(rows, None)], words)
+    _emit(args, ("a", "V_exact", "V_limit", "rel_error"), lambda: [(rows, None)], words)
     return 0
 
 
@@ -491,15 +481,6 @@ def _cmd_verify(args) -> int:
     return len(report.failures)
 
 
-_HANDLERS = {
-    "potential": _cmd_potential,
-    "correlators": _cmd_correlators,
-    "sweep": _cmd_sweep,
-    "limits": _cmd_limits,
-    "verify": _cmd_verify,
-}
-
-
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     """One stderr line per warning: the class name and the message."""
     sys.stderr.write(f"{category.__name__}: {message}\n")
@@ -515,18 +496,15 @@ def main(argv=None) -> int:
                 config = _parse_config_file(args.config)
                 args = _build_parser().parse_args(argv[:1] + config + argv[1:])
             try:
-                return _HANDLERS[args.command](args)
+                return args.handler(args)
             except (OverflowError, ZeroDivisionError) as exc:  # a**4, u**-4 ...
                 raise NonFiniteResult(
                     "a result is out of the double range"
                     f" ({type(exc).__name__}: {exc})"
                 ) from exc
-        except ConfigError as exc:
+        except (ConfigError, DomainError) as exc:
             sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-            return 1
-        except DomainError as exc:
-            sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-            return 2
+            return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

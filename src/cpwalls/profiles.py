@@ -176,7 +176,7 @@ class OracleConfig(namedtuple("OracleConfig", "image_terms target_abs_tol")):
     """Truncation control for the image-sum oracles.
 
     image_terms is the number N of image pairs kept on each side, an
-    integer (operator.index); the truncated tail is bounded by
+    integer (operator.index) below 2**25; the truncated tail is bounded by
     (N*pi - xi)^-3 / (4*pi), and evaluation refuses to proceed when that
     bound exceeds target_abs_tol.
     """
@@ -190,6 +190,8 @@ class OracleConfig(namedtuple("OracleConfig", "image_terms target_abs_tol")):
             raise ValueError("image_terms must be a positive integer") from exc
         if image_terms < 1:
             raise ValueError("image_terms must be a positive integer")
+        if image_terms >= 2**25:  # the bound of _image_sums' exact extraction
+            raise ValueError(f"image_terms must be below 2**25, got {image_terms}")
         if not (_finite(target_abs_tol, "target_abs_tol must be a number")
                 and target_abs_tol > 0.0):
             raise ValueError("target_abs_tol must be positive and finite")

@@ -68,6 +68,17 @@ def test_an_empty_sweep_selection_is_refused(quantities):
     assert str(info.value) == "sweep quantities must name at least one quantity"
 
 
+@pytest.mark.parametrize("quantities, message", [
+    ([["V"]], "unknown sweep quantities: [['V']]"),
+    (5, "sweep quantities must be names, not 5"),
+    (["W", "V", "W"], "unknown sweep quantities: ['W']"),
+], ids=["unhashable", "not-iterable", "repeated"])
+def test_malformed_sweep_quantities_are_a_config_error(quantities, message):
+    with pytest.raises(ConfigError) as info:
+        SweepSpec(CC, MIXED, [0.5, 0.75], quantities=quantities)
+    assert str(info.value) == message
+
+
 def test_sweep_values_match_direct_evaluation():
     spec = SweepSpec.from_range(
         CC, MIXED, 0.1, 0.9, 9,

@@ -4,6 +4,7 @@ Most tests drive cpwalls.cli.main in process (stdout/stderr via capsys); one
 subprocess test checks the `python -m cpwalls` wiring for real.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -728,6 +729,84 @@ def test_missing_config_exit_1(capsys, argv, want):
     code, out, err = run_cli(capsys, "potential", *argv)
     assert (code, out) == (1, "")
     assert err.startswith(want)
+
+
+def test_a_values_from_a_config_file_give_the_command_line_table(tmp_path, capsys):
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text("wall_type = permeable\na_values = 4, 8,16\n")
+    from_file = run_cli(capsys, "limits", "--z", "1.5", "--config", str(cfg))
+    assert from_file[0] == 0 and from_file[1].count("\n") == 4
+    assert from_file == run_cli(
+        capsys, "limits", "--z", "1.5", "--wall-type", "permeable",
+        "--a-values", "4,8,16",
+    )
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("potential", "--z", "x"),
+     "ConfigError: argument --z: value must be a number, got 'x'\n"),
+    (("limits", "--a-values", "2,x"),
+     "ConfigError: argument --a-values: value must be a number, got 'x'\n"),
+    # --a-values is checked with the other flags, before the file is read
+    (("limits", "--a-values", "2,nan", "--config", "/no/such"),
+     "ConfigError: argument --a-values: value must be finite, got 'nan'\n"),
+], ids=["z", "a-values", "a-values-before-config"])
+def test_a_bad_flag_value_is_named_with_its_flag(capsys, argv, want):
+    assert run_cli(capsys, *argv) == (1, "", want)
+
+
+# ----------------------------------------------------------------------
+# the parser
+# ----------------------------------------------------------------------
+
+_COMMON_OPTIONS = [
+    "-h", "--help", "--config", "--geometry", "--a", "--alpha", "--beta",
+    "--guard-eps", "--guard-mode", "--units", "--format", "--out",
+]
+_COMMON_DEFAULTS = {
+    "config": None, "geometry": "cc", "a": 1.0, "alpha": 1.0, "beta": 0.0,
+    "guard_eps": 1e-6, "guard_mode": "reject", "units": "natural",
+    "format": "csv", "out": None,
+}
+_GRID_OPTIONS = ["--z", "--z-min", "--z-max", "--z-count"]
+_GRID_DEFAULTS = {"z": None, "z_min": None, "z_max": None, "z_count": None}
+
+# Each subcommand's option strings, in order, and its parsed defaults.
+SUBCOMMANDS = {
+    "potential": (_COMMON_OPTIONS + _GRID_OPTIONS,
+                  {**_COMMON_DEFAULTS, **_GRID_DEFAULTS}),
+    "correlators": (_COMMON_OPTIONS + _GRID_OPTIONS,
+                    {**_COMMON_DEFAULTS, **_GRID_DEFAULTS}),
+    "sweep": (_COMMON_OPTIONS + _GRID_OPTIONS
+              + ["--quantities", "--emit-limit-reference"],
+              {**_COMMON_DEFAULTS, **_GRID_DEFAULTS,
+               "quantities": "V,V_E,V_M,force", "emit_limit_reference": False}),
+    "limits": (_COMMON_OPTIONS + ["--wall-type", "--z", "--a-values"],
+               {**_COMMON_DEFAULTS, "wall_type": "conducting", "z": 1.0,
+                "a_values": None}),
+    "verify": (["-h", "--help", "--config", "--level", "--format", "--out"],
+               {"config": None, "level": "quick", "format": "text", "out": None}),
+}
+
+
+def _subparsers() -> dict:
+    top = cli._build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_the_subcommands_are_pinned():
+    assert list(_subparsers()) == list(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_each_subcommand_keeps_its_options_and_defaults(command):
+    options, defaults = SUBCOMMANDS[command]
+    parser = _subparsers()[command]
+    assert [s for a in parser._actions for s in a.option_strings] == options
+    parsed = vars(cli._build_parser().parse_args([command]))
+    parsed.pop("handler", None)
+    assert parsed == {"command": command, **defaults}
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,11 @@ GOLDEN = {
         ("limits", "--z", "1.0", "--alpha", "1", "--beta", "1"),
         "715e0700bfe7e4b0458f3d30c6844780164657541cfca810f39f7bf5ca74ae07",
     ),
+    # the only JSON table that writes the "limit degenerate" word
+    "limits-degenerate-json": (
+        ("limits", "--z", "1.0", "--alpha", "1", "--beta", "1", "--format", "json"),
+        "5e3f30834f7c8245ec55c978a4f9171c349e6ba8cf644d8316ac768d3cd48233",
+    ),
     # single points (--z): cc and cp, CSV, JSON and SI, a point past the
     # midplane and guard-band points under mode=asymptotic
     "potential-z-cc-csv": (
@@ -273,7 +278,7 @@ def test_single_points_and_limits_need_no_numpy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     points = [k for k, argv in cases.items() if "--z" in argv]
-    assert len(points) == 13  # ten --z points and three limits ladders
+    assert len(points) == 14  # ten --z points and four limits ladders
     for name in cases:
         want = [0, GOLDEN[name][1]] if name in points else "ImportError"
         assert result[name] == want, name

@@ -245,6 +245,9 @@ REFUSALS = [
     (lambda: GuardPolicy("1e-3"), ValueError, "guard epsilon must be a number"),
     (lambda: OracleConfig(0), ValueError, "image_terms must be a positive integer"),
     (lambda: OracleConfig(-3), ValueError, "image_terms must be a positive integer"),
+    # the exact image-sum extraction holds for N below 2**25 only
+    (lambda: OracleConfig(2**25), ValueError,
+     "image_terms must be below 2**25, got 33554432"),
     (lambda: OracleConfig(10, 0.0), ValueError, "target_abs_tol must be positive and finite"),
     (lambda: OracleConfig(10, INF), ValueError, "target_abs_tol must be positive and finite"),
     (lambda: OracleConfig(10, NAN), ValueError, "target_abs_tol must be positive and finite"),
@@ -460,6 +463,10 @@ def test_oracle_config_refuses_image_terms_that_are_not_integers(image_terms):
         OracleConfig(image_terms, 1e-3)
     assert type(info.value) is ValueError
     assert str(info.value) == "image_terms must be a positive integer"
+
+
+def test_oracle_config_takes_image_terms_up_to_its_bound():
+    assert OracleConfig(2**25 - 1).image_terms == 2**25 - 1  # a record, never evaluated
 
 
 def test_oracle_config_takes_integer_types():

@@ -5,7 +5,8 @@ work loads it: grid tables, the image-sum oracles, 3x3 tensor matrices and
 the convergence fit. `import cpwalls` loads neither NumPy nor the
 verification suite, whose names resolve on first use. The records are
 named tuples, so nothing loads `dataclasses` (or, through it, `inspect`),
-and `json` loads only for a JSON table.
+and no run loads `json`: a JSON table, like verify's JSON, is written from
+%-templates.
 """
 
 import os
@@ -60,9 +61,6 @@ runs = [
 codes = []
 for argv in runs:
     codes.append(main(argv))
-    if "json" in argv:  # the CSV runs and refusals before it never load json
-        UNUSED = UNUSED[:-1]
-        assert "json" in sys.modules
     loaded = [m for m in UNUSED if m in sys.modules]
     assert not loaded, (argv, loaded)
 assert codes == [0, 0, 0, 1, 2, 2, 0], codes
