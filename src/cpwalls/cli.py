@@ -433,6 +433,8 @@ def _cmd_limits(args) -> int:
     if not args.z > 0.0:
         raise ConfigError(f"--z must be positive, got {args.z!r}")
     ladder = [m * args.z for m in (20.0, 40.0, 80.0, 160.0)]
+    if args.a_values is None and ladder[-1] == math.inf:
+        raise ConfigError(f"--z {args.z!r} overflows the default a ladder (20 to 160 times z)")
     a_values = ladder if args.a_values is None else args.a_values
     study = limit_convergence_study(atom, args.wall_type, args.z, a_values, guard)
     # rel_error is None on every row of a degenerate study, and a word there

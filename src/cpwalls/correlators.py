@@ -19,25 +19,23 @@ for a profile value or a whole array of them: the tensor records, the
 traces (mean_square_e/b, par + par + perp, built without a record) and the
 correlator columns of the tables all take it from there.
 
-Geometry maps z to xi = pi*z/a and hands the geometry's forms to the
-profiles module: one profiles._evaluate call per form at one z, one
-profiles._point_terms call for point_terms (profile, slope and the
-asymptotic flag from one reflection), one profiles._profile_terms call for
-a grid. Geometry.xi is the one rule for a z: 0 < z < a, by
-profiles._inside, so a z that float arithmetic refuses (a str, a Decimal)
-is outside; it words every refusal of a z. The methods on one z call the
-evaluator on pi*(z/a) directly: for a float z, pi*(z/a) is in (0, pi)
-exactly where z is in (0, a), save where pi*z/a underflows to 0.0. Only
-if that call raises (_VIA_XI) do they call it again, after the except
-block, on Geometry.xi(z), so a refusal chains no exception. Records the
+Geometry hands the geometry's forms, z and a to the profiles module, whose
+z step decides where z lies: one profiles._point call per method on one z
+(profile and profile_deriv with one form, point_terms with both, which
+also gives the asymptotic flag), one profiles._profile_terms call on a
+grid. A z is between the walls where 0 < z < a by the test of
+profiles._inside (so a z that float arithmetic refuses, a str or a
+Decimal, is outside), and its xi is pi*(z/a); _point and Geometry.xi
+apply that rule, word a refusal with profiles._outside and chain no
+exception. Where pi*z/a
+underflows to 0.0 (z/a below about 1e-324) xi is the smallest positive
+double instead, so the point is in the guard band as one with a subnormal
+xi is, not refused as outside the walls; on a grid the kernel's band
+already holds xi = 0.0. A grid has one refusal rule, the scalar one: its
+first refused row goes to Geometry.profile, which raises. Records the
 module builds from its own values (the tensors of correlator_ee and
 correlator_bb, the one zero EB record) skip the checks of
-CorrelatorTensor.__new__. Where pi*z/a underflows to 0.0
-(z/a below about 1e-324) xi is the smallest positive double
-instead, so the point is in the guard band as one with a subnormal xi is,
-not refused as outside the walls; on a grid the kernel's band already
-holds xi = 0.0. A grid has one refusal rule, the scalar one: its first
-refused row goes to Geometry.profile, which raises.
+CorrelatorTensor.__new__.
 
 Geometry and CorrelatorTensor are named tuples checked in __new__: a
 Geometry's kind must be a WallKind (ValueError otherwise) and its
@@ -62,10 +60,11 @@ from .profiles import (
     PI,
     Form,
     GuardPolicy,
-    _evaluate,
+    _XI_MIN,
     _finite,
     _inside,
-    _point_terms,
+    _outside,
+    _point,
     _profile_terms,
 )
 
@@ -76,13 +75,6 @@ _np = None  # NumPy, once CorrelatorTensor.components first needs it
 _SMALLEST_NORMAL = sys.float_info.min
 _TENSOR_SCALE = 2.0 / (3.0 * PI)  # tensor_prefactor's factor after (pi/a)^4
 _record = tuple.__new__  # builds a record from the library's own values, unchecked
-_XI_MIN = 5e-324  # the smallest positive double: xi where pi*z/a underflows
-# What the direct evaluator call on pi*(z/a) raises where Geometry.xi must
-# decide: OutOfDomain for an xi off (0, pi) (z outside, or pi*z/a
-# underflowed to 0.0), TypeError for a z that is not a number and
-# OverflowError for one beyond the double range. The call on Geometry.xi(z)
-# then refuses z, or raises again what the evaluation itself raised.
-_VIA_XI = (OutOfDomain, TypeError, OverflowError)
 
 
 class WallKind(enum.Enum):
@@ -146,51 +138,37 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         a = self.separation_a
         if _inside(z, a):  # 0 < z < a, false for nan and for what is not a number
             return PI * (z / a) or _XI_MIN
-        raise OutOfDomain(f"z={z!r} is not strictly between the walls (0, {a})")
+        raise _outside(z, a)
 
     def profile(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """The geometry's profile at xi(z): cot_profile ("cc"), csc_profile ("cp")."""
-        form = WALL_TABLE[self.kind].profile
-        try:
-            return _evaluate(form, PI * (z / self.separation_a), guard)
-        except _VIA_XI:
-            pass
-        return _evaluate(form, self.xi(z), guard)
+        return _point(WALL_TABLE[self.kind].profile, None, z, self.separation_a, guard)
 
     def profile_deriv(self, z: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
         """d/dxi of the geometry's profile at xi(z)."""
-        form = WALL_TABLE[self.kind].profile_deriv
-        try:
-            return _evaluate(form, PI * (z / self.separation_a), guard)
-        except _VIA_XI:
-            pass
-        return _evaluate(form, self.xi(z), guard)
+        return _point(WALL_TABLE[self.kind].profile_deriv, None, z, self.separation_a, guard)
 
     def point_terms(
         self, z: float, guard: GuardPolicy = DEFAULT_GUARD
     ) -> tuple[float, float, bool]:
         """profile, profile_deriv and the asymptotic flag at one z, on floats.
 
-        One profiles._point_terms call: one reflection, one sin/cos pair and
-        one band test for both forms. The values equal profile_terms on a
+        One profiles._point call: one reflection, one sin/cos pair and one
+        band test for both forms. The values equal profile_terms on a
         one-point grid bit for bit (where a power leaves the double range
         this raises as ** does instead of giving inf, the profile before
         the slope), and a refusal is the scalar methods' own.
         """
-        profile, slope = WALL_TABLE[self.kind][:2]
-        try:
-            return _point_terms(profile, slope, PI * (z / self.separation_a), guard)
-        except _VIA_XI:
-            pass
-        return _point_terms(profile, slope, self.xi(z), guard)
+        wall = WALL_TABLE[self.kind]
+        return _point(wall.profile, wall.profile_deriv, z, self.separation_a, guard)
 
     def profile_terms(
         self, z: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """profile, profile_deriv and the asymptotic mask over a grid of z.
 
-        The checked grid entry: one profiles._profile_terms call on
-        pi*(z/a), whose values equal the scalar methods bit for bit. The
+        The checked grid entry: one profiles._profile_terms call on z and
+        a, whose values equal the scalar methods bit for bit. The
         refused rows are those outside (0, a) and, under mode="reject",
         those in the band; the first of them in grid order goes to
         self.profile, which raises the scalar error and message for it.
@@ -203,8 +181,7 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
     def _grid_terms(self, z: np.ndarray, guard: GuardPolicy):
         """profile_terms on a float64 array, in the caller's NumPy error state."""
         a = self.separation_a
-        forms = WALL_TABLE[self.kind][:2]  # profile, profile_deriv
-        p, dp, asymptotic = _profile_terms(*forms, PI * (z / a), guard)
+        p, dp, asymptotic = _profile_terms(*WALL_TABLE[self.kind][:2], z, a, guard)
         ok = (0.0 < z) & (z < a)
         if guard.mode == "reject":
             ok = ok > asymptotic  # inside and not in the band

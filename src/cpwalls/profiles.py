@@ -34,22 +34,28 @@ both paths. The scalar functions pass operator.pow, which is the ** operator
 itself: its bits, and its OverflowError and ZeroDivisionError messages, are
 those of plain float arithmetic (math.pow would say "math range error" and
 raise ValueError instead); math.sin, math.cos and operator.pow are bound
-once, at import. On floats _evaluate evaluates one form and _point_terms,
-the scalar twin of _profile_terms, a profile and its slope from one
-domain check, reflection, sin/cos pair and band test, with the
-asymptotic flag. Both word their refusals through _refuse, the one place
-that does: every scalar function, and every Geometry method on one z, is
-one _evaluate call per form, or one _point_terms call for both. An
-argument that float arithmetic refuses is outside the domain: a str, a
-Decimal or an int beyond the double range is refused as outside (0, pi)
-(zeta4: as not q > 0), by the test 0.0 * x < x < hi of _inside, with no
-type test on the way of a number. _profile_terms evaluates the same forms
-on a whole array of xi, for tables, and refuses nothing: it passes
-np.float_power, which is libm's pow as ** is (** on arrays and np.power use
-a SIMD pow that differs from libm in the last bit), and returns the band
-mask, from which Geometry.profile_terms picks the first refused row and
-hands it to the scalar path to raise. No form may power with ** or
-np.power itself.
+once, at import.
+
+Two steps on floats turn an argument into (u, sign, band). _evaluate is
+the one of the six public functions of xi: one form, a check that xi is
+in (0, pi), the reflection. _point is the z step of every Geometry method
+on one z: it checks 0 < z < a, forms xi = pi*(z/a) (the smallest positive
+double where that underflows to 0.0), reflects once, takes one sin/cos
+pair and runs one band test for the profile and, if asked, its slope,
+with the asymptotic flag. A public scalar function evaluates its forms
+in one call of one of them, and both word a band refusal through
+_refuse. An argument that float arithmetic refuses is outside the
+domain: a str, a Decimal or an int beyond the double range is refused as
+outside (0, pi) (zeta4: as not q > 0; a z as outside (0, a), by
+_outside), by the test 0.0 * x < x < hi of _inside, with no type test on
+the way of a number.
+_profile_terms, the z step on arrays, takes the same z and a and
+evaluates the same forms on a whole array, for tables, and refuses
+nothing: it passes np.float_power, which is libm's pow as ** is (** on
+arrays and np.power use a SIMD pow that differs from libm in the last
+bit), and returns the band mask, from which Geometry.profile_terms picks
+the first refused row and hands it to the scalar path to raise. No form
+may power with ** or np.power itself.
 
 Two independent oracles cross-check the closed forms: a truncated image sum
 over the poles (with a certified tail bound) and a Hurwitz-zeta form summed
@@ -97,7 +103,8 @@ PI = math.pi
 # pi = PI + PI_LO to ~1e-32; PI_LO == sin(math.pi) in IEEE double arithmetic.
 PI_LO = 1.2246467991473532e-16
 HALF_PI = 0.5 * math.pi
-_sin, _cos, _pow = math.sin, math.cos, operator.pow  # bound once for _evaluate
+_sin, _cos, _pow = math.sin, math.cos, operator.pow  # bound once for the scalar steps
+_XI_MIN = 5e-324  # the smallest positive double: xi where pi*z/a underflows
 
 # Series data about a wall (distance u): profile = (3/8)*u^-4 + const + O(u^2).
 SERIES_LEADING = 0.375
@@ -288,25 +295,46 @@ def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
     _refuse(xi, guard)
 
 
-def _point_terms(profile: Form, deriv: Form, xi: float, guard: GuardPolicy):
-    """Scalar twin of _profile_terms: (profile, slope, asymptotic) at one xi.
+def _outside(z, a: float) -> OutOfDomain:
+    """The refusal of a position z not strictly between the walls (0, a)."""
+    return OutOfDomain(f"z={z!r} is not strictly between the walls (0, {a})")
 
-    One domain check, reflection, sin/cos pair and band test serve both
-    Forms. It refuses as _evaluate does, and where a power leaves the
-    double range the profile raises before the slope is evaluated.
+
+def _point(profile: Form, deriv: Form | None, z: float, a: float, guard: GuardPolicy):
+    """The z step on floats: (profile, slope, asymptotic) at one z.
+
+    The one place a position between the walls becomes (u, sign, band):
+    0 < z < a by the test of _inside, xi = pi*(z/a) (the smallest positive
+    double where that underflows, as Geometry.xi), one reflection, one
+    sin/cos pair and one band test for both Forms. With deriv=None it
+    returns the profile alone, a float, and evaluates no slope. The values
+    are _profile_terms' at the same z and a bit for bit (where a power
+    leaves the double range this raises as ** does, the profile before the
+    slope). A z off (0, a) is refused after the except block, so that its
+    error chains nothing.
     """
-    if not 0.0 < xi < PI:  # also false for nan and inf
-        _refuse(xi, guard)
-    if xi <= HALF_PI:
-        u, sign = xi, 1.0
+    try:  # _inside(z, a) inline
+        if not (0.0 * z < z and z < a):
+            raise OutOfDomain  # worded by _outside, below
+    except (OutOfDomain, TypeError, OverflowError):  # or refused by float arithmetic
+        pass
     else:
-        u, sign = (PI - xi) + PI_LO, -1.0
-    if u >= guard.epsilon:
-        s, c = _sin(u), _cos(u)
-        return profile.closed(s, c, sign, _pow), deriv.closed(s, c, sign, _pow), False
-    if guard.mode == "reject":
-        _refuse(xi, guard)
-    return profile.series(u, sign, _pow), deriv.series(u, sign, _pow), True
+        xi = PI * (z / a) or _XI_MIN
+        if xi <= HALF_PI:
+            u, sign = xi, 1.0
+        else:
+            u, sign = (PI - xi) + PI_LO, -1.0
+        if u >= guard.epsilon:
+            if deriv is None:
+                return profile.closed(_sin(u), _cos(u), sign, _pow)
+            s, c = _sin(u), _cos(u)
+            return profile.closed(s, c, sign, _pow), deriv.closed(s, c, sign, _pow), False
+        if guard.mode == "reject":
+            _refuse(xi, guard)
+        if deriv is None:
+            return profile.series(u, sign, _pow)
+        return profile.series(u, sign, _pow), deriv.series(u, sign, _pow), True
+    raise _outside(z, a)
 
 
 def cot_profile(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
@@ -347,24 +375,28 @@ def csc_profile_series(xi: float) -> float:
 
 
 def _profile_terms(
-    profile: Form, deriv: Form, xi: np.ndarray, guard: GuardPolicy = DEFAULT_GUARD
+    profile: Form, deriv: Form, z: np.ndarray, a: float, guard: GuardPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profile, slope and asymptotic mask over a float64 array of xi.
+    """The z step on arrays: profile, slope and asymptotic mask over z.
 
     profile and deriv are the Forms of a profile and of its slope, for
-    example COT_PROFILE and COT_PROFILE_DERIV. A pure evaluator: it checks
-    no domain and refuses nothing, and only guard.epsilon is read. Every
-    element with xi in (0, pi) is the scalar path's value in asymptotic
-    mode bit for bit (series inside the band): the forms are the same,
-    np.sin/np.cos agree with libm on the platforms the golden tests pin,
-    and np.float_power is libm's pow. Elements off (0, pi) are meaningless;
-    Geometry.profile_terms, the checked grid entry, refuses such rows and,
-    under mode="reject", the masked ones. NumPy's error state is the
-    caller's: Geometry.profile_terms and the table chunks run this under
-    np.errstate(all="ignore"), so an overflow gives inf, not a warning.
+    example COT_PROFILE and COT_PROFILE_DERIV; z is a float64 array and
+    xi = pi*(z/a). A pure evaluator: it checks no domain and refuses
+    nothing, and only guard.epsilon is read. Every element with z in
+    (0, a) is _point's value in asymptotic mode bit for bit (series inside
+    the band): the forms are the same, np.sin/np.cos agree with libm on
+    the platforms the golden tests pin, and np.float_power is libm's pow.
+    Where pi*(z/a) underflows to 0.0 the element is in the band, as
+    _point's smallest positive xi is, and its series is infinite. Elements off
+    (0, a) are meaningless; Geometry.profile_terms, the checked grid
+    entry, refuses such rows and, under mode="reject", the masked ones.
+    NumPy's error state is the caller's: Geometry.profile_terms and the
+    table chunks run this under np.errstate(all="ignore"), so an overflow
+    gives inf, not a warning.
     """
     import numpy as np
 
+    xi = PI * (z / a)
     near = xi <= HALF_PI
     u = np.where(near, xi, (PI - xi) + PI_LO)
     sign = np.where(near, 1.0, -1.0)

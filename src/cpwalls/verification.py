@@ -13,7 +13,7 @@ its measured error is at or below its tolerance (binary checks count
 violations against a tolerance of zero); a check that finds its structural
 condition broken reports max_rel = inf and fails. CheckResult and
 VerificationReport are named tuples; CheckResult.__new__ turns NumPy
-scalars into plain floats, bools and ints, and as_dict is _asdict.
+scalars into plain floats, bools and ints, and CheckResult.as_dict is _asdict.
 
 Levels: "quick" samples about 10 positions per check (2 expansion scales
 for the series checks) with relaxed oracle tolerances (1e-8); "full"
@@ -160,14 +160,6 @@ class VerificationReport(NamedTuple):
     @property
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "passed": self.passed,
-            "failure_count": len(self.failures),
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
 
 REQUIRED_CHECK_NAMES = (

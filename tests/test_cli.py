@@ -466,6 +466,16 @@ def test_limits_permeable_wall(capsys):
     assert all(row["V_limit"] > 0.0 for row in rows)
 
 
+def test_limits_names_z_where_the_default_ladder_overflows(capsys):
+    """160 times z leaves the double range: the refusal names --z, not an a list."""
+    assert run_cli(capsys, "limits", "--z", "1e307") == (
+        1, "", "ConfigError: --z 1e+307 overflows the default a ladder"
+               " (20 to 160 times z)\n")
+    # the largest z whose ladder is finite passes this check
+    code, _, err = run_cli(capsys, "limits", "--z", repr(sys.float_info.max / 160.0))
+    assert "ladder" not in err and code == 2
+
+
 # ----------------------------------------------------------------------
 # units
 # ----------------------------------------------------------------------

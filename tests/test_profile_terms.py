@@ -1,9 +1,11 @@
 """The array kernel _profile_terms against the scalar profile functions.
 
+The kernel takes positions z and a separation a. Here a = pi, so that
+xi(z) = pi*(z/pi) of a seeded z is the seeded xi itself or one of its
+neighbours, and the scalar functions are called on that xi.
 Geometry.point_terms, the kernel's one-point twin on floats that the CLI
 uses for a single --z, is held to the same `==` against the kernel and the
-scalar functions, at a = pi, where xi(z) = pi*(z/pi) is the seeded xi
-itself or one of its neighbours.
+scalar functions.
 
 The CLI tables and run_sweep take every profile value from the kernel,
 and their bytes are pinned to the scalar path's, so equality here is `==`,
@@ -124,13 +126,13 @@ def _point_terms_agree(kind, guard, z):
 def test_asymptotic_mode_equals_the_scalar_path(kind):
     guard = GuardPolicy(EPS, "asymptotic")
     profile, deriv, series = SCALAR[kind]
-    p, dp, asymptotic = _profile_terms(*FORMS[kind], XI, guard)
-    xs = XI.tolist()
+    p, dp, asymptotic = _profile_terms(*FORMS[kind], XI, PI, guard)
+    xs = (PI * (XI / PI)).tolist()  # the kernel's xi of each seeded z
     assert p.tolist() == [profile(x, guard) for x in xs]
     assert dp.tolist() == [deriv(x, guard) for x in xs]
     assert asymptotic.tolist() == [wall_distance(x) < EPS for x in xs]
     assert 1_000 < _point_terms_agree(kind, guard, XI).sum() < len(xs)
-    band = XI[asymptotic].tolist()
+    band = [x for x, near in zip(xs, asymptotic.tolist()) if near]
     assert 1_000 < len(band) < len(xs)
     assert p[asymptotic].tolist() == [series(x) for x in band]
 
@@ -139,14 +141,12 @@ def test_asymptotic_mode_equals_the_scalar_path(kind):
 def test_reject_mode_equals_the_scalar_path(kind):
     guard = GuardPolicy(1e-6, "reject")
     profile, deriv, _ = SCALAR[kind]
-    xi = XI[np.array([wall_distance(x) >= 1e-6 for x in XI.tolist()])]
-    p, dp, asymptotic = _profile_terms(*FORMS[kind], xi, guard)
-    xs = xi.tolist()
+    z = XI[np.array([wall_distance(x) >= 1e-6 for x in (PI * (XI / PI)).tolist()])]
+    p, dp, asymptotic = _profile_terms(*FORMS[kind], z, PI, guard)
+    xs = (PI * (z / PI)).tolist()
     assert p.tolist() == [profile(x, guard) for x in xs]
     assert dp.tolist() == [deriv(x, guard) for x in xs]
     assert not asymptotic.any()
-    z = XI[np.array([wall_distance(x) >= 1e-6 for x in (PI * (XI / PI)).tolist()])]
-    assert abs(len(z) - len(xs)) < 10  # the same points, bar a few at the edge
     assert not _point_terms_agree(kind, guard, z).any()
 
 

@@ -437,11 +437,8 @@ def test_check_result_as_dict():
     failing = CheckResult("y", 2.0, 2.0, 1.0, False, 3)
     report = VerificationReport("full", [CHECK, failing])
     assert report.passed is False and report.failures == [failing]
-    assert report.as_dict() == {
-        "level": "full", "passed": False, "failure_count": 1,
-        "checks": [CHECK.as_dict(), failing.as_dict()],
-    }
-    assert list(report.as_dict()) == ["level", "passed", "failure_count", "checks"]
+    assert len(report.failures) == 1  # the failure_count of verify --format json
+    assert not hasattr(report, "as_dict")
 
 
 @pytest.mark.parametrize("kind", ["cp", "cc", None, 0, CC.value])

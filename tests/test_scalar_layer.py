@@ -273,14 +273,29 @@ def test_the_scalar_layer_equals_the_array_path():
     assert min(seen.values()) > 20, seen
 
 
-@pytest.mark.parametrize("kind", list(WallKind))
-@pytest.mark.parametrize("z", [0.3, 1.4, 1e-9, 2.0 - 1e-9])
-def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z):
-    """Each form is evaluated once per call, in one evaluator call, with xi inline.
+_OUTSIDE = "z={!r} is not strictly between the walls (0, 2.0)"
+# Positions at a = 2.0 that the z step refuses under mode="reject", with
+# the class and message of the refusal; pi*z/a underflows at z = 5e-324.
+REFUSED_POSITIONS = [
+    pytest.param(z, (OutOfDomain, _OUTSIDE.format(z)), id=label)
+    for z, label in (("0.5", "str"), (Decimal("0.5"), "Decimal"),
+                     (10 ** 400, "int-beyond-double"), (-1.0, "negative"),
+                     (2.0, "a"), (math.nan, "nan"))
+] + [pytest.param(5e-324, (TooCloseToWall, "xi=5e-324 is within 1e-06 of a wall"
+                                           " (mode=reject)"), id="xi-underflows")]
 
-    The geometry's two forms count their closed-form and series evaluations;
-    profiles._evaluate and profiles._point_terms count their calls, and
-    Geometry.xi, which a point between the walls does not need, its own.
+
+@pytest.mark.parametrize("kind", list(WallKind))
+@pytest.mark.parametrize("z, refusal", [(z, None) for z in (0.3, 1.4, 1e-9, 2.0 - 1e-9)]
+                         + REFUSED_POSITIONS)
+def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z, refusal):
+    """Each public call is one z step, which evaluates each form at most once.
+
+    The z step is profiles._point, or Geometry.xi in correlator_eb, which
+    evaluates no form; profiles._evaluate, the evaluator of the public xi
+    functions, is not called. The geometry's two forms count their
+    closed-form and series evaluations. A refused position is refused by
+    that one z step, with its class and message, and evaluates no form.
     """
     counts = {}
 
@@ -301,29 +316,34 @@ def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z):
     }
     monkeypatch.setitem(correlators.WALL_TABLE, kind,
                         wall._replace(profile=forms["profile"], profile_deriv=forms["slope"]))
-    for name in ("_evaluate", "_point_terms"):
-        monkeypatch.setattr(correlators, name, counted(name, getattr(profiles, name)))
+    monkeypatch.setattr(correlators, "_point", counted("_point", profiles._point))
+    monkeypatch.setattr(profiles, "_evaluate", counted("_evaluate", profiles._evaluate))
     monkeypatch.setattr(Geometry, "xi", counted("xi", Geometry.xi))
     geom, atom = Geometry(kind, 2.0), AtomResponse(1.0, 0.25)
-    guard = GuardPolicy(1e-6, "asymptotic")
+    guard = GuardPolicy(1e-6, "asymptotic" if refusal is None else "reject")
     for name, (profile, slope) in FORM_EVALUATIONS.items():
         counts.clear()
-        _public_call(name, atom, geom, z, guard)
-        pair = name in ("potential_sample", "point_terms")
-        assert counts.get("profile", 0) == profile, name
-        assert counts.get("slope", 0) == slope, name
-        assert counts.get("_point_terms", 0) == pair, name
-        assert counts.get("_evaluate", 0) == (0 if pair else profile + slope), name
-        assert counts.get("xi", 0) == (name == "correlator_eb"), name
+        got = _outcome(lambda: _public_call(name, atom, geom, z, guard))
+        eb = name == "correlator_eb"
+        assert counts.get("_point", 0) == (not eb), name
+        assert counts.get("xi", 0) == eb, name
+        assert "_evaluate" not in counts, name
+        if refusal is None:
+            assert counts.get("profile", 0) == profile, name
+            assert counts.get("slope", 0) == slope, name
+            continue
+        assert "profile" not in counts and "slope" not in counts, name
+        band = eb and refusal[0] is TooCloseToWall  # correlator_eb has no guard band
+        assert got == ((0.0, 0.0, "EB") if band else refusal), name
 
 
 # (call, kind) -> opcode events of one warm call, the calling lambda's included
 BYTECODES = {
-    ("potential_total z < a/2", "cc"): 136, ("potential_total z < a/2", "cp"): 138,
-    ("potential_total z > a/2", "cc"): 139, ("potential_total z > a/2", "cp"): 141,
-    ("potential_sample", "cc"): 210, ("potential_sample", "cp"): 218,
-    ("force", "cc"): 117, ("force", "cp"): 123,
-    ("correlator_ee", "cc"): 149, ("correlator_ee", "cp"): 151,
+    ("potential_total z < a/2", "cc"): 138, ("potential_total z < a/2", "cp"): 140,
+    ("potential_total z > a/2", "cc"): 141, ("potential_total z > a/2", "cp"): 143,
+    ("potential_sample", "cc"): 214, ("potential_sample", "cp"): 222,
+    ("force", "cc"): 119, ("force", "cp"): 125,
+    ("correlator_ee", "cc"): 151, ("correlator_ee", "cp"): 153,
     ("cot_profile", None): 74,
 }
 

@@ -72,3 +72,19 @@ def test_code_lines_counts_a_known_fixture(tmp_path):
     )
     out = _run_script("code_lines.py", str(fixture), str(fixture), cwd=tmp_path)
     assert out == f"8 {fixture}\n8 {fixture}\n16 total\n"
+
+
+# the total of python scripts/code_lines.py src/cpwalls/*.py
+PACKAGE_CODE_LINES = 1585
+
+
+def test_the_package_stays_within_its_code_lines(tmp_path):
+    """The package's code lines are at most PACKAGE_CODE_LINES.
+
+    A change that needs more lines should re-pin on purpose and say where
+    ROADMAP item 6 gets the lines back.
+    """
+    paths = sorted(str(p) for p in (ROOT / "src" / "cpwalls").glob("*.py"))
+    out = _run_script("code_lines.py", *paths, cwd=tmp_path)
+    count, word = out.splitlines()[-1].split()
+    assert word == "total" and int(count) <= PACKAGE_CODE_LINES

@@ -49,14 +49,13 @@ def test_unknown_level_rejected():
         run_verification("exhaustive")
 
 
-def test_report_as_dict_shape():
+def test_report_shape():
     report = run_verification("quick")
-    data = report.as_dict()
-    assert data["level"] == "quick"
-    assert data["passed"] is True
-    assert data["failure_count"] == 0
-    assert len(data["checks"]) == len(REQUIRED_CHECK_NAMES)
-    one = data["checks"][0]
+    assert report.level == "quick"
+    assert report.passed is True
+    assert len(report.failures) == 0
+    assert len(report.checks) == len(REQUIRED_CHECK_NAMES)
+    one = report.checks[0].as_dict()
     assert set(one) == {
         "name", "max_abs_error", "max_rel_error", "tolerance", "passed",
         "points_tested",
