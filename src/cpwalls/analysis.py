@@ -2,7 +2,9 @@
 
 Everything here is a pure tabulation layer over the correlator and potential
 modules: build a grid, evaluate the requested quantities per point, and hand
-back plain column/row containers the CLI can serialize. The containers
+back plain column/row containers the CLI can serialize. _table_chunks is
+the one evaluator of a table's columns, for run_sweep, a CLI grid and a
+CLI --z point alike. The containers
 (SweepSpec, PotentialCurve, LimitRow, LimitStudy) are immutable named
 tuples; SweepSpec.__new__ checks the grid and the quantities and keeps the
 grid as a tuple of floats, and PotentialCurve and LimitStudy hold their
@@ -261,7 +263,7 @@ _COLUMN = {
 CHUNK_ROWS = 1 << 11
 
 
-def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy = DEFAULT_GUARD):
+def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
     """The named _Terms over a grid z, CHUNK_ROWS rows at a time.
 
     Yields (cells, asymptotic) per chunk: a (rows, columns) float64 array and
@@ -274,7 +276,23 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy = DEFAULT
     prefactor or a profile power: OverflowError, ZeroDivisionError or
     NonFiniteResult), which is raised only once every chunk has passed the
     domain check. atom may be None where no column needs one.
+
+    A float z (the CLI's --z point) is one chunk of one row: a list of one
+    float tuple and a list of one flag, from one Geometry.point_terms call
+    and the columns on floats, with the same bits and without NumPy. Where
+    a power in the scalar forms leaves the double range (OverflowError,
+    ZeroDivisionError), the point goes through the array kernel instead, so
+    that the finite gate names its inf or nan cell as it does in a grid.
     """
+    if isinstance(z, float):
+        try:
+            p, dp, asymptotic = geom.point_terms(z, guard)
+        except (OverflowError, ZeroDivisionError):
+            z = [z]
+        else:
+            terms = _Terms(atom, geom, z, p, dp)
+            yield [tuple(terms[c] for c in columns)], [asymptotic]
+            return
     import numpy as np
 
     z = np.asarray(z, dtype=np.float64)

@@ -13,10 +13,13 @@ formats, which round-trips IEEE doubles losslessly, so re-running a command
 reproduces its output byte for byte. No command loads the json module: a
 JSON table, like verify's JSON, is written from %-templates, its column
 names and words quoted as '"%s"' (they are fixed ASCII names and need no
-escaping). A table goes out in two passes over chunks of rows: a grid on
-arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point or the
-limits ladder as one chunk of floats through the scalar forms, which gives
-the same bits and does not load NumPy. Pass 1 evaluates, converts and gates
+escaping). The CLI evaluates no physics itself: it parses, gates and
+writes. A table goes out in two passes over chunks of rows, which
+analysis._table_chunks evaluates for potential, correlators and sweep: a
+grid on arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point
+as one chunk of floats through the scalar forms, which gives the same bits
+and does not load NumPy. The limits ladder is one chunk of floats from
+analysis.limit_convergence_study. Pass 1 evaluates, converts and gates
 every chunk and keeps none; a refusal names the first domain error in grid
 order, else a result out of the double range (an OverflowError or
 ZeroDivisionError of a prefactor or a profile power), else the first
@@ -43,16 +46,16 @@ import operator
 import sys
 import warnings
 
-from .analysis import _Terms, _checked_grid, _sweep_columns, _table_chunks
+from .analysis import SWEEP_QUANTITIES, _checked_grid, _sweep_columns, _table_chunks
 from .analysis import limit_convergence_study
 from .correlators import Geometry, WallKind
 from .errors import ConfigError, DomainError, NonFiniteResult
-from .potentials import AtomResponse
+from .potentials import _REGIME, AtomResponse
 from .profiles import GuardPolicy
 from .units import HBAR_C_J_M
 
 POTENTIAL_COLUMNS = ("z", "V_E", "V_M", "V_total", "force_z", "regime")
-# The analysis._Terms term behind each float column of POTENTIAL_COLUMNS.
+# The analysis._table_chunks term behind each float column of POTENTIAL_COLUMNS.
 _POTENTIAL_CELLS = ("z", "V_E", "V_M", "V", "force")
 
 _AXES = "xyz"
@@ -67,7 +70,7 @@ _CORRELATOR_ZEROS = frozenset(
     f"{pair}_{i}{j}" for pair in ("EE", "BB", "EB") for i in _AXES for j in _AXES
     if pair == "EB" or i != j
 )
-# The analysis._Terms term behind each other column of CORRELATOR_COLUMNS.
+# The analysis._table_chunks term behind each other column of CORRELATOR_COLUMNS.
 _CORRELATOR_CELLS = ("z", "EE_par", "EE_par", "EE_perp", "BB_par", "BB_par",
                      "BB_perp", "EE_trace", "BB_trace", "trace_sum")
 
@@ -138,7 +141,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--z-count", type=int)
     sweep = sub.choices["sweep"]
     sweep.add_argument("--quantities", default="V,V_E,V_M,force",
-                       help="comma list from: V,V_E,V_M,force,EE_trace,BB_trace")
+                       help="comma list from: " + ",".join(SWEEP_QUANTITIES))
     sweep.add_argument("--emit-limit-reference", action="store_true",
                        help="append the nearest-wall single-wall limit column V_wall")
 
@@ -377,39 +380,23 @@ def _grid_from(args):
         raise ConfigError(f"--z-count {args.z_count} is too large ({exc})") from exc
 
 
-def _table(args, geom: Geometry, atom, guard: GuardPolicy, columns):
-    """A callable giving the named analysis._Terms cells as chunks.
-
-    A --z point is one chunk of one row of floats from the scalar forms,
-    evaluated here, without NumPy. Where a power in them leaves the double
-    range (OverflowError, ZeroDivisionError), and for a grid,
-    analysis._table_chunks evaluates instead, with NumPy quiet: its inf and
-    nan go to the finite gate in _emit, which names the first.
-    """
-    z = _grid_from(args)
-    if isinstance(z, float):
-        try:
-            p, dp, asymptotic = geom.point_terms(z, guard)
-        except (OverflowError, ZeroDivisionError):
-            z = [z]
-        else:
-            terms = _Terms(atom, geom, z, p, dp)
-            row = [tuple(terms[c] for c in columns)]
-            return lambda: [(row, [asymptotic])]
-    return lambda: _table_chunks(geom, atom, z, columns, guard)
-
-
 def _cmd_potential(args) -> int:
     geom = _geometry_from(args)
-    chunks = _table(args, geom, _atom_from(args), _guard_from(args), _POTENTIAL_CELLS)
-    _emit(args, POTENTIAL_COLUMNS, chunks, ("exact", "asymptotic"))
+    atom = _atom_from(args)
+    guard = _guard_from(args)
+    z = _grid_from(args)
+    _emit(args, POTENTIAL_COLUMNS,
+          lambda: _table_chunks(geom, atom, z, _POTENTIAL_CELLS, guard), _REGIME)
     return 0
 
 
 def _cmd_correlators(args) -> int:
     geom = _geometry_from(args)
-    chunks = _table(args, geom, None, _guard_from(args), _CORRELATOR_CELLS)
-    _emit(args, CORRELATOR_COLUMNS, chunks, zeros=_CORRELATOR_ZEROS)
+    guard = _guard_from(args)
+    z = _grid_from(args)
+    _emit(args, CORRELATOR_COLUMNS,
+          lambda: _table_chunks(geom, None, z, _CORRELATOR_CELLS, guard),
+          zeros=_CORRELATOR_ZEROS)
     return 0
 
 

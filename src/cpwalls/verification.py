@@ -26,8 +26,11 @@ csc_profile_vs_image_sum) are one row: one pass per point evaluates
 cot_profile once and runs one image pass (profiles._image_sums) for both
 sums, and they are still reported as three checks. Rows whose checks differ
 only in their arguments share one function: the four series checks, the two
-finite-difference checks and the two reflection checks. Nothing is kept
-from one run_verification call to the next.
+finite-difference checks, the two reflection checks and the two
+zero-pattern matrix checks (tensor_structure, eb_zero: one walk,
+_check_matrices, over the builders it looks up when it runs). Each
+production value a check reads is evaluated once per point. Nothing is
+kept from one run_verification call to the next.
 
 The relative checks compare by one of two rules. _agree takes (x, y,
 floor) triples, two routes to one value, and measures |x - y| against
@@ -51,6 +54,9 @@ The near/far-wall series checks read the expansion constants through the
 profiles module object on purpose: perturbing profiles.COT_SERIES_CONST (a
 fault-injection exercise for the test harness) must make exactly those
 checks fail, proving the suite can actually catch a miscopied constant.
+The far-wall series checks measure the wall distance pi - x with pi's low
+part from math.sin(math.pi), as the oracles do, not with profiles.PI_LO,
+so a wrong PI_LO fails them at the full level.
 Likewise potential_from_correlators holds its own copy of each geometry's
 diagonal constant, so a perturbed correlators.WALL_TABLE entry fails it
 together with potential_additivity.
@@ -92,7 +98,6 @@ from .profiles import (
     csc_profile,
     csc_profile_deriv,
     image_terms_needed,
-    wall_distance,
 )
 
 _CC = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1.0)
@@ -258,10 +263,9 @@ def _check_oracles(level: str):
 def _check_reflection(fn, parity, floor, level: str):
     """fn(x) against parity * fn(pi - x), relative to max(|fn(x)|, floor)."""
     n = 10 if level == "quick" else 100
-    xs = _grid(0.02, 1.55, n)
-    diffs = [abs(fn(x) - parity * fn(PI - x)) for x in xs]
-    denoms = [max(abs(fn(x)), floor) for x in xs]
-    yield _rel_result(diffs, denoms, 1e-12)
+    pairs = [(fn(x), fn(PI - x)) for x in _grid(0.02, 1.55, n)]
+    diffs = [abs(y - parity * mirror) for y, mirror in pairs]
+    yield _rel_result(diffs, [max(abs(y), floor) for y, _ in pairs], 1e-12)
 
 
 def _series_ratio_spread(values: list[float]) -> float:
@@ -279,15 +283,17 @@ def _series_scales(level: str) -> list[float]:
 def _series_check(fn, far, sign, const, level: str):
     """Fit (fn - sign*(3/8)*w^-4 - const())/w^2 at shrinking wall distances w.
 
-    far=True expands about xi = pi instead of xi = 0. const() reads the
-    expansion constant through the profiles module at call time, so a
-    perturbed profiles constant shows up here.
+    far=True expands about xi = pi instead of xi = 0, where w = (pi - x)
+    takes pi's low part from sin(pi), as the oracles do, so a wrong
+    profiles.PI_LO fails the far-wall checks. const() reads the expansion
+    constant through the profiles module at call time, so a perturbed
+    profiles constant shows up here.
     """
     us = _series_scales(level)
     cs = []
     for u in us:
         x = PI - u if far else u
-        w = wall_distance(x)
+        w = (PI - x) + math.sin(math.pi) if far else x
         cs.append(
             (fn(x) - sign * profiles.SERIES_LEADING * w ** -4 - const()) / w ** 2
         )
@@ -304,43 +310,33 @@ def _check_derivative_fd(fn, deriv, seed, level: str):
 
 def _check_cot_positive(level: str):
     n = 10 if level == "quick" else 200
-    xs = _grid(0.01, PI - 0.01, n)
-    worst = min(cot_profile(x) for x in xs)
-    violations = sum(1 for x in xs if cot_profile(x) <= 0.0)
-    yield _count_result(violations, worst, n)
+    values = [cot_profile(x) for x in _grid(0.01, PI - 0.01, n)]
+    yield _count_result(sum(1 for v in values if v <= 0.0), min(values), n)
 
 
-def _check_tensor_structure(level: str):
+def _check_matrices(builds, lo, hi, deviations, level: str):
+    """Count the nonzero deviations(t) of each built 3x3 matrix t.
+
+    builds() gives the tensor builders, looked up at call time, and each
+    runs on both geometries at n points of [lo, hi]. deviations(t) lists
+    what must vanish exactly in the matrix t, as plain floats; the worst
+    of them is reported.
+    """
     n = 10 if level == "quick" else 40
-    violations, worst, tested = 0, 0.0, 0
-    for geom in _GEOMETRIES:
-        for z in _grid(0.1, 0.9, n):
-            for build in (correlator_ee, correlator_bb):
-                t = build(geom, z).components.tolist()
-                off = max(
-                    abs(t[i][j]) for i in range(3) for j in range(3) if i != j
-                )
-                xxyy = abs(t[0][0] - t[1][1])
-                asym = max(  # t - t.T is zero on the diagonal
-                    abs(t[i][j] - t[j][i]) for i in range(3) for j in range(i + 1, 3)
-                )
-                worst = max(worst, off, xxyy, asym)
-                violations += (off != 0.0) + (xxyy != 0.0) + (asym != 0.0)
-                tested += 1
-    yield _count_result(violations, worst, tested)
+    matrices = [
+        build(geom, z).components.tolist()
+        for geom in _GEOMETRIES for z in _grid(lo, hi, n) for build in builds()
+    ]
+    devs = [d for t in matrices for d in deviations(t)]
+    yield _count_result(sum(d != 0.0 for d in devs), max(0.0, *devs), len(matrices))
 
 
-def _check_eb_zero(level: str):
-    n = 10 if level == "quick" else 40
-    violations, worst, tested = 0, 0.0, 0
-    for geom in _GEOMETRIES:
-        for z in _grid(0.05, 0.95, n):
-            t = correlator_eb(geom, z).components.tolist()
-            m = max(abs(x) for row in t for x in row)
-            worst = max(worst, m)
-            violations += m != 0.0
-            tested += 1
-    yield _count_result(violations, worst, tested)
+def _tensor_deviations(t):
+    """The off-diagonal, xx - yy and t - t.T magnitudes of an EE or BB matrix."""
+    off = max(abs(t[i][j]) for i in range(3) for j in range(3) if i != j)
+    # t - t.T is zero on the diagonal: its upper triangle is enough
+    asym = max(abs(t[i][j] - t[j][i]) for i in range(3) for j in range(i + 1, 3))
+    return off, abs(t[0][0] - t[1][1]), asym
 
 
 def _check_trace_sum(level: str):
@@ -536,8 +532,10 @@ _CHECKS = (
     (("csc_profile_derivative_fd",),
      partial(_check_derivative_fd, csc_profile, csc_profile_deriv, 4021)),
     (("cot_profile_positive",), _check_cot_positive),
-    (("tensor_structure",), _check_tensor_structure),
-    (("eb_zero",), _check_eb_zero),
+    (("tensor_structure",), partial(_check_matrices, lambda: (correlator_ee, correlator_bb),
+                                    0.1, 0.9, _tensor_deviations)),
+    (("eb_zero",), partial(_check_matrices, lambda: (correlator_eb,), 0.05, 0.95,
+                           lambda t: (max(abs(x) for row in t for x in row),))),
     (("trace_sum_constant",), _check_trace_sum),
     (("correlator_scaling",), _check_correlator_scaling),
     (("cc_reflection_cp_asymmetry",), _check_reflection_asymmetry),

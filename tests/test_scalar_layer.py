@@ -530,6 +530,17 @@ def test_a_bad_separation_is_refused_before_any_row(monkeypatch, a_values):
     assert rows == []
 
 
+@pytest.mark.parametrize("a_values", [5, None, 2.5])
+def test_a_separation_list_that_is_not_a_sequence_is_refused(monkeypatch, a_values):
+    rows = []
+    monkeypatch.setattr(cpwalls.analysis, "potential_total", lambda *args: rows.append(args))
+    with pytest.raises(InvalidGrid) as info:
+        limit_convergence_study(ATOM, "conducting", 1.0, a_values)
+    message = "a_values must be a sequence of numbers"
+    assert (type(info.value), str(info.value)) == (InvalidGrid, message)
+    assert rows == []
+
+
 # Public callables with no number rule of their own, and why
 NO_ARGUMENT_CONTRACT = (
     # helpers of the checked calls, unchecked so as to cost nothing there

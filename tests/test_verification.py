@@ -121,14 +121,21 @@ def test_image_sum_checks_recompute_on_every_run(monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, 10.0])
-def test_perturbed_pi_low_part_fails_exactly_the_oracle_checks(monkeypatch, scale):
-    # The closed forms reflect with PI_LO; the image sums and the Hurwitz
-    # route take pi's low part from sin(pi), so they do not move with it.
+def test_perturbed_pi_low_part_fails_exactly_the_oracle_and_far_wall_series_checks(
+    monkeypatch, scale
+):
+    # The closed forms reflect with PI_LO; the image sums, the Hurwitz route
+    # and the far-wall series checks' wall distance take pi's low part from
+    # sin(pi), so they do not move with it. The quick level's looser oracle
+    # budget and larger series scales do not resolve the shift.
     monkeypatch.setattr(profiles, "PI_LO", profiles.PI_LO * scale)
+    assert run_verification("quick").failures == []
     assert {c.name for c in run_verification("full").failures} == {
         "cot_profile_vs_image_sum",
         "cot_profile_vs_hurwitz",
         "csc_profile_vs_image_sum",
+        "far_wall_series_cot",
+        "far_wall_series_csc",
     }
 
 
@@ -177,6 +184,12 @@ def test_matrix_checks_read_the_matrix_components_builds(
     assert {c.name for c in run_verification(level).failures} == {failing}
 
 
+def test_the_matrix_walk_reads_its_builders_when_it_runs(monkeypatch):
+    # a builder patched after import reaches the walk: EB is now the EE tensor
+    monkeypatch.setattr(verification, "correlator_eb", correlators.correlator_ee)
+    assert {c.name for c in run_verification("quick").failures} == {"eb_zero"}
+
+
 @pytest.mark.parametrize("level", ["quick", "full"])
 def test_reflection_symmetric_cp_tensor_fails_the_asymmetry_check(
     monkeypatch, level
@@ -205,6 +218,35 @@ def test_a_check_that_yields_fewer_results_than_names_is_refused(monkeypatch):
     )
     with pytest.raises(ValueError, match="shorter"):
         run_verification("quick")
+
+
+def _row(name):
+    """The check function of the _CHECKS row that holds name."""
+    return next(check for names, check in verification._CHECKS if name in names)
+
+
+def _counting(fn, calls):
+    def stand_in(x):
+        calls.append(x)
+        return fn(x)
+
+    return stand_in
+
+
+def test_the_positivity_check_evaluates_the_profile_once_per_point(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verification, "cot_profile", _counting(profiles.cot_profile, calls))
+    (result,) = _row("cot_profile_positive")("full")
+    assert result[4] == len(calls) == 200
+
+
+@pytest.mark.parametrize("name", ["cot_profile_reflection", "csc_profile_antisymmetry"])
+def test_a_reflection_check_evaluates_its_function_twice_per_point(name):
+    # fn(x) and fn(pi - x), each once: the denominator reuses fn(x)
+    check, calls = _row(name), []
+    fn, *rest = check.args
+    (result,) = check.func(_counting(fn, calls), *rest, "full")
+    assert result[3] and 2 * result[4] == len(calls) == 200
 
 
 @pytest.mark.parametrize("level, points", [("quick", 10), ("full", 120)])
