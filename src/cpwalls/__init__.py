@@ -8,8 +8,9 @@ static polarizabilities, single-wall limits, and stationary points - all in
 natural units (hbar = c = 1), with independent oracles for every closed form.
 
 Importing the package loads neither NumPy nor the verification suite: NumPy
-comes in with the first array (a grid table, an image sum, a 3x3 tensor),
-and cpwalls.verification with the first of its names that is asked for.
+comes in with the first array (a grid table, an image sum of 1024 image
+pairs or more, a tensor's components), and cpwalls.verification with the
+first of its names that is asked for.
 
 Every record (GuardPolicy, Geometry, AtomResponse, CorrelatorTensor,
 SweepSpec, PotentialCurve, LimitStudy, CheckResult, ...) is an immutable

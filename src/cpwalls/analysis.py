@@ -259,7 +259,10 @@ _COLUMN = {
 # and formats, at once. It bounds a table's working set, whatever its
 # length. A chunk of the widest table, the ten float columns of the CLI
 # correlator table, peaks at about 1.9 MiB under tracemalloc (6.4 MiB at
-# 8192 rows); the grid's positions, 8 bytes a row, come on top.
+# 8192 rows); the grid's positions, 8 bytes a row, come on top. Peak RSS
+# grows faster than that: about 15 bytes a row for a CLI potential grid
+# (29.8, 34.9 and 44.4 MiB at 2e4, 2e5 and 1e6 cp rows) and 8 for a
+# correlators grid (31.3, 32.7, 38.8 MiB); see README, "Output contract".
 CHUNK_ROWS = 1 << 11
 
 
@@ -344,18 +347,21 @@ class LimitStudy(NamedTuple):
         """Least-squares slope of -log(rel_error) against log(a).
 
         The deviation falls like (d/a)^4 to leading order, so a correct
-        implementation lands near 4.
+        implementation lands near 4. The slope is the closed-form fit
+        sum(dx*dy) / sum(dx*dx) about the means, each sum a math.fsum.
         """
         if self.degenerate:
             raise ValueError("degenerate study (alpha0 == beta0) has no exponent")
-        errs = [r.rel_error for r in self.rows if r.rel_error and r.rel_error > 0.0]
-        a_vals = [r.a for r in self.rows if r.rel_error and r.rel_error > 0.0]
-        if len(errs) < 2:
+        xs = [math.log(r.a) for r in self.rows if r.rel_error and r.rel_error > 0.0]
+        ys = [math.log(r.rel_error) for r in self.rows if r.rel_error and r.rel_error > 0.0]
+        if len(xs) < 2:
             raise ValueError("need at least two nonzero errors to fit an exponent")
-        import numpy as np
-
-        slope = np.polyfit(np.log(a_vals), np.log(errs), 1)[0]
-        return float(-slope)
+        x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        dx = [x - x_mean for x in xs]
+        sxx = math.fsum(d * d for d in dx)
+        if sxx == 0.0:  # every log(a) rounds to one double
+            raise ValueError("the separations are too close together to fit an exponent")
+        return -math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / sxx
 
 
 def limit_convergence_study(

@@ -24,9 +24,11 @@ every chunk and keeps none; a refusal names the first domain error in grid
 order, else a result out of the double range (an OverflowError or
 ZeroDivisionError of a prefactor or a profile power), else the first
 non-finite cell in grid order, and writes nothing. Pass 2 opens the output,
-then evaluates, formats and writes each chunk again. A run holds one chunk
-(2048 rows; the widest, a correlators chunk, peaks at about 1.9 MiB under
-tracemalloc) and the grid's positions (8 bytes a row).
+then evaluates, formats and writes each chunk again. A run evaluates one
+chunk at a time (2048 rows; the widest, a correlators chunk, peaks at about
+1.9 MiB under tracemalloc), on top of the grid's positions (8 bytes a row).
+Peak RSS still grows with the rows: about 15 bytes a row for a potential
+grid and 8 for a correlators grid (README, "Output contract").
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"). argparse reads the option,

@@ -216,6 +216,11 @@ class CorrelatorTensor(namedtuple("CorrelatorTensor", "par perp field_pair")):
         m[2, 2] = self.perp
         return m
 
+    def _matrix(self) -> list[list[float]]:
+        """components as nested lists, built without NumPy (what verify reads)."""
+        par = self.par
+        return [[par, 0.0, 0.0], [0.0, par, 0.0], [0.0, 0.0, self.perp]]
+
     def trace(self) -> float:
         return self.par + self.par + self.perp
 

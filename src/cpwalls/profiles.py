@@ -66,18 +66,24 @@ PI_LO moves the closed forms and not their oracles.
 Both image sums run over the same terms (xi - n*pi)^-4, with all signs plus
 for cot_profile and alternating ones for csc_profile, so one pass per point
 (_image_sums) builds and powers the displacements once and returns both.
-The sums are exact in NumPy: error-free vector extraction (Rump, Ogita and
-Oishi, SIAM J. Sci. Comput. 31, 2008) splits the terms of even and of odd n
-into levels on shrinking power-of-two grids, each level's slice sums exact,
-and stops once a level's grid is finer than the smallest term's ulp. A
-math.fsum over those few doubles gives the correctly rounded sums, so the
-bits are those of any correctly rounded sum of the same terms.
-The powers go through np.float_power, which is libm's pow: NumPy's ** uses
-a SIMD pow whose last bit depends on the CPU features it dispatches to, and
-an oracle should not change with the machine.
+The size of the pass picks its path. Below _ARRAY_IMAGE_TERMS image pairs
+(verify quick's, about 300) it runs in Python: ** on each term, which is
+libm's pow, and math.fsum over them. From there on (verify full's, about
+1370, and the default OracleConfig's 1500) the sums are exact in NumPy:
+error-free vector extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+31, 2008) splits the terms of even and of odd n into levels on shrinking
+power-of-two grids, each level's slice sums exact, and stops once a level's
+grid is finer than the smallest term's ulp, and a math.fsum over those few
+doubles gives the correctly rounded sums. Both paths give the correctly
+rounded sum of the same terms, so their bits agree. The array powers go
+through np.float_power, which is libm's pow: NumPy's ** uses a SIMD pow
+whose last bit depends on the CPU features it dispatches to, and an oracle
+should not change with the machine.
 
-NumPy is imported inside the array functions (_profile_terms, _image_sums)
-only, so a process that evaluates single points never loads it.
+NumPy is imported inside the array functions (_profile_terms, and
+_image_sums from _ARRAY_IMAGE_TERMS image pairs on, or where the n = 0
+term overflows) only, so a process that evaluates single points, or runs
+verify quick, never loads it.
 
 GuardPolicy and OracleConfig are named tuples whose __new__ checks the
 fields (OracleConfig.image_terms must be an integer, by operator.index).
@@ -431,20 +437,30 @@ def image_terms_needed(xi: float, target_abs_tol: float) -> int:
     return max(n, 1)
 
 
+# The image count N from which _image_sums runs on arrays: below it a
+# Python pass over the 2N+1 terms is cheaper than importing NumPy (verify
+# quick needs N of about 300 per point, verify full about 1370).
+_ARRAY_IMAGE_TERMS = 1024
+
+
 def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
     """Both image sums in one pass: (3/8) * sum_n (+-1)^n (xi - n*pi)^-4.
 
     Returns (plain, alternating), n = -N..N with N = cfg.image_terms: the
     plain sum is the cot_profile oracle, the alternating one (sign (-1)^n)
     the csc_profile oracle. Each is the correctly rounded sum of the same
-    2N+1 terms, so neither depends on the order of the terms.
+    2N+1 terms, so neither depends on the order of the terms, nor on the
+    path: below N = _ARRAY_IMAGE_TERMS a Python pass powers each term with
+    ** (libm's pow) and sums with math.fsum. Where its n = 0 term overflows
+    (xi below about 8.6e-78) it hands the point to the array pass, which
+    gives inf with NumPy's overflow warning at every N.
 
-    The displacements are built and powered once, the terms with even
-    n != 0 in one slice and those with odd n in the other. Error-free
-    vector extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31, 2008) then splits both
-    slices into levels: with sigma = 2^e, e = (exponent of the largest
-    term) + m and 2^m above the number of terms, q = (sigma + t) - sigma
+    On arrays, the displacements are built and powered once, the terms
+    with even n != 0 in one slice and those with odd n in the other.
+    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31, 2008) then
+    splits both slices into levels: with sigma = 2^e, e = (exponent of the
+    largest term) + m and 2^m above the number of terms, q = (sigma + t) - sigma
     and t - q are exact, every q is a multiple of 2^(e-53) below 2^(e-m),
     so each slice sum of q is exact in any order. The residuals t - q lie
     within 2^(e-53), so the next level takes e - (53 - m). Every term is a
@@ -469,15 +485,23 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
             f"tail bound {bound:.3e} exceeds target {cfg.target_abs_tol:.3e}"
             f" at xi={xi!r} with N={n_terms}"
         )
+    # Poles at the true pi, its low part from sin(pi) rather than PI_LO so
+    # that the oracle does not move with production: n*lo is exact for
+    # |n| < 2^37, so each displacement carries one rounding.
+    lo = math.sin(math.pi)
+    if n_terms < _ARRAY_IMAGE_TERMS:
+        try:  # ** is libm's pow, as np.float_power below is
+            terms = [((xi - n * PI) - n * lo) ** -4 for n in range(-n_terms, n_terms + 1)]
+        except OverflowError:  # the n = 0 term; the array pass gives inf and NumPy's warning
+            pass
+        else:  # terms[i] is that of n = i - N: n is even where i - N is
+            alternating = [*terms[n_terms % 2::2], *(-t for t in terms[1 - n_terms % 2::2])]
+            return SERIES_LEADING * math.fsum(terms), SERIES_LEADING * math.fsum(alternating)
     import numpy as np
 
     even = np.arange(2, n_terms + 1, 2, dtype=np.float64)
     odd = np.arange(1, n_terms + 1, 2, dtype=np.float64)
     n = np.concatenate(([0.0], even, -even, odd, -odd))
-    # Poles at the true pi, its low part from sin(pi) rather than PI_LO so
-    # that the oracle does not move with production: n*lo is exact for
-    # |n| < 2^37, so each displacement carries one rounding.
-    lo = math.sin(math.pi)
     d = (xi - n * PI) - n * lo
     # libm pow, as in math and _profile_terms: the SIMD pow behind ** rounds
     # differently depending on the CPU features NumPy dispatches to.

@@ -29,8 +29,15 @@ only in their arguments share one function: the four series checks, the two
 finite-difference checks, the two reflection checks and the two
 zero-pattern matrix checks (tensor_structure, eb_zero: one walk,
 _check_matrices, over the builders it looks up when it runs). Each
-production value a check reads is evaluated once per point. Nothing is
-kept from one run_verification call to the next.
+production value a check reads is evaluated once per point: a value that
+depends on the geometry and z only (a profile, <E^2>, <B^2>, an unscaled
+potential, an a = 1 tensor) once per (geometry, z), however many atoms,
+factors or scales the check then sweeps. Nothing is kept from one
+run_verification call to the next.
+
+The quick level loads no NumPy: its oracle points need fewer image pairs
+than profiles._ARRAY_IMAGE_TERMS, so their image sums run in Python, and
+the full level's run on arrays.
 
 The relative checks compare by one of two rules. _agree takes (x, y,
 floor) triples, two routes to one value, and measures |x - y| against
@@ -46,9 +53,11 @@ errors against one trace route.
 
 The matrix checks (tensor_structure, eb_zero, correlator_scaling,
 cc_reflection_cp_asymmetry) read each tensor's 3x3 matrix as
-CorrelatorTensor.components builds it, converted once with tolist(), and
-compare plain floats: they never read par and perp, so a wrong matrix fails
-them even where the stored components are right.
+CorrelatorTensor._matrix builds it, nested lists of plain floats, without
+NumPy: they never read par and perp, so a wrong matrix fails them even
+where the stored components are right. They do not read
+CorrelatorTensor.components, the NumPy array; the test suite pins
+components.tolist() to _matrix bit for bit.
 
 The near/far-wall series checks read the expansion constants through the
 profiles module object on purpose: perturbing profiles.COT_SERIES_CONST (a
@@ -324,7 +333,7 @@ def _check_matrices(builds, lo, hi, deviations, level: str):
     """
     n = 10 if level == "quick" else 40
     matrices = [
-        build(geom, z).components.tolist()
+        build(geom, z)._matrix()
         for geom in _GEOMETRIES for z in _grid(lo, hi, n) for build in builds()
     ]
     devs = [d for t in matrices for d in deviations(t)]
@@ -358,15 +367,14 @@ def _check_trace_sum(level: str):
 
 def _check_correlator_scaling(level: str):
     fracs = [0.3, 0.5, 0.77] if level == "quick" else _grid(0.1, 0.9, 20)
-    pairs = []
+    scales, pairs = (2.0, 3.0, 10.0), []
     for kind in WallKind:
-        base = Geometry(kind, 1.0)
-        for s in (2.0, 3.0, 10.0):
-            scaled = Geometry(kind, s)
-            for frac in fracs:
-                for build in (correlator_ee, correlator_bb):
-                    t1 = build(base, frac).components.tolist()
-                    t2 = build(scaled, s * frac).components.tolist()
+        base, scaled = Geometry(kind, 1.0), [Geometry(kind, s) for s in scales]
+        for frac in fracs:
+            for build in (correlator_ee, correlator_bb):
+                t1 = build(base, frac)._matrix()
+                for s, geom in zip(scales, scaled):
+                    t2 = build(geom, s * frac)._matrix()
                     pairs += [(t2[i][i] * s ** 4, t1[i][i]) for i in range(3)]
     yield _near(pairs, 1e-12)
 
@@ -376,12 +384,12 @@ def _check_reflection_asymmetry(level: str):
     pairs = []
     for z in _grid(0.05, 0.45, n):
         for build in (correlator_ee, correlator_bb):
-            t1 = build(_CC, z).components.tolist()
-            t2 = build(_CC, 1.0 - z).components.tolist()
+            t1 = build(_CC, z)._matrix()
+            t2 = build(_CC, 1.0 - z)._matrix()
             pairs += [(t2[i][i], t1[i][i]) for i in range(3)]
     # The conductor-permeable tensors must NOT be reflection symmetric.
-    zz_quarter = correlator_ee(_CP, 0.25).components.tolist()[2][2]
-    zz_three_quarter = correlator_ee(_CP, 0.75).components.tolist()[2][2]
+    zz_quarter = correlator_ee(_CP, 0.25)._matrix()[2][2]
+    zz_three_quarter = correlator_ee(_CP, 0.75)._matrix()[2][2]
     scale = abs(zz_quarter) + abs(zz_three_quarter)
     symmetric = abs(zz_quarter - zz_three_quarter) <= 1e-3 * scale
     yield _near(pairs, 1e-12, broken=symmetric)
@@ -412,20 +420,22 @@ def _check_potential_correlators(level: str):
     for geom in _GEOMETRIES:
         k = _DIAG_CONST[geom.kind]
         a4 = geom.separation_a ** 4
+        # the values that depend on (geometry, z) only
+        at_z = [(z, geom.profile(z), mean_square_e(geom, z), mean_square_b(geom, z))
+                for z in zs]
         for atom in _ATOMS:
             # factors that depend on the atom and a only
             scale_e = -(atom.alpha0 * PI ** 3 / (3.0 * a4))
             scale_m = atom.beta0 * PI ** 3 / (3.0 * a4)
             floor_e = abs(atom.alpha0) * PI ** 3 / (360.0 * a4)
             floor_m = abs(atom.beta0) * PI ** 3 / (360.0 * a4)
-            for z in zs:
-                p = geom.profile(z)
+            for z, p, e2, b2 in at_z:
                 ve = potential_electric(atom, geom, z)
                 ve_doc = scale_e * (3.0 * p - k)
-                ve_trace = -0.5 * atom.alpha0 * mean_square_e(geom, z)
+                ve_trace = -0.5 * atom.alpha0 * e2
                 vm = potential_magnetic(atom, geom, z)
                 vm_doc = scale_m * (3.0 * p + k)
-                vm_trace = -0.5 * atom.beta0 * mean_square_b(geom, z)
+                vm_trace = -0.5 * atom.beta0 * b2
                 for x, doc, y, fl in (
                     (ve, ve_doc, ve_trace, floor_e),
                     (vm, vm_doc, vm_trace, floor_m),
@@ -438,8 +448,9 @@ def _check_potential_correlators(level: str):
 def _check_linearity(level: str):
     zs = _grid(0.05, 0.95, 10 if level == "quick" else 25)
     atom = AtomResponse(1.0, 0.25)
+    unscaled = {(geom, z): potential_total(atom, geom, z) for geom in _GEOMETRIES for z in zs}
     yield _agree([
-        (c * potential_total(atom, geom, z),
+        (c * unscaled[geom, z],
          potential_total(AtomResponse(c * atom.alpha0, c * atom.beta0), geom, z),
          c * _potential_floor(atom, geom.separation_a))
         for geom in _GEOMETRIES for c in (2.0, 3.0, 10.0, 0.5) for z in zs
@@ -450,8 +461,9 @@ def _check_potential_scaling(level: str):
     zs = _grid(0.05, 0.95, 10 if level == "quick" else 25)
     atom = AtomResponse(1.0, 0.25)
     floor = _potential_floor(atom, 1.0)
+    unscaled = {(base, z): potential_total(atom, base, z) for base in _GEOMETRIES for z in zs}
     yield _agree([
-        (potential_total(atom, base, z),
+        (unscaled[base, z],
          s ** 4 * potential_total(atom, Geometry(base.kind, s), s * z), floor)
         for base in _GEOMETRIES for s in (2.0, 3.0, 10.0, 0.5) for z in zs
     ], 1e-12)

@@ -1,6 +1,7 @@
 """Sweeps and single-wall limit-convergence studies."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ def test_limit_study_converges_with_fourth_power(wall_type):
     assert all(b < a for a, b in zip(errs, errs[1:]))
     # leading deviation falls as (z/a)^4 exactly, so the fit sits at 4
     assert 3.9 < study.convergence_exponent() < 4.1
+
+
+def test_convergence_exponent_agrees_with_numpys_least_squares_fit():
+    # the closed-form fit on floats against np.polyfit on seeded ladders,
+    # of 2 to 8 rungs, electric, magnetic and mixed atoms, both walls
+    rng = random.Random(20261019)
+    for i in range(200):
+        atom = AtomResponse(rng.uniform(0.1, 2.0), rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+        d = rng.uniform(0.1, 10.0)
+        ladder = sorted(d * rng.uniform(2.0, 500.0) for _ in range(rng.randint(2, 8)))
+        study = limit_convergence_study(atom, rng.choice(["conducting", "permeable"]), d, ladder)
+        logs = np.log([[r.a, r.rel_error] for r in study.rows])
+        want = -np.polyfit(logs[:, 0], logs[:, 1], 1)[0]
+        assert study.convergence_exponent() == pytest.approx(want, rel=1e-12, abs=0.0), i
 
 
 def test_limit_study_rows_contain_exact_values():

@@ -957,11 +957,8 @@ def test_forced_verify_failures_are_pinned(capsys, monkeypatch, fault, fmt):
 
 
 def test_python_dash_m_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cpwalls", "potential", "--z", "0.5"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0
+    proc = _run_module("-m", "cpwalls", "potential", "--z", "0.5")
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("z,V_E,V_M,V_total,force_z,regime\n")
 
 

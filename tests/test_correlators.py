@@ -90,6 +90,31 @@ def test_tensor_structure(geom, z):
     assert ee.field_pair == "EE" and bb.field_pair == "BB" and eb.field_pair == "EB"
 
 
+def _bits(matrix):
+    return [[x.hex() for x in row] for row in matrix]
+
+
+@pytest.mark.parametrize("build", [correlator_ee, correlator_bb, correlator_eb])
+@pytest.mark.parametrize("geom", [CC, CP])
+def test_the_matrix_verify_reads_is_components_as_lists(geom, build):
+    # verify's matrix checks read _matrix, built without NumPy, in place of
+    # components.tolist(): the two must agree bit for bit, signs of zero too
+    rng = random.Random(20261019)
+    for z in [1e-3, 0.1, 0.5, 0.83, 1.0 - 1e-3] + [rng.uniform(0.0, 1.0) for _ in range(50)]:
+        t = build(geom, z)
+        assert _bits(t._matrix()) == _bits(t.components.tolist()), z
+    assert t._matrix() is not t._matrix()
+
+
+@pytest.mark.parametrize(
+    "par, perp", [(1.5, -2.25), (-0.0, 0.0), (1e-300, 3e300), (0.0, 0.0)]
+)
+@pytest.mark.parametrize("pair", ["EE", "BB", "EB"])
+def test_the_matrix_of_any_record_is_components_as_lists(par, perp, pair):
+    t = CorrelatorTensor(par, perp, pair)
+    assert _bits(t._matrix()) == _bits(t.components.tolist())
+
+
 @pytest.mark.parametrize(
     "par, perp", [(1.5, -2.25), (-0.0, 0.0), (1e-300, 3e300), (0.0, 0.0)]
 )

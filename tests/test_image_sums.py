@@ -1,16 +1,19 @@
 """The image-sum oracles: one pow pass per point gives both sums.
 
-profiles._image_sums builds the displacements xi - n*pi once, powers them
-with libm's pow and sums the terms exactly in levels (error-free vector
-extraction), so it returns the correctly rounded plain and alternating sum.
-It must equal a plain-Python transcription of the defining sums bit for bit
-(Python's float ** calls the same libm pow, and math.fsum is correctly
+profiles._image_sums builds the displacements xi - n*pi once and powers
+them with libm's pow. Below N = profiles._ARRAY_IMAGE_TERMS image pairs it
+does so in Python (** is libm's pow) and sums with math.fsum; from there on
+it runs on NumPy arrays (np.float_power) and sums the terms exactly in
+levels (error-free vector extraction). Either way it returns the correctly
+rounded plain and alternating sum. It must equal a plain-Python
+transcription of the defining sums bit for bit (math.fsum is correctly
 rounded, so neither the term order nor the summation method shows), on a
 uniform grid of xi, on log-uniform xi down to 1e-76 where the n = 0 term
-nears overflow, and with N from 1 to 1e5. The extreme points are pinned to
-their recorded values: below about 8.6e-78 the n = 0 term overflows and both
-sums are inf, with NumPy's overflow warning. The two public oracles are
-the halves of the pair.
+nears overflow, and with N from 1 to 1e5, N = _ARRAY_IMAGE_TERMS - 1 and
+N = _ARRAY_IMAGE_TERMS among them. The extreme points are pinned to their
+recorded values: below about 8.6e-78 the n = 0 term overflows and both sums
+are inf, with NumPy's overflow warning, at every N. The two public oracles
+are the halves of the pair.
 """
 
 import math
@@ -25,6 +28,7 @@ from cpwalls.profiles import (
     PI,
     PI_LO,
     OracleConfig,
+    _ARRAY_IMAGE_TERMS,
     _image_sums,
     cot_profile_via_images,
     csc_profile_via_images,
@@ -51,21 +55,44 @@ def _seeded_xi(count: int) -> list[float]:
     return edges + [rng.uniform(0.0, PI) for _ in range(count - len(edges))]
 
 
+# the last N of the Python pass and the first of the array pass
+EDGE_SIZES = (_ARRAY_IMAGE_TERMS - 1, _ARRAY_IMAGE_TERMS)
+
+
+def test_the_two_passes_meet_between_verify_quick_and_full():
+    # quick's N (about 300 at 1e-10) runs in Python, full's (about 1370 at
+    # 1e-12) and the default OracleConfig's on arrays
+    assert max(image_terms_needed(x, 1e-10) for x in _seeded_xi(50)) < _ARRAY_IMAGE_TERMS
+    assert min(image_terms_needed(x, 1e-12) for x in _seeded_xi(50)) >= _ARRAY_IMAGE_TERMS
+    assert profiles.DEFAULT_ORACLE.image_terms >= _ARRAY_IMAGE_TERMS
+
+
 def test_pass_equals_the_python_transcription_bit_for_bit():
     # N = 1 and 7 leave a tail far above any useful tolerance; a loose
     # target lets the pass run so the arithmetic itself is compared.
     checked = 0
-    for x in _seeded_xi(1000):
+    for i, x in enumerate(_seeded_xi(1000)):
         configs = [OracleConfig(1, 1e300), OracleConfig(7, 1e300)] + [
             OracleConfig(image_terms_needed(x, tol), tol)
             for tol in (1e-8, 1e-10, 1e-12)
         ]
+        if i % 10 == 0:
+            configs += [OracleConfig(n_terms, 1e300) for n_terms in EDGE_SIZES]
         for cfg in configs:
             assert _image_sums(x, cfg) == _transcribed(x, cfg.image_terms), (
                 x, cfg,
             )
             checked += 1
-    assert checked == 5000
+    assert checked == 5200
+
+
+@pytest.mark.parametrize("scale", [0.0, 10.0])
+@pytest.mark.parametrize("n_terms", [3, *EDGE_SIZES])
+def test_both_passes_take_pis_low_part_from_sin_pi(monkeypatch, scale, n_terms):
+    cfg = OracleConfig(n_terms, 1e300)
+    want = [_image_sums(x, cfg) for x in (0.05, 2.0, PI - 1e-3)]
+    monkeypatch.setattr(profiles, "PI_LO", PI_LO * scale)
+    assert [_image_sums(x, cfg) for x in (0.05, 2.0, PI - 1e-3)] == want
 
 
 def test_log_uniform_points_down_to_1e_76_equal_the_transcription():
@@ -76,17 +103,25 @@ def test_log_uniform_points_down_to_1e_76_equal_the_transcription():
         sizes = [1, 2, 3] + ([image_terms_needed(x, 1e-12)] if i % 3 == 0 else [])
         if i % 60 == 0:
             sizes.append(100_000 + i)
+        if i % 30 == 0:
+            sizes += EDGE_SIZES
         for n_terms in sizes:
             cfg = OracleConfig(n_terms, 1e300)
             assert _image_sums(x, cfg) == _transcribed(x, n_terms), (x, n_terms)
             checked += 1
-    assert checked == 1005
+    assert checked == 1025
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-78])
-def test_an_overflowing_first_term_gives_inf_with_numpys_warning(x):
+@pytest.mark.parametrize(
+    "cfg",
+    [profiles.DEFAULT_ORACLE,
+     *(OracleConfig(n_terms, 1e300) for n_terms in (1, 2, *EDGE_SIZES))],
+)
+def test_an_overflowing_first_term_gives_inf_with_numpys_warning(x, cfg):
+    # on either side of _ARRAY_IMAGE_TERMS: never a bare OverflowError
     with pytest.warns(RuntimeWarning, match="overflow encountered in float_power"):
-        assert _image_sums(x, profiles.DEFAULT_ORACLE) == (math.inf, math.inf)
+        assert _image_sums(x, cfg) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +135,7 @@ def test_an_overflowing_first_term_gives_inf_with_numpys_warning(x):
         (PI - 1e-15, (3.5945125752798957e+59, -3.5945125752798957e+59)),
     ],
 )
-@pytest.mark.parametrize("n_terms", [1, 2, 3, 1500])
+@pytest.mark.parametrize("n_terms", [1, 2, 3, *EDGE_SIZES, 1500])
 def test_points_next_to_the_walls_keep_their_values(x, want, n_terms):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

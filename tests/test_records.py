@@ -313,6 +313,11 @@ REFUSALS = [
     (lambda: LimitStudy("conducting", 0.5, [LimitRow(1.0, 2.0, 3.0, 0.5)],
                         False).convergence_exponent(),
      ValueError, "need at least two nonzero errors to fit an exponent"),
+    # log(a) of adjacent doubles near 1e300 rounds to one double: no slope
+    (lambda: LimitStudy("conducting", 0.5, [LimitRow(1e300, 2.0, 3.0, 0.5),
+                                            LimitRow(1.0000000000000002e300, 2.0, 3.0, 0.25)],
+                        False).convergence_exponent(),
+     ValueError, "the separations are too close together to fit an exponent"),
 ]
 
 

@@ -75,7 +75,7 @@ def test_code_lines_counts_a_known_fixture(tmp_path):
 
 
 # the total of python scripts/code_lines.py src/cpwalls/*.py
-PACKAGE_CODE_LINES = 1569
+PACKAGE_CODE_LINES = 1586
 
 
 def test_the_package_stays_within_its_code_lines(tmp_path):

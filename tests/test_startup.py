@@ -1,9 +1,13 @@
-"""What a process loads: one-point CLI runs and refusals need no NumPy.
+"""What a process loads: one-point CLI runs, refusals and verify quick need no NumPy.
 
 NumPy's import is most of a short `python -m cpwalls` run, so only array
-work loads it: grid tables, the image-sum oracles, 3x3 tensor matrices and
-the convergence fit. `import cpwalls` loads neither NumPy nor the
-verification suite, whose names resolve on first use. The records are
+work loads it: grid tables, the image-sum oracles from
+profiles._ARRAY_IMAGE_TERMS image pairs on (verify full) and
+CorrelatorTensor.components. verify quick sums its images in Python and
+its matrix checks read CorrelatorTensor._matrix, nested lists, so it loads
+no NumPy in any format, nor does run_verification("quick").
+`import cpwalls` loads neither NumPy nor the verification suite, whose
+names resolve on first use. The records are
 named tuples, so nothing loads `dataclasses` (or, through it, `inspect`),
 and no run loads `json`: a JSON table, like verify's JSON, is written from
 %-templates.
@@ -13,6 +17,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import cpwalls
 
@@ -70,14 +76,19 @@ for name in sys.argv[1:]:
 """
 
 
-def test_one_point_runs_refusals_and_import_load_no_numpy():
+def _run_probe(code, *args):
+    """Run code in a fresh interpreter that imports cpwalls from this tree."""
     src = str(pathlib.Path(cpwalls.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *EXPORTED],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def test_one_point_runs_refusals_and_import_load_no_numpy():
+    proc = _run_probe(_PROBE, *EXPORTED)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == (
         "ConfigError: --z-min must be smaller than --z-max\n"
@@ -85,3 +96,32 @@ def test_one_point_runs_refusals_and_import_load_no_numpy():
         "TooCloseToWall: xi=3.141592653589793e-09 is within 1e-06 of a wall"
         " (mode=reject)\n"
     )
+
+
+# One verify run per format, in one process; after each, whether NumPy is loaded.
+_VERIFY_PROBE = """
+import sys
+from cpwalls.cli import main
+level = sys.argv[1]
+for fmt in ("text", "csv", "json"):
+    assert main(["verify", "--level", level, "--format", fmt]) == 0, fmt
+    sys.stderr.write("%s numpy=%s\\n" % (fmt, "numpy" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("level, loaded", [("quick", False), ("full", True)])
+def test_verify_quick_loads_no_numpy_in_any_format_and_full_does(level, loaded):
+    proc = _run_probe(_VERIFY_PROBE, level)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "".join(
+        f"{fmt} numpy={loaded}\n" for fmt in ("text", "csv", "json"))
+
+
+def test_run_verification_quick_loads_no_numpy():
+    proc = _run_probe(
+        "import sys\n"
+        "from cpwalls import run_verification\n"
+        "assert run_verification('quick').passed\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+    )
+    assert proc.returncode == 0, proc.stderr

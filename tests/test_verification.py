@@ -7,9 +7,11 @@ surfaces) and require the suite to catch exactly the matching checks -
 evidence that the checks compare genuinely independent routes rather than a
 value against itself. The oracles take pi's low part from math.sin(math.pi),
 which must equal PI_LO.
-The matrix tests tamper with the 3x3 matrix CorrelatorTensor.components
+The matrix tests tamper with the 3x3 matrix CorrelatorTensor._matrix
 builds, leaving par and perp right, and require the matching check to fail:
-the checks read the matrix, not the stored components.
+the checks read the matrix, not the stored components. verify no longer
+reads CorrelatorTensor.components (a NumPy array); tests/test_correlators.py
+pins components.tolist() to _matrix instead.
 The value-fault table gives every check on the two comparison rules
 (_agree, _near) a fault it must fail by its measured error alone.
 """
@@ -150,17 +152,17 @@ def test_restored_constants_pass_again():
 
 def _off_diagonal(m, pair):
     if pair != "EB":
-        m[0, 1] = 1e-300
+        m[0][1] = 1e-300
 
 
 def _xx_not_yy(m, pair):
     if pair != "EB":
-        m[1, 1] = math.nextafter(m[1, 1], math.inf)
+        m[1][1] = math.nextafter(m[1][1], math.inf)
 
 
 def _eb_nonzero(m, pair):
     if pair == "EB":
-        m[2, 2] = 1e-300
+        m[2][2] = 1e-300
 
 
 @pytest.mark.parametrize("level", ["quick", "full"])
@@ -173,14 +175,14 @@ def test_matrix_checks_read_the_matrix_components_builds(
     monkeypatch, level, tamper, failing
 ):
     # par and perp stay right; only the 3x3 matrix the checks read is off
-    built = CorrelatorTensor.components.fget
+    built = CorrelatorTensor._matrix
 
     def tampered(self):
         m = built(self)
         tamper(m, self.field_pair)
         return m
 
-    monkeypatch.setattr(CorrelatorTensor, "components", property(tampered))
+    monkeypatch.setattr(CorrelatorTensor, "_matrix", tampered)
     assert {c.name for c in run_verification(level).failures} == {failing}
 
 
@@ -247,6 +249,28 @@ def test_a_reflection_check_evaluates_its_function_twice_per_point(name):
     fn, *rest = check.args
     (result,) = check.func(_counting(fn, calls), *rest, "full")
     assert result[3] and 2 * result[4] == len(calls) == 200
+
+
+@pytest.mark.parametrize(
+    "name, names, calls",
+    [
+        # 2 geometries x 50 z, for each of <E^2> and <B^2>
+        ("potential_from_correlators", ("mean_square_e", "mean_square_b"), 200),
+        # 2 geometries x 25 z unscaled, and 4 scales of each
+        ("potential_linearity", ("potential_total",), 250),
+        ("potential_scaling", ("potential_total",), 250),
+        # 2 kinds x 20 fractions x 2 pairs at a = 1, and 3 scales of each
+        ("correlator_scaling", ("correlator_ee", "correlator_bb"), 320),
+    ],
+)
+def test_a_check_evaluates_each_value_once_at_full_level(monkeypatch, name, names, calls):
+    seen = []
+    for attr in names:
+        fn = getattr(verification, attr)
+        monkeypatch.setattr(
+            verification, attr, lambda *args, fn=fn: seen.append((fn, *args)) or fn(*args))
+    (result,) = _row(name)("full")
+    assert result[3] and len(set(seen)) == len(seen) == calls
 
 
 @pytest.mark.parametrize("level, points", [("quick", 10), ("full", 120)])
