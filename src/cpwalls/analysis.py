@@ -4,7 +4,9 @@ Everything here is a pure tabulation layer over the correlator and potential
 modules: build a grid, evaluate the requested quantities per point, and hand
 back plain column/row containers the CLI can serialize. _table_chunks is
 the one evaluator of a table's columns, for run_sweep, a CLI grid and a
-CLI --z point alike. The containers
+CLI --z point alike. A CLI grid is a _Linspace, which builds np.linspace's
+positions one chunk at a time, so a CLI table holds one chunk whatever its
+length. The containers
 (SweepSpec, PotentialCurve, LimitRow, LimitStudy) are immutable named
 tuples; SweepSpec.__new__ checks the grid and the quantities and keeps the
 grid as a tuple of floats, and PotentialCurve and LimitStudy hold their
@@ -118,9 +120,20 @@ def _checked_grid(z_grid, a: float) -> np.ndarray:
     entries are all numbers (a ragged or nested one), or a bare str, is not
     a sequence of numbers. An int or a Fraction beyond the double range
     lies outside, as inf does.
+
+    A _Linspace is checked without being held whole, and returned as it
+    is: its ends first, as a whole grid's are below, then each CHUNK_ROWS
+    chunk with the row before it, so a position repeated across a seam is
+    refused too.
     """
     import numpy as np
 
+    if isinstance(z_grid, _Linspace):
+        with np.errstate(all="ignore"):  # a span that overflows makes nan and inf rows
+            _checked_grid(np.append(z_grid[:1], z_grid.stop), a)
+            for i in range(0, len(z_grid), CHUNK_ROWS):
+                _checked_grid(z_grid[max(i - 1, 0):i + CHUNK_ROWS], a)
+        return z_grid
     try:
         z = np.asarray(z_grid, dtype=np.float64)
     except OverflowError as exc:
@@ -258,27 +271,62 @@ _COLUMN = {
 # Rows per chunk of a table: what _table_chunks evaluates, and the CLI gates
 # and formats, at once. It bounds a table's working set, whatever its
 # length. A chunk of the widest table, the ten float columns of the CLI
-# correlator table, peaks at about 1.9 MiB under tracemalloc (6.4 MiB at
-# 8192 rows); the grid's positions, 8 bytes a row, come on top. Peak RSS
-# grows faster than that: about 15 bytes a row for a CLI potential grid
-# (29.8, 34.9 and 44.4 MiB at 2e4, 2e5 and 1e6 cp rows) and 8 for a
-# correlators grid (31.3, 32.7, 38.8 MiB); see README, "Output contract".
+# correlator table, peaks at about 0.6 MiB under tracemalloc, its positions
+# and its formatted slices included (2.3 MiB at 8192 rows). A CLI grid is a
+# _Linspace, whose positions are built a chunk at a time, so nothing else
+# grows with the rows: a cp potential or correlators table peaks at about
+# 29 MiB RSS at 2e4 and at 1e6 rows alike (README, "Output contract").
 CHUNK_ROWS = 1 << 11
+
+
+class _Linspace:
+    """np.linspace(start, stop, num), held as its ends; a slice is built on demand.
+
+    z[i0:i1] is an array of rows i0 to i1 of the grid, made by NumPy's own
+    rule, so it equals the same slice of np.linspace bit for bit: each
+    index times the step, plus start, or (index / (num - 1)) * (stop -
+    start) where the step underflows to 0, and the last row set to stop. A
+    span that overflows gives inf and nan rows, as np.linspace does, in
+    the caller's NumPy error state. num is at most 2**53, below which every
+    index is an exact double; the CLI refuses a larger --z-count.
+    """
+
+    __slots__ = ("start", "stop", "num")
+
+    def __init__(self, start: float, stop: float, num: int):
+        self.start, self.stop, self.num = start, stop, num
+
+    def __len__(self) -> int:
+        return self.num
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        import numpy as np
+
+        i0, i1, _ = rows.indices(self.num)
+        div, delta = self.num - 1, self.stop - self.start
+        z = np.arange(i0, i1, dtype=np.float64)
+        z = (z * (delta / div) if delta / div != 0.0 else z / div * delta) + self.start
+        if i0 < i1 == self.num:
+            z[-1] = self.stop
+        return z
 
 
 def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
     """The named _Terms over a grid z, CHUNK_ROWS rows at a time.
 
-    Yields (cells, asymptotic) per chunk: a (rows, columns) float64 array and
-    the rows' asymptotic mask. One Geometry._grid_terms call covers a chunk,
-    each distinct term is then one array expression, and every cell equals
-    the scalar public function at that z bit for bit; NumPy is quiet, so an
+    z is a float, a _Linspace or a sequence of floats. Yields (cells,
+    asymptotic) per chunk: a (rows, columns) float64 array and the rows'
+    asymptotic mask. One Geometry._grid_terms call covers a chunk, each
+    distinct term is then one array expression, and every cell equals the
+    scalar public function at that z bit for bit; NumPy is quiet, so an
     overflow gives inf, not a warning. Refusals come as for the whole grid
     at once: the first domain refusal in grid order (OutOfDomain,
-    TooCloseToWall) wins over a result out of the double range (a
-    prefactor or a profile power: OverflowError, ZeroDivisionError or
-    NonFiniteResult), which is raised only once every chunk has passed the
-    domain check. atom may be None where no column needs one.
+    TooCloseToWall) wins over a result out of the double range, which is
+    raised only once every chunk has passed the domain check. That is a
+    NonFiniteResult: the correlator prefactor's own, or, where a prefactor
+    or a profile power raises OverflowError or ZeroDivisionError, one that
+    names the error, the term and the chunk's first row and z. atom may be
+    None where no column needs one.
 
     A float z (the CLI's --z point) is one chunk of one row: a list of one
     float tuple and a list of one flag, from one Geometry.point_terms call
@@ -293,26 +341,42 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
         except (OverflowError, ZeroDivisionError):
             z = [z]
         else:
-            terms = _Terms(atom, geom, z, p, dp)
-            yield [tuple(terms[c] for c in columns)], [asymptotic]
+            terms, row = _Terms(atom, geom, z, p, dp), []
+            try:
+                for c in columns:
+                    row.append(terms[c])
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _out_of_range(exc, f"{c} from row 1 (z={z!r})") from exc
+            yield [tuple(row)], [asymptotic]
             return
     import numpy as np
 
-    z = np.asarray(z, dtype=np.float64)
+    if not isinstance(z, _Linspace):
+        z = np.asarray(z, dtype=np.float64)
     for start in range(0, len(z), CHUNK_ROWS):
-        zc = z[start:start + CHUNK_ROWS]
-        with np.errstate(all="ignore"):  # for the kernel and the columns alike
+        with np.errstate(all="ignore"):  # for the positions, kernel and columns alike
+            zc = z[start:start + CHUNK_ROWS]
             p, dp, asymptotic = geom._grid_terms(zc, guard)
             terms = _Terms(atom, geom, zc, p, dp)
             cells = np.empty((len(zc), len(columns)))
             try:
                 for i, c in enumerate(columns):
                     cells[:, i] = terms[c]
-            except (OverflowError, ZeroDivisionError, NonFiniteResult):
+            except (OverflowError, ZeroDivisionError, NonFiniteResult) as exc:
                 for rest in range(start + CHUNK_ROWS, len(z), CHUNK_ROWS):
                     geom._grid_terms(z[rest:rest + CHUNK_ROWS], guard)  # domain first
-                raise
+                if isinstance(exc, NonFiniteResult):
+                    raise
+                where = f"{c} from row {start + 1} (z={float(zc[0])!r})"
+                raise _out_of_range(exc, where) from exc
         yield cells, asymptotic
+
+
+def _out_of_range(exc: ArithmeticError, where: str) -> NonFiniteResult:
+    """The NonFiniteResult for an OverflowError or ZeroDivisionError in where."""
+    return NonFiniteResult(
+        f"a result is out of the double range ({type(exc).__name__}: {exc}) in {where}"
+    )
 
 
 def run_sweep(spec: SweepSpec) -> PotentialCurve:
@@ -376,7 +440,10 @@ def limit_convergence_study(
     z is measured from the named wall: from z=0 for "conducting", from z=a
     for "permeable" (the atom sits at position a - z in that geometry).
     Every a_values entry must be a positive finite number, by
-    profiles._inside; one that is not is an InvalidGrid before any row.
+    profiles._inside; one that is not is an InvalidGrid before any row. A
+    result out of the double range (a power or a quotient that raises
+    OverflowError or ZeroDivisionError) is a NonFiniteResult naming the
+    error, the column (V_limit, V_exact or rel_error) and the row's a.
     """
     try:
         a_list = list(a_values)
@@ -394,15 +461,20 @@ def limit_convergence_study(
         raise InvalidGrid(f"need 0 < z < min(a_values), got z={z!r}")
 
     degenerate = atom.alpha0 == atom.beta0
-    v_limit = single_wall_limit(atom, wall_type, z)  # refuses a bad wall_type
     conducting = wall_type == "conducting"
     kind = WallKind.CONDUCTOR_CONDUCTOR if conducting else WallKind.CONDUCTOR_PERMEABLE
-    rows = []
-    for a in a_list:
-        position = z if conducting else a - z
-        v_exact = potential_total(atom, Geometry(kind, a), position, guard)
-        rel = None if degenerate else abs(v_exact / v_limit - 1.0)
-        rows.append(LimitRow(a=a, v_exact=v_exact, v_limit=v_limit, rel_error=rel))
+    rows, column = [], "V_limit"
+    try:
+        v_limit = single_wall_limit(atom, wall_type, z)  # refuses a bad wall_type
+        for a in a_list:
+            column, position = "V_exact", z if conducting else a - z
+            v_exact = potential_total(atom, Geometry(kind, a), position, guard)
+            column = "rel_error"
+            rel = None if degenerate else abs(v_exact / v_limit - 1.0)
+            rows.append(LimitRow(a=a, v_exact=v_exact, v_limit=v_limit, rel_error=rel))
+    except (OverflowError, ZeroDivisionError) as exc:
+        where = f"{column} in row {len(rows) + 1} (a={a_list[len(rows)]!r})"
+        raise _out_of_range(exc, where) from exc
     return LimitStudy(
         wall_type=wall_type, wall_distance=z, rows=rows, degenerate=degenerate
     )

@@ -18,17 +18,19 @@ writes. A table goes out in two passes over chunks of rows, which
 analysis._table_chunks evaluates for potential, correlators and sweep: a
 grid on arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point
 as one chunk of floats through the scalar forms, which gives the same bits
-and does not load NumPy. The limits ladder is one chunk of floats from
-analysis.limit_convergence_study. Pass 1 evaluates, converts and gates
+and does not load NumPy. A grid is an analysis._Linspace: its positions
+are built a chunk at a time, equal to np.linspace's bit for bit, and a
+--z-count above 2**53 is refused. The limits ladder is one chunk of floats
+from analysis.limit_convergence_study. Pass 1 evaluates, converts and gates
 every chunk and keeps none; a refusal names the first domain error in grid
 order, else a result out of the double range (an OverflowError or
-ZeroDivisionError of a prefactor or a profile power), else the first
-non-finite cell in grid order, and writes nothing. Pass 2 opens the output,
-then evaluates, formats and writes each chunk again. A run evaluates one
-chunk at a time (2048 rows; the widest, a correlators chunk, peaks at about
-1.9 MiB under tracemalloc), on top of the grid's positions (8 bytes a row).
-Peak RSS still grows with the rows: about 15 bytes a row for a potential
-grid and 8 for a correlators grid (README, "Output contract").
+ZeroDivisionError of a prefactor or a profile power, named with its term
+and row where the table's evaluator catches it), else the first non-finite
+cell in grid order, and writes nothing. Pass 2 opens the output, then
+evaluates each chunk again and writes it in slices of about 3 KiB of
+text, one %-format call each. A run holds one chunk at a time (2048 rows; the
+widest, a correlators chunk, peaks at about 0.6 MiB under tracemalloc),
+and its peak RSS does not grow with the rows (README, "Output contract").
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"). argparse reads the option,
@@ -48,8 +50,8 @@ import operator
 import sys
 import warnings
 
-from .analysis import SWEEP_QUANTITIES, _checked_grid, _sweep_columns, _table_chunks
-from .analysis import limit_convergence_study
+from .analysis import SWEEP_QUANTITIES, _checked_grid, _Linspace, _sweep_columns
+from .analysis import _table_chunks, limit_convergence_study
 from .correlators import Geometry, WallKind
 from .errors import ConfigError, DomainError, NonFiniteResult
 from .potentials import _REGIME, AtomResponse
@@ -235,30 +237,42 @@ def _floats(block) -> list:
     return block.ravel().tolist()
 
 
+# Float cells per %-format call of the writer (about 24 bytes of text each):
+# rows * floats per row stays near this, at least one row a call. Slices of
+# about 3 KiB leave the heap as they found it, whatever the row count; one
+# string per 2048-row chunk left a 1e6-row potential table 7 MiB larger,
+# and 8 KiB slices a correlators table 1 MiB larger. The bytes do not
+# depend on the slice size.
+_SLICE_CELLS = 3072 // 24
+
+
 def _write_table(fh, fmt: str, columns, chunks, words, zeros) -> None:
-    """Write a table chunk by chunk, one %-format call each.
+    """Write a table chunk by chunk, in slices of rows, one %-format call each.
 
     chunks yields (cells, asymptotic): the float columns not named in zeros,
     one row per table row, and one flag per row. A column in zeros is
     written as 0 on every row. If words is not empty, a last word column
     takes words[flag] (words[0] if words has one entry). "%.17g" formats a
-    float exactly as format(x, ".17g"), so the bytes do not depend on the
-    chunk size.
+    float exactly as format(x, ".17g"), so the bytes depend neither on the
+    chunk size nor on the slice size.
     """
     n_floats = len(columns) - (1 if words else 0)
     fields = ["0" if c in zeros else "%.17g" for c in columns[:n_floats]]
-    templates = _row_templates(fmt, columns, fields, words)
+    # a flag picks its row's template; with one word or none, both flags pick the one
+    templates = _row_templates(fmt, columns, fields, words) * 2
+    rows = max(1, _SLICE_CELLS // fields.count("%.17g"))
+    whole = [t * rows for t in templates[:2]]  # a full slice whose rows share one flag
     fh.write("[" if fmt == "json" else ",".join(columns) + "\n")
     skip = 1 if fmt == "json" else 0  # "[" and the first row's ",\n" make "[\n"
     for cells, asymptotic in chunks:
-        if len(templates) == 1:
-            template = templates[0] * len(cells)
-        else:
-            if not isinstance(asymptotic, list):
-                asymptotic = asymptotic.tolist()
-            template = "".join([templates[i] for i in asymptotic])
-        fh.write((template % tuple(_floats(cells)))[skip:])
-        skip = 0
+        if not isinstance(asymptotic, list):
+            asymptotic = asymptotic.tolist()
+        for i in range(0, len(cells), rows):
+            flags = asymptotic[i:i + rows]
+            template = whole[flags[0]] if flags.count(flags[0]) == rows else "".join(
+                [templates[flag] for flag in flags])
+            fh.write((template % tuple(_floats(cells[i:i + rows])))[skip:])
+            skip = 0
     if fmt == "json":
         fh.write("\n]\n")
 
@@ -355,9 +369,11 @@ def _atom_from(args) -> AtomResponse:
 
 
 def _grid_from(args):
-    """The --z point as a float, or the checked grid as an array.
+    """The --z point as a float, or the checked grid as an analysis._Linspace.
 
-    NumPy loads here, and only for a grid that passed its checks.
+    No grid position is made here: _table_chunks builds them a chunk at a
+    time. A --z-count above 2**53, where a row's index is no longer an
+    exact double, is refused.
     """
     grid_flags = (args.z_min, args.z_max, args.z_count)
     has_grid = any(v is not None for v in grid_flags)
@@ -371,15 +387,11 @@ def _grid_from(args):
         raise ConfigError("--z-min, --z-max, and --z-count are all required for a grid")
     if args.z_count < 2:
         raise ConfigError(f"--z-count must be >= 2, got {args.z_count}")
+    if args.z_count > 2 ** 53:
+        raise ConfigError(f"--z-count must be at most 2**53, got {args.z_count}")
     if not args.z_min < args.z_max:
         raise ConfigError("--z-min must be smaller than --z-max")
-    import numpy as np
-
-    try:
-        with np.errstate(all="ignore"):  # z_max - z_min may overflow
-            return np.linspace(args.z_min, args.z_max, args.z_count)
-    except (MemoryError, ValueError) as exc:  # ValueError past the index range
-        raise ConfigError(f"--z-count {args.z_count} is too large ({exc})") from exc
+    return _Linspace(args.z_min, args.z_max, args.z_count)
 
 
 def _cmd_potential(args) -> int:
@@ -432,7 +444,8 @@ def _cmd_limits(args) -> int:
         (row.a, row.v_exact, row.v_limit) + ((row.rel_error,) if not words else ())
         for row in study.rows
     ]
-    _emit(args, ("a", "V_exact", "V_limit", "rel_error"), lambda: [(rows, None)], words)
+    flags = [False] * len(rows)
+    _emit(args, ("a", "V_exact", "V_limit", "rel_error"), lambda: [(rows, flags)], words)
     return 0
 
 

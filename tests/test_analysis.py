@@ -6,16 +6,19 @@ import random
 import numpy as np
 import pytest
 
+from cpwalls import analysis
 from cpwalls.analysis import (
     SWEEP_QUANTITIES,
     SweepSpec,
+    _Linspace,
     limit_convergence_study,
     nearest_wall_reference,
     run_sweep,
 )
 from cpwalls.correlators import Geometry, WallKind, mean_square_e
-from cpwalls.errors import ConfigError, InvalidGrid
+from cpwalls.errors import ConfigError, InvalidGrid, NonFiniteResult
 from cpwalls.potentials import AtomResponse, force, potential_total, single_wall_limit
+from cpwalls.profiles import GuardPolicy
 
 CC = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1.0)
 CP = Geometry(WallKind.CONDUCTOR_PERMEABLE, 1.0)
@@ -48,6 +51,43 @@ def test_from_range_validation():
     spec = SweepSpec.from_range(CC, MIXED, 0.1, 0.9, 5)
     assert len(spec.z_grid) == 5
     assert spec.z_grid[0] == 0.1 and spec.z_grid[-1] == 0.9
+
+
+def _linspace_cases():
+    """(start, stop, num): seeded grids over many magnitudes, and edge counts."""
+    rng = random.Random(24401)
+    chunk = analysis.CHUNK_ROWS
+    counts = (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
+    cases = [(0.001, 0.999, n) for n in counts]
+    for _ in range(60):
+        scale = 10.0 ** rng.uniform(-300, 300)
+        start = scale * rng.uniform(-1.0, 1.0)
+        stop = start + scale * rng.uniform(1e-12, 2.0)
+        cases.append((start, stop, rng.choice(counts + (rng.randint(2, 5000),))))
+    cases.append((-1.7e308, 1.7e308, 5))  # the span overflows: nan, inf rows
+    return cases
+
+
+@pytest.mark.parametrize("chunk_rows", [7, analysis.CHUNK_ROWS])
+def test_chunk_positions_equal_linspace_bit_for_bit(chunk_rows):
+    for start, stop, num in _linspace_cases():
+        grid = _Linspace(start, stop, num)
+        with np.errstate(all="ignore"):  # inf * 0 where the span overflows
+            got = np.concatenate([grid[i:i + chunk_rows] for i in range(0, num, chunk_rows)])
+            want = np.linspace(start, stop, num)
+        assert len(grid) == num
+        assert got.tobytes() == want.tobytes(), (start, stop, num)
+        assert got[-1] == stop, (start, stop, num)
+
+
+def test_positions_whose_step_underflows_take_numpys_zero_step_branch():
+    start, stop, num = 5e-324, 1e-323, 7
+    assert (stop - start) / (num - 1) == 0.0
+    want = np.linspace(start, stop, num)
+    assert _Linspace(start, stop, num)[0:num].tobytes() == want.tobytes()
+    assert want.tolist() == [5e-324, 5e-324, 5e-324, 5e-324, 1e-323, 1e-323, 1e-323]
+    index_times_step = np.arange(num) * 0.0 + start  # with the last row set to stop
+    assert index_times_step[1:-1].tolist() != want[1:-1].tolist()
 
 
 def test_sweep_columns_follow_canonical_order():
@@ -228,3 +268,15 @@ def test_limit_study_deviation_constant_matches_expansion():
     )
     predicted = -math.pi ** 3 / (180.0 * a ** 4)
     assert deviation == pytest.approx(predicted, rel=1e-3)
+
+
+def test_a_result_out_of_the_double_range_is_a_named_refusal_in_the_library():
+    # a**4 overflows in every cell of V: named with the first row and its z
+    spec = SweepSpec.from_range(Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1e100), ELECTRIC,
+                                1e99, 5e99, 3, quantities=("V",))
+    with pytest.raises(NonFiniteResult, match=r"\(OverflowError: .*\) in V from row 1 \(z=1e\+99\)$"):
+        run_sweep(spec)
+    # the near-wall series' u**-4 overflows at the second separation only
+    with pytest.raises(NonFiniteResult, match=r" in V_exact in row 2 \(a=1e\+80\)$"):
+        limit_convergence_study(ELECTRIC, "conducting", 1.0, [20.0, 1e80],
+                                GuardPolicy(1e-6, "asymptotic"))

@@ -148,8 +148,8 @@ def test_guard_rejection_exit_2(capsys):
         ("frobnicate",),
         ("limits", "--a-values", "2,nan"),
         ("limits", "--a-values", "2,inf"),
-        # hundreds of PiB (MemoryError) and past the index range (ValueError):
-        # both allocations fail at once
+        # above 2**53, where a row's index is no longer an exact double:
+        # refused before any position is made
         ("potential", "--z-min", "0.1", "--z-max", "0.9",
          "--z-count", "99999999999999999"),
         ("correlators", "--z-min", "0.1", "--z-max", "0.9",
@@ -195,6 +195,77 @@ def test_refusals_are_named_and_write_nothing(capsys, argv, error):
     assert err.startswith(error + ": ")
     assert "Traceback" not in err
     assert out == ""
+
+
+_DOUBLE_RANGE = "NonFiniteResult: a result is out of the double range"
+_OVERFLOW = " (OverflowError: (34, 'Numerical result out of range')) in "
+_ZERO_DIVISION = " (ZeroDivisionError: float division by zero) in "
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # a**4 overflows: the term and the first row of its chunk are named
+        (("potential", "--a", "1e100", "--z", "5e99"),
+         _DOUBLE_RANGE + _OVERFLOW + "V_E from row 1 (z=5e+99)\n"),
+        (("potential", "--a", "1e100", "--z-min", "1e99", "--z-max", "5e99",
+          "--z-count", "3"),
+         _DOUBLE_RANGE + _OVERFLOW + "V_E from row 1 (z=1e+99)\n"),
+        # the single-wall law's d**4 overflows, or underflows to a 0 divisor
+        (("limits", "--z", "1e306"),
+         _DOUBLE_RANGE + _OVERFLOW + "V_limit in row 1 (a=2e+307)\n"),
+        (("limits", "--z", "1e-320"),
+         _DOUBLE_RANGE + _ZERO_DIVISION + "V_limit in row 1 (a=2e-319)\n"),
+        # the exact potential's profile power, at the one separation
+        (("limits", "--z", "1", "--a-values", "1e80", "--guard-mode",
+          "asymptotic"),
+         _DOUBLE_RANGE + _OVERFLOW + "V_exact in row 1 (a=1e+80)\n"),
+        # V_limit underflows to 0: the relative error divides by it
+        (("limits", "--alpha", "1e-300", "--z", "1e10"),
+         _DOUBLE_RANGE + _ZERO_DIVISION + "rel_error in row 1 (a=200000000000.0)\n"),
+    ],
+)
+def test_a_result_out_of_the_double_range_names_its_column_and_row(capsys, argv, want):
+    assert run_cli(capsys, *argv) == (2, "", want)
+
+
+@pytest.mark.parametrize("count", ["9007199254740993", "99999999999999999"])
+def test_a_z_count_above_2_to_the_53_is_refused_at_once(capsys, count):
+    code, out, err = run_cli(capsys, "potential", "--z-min", "0.1", "--z-max",
+                             "0.9", "--z-count", count)
+    assert (code, out) == (1, "")
+    assert err == f"ConfigError: --z-count must be at most 2**53, got {count}\n"
+
+
+def test_a_z_count_of_2_to_the_53_is_a_grid_of_that_length():
+    args = cli._build_parser().parse_args(
+        ["potential", "--z-min", "0.1", "--z-max", "0.9", "--z-count", str(2 ** 53)])
+    grid = cli._grid_from(args)
+    assert len(grid) == 2 ** 53
+    last = grid[-2:].tolist()  # no row is made until a slice is asked for
+    assert last[0] < last[1] == 0.9
+
+
+# Rows 3 and 4 of this grid are equal; every other step is one ulp up.
+_REPEAT_AT_ROW_3 = ("--z-min", "1", "--z-max", "1.0000000000000009", "--z-count", "6")
+
+
+@pytest.mark.parametrize("a, chunk_rows, want", [
+    # CHUNK_ROWS = 3 puts rows 3 and 4 in two chunks, each strictly
+    # increasing on its own: the seam is checked too
+    ("2", 3, "InvalidGrid: z_grid must be strictly increasing\n"),
+    # the last row lies past the far wall, and the first chunk holds the
+    # repeat: the ends are checked first, as for the whole grid
+    ("1.0000000000000007", 4,
+     "InvalidGrid: z_grid must lie strictly inside (0, 1.0000000000000007)\n"),
+])
+def test_sweep_checks_its_grid_chunk_by_chunk_as_a_whole(
+    capsys, monkeypatch, a, chunk_rows, want
+):
+    z = np.linspace(1.0, 1.0000000000000009, 6)
+    assert (z[1:] > z[:-1]).tolist() == [True, True, False, True, True]
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    assert run_cli(capsys, "sweep", "--a", a, *_REPEAT_AT_ROW_3) == (1, "", want)
 
 
 # A grid is gated whole before any output, chunk by chunk, yet a refusal
@@ -250,6 +321,9 @@ _GRID_REFUSALS = [
     (("correlators", "--a", "1e300", "--z-min", "1e-30", "--z-max", "5e299",
       "--z-count", "3"),
      "TooCloseToWall: xi=5e-324 is within 1e-06 of a wall (mode=reject)\n"),
+    # the span z_max - z_min overflows: np.linspace's first row is nan
+    (("potential", "--z-min=-1.7e308", "--z-max=1.7e308", "--z-count", "5"),
+     "OutOfDomain: z=nan is not strictly between the walls (0, 1.0)\n"),
     (("potential", "--a", "1e30", "--z", "1e-300", "--guard-mode",
       "asymptotic"),
      "NonFiniteResult: V_E=-inf in row 1 (z=1e-300) is not a finite normal"
@@ -564,6 +638,25 @@ def test_no_kernel_or_format_call_covers_more_than_one_chunk(
     assert sum(kernel_rows) == 2 * sum(format_rows) == 200
 
 
+@pytest.mark.parametrize("command, floats", [
+    (("potential",), 5), (("correlators",), 10), (("sweep", "--emit-limit-reference"), 6),
+])
+def test_each_format_call_writes_one_slice_of_a_chunk(capsys, monkeypatch, command, floats):
+    argv = command + ("--z-min", "0.01", "--z-max", "0.99", "--z-count", "300")
+    want = run_cli(capsys, *argv)
+    format_rows, floats_of = [], cli._floats
+
+    def spy_floats(cells):
+        format_rows.append(len(cells))
+        return floats_of(cells)
+
+    monkeypatch.setattr(cli, "_floats", spy_floats)
+    assert run_cli(capsys, *argv) == want
+    rows = 3072 // (24 * floats)  # about 3 KiB of text a call
+    full, last = divmod(300, rows)
+    assert format_rows == [rows] * full + [last] * (last > 0)
+
+
 # Runs `python -m cpwalls ARGV` as the child of this small process, with
 # stdout to /dev/null, and prints its exit code and peak RSS in KiB. Spawned
 # from the test process directly, the child's ru_maxrss could also count the
@@ -578,6 +671,11 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_peak_memory_does_not_grow_with_the_row_count():
+    """A cp potential table peaks alike at 5e4 and 5e5 rows, within 2 MiB.
+
+    Whole-grid positions (8 bytes a row) or one %-format string per chunk
+    (about 7 bytes a row) would each add over 3 MiB between the two.
+    """
     peaks_mb = []
     for rows in (50_000, 500_000):
         proc = _run_module("-c", _PEAK_RSS, "potential", "--geometry", "cp",
@@ -586,7 +684,7 @@ def test_peak_memory_does_not_grow_with_the_row_count():
         code, kib = map(int, proc.stdout.split())
         assert code == 0, proc.stderr
         peaks_mb.append(kib / 1024.0)
-    assert abs(peaks_mb[1] - peaks_mb[0]) < 10.0, peaks_mb
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 2.0, peaks_mb
 
 
 class _CountingSink(io.TextIOBase):
@@ -600,27 +698,49 @@ class _CountingSink(io.TextIOBase):
         return len(text)
 
 
-def test_a_table_holds_one_chunk_of_its_widest_rows():
-    """A 2e4-row cp correlator table, ten live float columns, peaks below 3 MiB.
+def _traced_peak(argv, rows):
+    """The tracemalloc peak of cli.main(argv) over a grid of rows, and its line count.
 
-    tracemalloc counts what Python and NumPy allocate while cli.main runs,
-    after a small run has built the parser and loaded NumPy. A chunk of
-    2048 rows peaks at about 1.9 MiB; one of 8192 rows at about 6.4 MiB,
-    as would the table held whole.
+    A small run first builds the parser and loads NumPy, so the peak is the
+    table's own.
     """
-    argv = ["correlators", "--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999"]
     with contextlib.redirect_stdout(_CountingSink()):
         assert main(argv + ["--z-count", "2"]) == 0
     sink = _CountingSink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            code = main(argv + ["--z-count", "20000"])
+            assert main(argv + ["--z-count", str(rows)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, sink.lines) == (0, 20001)
-    assert peak < 3 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+    assert sink.lines == rows + 1
+    return peak
+
+
+def test_a_table_holds_one_chunk_of_its_widest_rows():
+    """A 2e4-row cp correlator table, ten live float columns, peaks below 1 MiB.
+
+    tracemalloc counts what Python and NumPy allocate while cli.main runs.
+    A chunk of 2048 rows, written in slices of 34 rows, peaks at about
+    0.6 MiB, its positions included; one of 8192 rows at about 2.3 MiB,
+    and the table held whole at about 4.8 MiB. Formatting a 2048-row chunk
+    in one %-format call peaked at about 1.9 MiB.
+    """
+    argv = ["correlators", "--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999"]
+    peak = _traced_peak(argv, 20_000)
+    assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def test_a_tables_traced_peak_does_not_grow_with_its_rows():
+    """A cp potential table peaks alike at 2e4 and 2e5 rows, within 256 KiB.
+
+    The positions are built a chunk at a time; np.linspace held whole would
+    add 8 bytes a row, 1.4 MiB between the two.
+    """
+    argv = ["potential", "--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999"]
+    small, large = (_traced_peak(argv, rows) for rows in (20_000, 200_000))
+    assert large - small < 256 * 2 ** 10, (small, large)
 
 
 # ----------------------------------------------------------------------

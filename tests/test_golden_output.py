@@ -13,8 +13,9 @@ power function: that is libm's pow, as operator.pow (the scalar `**`) is.
 A form that powered with ** or np.power itself would, on arrays, use a SIMD
 pow that differs from libm in the last bit on about 5% of points, and change
 these bytes on hosts whose NumPy dispatches to it (AVX-512).
-A grid is evaluated, gated and written in analysis.CHUNK_ROWS-row chunks;
-the bytes must not depend on the chunk size.
+A grid is evaluated, gated and written in analysis.CHUNK_ROWS-row chunks,
+each written in slices of rows, one %-format call a slice; the bytes must
+depend neither on the chunk size nor on the slice size.
 
 A single --z point and the limits ladder are evaluated on floats through the
 scalar forms, without NumPy; their hashes are also checked in a process
@@ -243,6 +244,17 @@ def test_stdout_bytes_do_not_depend_on_the_chunk_size(
     capsys, monkeypatch, case, chunk_rows
 ):
     monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    test_stdout_bytes_are_pinned(capsys, case)
+
+
+# One row per %-format call, and slices of a few rows in 7-row chunks.
+@pytest.mark.parametrize("chunk_rows, slice_cells", [(analysis.CHUNK_ROWS, 1), (7, 40)])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_stdout_bytes_do_not_depend_on_the_slice_size(
+    capsys, monkeypatch, case, chunk_rows, slice_cells
+):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(cli, "_SLICE_CELLS", slice_cells)
     test_stdout_bytes_are_pinned(capsys, case)
 
 

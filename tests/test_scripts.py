@@ -74,8 +74,20 @@ def test_code_lines_counts_a_known_fixture(tmp_path):
     assert out == f"8 {fixture}\n8 {fixture}\n16 total\n"
 
 
+def test_table_memory_prints_a_peak_per_table(tmp_path):
+    out = _run_script("table_memory.py", "2", "200", cwd=tmp_path)
+    lines = out.splitlines()
+    assert lines[0] == "command rows run peak_rss_mib"
+    rows = [line.split() for line in lines[1:]]
+    assert [r[:3] for r in rows] == [
+        ["potential", "2", "1"], ["correlators", "2", "1"],
+        ["potential", "200", "1"], ["correlators", "200", "1"],
+    ]
+    assert all(5.0 < float(r[3]) < 500.0 for r in rows), rows
+
+
 # the total of python scripts/code_lines.py src/cpwalls/*.py
-PACKAGE_CODE_LINES = 1586
+PACKAGE_CODE_LINES = 1626
 
 
 def test_the_package_stays_within_its_code_lines(tmp_path):
