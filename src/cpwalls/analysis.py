@@ -325,8 +325,10 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
     raised only once every chunk has passed the domain check. That is a
     NonFiniteResult: the correlator prefactor's own, or, where a prefactor
     or a profile power raises OverflowError or ZeroDivisionError, one that
-    names the error, the term and the chunk's first row and z. atom may be
-    None where no column needs one.
+    names the error, the term and the chunk's first row and z. The term is
+    p, the profile, where Geometry._grid_terms raises it: at a refused row
+    whose pi*z/a underflowed to 0. atom may be None where no column needs
+    one.
 
     A float z (the CLI's --z point) is one chunk of one row: a list of one
     float tuple and a list of one flag, from one Geometry.point_terms call
@@ -355,11 +357,11 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
         z = np.asarray(z, dtype=np.float64)
     for start in range(0, len(z), CHUNK_ROWS):
         with np.errstate(all="ignore"):  # for the positions, kernel and columns alike
-            zc = z[start:start + CHUNK_ROWS]
-            p, dp, asymptotic = geom._grid_terms(zc, guard)
-            terms = _Terms(atom, geom, zc, p, dp)
-            cells = np.empty((len(zc), len(columns)))
+            zc, c = z[start:start + CHUNK_ROWS], "p"
             try:
+                p, dp, asymptotic = geom._grid_terms(zc, guard)
+                terms = _Terms(atom, geom, zc, p, dp)
+                cells = np.empty((len(zc), len(columns)))
                 for i, c in enumerate(columns):
                     cells[:, i] = terms[c]
             except (OverflowError, ZeroDivisionError, NonFiniteResult) as exc:

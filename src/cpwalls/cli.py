@@ -25,11 +25,11 @@ from analysis.limit_convergence_study. Pass 1 evaluates, converts and gates
 every chunk and keeps none; a refusal names the first domain error in grid
 order, else a result out of the double range (an OverflowError or
 ZeroDivisionError of a prefactor or a profile power, named with its term
-and row where the table's evaluator catches it), else the first non-finite
-cell in grid order, and writes nothing. Pass 2 opens the output, then
-evaluates each chunk again and writes it in slices of about 3 KiB of
-text, one %-format call each. A run holds one chunk at a time (2048 rows; the
-widest, a correlators chunk, peaks at about 0.6 MiB under tracemalloc),
+and row), else the first non-finite cell in grid order, and writes
+nothing. Pass 2 opens the output, then evaluates each chunk again and
+writes it in slices of about 3 KiB of text, one %-format call each. A
+run holds one chunk at a time (2048 rows; the widest, a correlators
+chunk, peaks at about 0.6 MiB under tracemalloc),
 and its peak RSS does not grow with the rows (README, "Output contract").
 
 An optional config file (--config PATH) holds flat key=value lines naming
@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import math
 import operator
 import sys
@@ -499,17 +500,27 @@ def main(argv=None) -> int:
             if args.config is not None:  # the file's flags first: the user's win
                 config = _parse_config_file(args.config)
                 args = _build_parser().parse_args(argv[:1] + config + argv[1:])
-            try:
-                return args.handler(args)
-            except (OverflowError, ZeroDivisionError) as exc:  # a**4, u**-4 ...
-                raise NonFiniteResult(
-                    "a result is out of the double range"
-                    f" ({type(exc).__name__}: {exc})"
-                ) from exc
+            return args.handler(args)
         except (ConfigError, DomainError) as exc:
             sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
             return 1 if isinstance(exc, ConfigError) else 2
 
 
+def run() -> int:
+    """main on sys.argv, as a process: python -m cpwalls and the cpwalls script.
+
+    A command leaves the same few unreachable objects however many rows it
+    writes, so the cyclic collector is off while it runs, and every object
+    is frozen before it returns, which keeps the interpreter's final
+    collection from walking NumPy's objects and the package's. An
+    in-process main leaves the collector as it found it.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

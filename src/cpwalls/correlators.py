@@ -45,6 +45,7 @@ and finite (OutOfDomain otherwise, an int beyond the double range too).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import sys
 from collections import namedtuple
@@ -172,6 +173,10 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         refused rows are those outside (0, a) and, under mode="reject",
         those in the band; the first of them in grid order goes to
         self.profile, which raises the scalar error and message for it.
+        The one exception is a row in the band only because pi*z/a
+        underflowed to 0 under an epsilon of 5e-324: there self.profile, at
+        the smallest xi, divides by 0, and its ZeroDivisionError is raised
+        only if no later row is refused.
         """
         import numpy as np
 
@@ -185,7 +190,10 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         ok = (0.0 < z) & (z < a)
         if guard.mode == "reject":
             ok = ok > asymptotic  # inside and not in the band
-        if not ok.all():
+        if not ok.all():  # the first refused row's DomainError, else the
+            for x in z[~ok].tolist():  # first refused row's double-range error
+                with contextlib.suppress(OverflowError, ZeroDivisionError):
+                    self.profile(x, guard)
             self.profile(float(z[ok.argmin()]), guard)  # raises
         return p, dp, asymptotic
 

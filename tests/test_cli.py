@@ -1,11 +1,14 @@
 """End-to-end CLI contract: columns, formats, exit codes, config files.
 
-Most tests drive cpwalls.cli.main in process (stdout/stderr via capsys); one
-subprocess test checks the `python -m cpwalls` wiring for real.
+Most tests drive cpwalls.cli.main in process (stdout/stderr via capsys);
+subprocess tests check the process entry, cli.run, behind `python -m
+cpwalls`, `python -m cpwalls.cli` and the console script: the same bytes
+as main, with the cyclic collector off and frozen before teardown.
 """
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -223,6 +226,14 @@ _ZERO_DIVISION = " (ZeroDivisionError: float division by zero) in "
         # V_limit underflows to 0: the relative error divides by it
         (("limits", "--alpha", "1e-300", "--z", "1e10"),
          _DOUBLE_RANGE + _ZERO_DIVISION + "rel_error in row 1 (a=200000000000.0)\n"),
+        # pi*z/a underflows to 0, in the kernel's band, and the scalar
+        # profile at the smallest xi, not below epsilon, divides by
+        # sin(u)**4 == 0: the profile term p is named, on a grid and a point
+        (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
+          "5e-324", "--z-max", "1", "--z-count", "2"),
+         _DOUBLE_RANGE + _ZERO_DIVISION + "p from row 1 (z=5e-324)\n"),
+        (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z", "5e-324"),
+         _DOUBLE_RANGE + _ZERO_DIVISION + "p from row 1 (z=5e-324)\n"),
     ],
 )
 def test_a_result_out_of_the_double_range_names_its_column_and_row(capsys, argv, want):
@@ -321,6 +332,14 @@ _GRID_REFUSALS = [
     (("correlators", "--a", "1e300", "--z-min", "1e-30", "--z-max", "5e299",
       "--z-count", "3"),
      "TooCloseToWall: xi=5e-324 is within 1e-06 of a wall (mode=reject)\n"),
+    # the same smallest xi where its closed form divides by 0 (epsilon
+    # 5e-324): named as the profile p, unless a later row is refused
+    (("correlators", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
+      "5e-324", "--z-max", "1", "--z-count", "9"),
+     _DOUBLE_RANGE + _ZERO_DIVISION + "p from row 1 (z=5e-324)\n"),
+    (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
+      "5e-324", "--z-max", "2.5", "--z-count", "9"),
+     "OutOfDomain: z=2.5 is not strictly between the walls (0, 2.5)\n"),
     # the span z_max - z_min overflows: np.linspace's first row is nan
     (("potential", "--z-min=-1.7e308", "--z-max=1.7e308", "--z-count", "5"),
      "OutOfDomain: z=nan is not strictly between the walls (0, 1.0)\n"),
@@ -1082,7 +1101,7 @@ def test_python_dash_m_subprocess():
     assert proc.stdout.startswith("z,V_E,V_M,V_total,force_z,regime\n")
 
 
-def _run_module(*args, env=None):
+def _run_module(*args, env=None, text=True):
     # The package may be importable only through PYTHONPATH (a source tree
     # run), so hand the child the directory this process imported it from.
     src = str(pathlib.Path(profiles.__file__).resolve().parents[1])
@@ -1091,9 +1110,98 @@ def _run_module(*args, env=None):
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        [sys.executable, *args], capture_output=True, text=text, timeout=120,
         env=env,
     )
+
+
+_CP_GRID = ("--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999", "--z-count")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("potential", *_CP_GRID, "20000"), 0),
+    (("potential", "--format", "json", "--units", "si", *_CP_GRID, "50"), 0),
+    (("correlators", "--z-min", "0.1", "--z-max", "0.9", "--z-count", "50"), 0),
+    (("verify", "--level", "quick"), 0),
+    (("potential", "--z", "5"), 2),       # OutOfDomain
+    (("potential", "--z", "1e-9"), 2),    # TooCloseToWall
+    (("potential", "--bogus"), 1),        # ConfigError
+])
+def test_the_process_entry_writes_what_main_writes(capsys, argv, code):
+    """python -m cpwalls (cli.run) against main in process, byte for byte."""
+    proc = _run_module("-m", "cpwalls", *argv, text=False)
+    got = run_cli(capsys, *argv)
+    assert got[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        got[0], got[1].encode(), got[2].encode())
+
+
+# Reports, after the command has returned and before the interpreter's
+# final collection, whether the collector is on and whether objects are frozen.
+_ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"{gc.isenabled()} {gc.get_freeze_count() > 0}\\n"))
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("module", ["cpwalls", "cpwalls.cli"])
+@pytest.mark.parametrize("argv, code", [
+    (("potential", "--z", "0.5"), 0), (("potential", "--z", "5"), 2),
+])
+def test_each_module_entry_runs_with_the_collector_off_and_frozen(module, argv, code):
+    proc = _run_module("-c", _ENTRY_PROBE, module, *argv)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "False True"
+
+
+def test_the_console_script_is_the_process_entry():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+    assert scripts.splitlines()[0] == 'cpwalls = "cpwalls.cli:run"'
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_the_collector_as_it_found_it(capsys, enabled):
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in (("potential", "--z", "0.5"), ("potential", "--z", "5"),
+                     ("potential", "--bogus")):
+            run_cli(capsys, *argv)
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# With the collector off, the cyclic garbage gc.collect() finds after each
+# command; two warm-up runs first, since loading NumPy leaves some.
+_GARBAGE_PROBE = """
+import gc, os, sys
+from cpwalls.cli import main
+gc.collect()
+gc.disable()
+grid = ["--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999", "--out", os.devnull]
+si_json = ["--format", "json", "--units", "si"]
+counts = []
+for argv in (["potential", *grid, "--z-count", "2"],
+             ["correlators", *si_json, *grid, "--z-count", "2"],
+             ["potential", *grid, "--z-count", "2000"],
+             ["potential", *grid, "--z-count", "200000"],
+             ["correlators", *si_json, *grid, "--z-count", "2000"],
+             ["correlators", *si_json, *grid, "--z-count", "20000"]):
+    assert main(argv) == 0, argv
+    counts.append(gc.collect())
+print(*counts[2:])
+"""
+
+
+def test_no_cyclic_garbage_grows_with_the_rows():
+    """What run() leaves uncollected stays the same at 2e3 and 2e5 rows."""
+    proc = _run_module("-c", _GARBAGE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    counts = proc.stdout.split()
+    assert len(counts) == 4 and len(set(counts)) == 1, counts
 
 
 @pytest.mark.parametrize(

@@ -77,17 +77,20 @@ def test_code_lines_counts_a_known_fixture(tmp_path):
 def test_table_memory_prints_a_peak_per_table(tmp_path):
     out = _run_script("table_memory.py", "2", "200", cwd=tmp_path)
     lines = out.splitlines()
-    assert lines[0] == "command rows run peak_rss_mib"
+    assert lines[0] == "command rows run peak_rss_mib cpu_s"
     rows = [line.split() for line in lines[1:]]
     assert [r[:3] for r in rows] == [
         ["potential", "2", "1"], ["correlators", "2", "1"],
         ["potential", "200", "1"], ["correlators", "200", "1"],
     ]
+    assert all(len(r) == 5 for r in rows), rows
     assert all(5.0 < float(r[3]) < 500.0 for r in rows), rows
+    # a child that imports NumPy spends some CPU time, well under a minute
+    assert all(0.0 < float(r[4]) < 60.0 for r in rows), rows
 
 
 # the total of python scripts/code_lines.py src/cpwalls/*.py
-PACKAGE_CODE_LINES = 1626
+PACKAGE_CODE_LINES = 1630
 
 
 def test_the_package_stays_within_its_code_lines(tmp_path):
