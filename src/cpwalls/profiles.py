@@ -67,18 +67,26 @@ Both image sums run over the same terms (xi - n*pi)^-4, with all signs plus
 for cot_profile and alternating ones for csc_profile, so one pass per point
 (_image_sums) builds and powers the displacements once and returns both.
 The size of the pass picks its path. Below _ARRAY_IMAGE_TERMS image pairs
-(verify quick's, about 300) it runs in Python: ** on each term, which is
-libm's pow, and math.fsum over them. From there on (verify full's, about
-1370, and the default OracleConfig's 1500) the sums are exact in NumPy:
-error-free vector extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-31, 2008) splits the terms of even and of odd n into levels on shrinking
-power-of-two grids, each level's slice sums exact, and stops once a level's
-grid is finer than the smallest term's ulp, and a math.fsum over those few
+(verify quick's, about 300) it runs in Python, with math.fsum over the
+terms. From there on (verify full's, about 1370, and the default
+OracleConfig's 1500) the sums are exact in NumPy: error-free vector
+extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008) splits
+the terms of even and of odd n into levels on shrinking power-of-two
+grids, each level's slice sums exact, and stops once a level's grid is
+finer than the smallest term's ulp, and a math.fsum over those few
 doubles gives the correctly rounded sums. Both paths give the correctly
-rounded sum of the same terms, so their bits agree. The array powers go
-through np.float_power, which is libm's pow: NumPy's ** uses a SIMD pow
-whose last bit depends on the CPU features it dispatches to, and an oracle
-should not change with the machine.
+rounded sum of the same terms, so their bits agree. A term with n != 0 is
+r * r with r = 1/(d*d) for its displacement d, on arrays in place: three
+correctly rounded IEEE operations, which give the same bits on every
+IEEE-754 machine and every SIMD dispatch (NumPy's ** and np.power use a
+SIMD pow whose last bit depends on the CPU features NumPy dispatches to,
+and an oracle should not change with the machine). On verify full's
+arrays they take about an eighth of the time of np.float_power (libm's
+pow). Each such term is within 5 half-ulp roundings, 2.5 * 2^-52
+relative, of d^-4, so both sums are within 3.5 * 2^-52 times the plain
+sum of the exact terms d^-4, fsum's and the factor 3/8's roundings
+included. The n = 0 term, xi^-4, is the only one that can overflow, and
+it keeps libm's pow: ** in Python, np.float_power on arrays.
 
 NumPy is imported inside the array functions (_profile_terms, and
 _image_sums from _ARRAY_IMAGE_TERMS image pairs on, or where the n = 0
@@ -450,13 +458,16 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
     plain sum is the cot_profile oracle, the alternating one (sign (-1)^n)
     the csc_profile oracle. Each is the correctly rounded sum of the same
     2N+1 terms, so neither depends on the order of the terms, nor on the
-    path: below N = _ARRAY_IMAGE_TERMS a Python pass powers each term with
-    ** (libm's pow) and sums with math.fsum. Where its n = 0 term overflows
-    (xi below about 8.6e-78) it hands the point to the array pass, which
-    gives inf with NumPy's overflow warning at every N.
+    path: below N = _ARRAY_IMAGE_TERMS a Python pass sums them with
+    math.fsum. A term with n != 0 is r * r with r = 1.0 / (d * d), three
+    correctly rounded operations on both paths (no libm, so no machine
+    dependence; within 2.5 * 2^-52 of d^-4, relative). The n = 0 term is
+    xi ** -4 (libm's pow), np.float_power on arrays. Where it overflows (xi
+    below about 8.6e-78) the Python pass hands the point to the array
+    pass, which gives inf with NumPy's overflow warning at every N.
 
-    On arrays, the displacements are built and powered once, the terms
-    with even n != 0 in one slice and those with odd n in the other.
+    On arrays, the displacements are built and powered once, in place, the
+    terms with even n != 0 in one slice and those with odd n in the other.
     Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
     floating-point summation part I", SIAM J. Sci. Comput. 31, 2008) then
     splits both slices into levels: with sigma = 2^e, e = (exponent of the
@@ -489,40 +500,40 @@ def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
     # that the oracle does not move with production: n*lo is exact for
     # |n| < 2^37, so each displacement carries one rounding.
     lo = math.sin(math.pi)
-    if n_terms < _ARRAY_IMAGE_TERMS:
-        try:  # ** is libm's pow, as np.float_power below is
-            terms = [((xi - n * PI) - n * lo) ** -4 for n in range(-n_terms, n_terms + 1)]
-        except OverflowError:  # the n = 0 term; the array pass gives inf and NumPy's warning
-            pass
-        else:  # terms[i] is that of n = i - N: n is even where i - N is
-            alternating = [*terms[n_terms % 2::2], *(-t for t in terms[1 - n_terms % 2::2])]
-            return SERIES_LEADING * math.fsum(terms), SERIES_LEADING * math.fsum(alternating)
-    import numpy as np
+    try:  # the n = 0 term is xi itself, powered by ** (libm's pow), never r * r
+        t0 = xi ** -4 if n_terms < _ARRAY_IMAGE_TERMS else None
+    except OverflowError:  # the array pass gives inf and NumPy's warning
+        t0 = None
+    if t0 is not None:  # the terms of even n != 0, then of odd n: r * r, r = 1/(d*d)
+        evens, odds = ([(r := 1.0 / ((d := (xi - n * PI) - n * lo) * d)) * r for n in (
+            *range(-k, -n_terms - 1, -2), *range(k, n_terms + 1, 2))] for k in (2, 1))
+    else:
+        import numpy as np
 
-    even = np.arange(2, n_terms + 1, 2, dtype=np.float64)
-    odd = np.arange(1, n_terms + 1, 2, dtype=np.float64)
-    n = np.concatenate(([0.0], even, -even, odd, -odd))
-    d = (xi - n * PI) - n * lo
-    # libm pow, as in math and _profile_terms: the SIMD pow behind ** rounds
-    # differently depending on the CPU features NumPy dispatches to.
-    terms = np.float_power(d, -4)
-    t = terms[1:]  # even n != 0, then odd n; all positive and normal
-    split = 2 * len(even)
-    m = len(t).bit_length()
-    e = math.frexp(t.max())[1] + m
-    e_min = math.frexp(t.min())[1]  # the smallest term's grid is 2^(e_min-53)
-    evens, odds = [], []
-    while True:
-        sigma = math.ldexp(1.0, e)
-        q = t + sigma
-        q -= sigma
-        t -= q
-        evens.append(float(q[:split].sum()))
-        odds.append(float(q[split:].sum()))
-        if e < e_min:
-            break
-        e -= 53 - m
-    t0 = float(terms[0])
+        k = np.arange(1.0, n_terms + 1)  # as above: even n != 0, then odd n
+        n = np.concatenate((-k[1::2], k[1::2], -k[::2], k[::2]))
+        t = (xi - n * PI) - n * lo
+        t *= t  # r * r with r = 1/(d*d), in place: three correctly rounded steps
+        np.divide(1.0, t, out=t)
+        t *= t  # even n != 0, then odd n; all positive and normal
+        split = n_terms // 2 * 2
+        m = len(t).bit_length()
+        e = math.frexp(t.max())[1] + m
+        e_min = math.frexp(t.min())[1]  # the smallest term's grid is 2^(e_min-53)
+        evens, odds = [], []
+        while True:
+            sigma = math.ldexp(1.0, e)
+            q = t + sigma
+            q -= sigma
+            t -= q
+            evens.append(float(q[:split].sum()))
+            odds.append(float(q[split:].sum()))
+            if e < e_min:
+                break
+            e -= 53 - m
+        # libm pow, as in math and _profile_terms: it overflows to inf with
+        # NumPy's warning where xi ** -4 raised
+        t0 = float(np.float_power(xi, -4))
     plain = math.fsum([t0, *evens, *odds])
     alternating = math.fsum([t0, *evens, *(-s for s in odds)])
     return SERIES_LEADING * plain, SERIES_LEADING * alternating

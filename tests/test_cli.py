@@ -1046,9 +1046,9 @@ _COT_FAULT_STDERR = (
 
 
 @pytest.mark.parametrize("fmt, stdout_sha256", [
-    ("text", "14328ed23efff1963a388a05b646101577da7ac3d9c0ce923d7bcd86526e4770"),
-    ("csv", "62d5f0eed87d8597e4f85cd503db51bedd49d2f0fa256a309c0e287715997e9d"),
-    ("json", "a29d89c6700a133a74395f58bd80773c0ba7387c6e06b7cfc59917f7483ea71f"),
+    ("text", "45953b498492c54431df90e4500ddddb249a4213b3eb31bb839976e8fbee07d8"),
+    ("csv", "f6613283a3e61a06456c61c2f135a7fbecb35b04f7a7fd8f477dd82ab2676d3e"),
+    ("json", "692a74327cef6260745f01656f1e5b7f522662434439a19bcc4378f123481267"),
 ], ids=["text", "csv", "json"])
 def test_verify_exit_counts_failures(capsys, monkeypatch, fmt, stdout_sha256):
     monkeypatch.setattr(

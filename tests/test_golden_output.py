@@ -220,11 +220,11 @@ GOLDEN = {
     ),
     "verify-quick-text": (
         ("verify", "--level", "quick"),
-        "f9233dbef331bbfbcf700fcbf89e95abf098eb138d59df36ab83915a661878d6",
+        "38567c1ce92154b5f85df18f57040d5e6fadad3adf13b6509ce9efc3dc0bc326",
     ),
     "verify-quick-json": (
         ("verify", "--level", "quick", "--format", "json"),
-        "75ed6ab026a8b987d6fd2824716a35e522da820432bdd3a87823953f46597951",
+        "8396851a1f6f2492a501f8510eafe6339162999ab287f7fb3279d09e967b037a",
     ),
 }
 

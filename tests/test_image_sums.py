@@ -1,25 +1,31 @@
-"""The image-sum oracles: one pow pass per point gives both sums.
+"""The image-sum oracles: one pass per point gives both sums.
 
-profiles._image_sums builds the displacements xi - n*pi once and powers
-them with libm's pow. Below N = profiles._ARRAY_IMAGE_TERMS image pairs it
-does so in Python (** is libm's pow) and sums with math.fsum; from there on
-it runs on NumPy arrays (np.float_power) and sums the terms exactly in
-levels (error-free vector extraction). Either way it returns the correctly
-rounded plain and alternating sum. It must equal a plain-Python
-transcription of the defining sums bit for bit (math.fsum is correctly
-rounded, so neither the term order nor the summation method shows), on a
-uniform grid of xi, on log-uniform xi down to 1e-76 where the n = 0 term
-nears overflow, and with N from 1 to 1e5, N = _ARRAY_IMAGE_TERMS - 1 and
-N = _ARRAY_IMAGE_TERMS among them. The extreme points are pinned to their
-recorded values: below about 8.6e-78 the n = 0 term overflows and both sums
-are inf, with NumPy's overflow warning, at every N. The two public oracles
-are the halves of the pair.
+profiles._image_sums builds the displacements d = xi - n*pi once. Every
+term with n != 0 is r * r with r = 1/(d*d), three correctly rounded IEEE
+operations, so no libm pow and no SIMD dispatch can move its bits; the
+n = 0 term, xi^-4, the only one that can overflow, keeps libm's pow (**
+and np.float_power). Below N = profiles._ARRAY_IMAGE_TERMS image pairs the
+pass runs in Python and sums with math.fsum; from there on it runs on
+NumPy arrays, in place, and sums the terms exactly in levels (error-free
+vector extraction). Either way it returns the correctly rounded plain and
+alternating sum. It must equal a plain-Python transcription of that rule
+bit for bit (math.fsum is correctly rounded, so neither the term order nor
+the summation method shows), on a uniform grid of xi, on log-uniform xi
+down to 1e-76 where the n = 0 term nears overflow, and with N from 1 to
+1e5, N = _ARRAY_IMAGE_TERMS - 1 and N = _ARRAY_IMAGE_TERMS among them.
+Against mpmath, both sums are within 3.5 * 2^-52 times the plain sum of the
+exact terms d^-4: 2.5 for the five half-ulp roundings of a term, a half
+for math.fsum's and a half for the factor 3/8's. The extreme points are
+pinned to their recorded values: below about 8.6e-78 the n = 0 term
+overflows and both sums are inf, with NumPy's overflow warning, at every
+N. The two public oracles are the halves of the pair.
 """
 
 import math
 import random
 import warnings
 
+import mpmath
 import pytest
 
 from cpwalls import profiles
@@ -42,7 +48,8 @@ def _transcribed(x: float, n_terms: int) -> tuple[float, float]:
     for n in range(1, n_terms + 1):
         sign = -1.0 if n % 2 else 1.0
         for v in ((x - n * PI) - n * PI_LO, (x + n * PI) + n * PI_LO):
-            t = v ** -4
+            r = 1.0 / (v * v)
+            t = r * r
             plain.append(t)
             alternating.append(sign * t)
     lead = profiles.SERIES_LEADING
@@ -84,6 +91,29 @@ def test_pass_equals_the_python_transcription_bit_for_bit():
             )
             checked += 1
     assert checked == 5200
+
+
+def test_both_sums_are_within_three_and_a_half_ulps_of_the_exact_plain_sum():
+    # the bound in units of 2^-52 times the plain sum of the exact d^-4
+    # (d as the pass forms it, one rounding each, taken as exact), on both
+    # sides of _ARRAY_IMAGE_TERMS
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in _seeded_xi(9):
+            for n_terms in EDGE_SIZES:
+                signed = [(1, x)] + [
+                    (-1 if n % 2 else 1, v)
+                    for n in range(1, n_terms + 1)
+                    for v in ((x - n * PI) - n * PI_LO, (x + n * PI) + n * PI_LO)
+                ]
+                exact = [(sign, mpmath.mpf(v) ** -4) for sign, v in signed]
+                plain = 0.375 * mpmath.fsum(t for _, t in exact)
+                alternating = 0.375 * mpmath.fsum(sign * t for sign, t in exact)
+                unit = plain * 2.0 ** -52
+                got = _image_sums(x, OracleConfig(n_terms, 1e300))
+                for value, want in zip(got, (plain, alternating)):
+                    worst = max(worst, float(abs(value - want) / unit))
+    assert worst <= 3.5, worst
 
 
 @pytest.mark.parametrize("scale", [0.0, 10.0])
