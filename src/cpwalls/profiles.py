@@ -64,34 +64,40 @@ math.sin(math.pi), which equals PI_LO, never from PI_LO itself, so a wrong
 PI_LO moves the closed forms and not their oracles.
 
 Both image sums run over the same terms (xi - n*pi)^-4, with all signs plus
-for cot_profile and alternating ones for csc_profile, so one pass per point
-(_image_sums) builds and powers the displacements once and returns both.
-The size of the pass picks its path. Below _ARRAY_IMAGE_TERMS image pairs
-(verify quick's, about 300) it runs in Python, with math.fsum over the
+for cot_profile and alternating ones for csc_profile, so one pass
+(_image_pass) takes many points, builds and powers each point's
+displacements once and returns both sums at each; _image_sums is its call
+on one point. Every point is checked before the array pass. The size N of
+a point picks its path. Below _ARRAY_IMAGE_TERMS image pairs (verify
+quick's, about 300) the point runs in Python, with math.fsum over the
 terms. From there on (verify full's, about 1370, and the default
-OracleConfig's 1500) the sums are exact in NumPy: error-free vector
+OracleConfig's 1500) the sums are exact in NumPy: the points of one N are
+the rows of 2-D blocks of about _IMAGE_BLOCK doubles, and error-free vector
 extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008) splits
-the terms of even and of odd n into levels on shrinking power-of-two
-grids, each level's slice sums exact, and stops once a level's grid is
-finer than the smallest term's ulp, and a math.fsum over those few
-doubles gives the correctly rounded sums. Both paths give the correctly
-rounded sum of the same terms, so their bits agree. A term with n != 0 is
-r * r with r = 1/(d*d) for its displacement d, on arrays in place: three
-correctly rounded IEEE operations, which give the same bits on every
-IEEE-754 machine and every SIMD dispatch (NumPy's ** and np.power use a
-SIMD pow whose last bit depends on the CPU features NumPy dispatches to,
-and an oracle should not change with the machine). On verify full's
-arrays they take about an eighth of the time of np.float_power (libm's
-pow). Each such term is within 5 half-ulp roundings, 2.5 * 2^-52
-relative, of d^-4, so both sums are within 3.5 * 2^-52 times the plain
-sum of the exact terms d^-4, fsum's and the factor 3/8's roundings
-included. The n = 0 term, xi^-4, is the only one that can overflow, and
-it keeps libm's pow: ** in Python, np.float_power on arrays.
+the terms of even and of odd n of each row into levels on shrinking
+power-of-two grids, each level's slice sums exact, and stops once a level's
+grid is finer than the row's smallest term's ulp, and a math.fsum over
+those few doubles gives the correctly rounded sums. Both paths give the
+correctly rounded sum of the same terms, so their bits agree, and a point
+gets the same bits alone as among others. Verify full's 120 oracle points
+take about 2.4 ms in 24 blocks of 5, and about 3.3 ms one point at a time
+(2-core Xeon, Python 3.11, NumPy 2.4). A term with n != 0 is r * r with
+r = 1/(d*d) for its displacement d, on arrays in place: three correctly
+rounded IEEE operations, which give the same bits on every IEEE-754
+machine and every SIMD dispatch (NumPy's ** and np.power use a SIMD pow
+whose last bit depends on the CPU features NumPy dispatches to, and an
+oracle should not change with the machine). On verify full's arrays they
+take about an eighth of the time of np.float_power (libm's pow). Each such
+term is within 5 half-ulp roundings, 2.5 * 2^-52 relative, of d^-4, so
+both sums are within 3.5 * 2^-52 times the plain sum of the exact terms
+d^-4, fsum's and the factor 3/8's roundings included. The n = 0 term,
+xi^-4, is the only one that can overflow, and it keeps libm's pow: ** in
+Python, np.float_power on arrays.
 
 NumPy is imported inside the array functions (_profile_terms, and
-_image_sums from _ARRAY_IMAGE_TERMS image pairs on, or where the n = 0
-term overflows) only, so a process that evaluates single points, or runs
-verify quick, never loads it.
+_image_pass for points from _ARRAY_IMAGE_TERMS image pairs on, or where the
+n = 0 term overflows) only, so a process that evaluates single points, or
+runs verify quick, never loads it.
 
 GuardPolicy and OracleConfig are named tuples whose __new__ checks the
 fields (OracleConfig.image_terms must be an integer, by operator.index).
@@ -211,7 +217,7 @@ class OracleConfig(namedtuple("OracleConfig", "image_terms target_abs_tol")):
             raise ValueError("image_terms must be a positive integer") from exc
         if image_terms < 1:
             raise ValueError("image_terms must be a positive integer")
-        if image_terms >= 2**25:  # the bound of _image_sums' exact extraction
+        if image_terms >= 2**25:  # the bound of _image_pass' exact extraction
             raise ValueError(f"image_terms must be below 2**25, got {image_terms}")
         if not (_finite(target_abs_tol, "target_abs_tol must be a number")
                 and target_abs_tol > 0.0):
@@ -445,98 +451,147 @@ def image_terms_needed(xi: float, target_abs_tol: float) -> int:
     return max(n, 1)
 
 
-# The image count N from which _image_sums runs on arrays: below it a
-# Python pass over the 2N+1 terms is cheaper than importing NumPy (verify
+# The image count N from which a point's image sums run on arrays: below it
+# a Python pass over the 2N+1 terms is cheaper than importing NumPy (verify
 # quick needs N of about 300 per point, verify full about 1370).
 _ARRAY_IMAGE_TERMS = 1024
+# Doubles per block of the array pass: the points of one N are the rows of
+# 2-D arrays of at most this many elements, and at least one row (5 rows at
+# verify full's N of about 1370 and at the default 1500). Blocks of 2**15
+# took as long and raised the peak RSS of a long-lived process twice as much.
+_IMAGE_BLOCK = 2**14
 
 
-def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
-    """Both image sums in one pass: (3/8) * sum_n (+-1)^n (xi - n*pi)^-4.
+def _image_pass(points) -> list[tuple[float, float]]:
+    """Both image sums at many points: (3/8) * sum_n (+-1)^n (xi - n*pi)^-4.
 
-    Returns (plain, alternating), n = -N..N with N = cfg.image_terms: the
-    plain sum is the cot_profile oracle, the alternating one (sign (-1)^n)
-    the csc_profile oracle. Each is the correctly rounded sum of the same
-    2N+1 terms, so neither depends on the order of the terms, nor on the
-    path: below N = _ARRAY_IMAGE_TERMS a Python pass sums them with
-    math.fsum. A term with n != 0 is r * r with r = 1.0 / (d * d), three
-    correctly rounded operations on both paths (no libm, so no machine
-    dependence; within 2.5 * 2^-52 of d^-4, relative). The n = 0 term is
-    xi ** -4 (libm's pow), np.float_power on arrays. Where it overflows (xi
-    below about 8.6e-78) the Python pass hands the point to the array
-    pass, which gives inf with NumPy's overflow warning at every N.
+    points is a sequence of (xi, cfg) pairs, and the result holds one
+    (plain, alternating) pair per point, n = -N..N with N = cfg.image_terms:
+    the plain sum is the cot_profile oracle, the alternating one (sign
+    (-1)^n) the csc_profile oracle. Each is the correctly rounded sum of the
+    same 2N+1 terms, so neither depends on the order of the terms, on the
+    path, or on the other points: below N = _ARRAY_IMAGE_TERMS a Python pass
+    per point sums them with math.fsum. A term with n != 0 is r * r with
+    r = 1.0 / (d * d), three correctly rounded operations on both paths (no
+    libm, so no machine dependence; within 2.5 * 2^-52 of d^-4, relative).
+    The n = 0 term is xi ** -4 (libm's pow), np.float_power on arrays.
+    Where it overflows (xi below about 8.6e-78) the Python pass hands the
+    point to the array pass, which gives inf with NumPy's overflow warning
+    at every N.
 
-    On arrays, the displacements are built and powered once, in place, the
-    terms with even n != 0 in one slice and those with odd n in the other.
+    The array pass takes the points of one N together, _IMAGE_BLOCK doubles
+    at a time, each point a row of one 2-D array. Its displacements are
+    built and powered once, in place, the terms with even n != 0 in one
+    slice and those with odd n in the other. A column of zero terms (n =
+    -inf, so d = inf) leads the even slice, so that neither slice is empty.
     Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
     floating-point summation part I", SIAM J. Sci. Comput. 31, 2008) then
-    splits both slices into levels: with sigma = 2^e, e = (exponent of the
-    largest term) + m and 2^m above the number of terms, q = (sigma + t) - sigma
-    and t - q are exact, every q is a multiple of 2^(e-53) below 2^(e-m),
-    so each slice sum of q is exact in any order. The residuals t - q lie
-    within 2^(e-53), so the next level takes e - (53 - m). Every term is a
-    multiple of the grid g of the smallest one, and once 2^(e-53) < g the
-    level took each residual whole: the extraction stops there, leaving
-    both slice sums as a few exact doubles (the bound needs m <= 26, that
-    is N below 2^25, about 3.4e7). math.fsum over those doubles and the
-    n = 0 term, with the odd levels added or subtracted, gives the
-    correctly rounded sums. The n = 0 term stays out of the levels: it is
-    the only one that can be near overflow (inf for xi below about
-    8.6e-78, where both sums are inf), and it is a single exact double
-    already.
+    splits both slices of each row into levels: with the row's own
+    sigma = 2^e, e = (exponent of its largest term) + m and 2^m above the
+    number of terms, q = (sigma + t) - sigma and t - q are exact, every q is
+    a multiple of 2^(e-53) below 2^(e-m), so each slice sum of q is exact in
+    any order. The residuals t - q lie within 2^(e-53), so the next level
+    takes e - (53 - m). Every term is a multiple of the grid g of the row's
+    smallest one, and once 2^(e-53) < g the level takes each residual
+    whole, q = t: the row stops there, at its own level, so the block's
+    last level sums t itself. That leaves both slice sums of a row as a few
+    exact doubles (the bound needs m <= 26, that is N below 2^25, about
+    3.4e7). The rows of a block share the first row's sigma: a row whose
+    largest term has another exponent is scaled by a power of two before
+    the levels and its slice sums scaled back after them, both exact.
+    math.fsum over those doubles and the n = 0 term, with the odd levels
+    added or subtracted, gives the correctly rounded sums. The n = 0 term
+    stays out of the levels: it is the only one that can be near overflow
+    (inf for xi below about 8.6e-78, where both sums are inf), and it is a
+    single exact double already.
 
-    Raises OutOfDomain off (0, pi) and TailBoundViolated when the
-    truncated tail may exceed cfg.target_abs_tol.
+    The points are checked in input order, all of them before the array
+    pass: the first point off (0, pi) raises OutOfDomain, the first whose
+    truncated tail may exceed its cfg.target_abs_tol TailBoundViolated.
     """
-    _check_domain(xi)
-    n_terms = cfg.image_terms
-    bound = image_tail_bound(xi, n_terms)
-    if bound > cfg.target_abs_tol:
-        raise TailBoundViolated(
-            f"tail bound {bound:.3e} exceeds target {cfg.target_abs_tol:.3e}"
-            f" at xi={xi!r} with N={n_terms}"
-        )
     # Poles at the true pi, its low part from sin(pi) rather than PI_LO so
     # that the oracle does not move with production: n*lo is exact for
     # |n| < 2^37, so each displacement carries one rounding.
     lo = math.sin(math.pi)
-    try:  # the n = 0 term is xi itself, powered by ** (libm's pow), never r * r
-        t0 = xi ** -4 if n_terms < _ARRAY_IMAGE_TERMS else None
-    except OverflowError:  # the array pass gives inf and NumPy's warning
-        t0 = None
-    if t0 is not None:  # the terms of even n != 0, then of odd n: r * r, r = 1/(d*d)
-        evens, odds = ([(r := 1.0 / ((d := (xi - n * PI) - n * lo) * d)) * r for n in (
-            *range(-k, -n_terms - 1, -2), *range(k, n_terms + 1, 2))] for k in (2, 1))
-    else:
+    parts, rows = [None] * len(points), {}  # (t0, evens, odds); N -> array rows
+    for i, (xi, cfg) in enumerate(points):
+        _check_domain(xi)
+        n_terms = cfg.image_terms
+        bound = image_tail_bound(xi, n_terms)
+        if bound > cfg.target_abs_tol:
+            raise TailBoundViolated(
+                f"tail bound {bound:.3e} exceeds target {cfg.target_abs_tol:.3e}"
+                f" at xi={xi!r} with N={n_terms}"
+            )
+        try:  # the n = 0 term is xi itself, powered by ** (libm's pow), never r * r
+            t0 = xi ** -4 if n_terms < _ARRAY_IMAGE_TERMS else None
+        except OverflowError:  # the array pass gives inf and NumPy's warning
+            t0 = None
+        if t0 is None:
+            rows.setdefault(n_terms, []).append(i)
+        else:  # the terms of even n != 0, then of odd n: r * r, r = 1/(d*d)
+            evens, odds = ([(r := 1.0 / ((d := (xi - n * PI) - n * lo) * d)) * r for n in (
+                *range(-k, -n_terms - 1, -2), *range(k, n_terms + 1, 2))] for k in (2, 1))
+            parts[i] = (t0, evens, odds)
+    if rows:
         import numpy as np
+    for n_terms, index in rows.items():
+        k = np.arange(0.0, n_terms + 1)
+        k[0] = math.inf  # n = -inf: the column of zero terms
+        n = np.concatenate((-k[::2], k[2::2], -k[1::2], k[1::2]))  # even n, then odd n
+        n_pi, n_lo = n * PI, n * lo
+        cut = [0, n_terms // 2 * 2 + 1]  # where the even slice and the odd one start
+        m = (2 * n_terms).bit_length()
+        step = max(1, _IMAGE_BLOCK // len(n))
+        for block in (index[b:b + step] for b in range(0, len(index), step)):
+            xs = [points[i][0] for i in block]
+            # Each row's largest term is n = 1's and its smallest n = -N's (|d|
+            # grows with |xi - n*pi| and every rounding is monotone): their
+            # exponents give the row's e and its number of levels.
+            tops, stops = [], []
+            for xi in xs:
+                big = 1.0 / ((d := (xi - PI) - lo) * d)
+                small = 1.0 / ((d := (xi + n_terms * PI) + n_terms * lo) * d)
+                tops.append(math.frexp(big * big)[1])
+                stops.append((tops[-1] + m - math.frexp(small * small)[1]) // (53 - m) + 2)
+            x = np.array(xs, dtype=float)
+            t = np.subtract.outer(x, n_pi)
+            t -= n_lo
+            t *= t  # r * r with r = 1/(d*d), in place: three correctly rounded steps
+            np.divide(1.0, t, out=t)
+            t *= t
+            shifts = [e - tops[0] for e in tops]
+            if any(shifts):  # to the first row's sigma
+                t /= np.ldexp(1.0, shifts)[:, None]
+            sigma, q, sums = math.ldexp(1.0, tops[0] + m), np.empty_like(t), []
+            for _ in range(max(stops) - 1):
+                np.add(t, sigma, out=q)
+                q -= sigma
+                t -= q
+                sums.append(np.add.reduceat(q, cut, axis=1))  # exact in any order
+                sigma *= 2.0 ** (m - 53)
+            sums.append(np.add.reduceat(t, cut, axis=1))
+            sums = np.array(sums)  # level, row, slice
+            if any(shifts):  # back to each row's own scale
+                sums *= np.ldexp(1.0, shifts)[:, None]
+            # libm pow, as in math and _profile_terms: it overflows to inf with
+            # NumPy's warning where xi ** -4 raised
+            t0 = np.float_power(x, -4).tolist()
+            for i, t0_i, (evens, odds), stop in zip(
+                    block, t0, sums.transpose(1, 2, 0).tolist(), stops):
+                parts[i] = (t0_i, evens[:stop], odds[:stop])
+    return [(SERIES_LEADING * math.fsum([t0, *evens, *odds]),
+             SERIES_LEADING * math.fsum([t0, *evens, *(-s for s in odds)]))
+            for t0, evens, odds in parts]
 
-        k = np.arange(1.0, n_terms + 1)  # as above: even n != 0, then odd n
-        n = np.concatenate((-k[1::2], k[1::2], -k[::2], k[::2]))
-        t = (xi - n * PI) - n * lo
-        t *= t  # r * r with r = 1/(d*d), in place: three correctly rounded steps
-        np.divide(1.0, t, out=t)
-        t *= t  # even n != 0, then odd n; all positive and normal
-        split = n_terms // 2 * 2
-        m = len(t).bit_length()
-        e = math.frexp(t.max())[1] + m
-        e_min = math.frexp(t.min())[1]  # the smallest term's grid is 2^(e_min-53)
-        evens, odds = [], []
-        while True:
-            sigma = math.ldexp(1.0, e)
-            q = t + sigma
-            q -= sigma
-            t -= q
-            evens.append(float(q[:split].sum()))
-            odds.append(float(q[split:].sum()))
-            if e < e_min:
-                break
-            e -= 53 - m
-        # libm pow, as in math and _profile_terms: it overflows to inf with
-        # NumPy's warning where xi ** -4 raised
-        t0 = float(np.float_power(xi, -4))
-    plain = math.fsum([t0, *evens, *odds])
-    alternating = math.fsum([t0, *evens, *(-s for s in odds)])
-    return SERIES_LEADING * plain, SERIES_LEADING * alternating
+
+def _image_sums(xi: float, cfg: OracleConfig) -> tuple[float, float]:
+    """Both image sums at one point: _image_pass of the one pair (xi, cfg).
+
+    Raises OutOfDomain off (0, pi) and TailBoundViolated when the
+    truncated tail may exceed cfg.target_abs_tol.
+    """
+    return _image_pass(((xi, cfg),))[0]
 
 
 def cot_profile_via_images(

@@ -1255,8 +1255,10 @@ _ORACLE_VALUES = (
 
 def test_oracle_and_verify_bytes_do_not_depend_on_simd_dispatch():
     # NumPy's ** dispatches to an AVX-512 pow whose last bit differs from
-    # libm's; the oracle powers through np.float_power so that a machine
-    # without AVX-512 gets the same values and the same verify report.
+    # libm's. The oracle's terms with n != 0 are r * r with r = 1/(d*d),
+    # three IEEE roundings, and only its n = 0 term powers, through
+    # np.float_power (libm's pow), so that a machine without AVX-512 gets
+    # the same values and the same verify report.
     targets = _avx512_targets()
     if not targets:
         pytest.skip("NumPy lists no AVX-512 dispatch target")

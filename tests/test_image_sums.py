@@ -1,6 +1,6 @@
-"""The image-sum oracles: one pass per point gives both sums.
+"""The image-sum oracles: one pass gives both sums at many points.
 
-profiles._image_sums builds the displacements d = xi - n*pi once. Every
+profiles._image_pass builds the displacements d = xi - n*pi once. Every
 term with n != 0 is r * r with r = 1/(d*d), three correctly rounded IEEE
 operations, so no libm pow and no SIMD dispatch can move its bits; the
 n = 0 term, xi^-4, the only one that can overflow, keeps libm's pow (**
@@ -18,7 +18,12 @@ exact terms d^-4: 2.5 for the five half-ulp roundings of a term, a half
 for math.fsum's and a half for the factor 3/8's. The extreme points are
 pinned to their recorded values: below about 8.6e-78 the n = 0 term
 overflows and both sums are inf, with NumPy's overflow warning, at every
-N. The two public oracles are the halves of the pair.
+N. Many points in one call, as the rows of 2-D blocks, equal one-point
+calls (profiles._image_sums) bit for bit: across the seams of the blocks,
+next to both walls, with rows of many N in one call, and with one
+overflowing row among finite ones, which alone is inf and warns. Every
+point is checked before the array pass, and a refusal names the first bad
+point. The two public oracles are the halves of the pair.
 """
 
 import math
@@ -77,7 +82,8 @@ def test_the_two_passes_meet_between_verify_quick_and_full():
 def test_pass_equals_the_python_transcription_bit_for_bit():
     # N = 1 and 7 leave a tail far above any useful tolerance; a loose
     # target lets the pass run so the arithmetic itself is compared.
-    checked = 0
+    # and all of them in one call, as the rows of blocks
+    pairs, want = [], []
     for i, x in enumerate(_seeded_xi(1000)):
         configs = [OracleConfig(1, 1e300), OracleConfig(7, 1e300)] + [
             OracleConfig(image_terms_needed(x, tol), tol)
@@ -86,11 +92,11 @@ def test_pass_equals_the_python_transcription_bit_for_bit():
         if i % 10 == 0:
             configs += [OracleConfig(n_terms, 1e300) for n_terms in EDGE_SIZES]
         for cfg in configs:
-            assert _image_sums(x, cfg) == _transcribed(x, cfg.image_terms), (
-                x, cfg,
-            )
-            checked += 1
-    assert checked == 5200
+            want.append(_transcribed(x, cfg.image_terms))
+            assert _image_sums(x, cfg) == want[-1], (x, cfg)
+            pairs.append((x, cfg))
+    assert len(pairs) == 5200
+    assert profiles._image_pass(pairs) == want
 
 
 def test_both_sums_are_within_three_and_a_half_ulps_of_the_exact_plain_sum():
@@ -126,8 +132,9 @@ def test_both_passes_take_pis_low_part_from_sin_pi(monkeypatch, scale, n_terms):
 
 
 def test_log_uniform_points_down_to_1e_76_equal_the_transcription():
+    # and all of them in one call, as the rows of blocks
     rng = random.Random(20261018)
-    checked = 0
+    pairs, want = [], []
     for i in range(300):
         x = math.exp(rng.uniform(math.log(1e-76), math.log(PI)))
         sizes = [1, 2, 3] + ([image_terms_needed(x, 1e-12)] if i % 3 == 0 else [])
@@ -137,9 +144,11 @@ def test_log_uniform_points_down_to_1e_76_equal_the_transcription():
             sizes += EDGE_SIZES
         for n_terms in sizes:
             cfg = OracleConfig(n_terms, 1e300)
-            assert _image_sums(x, cfg) == _transcribed(x, n_terms), (x, n_terms)
-            checked += 1
-    assert checked == 1025
+            want.append(_transcribed(x, n_terms))
+            assert _image_sums(x, cfg) == want[-1], (x, n_terms)
+            pairs.append((x, cfg))
+    assert len(pairs) == 1025
+    assert profiles._image_pass(pairs) == want
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-78])
@@ -213,6 +222,82 @@ def test_points_off_the_interval_are_refused_first(oracle, x):
     # the domain check comes before the tail bound, even with N = 1
     with pytest.raises(OutOfDomain):
         oracle(x, OracleConfig(1, 1e-12))
+
+
+# A block of the array pass holds _IMAGE_BLOCK // (2N + 1) points of one N:
+# 5 at the default N = 1500, as at verify full's 1370 and 1371.
+BLOCK = profiles._IMAGE_BLOCK // 3001
+WALLS = [5e-77, 1e-70, 1e-20, 0.05, profiles.HALF_PI, PI - 1e-15, PI - 4.440892098500626e-16]
+
+
+def _many(count: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    return [rng.uniform(0.0, PI) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("xs", ["uniform", "walls"])
+def test_many_points_in_one_call_equal_one_point_calls(count, xs):
+    # across the seams of the blocks, and next to both walls, where the
+    # rows' largest terms differ by up to 200 binades
+    xs = _many(count, count) if xs == "uniform" else (WALLS * count)[:count]
+    cfg = profiles.DEFAULT_ORACLE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = profiles._image_pass([(x, cfg) for x in xs])
+        assert got == [_image_sums(x, cfg) for x in xs]
+    assert got == [_transcribed(x, 1500) for x in xs]
+
+
+def test_rows_of_different_n_in_one_call_equal_one_point_calls():
+    # N on both sides of _ARRAY_IMAGE_TERMS, and verify full's two, in one
+    # call, interleaved so that no two neighbours share a block by order
+    sizes = [1, 7, 300, *EDGE_SIZES, 1370, 1371, 1500]
+    rng = random.Random(20261020)
+    pairs = [(x, OracleConfig(rng.choice(sizes), 1e300)) for x in _many(60, 7) + WALLS]
+    rng.shuffle(pairs)
+    got = profiles._image_pass(pairs)
+    assert got == [_image_sums(x, cfg) for x, cfg in pairs]
+    assert got == [_transcribed(x, cfg.image_terms) for x, cfg in pairs]
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, *EDGE_SIZES, 1500])
+def test_an_overflowing_row_among_finite_ones_is_inf_alone(n_terms):
+    cfg = OracleConfig(n_terms, 1e300)
+    xs = _many(BLOCK + 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [_image_sums(x, cfg) for x in xs]
+    xs.insert(4, 1e-80)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = profiles._image_pass([(x, cfg) for x in xs])
+    assert [str(w.message) for w in caught] == ["overflow encountered in float_power"]
+    assert got.pop(4) == (math.inf, math.inf)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "xs, cfg_of, error, message",
+    [
+        # the tail bound of the second point, before the third's domain
+        ([0.5, 3.0, 0.0], lambda x: OracleConfig(2 if x == 3.0 else 1500, 1e-6),
+         TailBoundViolated,
+         "tail bound 2.249e-03 exceeds target 1.000e-06 at xi=3.0 with N=2"),
+        # the domain of the second point, before the third's tail bound
+        ([0.5, PI, 0.3], lambda x: OracleConfig(1 if x == 0.3 else 1500, 1e-12),
+         OutOfDomain, f"xi={PI!r} is outside the open interval (0, pi)"),
+        # before any array work: the first point would overflow with a warning
+        ([1e-80, 2.0, -1.0], lambda x: profiles.DEFAULT_ORACLE,
+         OutOfDomain, "xi=-1.0 is outside the open interval (0, pi)"),
+    ],
+)
+def test_a_refusal_names_the_first_bad_point_in_input_order(xs, cfg_of, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            profiles._image_pass([(x, cfg_of(x)) for x in xs])
+    assert str(info.value) == message
 
 
 def test_image_terms_needed_refuses_a_tolerance_that_is_not_positive():

@@ -256,6 +256,10 @@ def test_a_reflection_check_evaluates_its_function_twice_per_point(name):
     [
         # 2 geometries x 50 z, for each of <E^2> and <B^2>
         ("potential_from_correlators", ("mean_square_e", "mean_square_b"), 200),
+        # the row it shares with potential_additivity: 2 geometries x 4 atoms
+        # x 50 z, for V, and for each of V_E and V_M
+        ("potential_additivity", ("potential_total",), 400),
+        ("potential_additivity", ("potential_electric", "potential_magnetic"), 800),
         # 2 geometries x 25 z unscaled, and 4 scales of each
         ("potential_linearity", ("potential_total",), 250),
         ("potential_scaling", ("potential_total",), 250),
@@ -269,21 +273,23 @@ def test_a_check_evaluates_each_value_once_at_full_level(monkeypatch, name, name
         fn = getattr(verification, attr)
         monkeypatch.setattr(
             verification, attr, lambda *args, fn=fn: seen.append((fn, *args)) or fn(*args))
-    (result,) = _row(name)("full")
-    assert result[3] and len(set(seen)) == len(seen) == calls
+    results = list(_row(name)("full"))
+    assert all(result[3] for result in results)
+    assert len(set(seen)) == len(seen) == calls
 
 
 @pytest.mark.parametrize("level, points", [("quick", 10), ("full", 120)])
 def test_one_image_pass_per_oracle_point(monkeypatch, level, points):
-    seen = []
+    # the oracle row hands all of its points to one pass, each point once
+    passes = []
 
-    def counted(xi, cfg):
-        seen.append(xi)
-        return profiles._image_sums(xi, cfg)
+    def counted(pairs):
+        passes.append([x for x, _ in pairs])
+        return profiles._image_pass(pairs)
 
-    monkeypatch.setattr(verification, "_image_sums", counted)
+    monkeypatch.setattr(verification, "_image_pass", counted)
     assert run_verification(level).passed
-    assert len(seen) == len(set(seen)) == points
+    assert len(passes) == 1 and len(set(passes[0])) == len(passes[0]) == points
 
 
 # Production faults, each injected where the checks read it, and the exact
