@@ -324,32 +324,27 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
     TooCloseToWall) wins over a result out of the double range, which is
     raised only once every chunk has passed the domain check. That is a
     NonFiniteResult: the correlator prefactor's own, or, where a prefactor
-    or a profile power raises OverflowError or ZeroDivisionError, one that
-    names the error, the term and the chunk's first row and z. The term is
-    p, the profile, where Geometry._grid_terms raises it: at a refused row
-    whose pi*z/a underflowed to 0. atom may be None where no column needs
-    one.
+    raises OverflowError or ZeroDivisionError, one that names the error,
+    the term and the chunk's first row and z. atom may be None where no
+    column needs one.
 
     A float z (the CLI's --z point) is one chunk of one row: a list of one
     float tuple and a list of one flag, from one Geometry.point_terms call
     and the columns on floats, with the same bits and without NumPy. Where
-    a power in the scalar forms leaves the double range (OverflowError,
-    ZeroDivisionError), the point goes through the array kernel instead, so
-    that the finite gate names its inf or nan cell as it does in a grid.
+    a power in its terms or its columns leaves the double range on floats
+    (OverflowError, ZeroDivisionError), the point goes through the array
+    pass instead, as a grid of one row, which names it as it names a grid
+    row: the finite gate its inf or nan cell, or the term of a prefactor.
     """
     if isinstance(z, float):
         try:
             p, dp, asymptotic = geom.point_terms(z, guard)
+            terms = _Terms(atom, geom, z, p, dp)
+            row = tuple([terms[c] for c in columns])
         except (OverflowError, ZeroDivisionError):
             z = [z]
         else:
-            terms, row = _Terms(atom, geom, z, p, dp), []
-            try:
-                for c in columns:
-                    row.append(terms[c])
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _out_of_range(exc, f"{c} from row 1 (z={z!r})") from exc
-            yield [tuple(row)], [asymptotic]
+            yield [row], [asymptotic]
             return
     import numpy as np
 
@@ -357,7 +352,7 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
         z = np.asarray(z, dtype=np.float64)
     for start in range(0, len(z), CHUNK_ROWS):
         with np.errstate(all="ignore"):  # for the positions, kernel and columns alike
-            zc, c = z[start:start + CHUNK_ROWS], "p"
+            zc = z[start:start + CHUNK_ROWS]
             try:
                 p, dp, asymptotic = geom._grid_terms(zc, guard)
                 terms = _Terms(atom, geom, zc, p, dp)

@@ -27,12 +27,12 @@ grid. A z is between the walls where 0 < z < a by the test of
 profiles._inside (so a z that float arithmetic refuses, a str or a
 Decimal, is outside), and its xi is pi*(z/a); _point and Geometry.xi
 apply that rule, word a refusal with profiles._outside and chain no
-exception. Where pi*z/a
-underflows to 0.0 (z/a below about 1e-324) xi is the smallest positive
-double instead, so the point is in the guard band as one with a subnormal
-xi is, not refused as outside the walls; on a grid the kernel's band
-already holds xi = 0.0. A grid has one refusal rule, the scalar one: its
-first refused row goes to Geometry.profile, which raises. Records the
+exception. Where pi*z/a underflows to 0.0 (z/a below about 1e-324) the
+point is in the guard band at every epsilon, in _point as in the kernel,
+not refused as outside the walls, and a refusal names it as the smallest
+positive double, the xi Geometry.xi gives it. _point alone decides the
+band: a grid's first refused row goes to Geometry.profile, which raises
+the scalar error and message. Records the
 module builds from its own values (the tensors of correlator_ee and
 correlator_bb, the one zero EB record) skip the checks of
 CorrelatorTensor.__new__.
@@ -45,7 +45,6 @@ and finite (OutOfDomain otherwise, an int beyond the double range too).
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import sys
 from collections import namedtuple
@@ -173,10 +172,6 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         refused rows are those outside (0, a) and, under mode="reject",
         those in the band; the first of them in grid order goes to
         self.profile, which raises the scalar error and message for it.
-        The one exception is a row in the band only because pi*z/a
-        underflowed to 0 under an epsilon of 5e-324: there self.profile, at
-        the smallest xi, divides by 0, and its ZeroDivisionError is raised
-        only if no later row is refused.
         """
         import numpy as np
 
@@ -190,11 +185,8 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         ok = (0.0 < z) & (z < a)
         if guard.mode == "reject":
             ok = ok > asymptotic  # inside and not in the band
-        if not ok.all():  # the first refused row's DomainError, else the
-            for x in z[~ok].tolist():  # first refused row's double-range error
-                with contextlib.suppress(OverflowError, ZeroDivisionError):
-                    self.profile(x, guard)
-            self.profile(float(z[ok.argmin()]), guard)  # raises
+        if not ok.all():  # _point decides the band as the kernel does, so this raises
+            self.profile(float(z[ok.argmin()]), guard)
         return p, dp, asymptotic
 
 

@@ -49,10 +49,9 @@ from .errors import (
     FlatPotentialWarning,
     NegativePolarizabilityWarning,
     OutOfDomain,
-    TooCloseToWall,
 )
 from .profiles import (
-    DEFAULT_GUARD, PI, GuardPolicy, _finite, _inside, _pow, wall_distance,
+    DEFAULT_GUARD, PI, Form, GuardPolicy, _finite, _inside, _point, _pow,
 )
 
 # Combined constant of potential_total, transcribed apart from the diagonal
@@ -63,6 +62,10 @@ _COMBINED_CONST = {
 }
 _PI3, _PI4 = PI ** 3, PI ** 4  # the doubles PI ** 3 and PI ** 4, taken once
 _REGIME = ("exact", "asymptotic")  # potential_sample's regime by its flag
+# The z step with nothing to evaluate: profiles._point's domain and band tests
+# alone, so a bracket end is refused where a profile is, and no power of it
+# can leave the double range.
+_NO_FORM = Form(closed=lambda s, c, sign, pow: None, series=lambda u, sign, pow: None)
 
 
 class AtomResponse(namedtuple("AtomResponse", "alpha0 beta0")):
@@ -230,20 +233,18 @@ def stationary_points(
     scale pi^4*(|alpha0|+|beta0|)/a^6. A degenerate atom (alpha0 == beta0)
     has a position-independent potential: that returns [] with a
     FlatPotentialWarning rather than every point. A bracket end inside the
-    guard band raises TooCloseToWall in either guard mode; the band is the
-    one the profile evaluation refuses in, wall_distance(xi) < epsilon.
+    guard band is refused in either guard mode, by the z step in reject
+    mode: TooCloseToWall, worded as the profile's own refusal of that z
+    ("xi=... is within epsilon of a wall (mode=reject)"), z_lo first.
     """
     a = geom.separation_a
     if not (_inside(z_lo, z_hi) and _inside(z_hi, a)):
         raise OutOfDomain(
             f"need 0 < z_lo < z_hi < a, got z_lo={z_lo!r}, z_hi={z_hi!r}, a={a!r}"
         )
-    eps = guard.epsilon
-    if wall_distance(geom.xi(z_lo)) < eps or wall_distance(geom.xi(z_hi)) < eps:
-        band = eps * a / PI  # the band's width in z, for the message only
-        raise TooCloseToWall(
-            f"bracket [{z_lo!r}, {z_hi!r}] enters the guard band of width {band!r}"
-        )
+    reject = GuardPolicy(guard.epsilon)  # refuses a bracket end in the band in either mode
+    for end in (z_lo, z_hi):
+        _point(_NO_FORM, None, end, a, reject)
     if atom.alpha0 == atom.beta0:
         warnings.warn(
             "flat potential: alpha0 == beta0 makes every point stationary",

@@ -39,11 +39,15 @@ once, at import.
 Two steps on floats turn an argument into (u, sign, band). _evaluate is
 the one of the six public functions of xi: one form, a check that xi is
 in (0, pi), the reflection. _point is the z step of every Geometry method
-on one z: it checks 0 < z < a, forms xi = pi*(z/a) (the smallest positive
-double where that underflows to 0.0), reflects once, takes one sin/cos
-pair and runs one band test for the profile and, if asked, its slope,
-with the asymptotic flag. A public scalar function evaluates its forms
-in one call of one of them, and both word a band refusal through
+on one z, and the one place that decides the guard band of a position:
+it checks 0 < z < a, forms xi = pi*(z/a), reflects once, runs one band
+test, the kernel's own, u < epsilon, and takes one sin/cos pair for the
+profile and, if asked, its slope, with the asymptotic flag. An xi that
+underflows to 0.0 is thus in the band at every epsilon, 5e-324 included;
+the smallest positive double only names it in a refusal and is its
+series' wall distance. Geometry.profile_terms and stationary_points
+refuse a position by calling it. A public scalar function evaluates its
+forms in one call of one of them, and both word a band refusal through
 _refuse. An argument that float arithmetic refuses is outside the
 domain: a str, a Decimal or an int beyond the double range is refused as
 outside (0, pi) (zeta4: as not q > 0; a z as outside (0, a), by
@@ -324,14 +328,16 @@ def _point(profile: Form, deriv: Form | None, z: float, a: float, guard: GuardPo
     """The z step on floats: (profile, slope, asymptotic) at one z.
 
     The one place a position between the walls becomes (u, sign, band):
-    0 < z < a by the test of _inside, xi = pi*(z/a) (the smallest positive
-    double where that underflows, as Geometry.xi), one reflection, one
-    sin/cos pair and one band test for both Forms. With deriv=None it
-    returns the profile alone, a float, and evaluates no slope. The values
-    are _profile_terms' at the same z and a bit for bit (where a power
-    leaves the double range this raises as ** does, the profile before the
-    slope). A z off (0, a) is refused after the except block, so that its
-    error chains nothing.
+    0 < z < a by the test of _inside, xi = pi*(z/a), one reflection, one
+    band test for both Forms, u < epsilon as in _profile_terms, and one
+    sin/cos pair. Where pi*z/a underflows to 0.0 the point is in the band
+    whatever epsilon is; the smallest positive double, as Geometry.xi
+    gives, is the xi a refusal names and the u of the series. With
+    deriv=None it returns the profile alone, a float, and evaluates no
+    slope. The values are _profile_terms' at the same z and a bit for bit
+    (where a power leaves the double range this raises as ** does, the
+    profile before the slope). A z off (0, a) is refused after the except
+    block, so that its error chains nothing.
     """
     try:  # _inside(z, a) inline
         if not (0.0 * z < z and z < a):
@@ -339,7 +345,7 @@ def _point(profile: Form, deriv: Form | None, z: float, a: float, guard: GuardPo
     except (OutOfDomain, TypeError, OverflowError):  # or refused by float arithmetic
         pass
     else:
-        xi = PI * (z / a) or _XI_MIN
+        xi = PI * (z / a)
         if xi <= HALF_PI:
             u, sign = xi, 1.0
         else:
@@ -350,7 +356,8 @@ def _point(profile: Form, deriv: Form | None, z: float, a: float, guard: GuardPo
             s, c = _sin(u), _cos(u)
             return profile.closed(s, c, sign, _pow), deriv.closed(s, c, sign, _pow), False
         if guard.mode == "reject":
-            _refuse(xi, guard)
+            _refuse(xi or _XI_MIN, guard)
+        u = u or _XI_MIN  # where xi underflowed, the series' smallest wall distance
         if deriv is None:
             return profile.series(u, sign, _pow)
         return profile.series(u, sign, _pow), deriv.series(u, sign, _pow), True
@@ -406,10 +413,10 @@ def _profile_terms(
     (0, a) is _point's value in asymptotic mode bit for bit (series inside
     the band): the forms are the same, np.sin/np.cos agree with libm on
     the platforms the golden tests pin, and np.float_power is libm's pow.
-    Where pi*(z/a) underflows to 0.0 the element is in the band, as
-    _point's smallest positive xi is, and its series is infinite. Elements off
-    (0, a) are meaningless; Geometry.profile_terms, the checked grid
-    entry, refuses such rows and, under mode="reject", the masked ones.
+    Where pi*(z/a) underflows to 0.0 the element is in the band, as in
+    _point, and its series is infinite. Elements off (0, a) are
+    meaningless; Geometry.profile_terms, the checked grid entry, refuses
+    such rows and, under mode="reject", the masked ones.
     NumPy's error state is the caller's: Geometry.profile_terms and the
     table chunks run this under np.errstate(all="ignore"), so an overflow
     gives inf, not a warning.

@@ -27,6 +27,8 @@ image pass (profiles._image_pass), which gives both sums at each, and
 evaluates cot_profile once per point, and they are still reported as three
 checks. potential_additivity and potential_from_correlators are one row
 too: it evaluates V, V_E and V_M once per (geometry, atom, z) for both.
+So are potential_linearity and potential_scaling, which read one unscaled
+V per (geometry, z).
 Rows whose checks differ only in their arguments share one function: the
 four series checks, the two finite-difference checks, the two reflection
 checks and the two zero-pattern matrix checks (tensor_structure, eb_zero:
@@ -443,7 +445,10 @@ def _check_potentials(level: str):
     yield _rel_result(diffs, denoms, 1e-12)
 
 
-def _check_linearity(level: str):
+def _check_linearity_and_scaling(level: str):
+    """potential_linearity and potential_scaling, from one unscaled
+    potential_total per (geometry, z): c*V(atom) against V(c*atom), and V at
+    a = 1 against s^4 * V at a = s and s*z."""
     zs = _grid(0.05, 0.95, 10 if level == "quick" else 25)
     atom = AtomResponse(1.0, 0.25)
     unscaled = {(geom, z): potential_total(atom, geom, z) for geom in _GEOMETRIES for z in zs}
@@ -453,13 +458,7 @@ def _check_linearity(level: str):
          c * _potential_floor(atom, geom.separation_a))
         for geom in _GEOMETRIES for c in (2.0, 3.0, 10.0, 0.5) for z in zs
     ], 1e-15)
-
-
-def _check_potential_scaling(level: str):
-    zs = _grid(0.05, 0.95, 10 if level == "quick" else 25)
-    atom = AtomResponse(1.0, 0.25)
     floor = _potential_floor(atom, 1.0)
-    unscaled = {(base, z): potential_total(atom, base, z) for base in _GEOMETRIES for z in zs}
     yield _agree([
         (unscaled[base, z],
          s ** 4 * potential_total(atom, Geometry(base.kind, s), s * z), floor)
@@ -550,8 +549,7 @@ _CHECKS = (
     (("correlator_scaling",), _check_correlator_scaling),
     (("cc_reflection_cp_asymmetry",), _check_reflection_asymmetry),
     (("potential_additivity", "potential_from_correlators"), _check_potentials),
-    (("potential_linearity",), _check_linearity),
-    (("potential_scaling",), _check_potential_scaling),
+    (("potential_linearity", "potential_scaling"), _check_linearity_and_scaling),
     (("cc_potential_reflection",), _check_cc_potential_reflection),
     (("single_wall_convergence",), _check_single_wall),
     (("force_fd_consistency",), _check_force_fd),

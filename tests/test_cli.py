@@ -184,11 +184,11 @@ def test_config_errors_exit_1(capsys, argv):
         (("limits", "--z", "1", "--a-values", "1e80", "--guard-mode",
           "asymptotic"),
          "NonFiniteResult: a result is out of the double range (OverflowError"),
-        # sin(u)**4 is 0 in the closed form at the smallest xi
+        # pi*z/a underflows to 0: in the guard band at every epsilon, the
+        # smallest included, before any power of it is taken
         (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
           "5e-324", "--z-max", "1", "--z-count", "2"),
-         "NonFiniteResult: a result is out of the double range"
-         " (ZeroDivisionError"),
+         "TooCloseToWall"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::cpwalls.errors.NegativePolarizabilityWarning")
@@ -203,6 +203,7 @@ def test_refusals_are_named_and_write_nothing(capsys, argv, error):
 _DOUBLE_RANGE = "NonFiniteResult: a result is out of the double range"
 _OVERFLOW = " (OverflowError: (34, 'Numerical result out of range')) in "
 _ZERO_DIVISION = " (ZeroDivisionError: float division by zero) in "
+_UNDERFLOW_BAND = "TooCloseToWall: xi=5e-324 is within 5e-324 of a wall (mode=reject)\n"
 
 
 @pytest.mark.parametrize(
@@ -226,14 +227,13 @@ _ZERO_DIVISION = " (ZeroDivisionError: float division by zero) in "
         # V_limit underflows to 0: the relative error divides by it
         (("limits", "--alpha", "1e-300", "--z", "1e10"),
          _DOUBLE_RANGE + _ZERO_DIVISION + "rel_error in row 1 (a=200000000000.0)\n"),
-        # pi*z/a underflows to 0, in the kernel's band, and the scalar
-        # profile at the smallest xi, not below epsilon, divides by
-        # sin(u)**4 == 0: the profile term p is named, on a grid and a point
+        # pi*z/a underflows to 0: in the guard band at every epsilon, the
+        # smallest included, so no power of it leaves the double range; the
+        # row is refused as too close to the wall, on a grid and a point
         (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
-          "5e-324", "--z-max", "1", "--z-count", "2"),
-         _DOUBLE_RANGE + _ZERO_DIVISION + "p from row 1 (z=5e-324)\n"),
+          "5e-324", "--z-max", "1", "--z-count", "2"), _UNDERFLOW_BAND),
         (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z", "5e-324"),
-         _DOUBLE_RANGE + _ZERO_DIVISION + "p from row 1 (z=5e-324)\n"),
+         _UNDERFLOW_BAND),
     ],
 )
 def test_a_result_out_of_the_double_range_names_its_column_and_row(capsys, argv, want):
@@ -332,14 +332,12 @@ _GRID_REFUSALS = [
     (("correlators", "--a", "1e300", "--z-min", "1e-30", "--z-max", "5e299",
       "--z-count", "3"),
      "TooCloseToWall: xi=5e-324 is within 1e-06 of a wall (mode=reject)\n"),
-    # the same smallest xi where its closed form divides by 0 (epsilon
-    # 5e-324): named as the profile p, unless a later row is refused
+    # the same smallest xi under the smallest epsilon, 5e-324: still in the
+    # band, and row 1 is refused first, before row 9 on the far wall too
     (("correlators", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
-      "5e-324", "--z-max", "1", "--z-count", "9"),
-     _DOUBLE_RANGE + _ZERO_DIVISION + "p from row 1 (z=5e-324)\n"),
+      "5e-324", "--z-max", "1", "--z-count", "9"), _UNDERFLOW_BAND),
     (("potential", "--a", "2.5", "--guard-eps", "5e-324", "--z-min",
-      "5e-324", "--z-max", "2.5", "--z-count", "9"),
-     "OutOfDomain: z=2.5 is not strictly between the walls (0, 2.5)\n"),
+      "5e-324", "--z-max", "2.5", "--z-count", "9"), _UNDERFLOW_BAND),
     # the span z_max - z_min overflows: np.linspace's first row is nan
     (("potential", "--z-min=-1.7e308", "--z-max=1.7e308", "--z-count", "5"),
      "OutOfDomain: z=nan is not strictly between the walls (0, 1.0)\n"),

@@ -26,6 +26,7 @@ from cpwalls.correlators import (
     tensor_prefactor,
 )
 from cpwalls.errors import NonFiniteResult, OutOfDomain, TooCloseToWall
+from cpwalls.potentials import AtomResponse, stationary_points
 from cpwalls.profiles import GuardPolicy
 
 CC = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1.0)
@@ -353,22 +354,32 @@ def test_traces_build_no_tensor_record(monkeypatch):
 _XI_UNDERFLOWS = [(1e300, 1e-30), (4.0, 5e-324), (1e30, 1e-300)]
 
 
+@pytest.mark.parametrize("eps", [1e-6, 5e-324])
 @pytest.mark.parametrize("kind", list(WallKind))
 @pytest.mark.parametrize("a, z", _XI_UNDERFLOWS)
-def test_xi_that_underflows_is_the_smallest_double_in_the_band(kind, a, z):
+def test_xi_that_underflows_is_the_smallest_double_in_the_band(kind, a, z, eps):
     # such a point is as close to the wall as one whose xi is subnormal,
-    # and is refused as one, not as a point outside the walls
+    # and is refused as one, not as a point outside the walls: in the band
+    # at every epsilon, the smallest one included, by the scalar z step,
+    # the grid and a stationary_points bracket alike
     geom = Geometry(kind, a)
     assert math.pi * (z / a) == 0.0
     assert geom.xi(z) == 5e-324
-    band = "TooCloseToWall: xi=5e-324 is within 1e-06 of a wall (mode=reject)"
+    band = f"TooCloseToWall: xi=5e-324 is within {eps} of a wall (mode=reject)"
     grid = np.array([z, 0.5 * a])
-    for call in (geom.profile, geom.profile_deriv, geom.point_terms,
-                 lambda z: geom.profile_terms(grid)):
+    guard, soft = GuardPolicy(eps), GuardPolicy(eps, "asymptotic")
+    for call in (
+        lambda: geom.profile(z, guard),
+        lambda: geom.profile_deriv(z, guard),
+        lambda: geom.point_terms(z, guard),
+        lambda: geom.profile_terms(grid, guard),
+        # a bracket end in the band is refused in either mode
+        lambda: stationary_points(AtomResponse(1.0, 0.0), geom, z, 0.5 * a, guard),
+        lambda: stationary_points(AtomResponse(1.0, 0.0), geom, z, 0.5 * a, soft),
+    ):
         with pytest.raises(TooCloseToWall) as info:
-            call(z)
+            call()
         assert f"{info.typename}: {info.value}" == band
-    soft = GuardPolicy(mode="asymptotic")
     with pytest.raises(OverflowError):  # as for a subnormal xi: u**-4
         geom.profile(z, soft)
     p, dp, asymptotic = geom.profile_terms(grid, soft)

@@ -189,29 +189,21 @@ def test_geometry_grid_refuses_the_first_bad_row_in_grid_order():
     )
 
 
-# a = 2.5, epsilon 5e-324: pi*z/a is 0.0 at z = 5e-324, in the kernel's band,
-# while the scalar profile at the smallest xi divides by sin(u)**4 == 0
+# a = 2.5, epsilon 5e-324: pi*z/a is 0.0 at z = 5e-324, in the band at every
+# epsilon, in the kernel and in the scalar z step alike
 _UNDERFLOW_GUARD = GuardPolicy(5e-324, "reject")
+_UNDERFLOW_BAND = (TooCloseToWall, "xi=5e-324 is within 5e-324 of a wall (mode=reject)")
 
 
-@pytest.mark.parametrize("z", [
-    [5e-324, 2.5],
-    [2.5, 5e-324],
-    [5e-324, 5e-324, 1.0, 2.5, -1.0],
+@pytest.mark.parametrize("kind", list(WallKind))
+@pytest.mark.parametrize("z, want", [
+    ([5e-324, 2.5], _UNDERFLOW_BAND),
+    ([2.5, 5e-324], (OutOfDomain, "z=2.5 is not strictly between the walls (0, 2.5)")),
+    ([1.0, 5e-324, 5e-324, 2.5, -1.0], _UNDERFLOW_BAND),
 ])
-def test_a_row_whose_xi_underflows_gives_way_to_a_later_domain_refusal(z):
-    geom = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 2.5)
-    assert _raised(lambda: geom.profile_terms(np.array(z), _UNDERFLOW_GUARD)) == (
-        OutOfDomain, "z=2.5 is not strictly between the walls (0, 2.5)")
-
-
-def test_a_row_whose_xi_underflows_raises_the_scalar_error_if_nothing_else_is_refused():
-    geom = Geometry(WallKind.CONDUCTOR_PERMEABLE, 2.5)
-    for call in (lambda: geom.profile_terms(np.array([5e-324, 5e-324, 1.0]),
-                                            _UNDERFLOW_GUARD),
-                 lambda: geom.profile(5e-324, _UNDERFLOW_GUARD)):
-        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
-            call()
+def test_the_first_refused_row_in_grid_order_is_refused_when_its_xi_underflows(kind, z, want):
+    geom = Geometry(kind, 2.5)
+    assert _raised(lambda: geom.profile_terms(np.array(z), _UNDERFLOW_GUARD)) == want
 
 
 PARITY_A = (1.0, 2.5, 3.7e-5, 1e-300, 1e30, 1e300)

@@ -339,11 +339,11 @@ def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z, refusal):
 
 # (call, kind) -> opcode events of one warm call, the calling lambda's included
 BYTECODES = {
-    ("potential_total z < a/2", "cc"): 138, ("potential_total z < a/2", "cp"): 140,
-    ("potential_total z > a/2", "cc"): 141, ("potential_total z > a/2", "cp"): 143,
-    ("potential_sample", "cc"): 214, ("potential_sample", "cp"): 222,
-    ("force", "cc"): 119, ("force", "cp"): 125,
-    ("correlator_ee", "cc"): 151, ("correlator_ee", "cp"): 153,
+    ("potential_total z < a/2", "cc"): 137, ("potential_total z < a/2", "cp"): 139,
+    ("potential_total z > a/2", "cc"): 140, ("potential_total z > a/2", "cp"): 142,
+    ("potential_sample", "cc"): 213, ("potential_sample", "cp"): 221,
+    ("force", "cc"): 118, ("force", "cp"): 124,
+    ("correlator_ee", "cc"): 150, ("correlator_ee", "cp"): 152,
     ("cot_profile", None): 74,
 }
 

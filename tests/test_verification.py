@@ -260,9 +260,10 @@ def test_a_reflection_check_evaluates_its_function_twice_per_point(name):
         # x 50 z, for V, and for each of V_E and V_M
         ("potential_additivity", ("potential_total",), 400),
         ("potential_additivity", ("potential_electric", "potential_magnetic"), 800),
-        # 2 geometries x 25 z unscaled, and 4 scales of each
-        ("potential_linearity", ("potential_total",), 250),
-        ("potential_scaling", ("potential_total",), 250),
+        # the row it shares with potential_scaling: 2 geometries x 25 z
+        # unscaled, and 4 factors and 4 scales of each
+        ("potential_linearity", ("potential_total",), 450),
+        ("potential_scaling", ("potential_total",), 450),
         # 2 kinds x 20 fractions x 2 pairs at a = 1, and 3 scales of each
         ("correlator_scaling", ("correlator_ee", "correlator_bb"), 320),
     ],
