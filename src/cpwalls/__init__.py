@@ -10,7 +10,9 @@ natural units (hbar = c = 1), with independent oracles for every closed form.
 Importing the package loads neither NumPy nor the verification suite: NumPy
 comes in with the first array (a grid table, an image sum of 1024 image
 pairs or more, a tensor's components), and cpwalls.verification with the
-first of its names that is asked for.
+first of its names that is asked for. Those names include the independent
+oracles (OracleConfig, DEFAULT_ORACLE, the image sums, zeta4 and the
+Hurwitz route), which live in cpwalls.verification, their one caller.
 
 Every record (GuardPolicy, Geometry, AtomResponse, CorrelatorTensor,
 SweepSpec, PotentialCurve, LimitStudy, CheckResult, ...) is an immutable
@@ -66,34 +68,35 @@ from .potentials import (
 )
 from .profiles import (
     DEFAULT_GUARD,
-    DEFAULT_ORACLE,
     GuardPolicy,
-    OracleConfig,
     cot_profile,
     cot_profile_deriv,
     cot_profile_series,
-    cot_profile_via_hurwitz,
-    cot_profile_via_images,
     csc_profile,
     csc_profile_deriv,
     csc_profile_series,
-    csc_profile_via_images,
-    image_tail_bound,
-    image_terms_needed,
     wall_distance,
-    zeta4,
 )
 from .units import HBAR_C_J_M
 
 __version__ = "0.1.0"
 
-# The verification suite and its names load on first use (PEP 562), so an
-# import of the package, or of the CLI, does not compile it.
+# The verification suite and its names, the oracles' among them, load on
+# first use (PEP 562), so an import of the package, or of the CLI, does not
+# compile them.
 _VERIFICATION_NAMES = (
     "REQUIRED_CHECK_NAMES",
     "CheckResult",
     "VerificationReport",
     "run_verification",
+    "DEFAULT_ORACLE",
+    "OracleConfig",
+    "cot_profile_via_hurwitz",
+    "cot_profile_via_images",
+    "csc_profile_via_images",
+    "image_tail_bound",
+    "image_terms_needed",
+    "zeta4",
 )
 __all__ = [n for n in globals() if not n.startswith("_")]
 __all__ += ["verification", *_VERIFICATION_NAMES]

@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: potential, correlators, sweep, limits, verify. Exit status is
-0 on success, 1 for a malformed configuration (bad flags, config file, grid,
-or an --out path that cannot be opened), 2 when the physics domain rejects
-an evaluation point or a table cell would be inf, nan or subnormal, or an
---units si cell underflows to zero from a nonzero value (NonFiniteResult);
-the error class name goes to stderr.
+0 on success, 1 for a malformed configuration (bad flags, config file, grid)
+or output that cannot be written (an --out path that cannot be opened, a
+full disk, a closed pipe; what was written before the failure stays
+written), 2 when the physics domain rejects an evaluation point or a table
+cell would be inf, nan or subnormal, or an --units si cell underflows to
+zero from a nonzero value (NonFiniteResult); the error class name and
+message go to stderr as one line.
 
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
@@ -14,8 +16,9 @@ reproduces its output byte for byte. No command loads the json module: a
 JSON table, like verify's JSON, is written from %-templates, its column
 names and words quoted as '"%s"' (they are fixed ASCII names and need no
 escaping). The CLI evaluates no physics itself: it parses, gates and
-writes. A table goes out in two passes over chunks of rows, which
-analysis._table_chunks evaluates for potential, correlators and sweep: a
+writes. potential, correlators and sweep are one handler, _cmd_table, over
+the columns, terms, words and zeros of each in _TABLES. A table goes out in
+two passes over chunks of rows, which analysis._table_chunks evaluates: a
 grid on arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point
 as one chunk of floats through the scalar forms, which gives the same bits
 and does not load NumPy. A grid is an analysis._Linspace: its positions
@@ -43,11 +46,11 @@ ahead of the user's own, so explicit flags override file values.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import math
 import operator
+import os
 import sys
 import warnings
 
@@ -78,6 +81,13 @@ _CORRELATOR_ZEROS = frozenset(
 # The analysis._table_chunks term behind each other column of CORRELATOR_COLUMNS.
 _CORRELATOR_CELLS = ("z", "EE_par", "EE_par", "EE_perp", "BB_par", "BB_par",
                      "BB_perp", "EE_trace", "BB_trace", "trace_sum")
+# (columns, terms, words, zeros) of each table command, as _emit takes them;
+# sweep's columns and terms come from --quantities.
+_TABLES = {
+    "potential": (POTENTIAL_COLUMNS, _POTENTIAL_CELLS, _REGIME, frozenset()),
+    "correlators": (CORRELATOR_COLUMNS, _CORRELATOR_CELLS, (), _CORRELATOR_ZEROS),
+    "sweep": (None, None, (), frozenset()),
+}
 
 _BOOLS = ("false", "true")  # a bool as JSON and verify's CSV write it
 _BOOLEAN_KEYS = {"emit-limit-reference"}
@@ -132,13 +142,13 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="cpwalls", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for name, summary, handler in (
-        ("potential", "potential, parts, and force at one or many z", _cmd_potential),
-        ("correlators", "vacuum correlator tensors at one or many z", _cmd_correlators),
-        ("sweep", "tabulate requested quantities over a z grid", _cmd_sweep),
+    for name, summary in (
+        ("potential", "potential, parts, and force at one or many z"),
+        ("correlators", "vacuum correlator tensors at one or many z"),
+        ("sweep", "tabulate requested quantities over a z grid"),
     ):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_table)
         _common_flags(p)
         p.add_argument("--z", type=_finite_float, help="single evaluation position")
         p.add_argument("--z-min", type=_finite_float)
@@ -177,7 +187,7 @@ def _parse_config_file(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     flags: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -201,14 +211,23 @@ def _parse_config_file(path: str) -> list[str]:
     return flags
 
 
-def _output(out_path):
-    """The --out file opened for writing, or stdout when there is none."""
-    if not out_path:
-        return contextlib.nullcontext(sys.stdout)
+def _output(out_path, write) -> None:
+    """write(fh) on the --out file, or on stdout when there is none.
+
+    Opening, writing, flushing and closing are all here: an OSError in any
+    of them (a full disk, a closed pipe) is a ConfigError naming the
+    target. What was written before it stays written.
+    """
     try:
-        return open(out_path, "w", encoding="utf-8", newline="")
+        if not out_path:
+            write(sys.stdout)
+            sys.stdout.flush()
+            return
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {out_path!r}: {exc}") from exc
+        target = f"--out {out_path!r}" if out_path else "stdout"
+        raise ConfigError(f"cannot write {target}: {exc}") from exc
 
 
 def _row_templates(fmt: str, columns, fields, words) -> list[str]:
@@ -347,9 +366,8 @@ def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
         seen += len(cells)
     if refusal is not None:
         raise refusal
-    with _output(args.out) as fh:
-        table = ((converted(cells), flags) for cells, flags in chunks())
-        _write_table(fh, args.format, columns, table, words, zeros)
+    table = ((converted(cells), flags) for cells, flags in chunks())
+    _output(args.out, lambda fh: _write_table(fh, args.format, columns, table, words, zeros))
 
 
 def _guard_from(args) -> GuardPolicy:
@@ -363,10 +381,6 @@ def _geometry_from(args) -> Geometry:
     if not args.a > 0.0:
         raise ConfigError(f"--a must be positive, got {args.a!r}")
     return Geometry(WallKind(args.geometry), args.a)
-
-
-def _atom_from(args) -> AtomResponse:
-    return AtomResponse(args.alpha, args.beta)
 
 
 def _grid_from(args):
@@ -395,42 +409,31 @@ def _grid_from(args):
     return _Linspace(args.z_min, args.z_max, args.z_count)
 
 
-def _cmd_potential(args) -> int:
+def _cmd_table(args) -> int:
+    """potential, correlators and sweep: one table of _TABLES over z.
+
+    Geometry, atom (correlators builds none), guard and grid are read in
+    that order, so the first bad flag names the refusal. sweep takes its
+    columns, which are also its terms, from --quantities, after it checks
+    its grid.
+    """
+    columns, terms, words, zeros = _TABLES[args.command]
     geom = _geometry_from(args)
-    atom = _atom_from(args)
+    atom = None if args.command == "correlators" else AtomResponse(args.alpha, args.beta)
     guard = _guard_from(args)
-    z = _grid_from(args)
-    _emit(args, POTENTIAL_COLUMNS,
-          lambda: _table_chunks(geom, atom, z, _POTENTIAL_CELLS, guard), _REGIME)
-    return 0
-
-
-def _cmd_correlators(args) -> int:
-    geom = _geometry_from(args)
-    guard = _guard_from(args)
-    z = _grid_from(args)
-    _emit(args, CORRELATOR_COLUMNS,
-          lambda: _table_chunks(geom, None, z, _CORRELATOR_CELLS, guard),
-          zeros=_CORRELATOR_ZEROS)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    geom = _geometry_from(args)
-    atom = _atom_from(args)
-    guard = _guard_from(args)
-    if args.z is not None:
+    if args.command == "sweep" and args.z is not None:
         raise ConfigError("sweep needs a grid: --z-min/--z-max/--z-count")
     z = _grid_from(args)
-    quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-    _checked_grid(z, geom.separation_a)
-    columns = _sweep_columns(quantities, args.emit_limit_reference)
-    _emit(args, columns, lambda: _table_chunks(geom, atom, z, columns, guard))
+    if args.command == "sweep":
+        quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
+        _checked_grid(z, geom.separation_a)
+        columns = terms = _sweep_columns(quantities, args.emit_limit_reference)
+    _emit(args, columns, lambda: _table_chunks(geom, atom, z, terms, guard), words, zeros)
     return 0
 
 
 def _cmd_limits(args) -> int:
-    atom = _atom_from(args)
+    atom = AtomResponse(args.alpha, args.beta)
     guard = _guard_from(args)
     if not args.z > 0.0:
         raise ConfigError(f"--z must be positive, got {args.z!r}")
@@ -481,8 +484,7 @@ def _cmd_verify(args) -> int:
         text = "".join(f"{line(c)} points={c.points_tested}\n" for c in report.checks)
         n_pass = len(report.checks) - len(report.failures)
         text += f"{report.level}: {n_pass}/{len(report.checks)} checks passed\n"
-    with _output(args.out) as fh:
-        fh.write(text)
+    _output(args.out, lambda fh: fh.write(text))
     return len(report.failures)
 
 
@@ -513,13 +515,21 @@ def run() -> int:
     writes, so the cyclic collector is off while it runs, and every object
     is frozen before it returns, which keeps the interpreter's final
     collection from walking NumPy's objects and the package's. An
-    in-process main leaves the collector as it found it.
+    in-process main leaves the collector as it found it. Where stdout
+    failed (a closed pipe, a full disk), main has named the error, and
+    stdout is pointed at os.devnull, so that the interpreter's last flush
+    of what is left in its buffer prints nothing more.
     """
     gc.disable()
     try:
         return main()
     finally:
         gc.freeze()
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

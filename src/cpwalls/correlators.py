@@ -255,11 +255,6 @@ def _par_perp(geom: Geometry, p):
     return pref * (p - k), pref * (p + k)
 
 
-def _tensor(geom: Geometry, p, field_pair: str) -> CorrelatorTensor:
-    """The tensor record with _par_perp(geom, p) as its components."""
-    return _record(CorrelatorTensor, _par_perp(geom, p) + (field_pair,))
-
-
 def _trace(par, perp):
     """Trace par + par + perp of a _par_perp pair, without a tensor record."""
     return par + par + perp
@@ -269,14 +264,14 @@ def correlator_ee(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> CorrelatorTensor:
     """<E_i E_j> tensor: diag(p - K, p - K, p + K) * prefactor."""
-    return _tensor(geom, geom.profile(z, guard), "EE")
+    return _record(CorrelatorTensor, _par_perp(geom, geom.profile(z, guard)) + ("EE",))
 
 
 def correlator_bb(
     geom: Geometry, z: float, guard: GuardPolicy = DEFAULT_GUARD
 ) -> CorrelatorTensor:
     """<B_i B_j> tensor: same constants as EE with the profile sign flipped."""
-    return _tensor(geom, -geom.profile(z, guard), "BB")
+    return _record(CorrelatorTensor, _par_perp(geom, -geom.profile(z, guard)) + ("BB",))
 
 
 def correlator_eb(geom: Geometry, z: float) -> CorrelatorTensor:

@@ -32,16 +32,14 @@ from cpwalls.potentials import (
     potential_total,
     stationary_points,
 )
-from cpwalls.profiles import (
-    PI,
+from cpwalls.profiles import PI, cot_profile, csc_profile
+from cpwalls.verification import (
     OracleConfig,
-    cot_profile,
     cot_profile_via_hurwitz,
     cot_profile_via_images,
-    csc_profile,
     csc_profile_via_images,
+    run_verification,
 )
-from cpwalls.verification import run_verification
 
 CC = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1.0)
 CP = Geometry(WallKind.CONDUCTOR_PERMEABLE, 1.0)

@@ -8,6 +8,7 @@ as main, with the cyclic collector off and frozen before teardown.
 
 import argparse
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -522,6 +523,46 @@ def test_sweep_bad_quantity_exit_1(capsys):
     assert code == 1 and "entropy" in err
 
 
+def _cells(text, fmt):
+    """{column: [cell text of each row]} of a CSV or JSON table."""
+    if fmt == "csv":
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    cells = {}
+    for line in text.splitlines()[1:-1]:  # a row a line between "[" and "]"
+        for pair in line.strip().rstrip(",").strip("{}").split(", "):
+            name, value = pair.split(": ")
+            cells.setdefault(name.strip('"'), []).append(value)
+    return cells
+
+
+@pytest.mark.parametrize("units", ["natural", "si"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("geometry", ["cc", "cp"])
+def test_sweep_prints_the_cells_of_potential_and_correlators(capsys, geometry, fmt, units):
+    # the three table commands evaluate one set of terms: each quantity of
+    # sweep is a column of potential or correlators, byte for byte
+    flags = ("--geometry", geometry, "--format", fmt, "--units", units, "--beta", "0.5",
+             "--z-min", "0.001", "--z-max", "0.999", "--z-count", "9")
+    tables = {}
+    for command, extra in (
+        ("sweep", ("--quantities", "V,V_E,V_M,force,EE_trace,BB_trace")),
+        ("potential", ()),
+        ("correlators", ()),
+    ):
+        code, out, err = run_cli(capsys, command, *flags, *extra)
+        assert (code, err) == (0, "")
+        tables[command] = _cells(out, fmt)
+    potential, correlators = tables["potential"], tables["correlators"]
+    assert correlators["z"] == potential["z"]
+    assert tables["sweep"] == {
+        "z": potential["z"], "V": potential["V_total"], "V_E": potential["V_E"],
+        "V_M": potential["V_M"], "force": potential["force_z"],
+        "EE_trace": correlators["trace_EE"], "BB_trace": correlators["trace_BB"],
+    }
+    assert len(potential["z"]) == 9
+
+
 # ----------------------------------------------------------------------
 # limits
 # ----------------------------------------------------------------------
@@ -840,6 +881,17 @@ def test_malformed_config_exit_1(tmp_path, capsys, content):
     assert code == 1 and "bad.cfg" in err
 
 
+def test_a_config_file_that_is_not_utf8_is_one_config_error_line(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("geometry = cp\n# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "potential", "--config", str(cfg), "--z", "0.5")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"ConfigError: cannot read config file {str(cfg)!r}: 'utf-8' codec can't"
+        " decode byte 0xe9 in position 19: invalid continuation byte\n"
+    )
+
+
 def test_config_as_the_last_token_exit_1(capsys):
     code, out, err = run_cli(capsys, "potential", "--z", "0.5", "--config")
     assert (code, out, err) == (
@@ -1099,7 +1151,7 @@ def test_python_dash_m_subprocess():
     assert proc.stdout.startswith("z,V_E,V_M,V_total,force_z,regime\n")
 
 
-def _run_module(*args, env=None, text=True):
+def _child_env(env=None) -> dict:
     # The package may be importable only through PYTHONPATH (a source tree
     # run), so hand the child the directory this process imported it from.
     src = str(pathlib.Path(profiles.__file__).resolve().parents[1])
@@ -1107,10 +1159,62 @@ def _run_module(*args, env=None, text=True):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_module(*args, env=None, text=True):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=text, timeout=120,
-        env=env,
+        env=_child_env(env),
     )
+
+
+# ----------------------------------------------------------------------
+# output that cannot be written: one ConfigError line, exit 1
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("argv", [
+    ("potential", "--z", "0.5"),
+    ("potential", "--z-min", "0.1", "--z-max", "0.9", "--z-count", "20000"),
+    ("limits",),
+    ("verify",),
+])
+def test_an_out_file_on_a_full_disk_is_one_config_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == "ConfigError: cannot write --out '/dev/full': [Errno %d] %s\n" % (
+        errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_stdout_whose_reader_is_gone_is_one_config_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    code = main(["potential", "--z", "0.5"])
+    assert (code, capsys.readouterr().err) == (
+        1, "ConfigError: cannot write stdout: [Errno 32] Broken pipe\n")
+
+
+def test_a_process_whose_reader_closes_early_exits_1_with_one_line():
+    # a table far larger than a pipe's buffer; the reader takes 10 bytes and
+    # closes, and the interpreter's last flush must add nothing to stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cpwalls", "potential",
+         "--z-min", "0.1", "--z-max", "0.9", "--z-count", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), head) == (1, b"z,V_E,V_M,")
+    assert err == b"ConfigError: cannot write stdout: [Errno %d] %s\n" % (
+        errno.EPIPE, os.strerror(errno.EPIPE).encode())
 
 
 _CP_GRID = ("--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999", "--z-count")
@@ -1243,7 +1347,8 @@ def _avx512_targets() -> list[str]:
 
 # On an AVX-512 host, d ** -4 changed the image sums at the first two points.
 _ORACLE_VALUES = (
-    "from cpwalls.profiles import *\n"
+    "from cpwalls import (OracleConfig, cot_profile_via_images,"
+    " csc_profile_via_images, image_terms_needed)\n"
     "for x in (0.060290071035260816, 0.7092037689048224, 1.3, 2.2, 3.09):\n"
     "    cfg = OracleConfig(image_terms_needed(x, 1e-12), 1e-12)\n"
     "    print(repr(cot_profile_via_images(x, cfg)),"

@@ -33,22 +33,24 @@ from cpwalls.profiles import (
     PI_LO,
     SERIES_LEADING,
     GuardPolicy,
-    OracleConfig,
     cot_profile,
     cot_profile_deriv,
     cot_profile_series,
-    cot_profile_via_hurwitz,
-    cot_profile_via_images,
     csc_profile,
     csc_profile_deriv,
     csc_profile_series,
+    wall_distance,
+)
+from cpwalls.units import HBAR_C_J_M
+from cpwalls.verification import (
+    OracleConfig,
+    cot_profile_via_hurwitz,
+    cot_profile_via_images,
     csc_profile_via_images,
     image_tail_bound,
     image_terms_needed,
-    wall_distance,
     zeta4,
 )
-from cpwalls.units import HBAR_C_J_M
 
 mpmath.mp.dps = 50
 

@@ -35,8 +35,8 @@ from cpwalls.errors import (
     OutOfDomain,
 )
 from cpwalls.potentials import AtomResponse, PotentialSample
-from cpwalls.profiles import GuardPolicy, OracleConfig
-from cpwalls.verification import CheckResult, VerificationReport
+from cpwalls.profiles import GuardPolicy
+from cpwalls.verification import CheckResult, OracleConfig, VerificationReport
 
 CC = WallKind.CONDUCTOR_CONDUCTOR
 GEOM = Geometry(CC, 2.0)

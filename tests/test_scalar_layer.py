@@ -59,7 +59,8 @@ from cpwalls.potentials import (
     single_wall_limit,
     stationary_points,
 )
-from cpwalls.profiles import PI, GuardPolicy, image_terms_needed, wall_distance
+from cpwalls.profiles import PI, GuardPolicy, wall_distance
+from cpwalls.verification import image_terms_needed
 
 SEPARATIONS = (1.0, 2.5, 3.7e-5, 1e-300, 1e-60, 1e30, 1e300)
 BAND_WIDTHS = (1e-300, 1e-6, 1e-3, 0.5)
@@ -343,7 +344,7 @@ BYTECODES = {
     ("potential_total z > a/2", "cc"): 140, ("potential_total z > a/2", "cp"): 142,
     ("potential_sample", "cc"): 213, ("potential_sample", "cp"): 221,
     ("force", "cc"): 118, ("force", "cp"): 124,
-    ("correlator_ee", "cc"): 150, ("correlator_ee", "cp"): 152,
+    ("correlator_ee", "cc"): 142, ("correlator_ee", "cp"): 144,
     ("cot_profile", None): 74,
 }
 
@@ -427,7 +428,7 @@ def test_a_profile_argument_that_is_not_a_number_is_refused_as_outside(name, xi)
     """An argument that float arithmetic refuses, a Decimal too, is outside."""
     args = (xi, 1e-12) if name == "image_terms_needed" else (xi,)
     with pytest.raises(OutOfDomain) as info:
-        getattr(profiles, name)(*args)
+        getattr(cpwalls, name)(*args)
     if name == "zeta4":
         assert str(info.value) == f"zeta4 requires q > 0, got {xi!r}"
     else:

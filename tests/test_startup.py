@@ -2,12 +2,13 @@
 
 NumPy's import is most of a short `python -m cpwalls` run, so only array
 work loads it: grid tables, the image-sum oracles from
-profiles._ARRAY_IMAGE_TERMS image pairs on (verify full) and
+verification._ARRAY_IMAGE_TERMS image pairs on (verify full) and
 CorrelatorTensor.components. verify quick sums its images in Python and
 its matrix checks read CorrelatorTensor._matrix, nested lists, so it loads
 no NumPy in any format, nor does run_verification("quick").
 `import cpwalls` loads neither NumPy nor the verification suite, whose
-names resolve on first use. The records are
+names, the oracles' among them, resolve on first use; no table command
+and no limits run loads it either. The records are
 named tuples, so nothing loads `dataclasses` (or, through it, `inspect`),
 and no run loads `json`: a JSON table, like verify's JSON, is written from
 %-templates.
@@ -123,5 +124,17 @@ def test_run_verification_quick_loads_no_numpy():
         "from cpwalls import run_verification\n"
         "assert run_verification('quick').passed\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_grid_tables_load_numpy_and_not_the_verification_suite():
+    proc = _run_probe(
+        "import sys\n"
+        "from cpwalls.cli import main\n"
+        "for command in ('potential', 'correlators', 'sweep'):\n"
+        "    assert main([command, '--z-min', '0.1', '--z-max', '0.9', '--z-count', '5']) == 0\n"
+        "assert 'numpy' in sys.modules, 'numpy not loaded'\n"
+        "assert 'cpwalls.verification' not in sys.modules, 'verification loaded'\n"
     )
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,8 @@ constants through correlators.WALL_TABLE (the documented fault-injection
 surfaces) and require the suite to catch exactly the matching checks -
 evidence that the checks compare genuinely independent routes rather than a
 value against itself. The oracles take pi's low part from math.sin(math.pi),
-which must equal PI_LO.
+which must equal PI_LO, and 3/8 from their own literal, so neither
+production constant moves their bits.
 The matrix tests tamper with the 3x3 matrix CorrelatorTensor._matrix
 builds, leaving par and perp right, and require the matching check to fail:
 the checks read the matrix, not the stored components. verify no longer
@@ -20,6 +21,7 @@ import math
 
 import pytest
 
+import cpwalls
 import cpwalls.profiles as profiles
 from cpwalls import correlators, potentials, verification
 from cpwalls.correlators import WALL_TABLE, CorrelatorTensor, Geometry, WallKind
@@ -112,14 +114,41 @@ def test_perturbed_table_constant_fails_both_potential_checks(monkeypatch, kind)
 
 
 def test_image_sum_checks_recompute_on_every_run(monkeypatch):
-    # The closed forms do not read SERIES_LEADING, the image sums do: a run
-    # after the perturbation must not reuse the first run's oracle values.
+    # The closed forms do not read the oracles' own 3/8, the image sums do:
+    # a run after the perturbation must not reuse the first run's values.
     assert run_verification("full").passed
-    monkeypatch.setattr(
-        profiles, "SERIES_LEADING", profiles.SERIES_LEADING * (1.0 + 1e-9)
-    )
+    monkeypatch.setattr(verification, "_LEADING", verification._LEADING * (1.0 + 1e-9))
     failed = {c.name for c in run_verification("full").failures}
     assert {"cot_profile_vs_image_sum", "csc_profile_vs_image_sum"} <= failed
+
+
+# 24 points from both walls to the midplane; at each, the default
+# OracleConfig's image sums run on arrays and a 1e-10 budget's in Python.
+_ORACLE_POINTS = [1e-3, 0.05, 0.5 * math.pi, math.pi - 0.05, math.pi - 1e-3] + [
+    0.15 * k for k in range(1, 20)]
+
+
+def _oracle_values():
+    values = []
+    for x in _ORACLE_POINTS:
+        for cfg in (cpwalls.DEFAULT_ORACLE,
+                    cpwalls.OracleConfig(cpwalls.image_terms_needed(x, 1e-10), 1e-10)):
+            values += [cpwalls.cot_profile_via_images(x, cfg),
+                       cpwalls.csc_profile_via_images(x, cfg)]
+        values += [cpwalls.cot_profile_via_hurwitz(x), cpwalls.zeta4(x)]
+    return values
+
+
+@pytest.mark.parametrize("name, factor", [
+    ("SERIES_LEADING", 1.0 + 1e-9), ("PI_LO", 0.0), ("PI_LO", 10.0)])
+def test_the_oracles_keep_their_bits_when_a_production_constant_moves(
+    monkeypatch, name, factor
+):
+    # The oracles hold their own 3/8 and take pi's low part from sin(pi), so
+    # no production constant reaches them, on either image-sum path.
+    want = _oracle_values()
+    monkeypatch.setattr(profiles, name, getattr(profiles, name) * factor)
+    assert _oracle_values() == want
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, 10.0])
@@ -282,11 +311,11 @@ def test_a_check_evaluates_each_value_once_at_full_level(monkeypatch, name, name
 @pytest.mark.parametrize("level, points", [("quick", 10), ("full", 120)])
 def test_one_image_pass_per_oracle_point(monkeypatch, level, points):
     # the oracle row hands all of its points to one pass, each point once
-    passes = []
+    passes, image_pass = [], verification._image_pass
 
     def counted(pairs):
         passes.append([x for x, _ in pairs])
-        return profiles._image_pass(pairs)
+        return image_pass(pairs)
 
     monkeypatch.setattr(verification, "_image_pass", counted)
     assert run_verification(level).passed
