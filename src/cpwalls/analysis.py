@@ -121,19 +121,12 @@ def _checked_grid(z_grid, a: float) -> np.ndarray:
     a sequence of numbers. An int or a Fraction beyond the double range
     lies outside, as inf does.
 
-    A _Linspace is checked without being held whole, and returned as it
-    is: its ends first, as a whole grid's are below, then each CHUNK_ROWS
-    chunk with the row before it, so a position repeated across a seam is
-    refused too.
+    This is SweepSpec's rule for the sequences a library caller passes. A
+    CLI grid, a _Linspace, is not checked here: the z step of _table_chunks
+    judges each of its rows, as it judges a --z point.
     """
     import numpy as np
 
-    if isinstance(z_grid, _Linspace):
-        with np.errstate(all="ignore"):  # a span that overflows makes nan and inf rows
-            _checked_grid(np.append(z_grid[:1], z_grid.stop), a)
-            for i in range(0, len(z_grid), CHUNK_ROWS):
-                _checked_grid(z_grid[max(i - 1, 0):i + CHUNK_ROWS], a)
-        return z_grid
     try:
         z = np.asarray(z_grid, dtype=np.float64)
     except OverflowError as exc:
@@ -218,8 +211,11 @@ def _nearest_wall(geom: Geometry, atom: AtomResponse, z, pow, minimum):
     return _single_wall(atom, minimum(z, d_far), repels, pow)
 
 
-def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z: np.ndarray):
-    """_nearest_wall over a grid of z, equal to nearest_wall_reference bit for bit."""
+def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z):
+    """_nearest_wall at a float z or over a grid chunk, equal to
+    nearest_wall_reference bit for bit; a float loads no NumPy."""
+    if isinstance(z, float):
+        return _nearest_wall(geom, atom, z, _pow, min)
     import numpy as np
 
     return _nearest_wall(geom, atom, z, np.float_power, np.minimum)
@@ -249,8 +245,7 @@ class _Terms(dict):
 # functions' own expressions: the sweep quantities, V_wall, and the live
 # cells of the CLI correlator table, which read the EE and BB pairs of
 # _par_perp (the BB tensor is the EE one at -p). Each takes floats (one CLI
-# point) or arrays (a grid chunk) alike, except V_wall, which takes arrays
-# only.
+# point) or arrays (a grid chunk) alike.
 _COLUMN = {
     "V": lambda t: _total(t.atom, t.geom, t["p"]),
     "V_E": lambda t: _electric(t.atom, t.geom, t["p"]),

@@ -3,11 +3,11 @@
 Subcommands: potential, correlators, sweep, limits, verify. Exit status is
 0 on success, 1 for a malformed configuration (bad flags, config file, grid)
 or output that cannot be written (an --out path that cannot be opened, a
-full disk, a closed pipe; what was written before the failure stays
-written), 2 when the physics domain rejects an evaluation point or a table
-cell would be inf, nan or subnormal, or an --units si cell underflows to
-zero from a nonzero value (NonFiniteResult); the error class name and
-message go to stderr as one line.
+full disk, a closed pipe, a stdout closed at start; what was written
+before the failure stays written), 2 when the physics domain rejects an
+evaluation point or a table cell would be inf, nan or subnormal, or an
+--units si cell underflows to zero from a nonzero value (NonFiniteResult);
+the error class name and message go to stderr as one line.
 
 Output is CSV (comma separated, header row, LF endings) or JSON (array of
 row objects). Floats are serialized with 17 significant digits in both
@@ -17,7 +17,10 @@ JSON table, like verify's JSON, is written from %-templates, its column
 names and words quoted as '"%s"' (they are fixed ASCII names and need no
 escaping). The CLI evaluates no physics itself: it parses, gates and
 writes. potential, correlators and sweep are one handler, _cmd_table, over
-the columns, terms, words and zeros of each in _TABLES. A table goes out in
+the columns, terms, words and zeros of each in _TABLES; each takes one --z
+or a grid by the flag rules of _grid_from, and no position rule of its
+own: the z step of _table_chunks judges every row, so a grid whose step
+underflows prints np.linspace's repeated positions. A table goes out in
 two passes over chunks of rows, which analysis._table_chunks evaluates: a
 grid on arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point
 as one chunk of floats through the scalar forms, which gives the same bits
@@ -46,6 +49,7 @@ ahead of the user's own, so explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import math
@@ -54,7 +58,7 @@ import os
 import sys
 import warnings
 
-from .analysis import SWEEP_QUANTITIES, _checked_grid, _Linspace, _sweep_columns
+from .analysis import SWEEP_QUANTITIES, _Linspace, _sweep_columns
 from .analysis import _table_chunks, limit_convergence_study
 from .correlators import Geometry, WallKind
 from .errors import ConfigError, DomainError, NonFiniteResult
@@ -145,7 +149,7 @@ def _build_parser() -> _Parser:
     for name, summary in (
         ("potential", "potential, parts, and force at one or many z"),
         ("correlators", "vacuum correlator tensors at one or many z"),
-        ("sweep", "tabulate requested quantities over a z grid"),
+        ("sweep", "tabulate requested quantities at one or many z"),
     ):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=_cmd_table)
@@ -220,6 +224,8 @@ def _output(out_path, write) -> None:
     """
     try:
         if not out_path:
+            if sys.stdout is None:  # fd 1 was closed when the process started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             write(sys.stdout)
             sys.stdout.flush()
             return
@@ -412,21 +418,19 @@ def _grid_from(args):
 def _cmd_table(args) -> int:
     """potential, correlators and sweep: one table of _TABLES over z.
 
-    Geometry, atom (correlators builds none), guard and grid are read in
-    that order, so the first bad flag names the refusal. sweep takes its
-    columns, which are also its terms, from --quantities, after it checks
-    its grid.
+    Geometry, atom (correlators builds none), guard and positions (one
+    --z or a grid, by _grid_from) are read in that order, so the first bad
+    flag names the refusal. sweep takes its columns, which are also its
+    terms, from --quantities. No command judges a position here: the z
+    step of _table_chunks refuses each row, in grid order, for all three.
     """
     columns, terms, words, zeros = _TABLES[args.command]
     geom = _geometry_from(args)
     atom = None if args.command == "correlators" else AtomResponse(args.alpha, args.beta)
     guard = _guard_from(args)
-    if args.command == "sweep" and args.z is not None:
-        raise ConfigError("sweep needs a grid: --z-min/--z-max/--z-count")
     z = _grid_from(args)
     if args.command == "sweep":
         quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-        _checked_grid(z, geom.separation_a)
         columns = terms = _sweep_columns(quantities, args.emit_limit_reference)
     _emit(args, columns, lambda: _table_chunks(geom, atom, z, terms, guard), words, zeros)
     return 0
@@ -518,8 +522,12 @@ def run() -> int:
     in-process main leaves the collector as it found it. Where stdout
     failed (a closed pipe, a full disk), main has named the error, and
     stdout is pointed at os.devnull, so that the interpreter's last flush
-    of what is left in its buffer prints nothing more.
+    of what is left in its buffer prints nothing more. A stderr closed at
+    start (None) is os.devnull for the run: its lines are lost, and the
+    exit status and stdout are those of a run with stderr open.
     """
+    if sys.stderr is None:  # fd 2 was closed when the process started
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     gc.disable()
     try:
         return main()

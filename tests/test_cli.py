@@ -27,6 +27,7 @@ import cpwalls.cli as cli
 import cpwalls.profiles as profiles
 from cpwalls import verification
 from cpwalls.cli import CORRELATOR_COLUMNS, POTENTIAL_COLUMNS, main
+from cpwalls.analysis import nearest_wall_reference
 from cpwalls.potentials import AtomResponse, potential_total
 from cpwalls.correlators import WALL_TABLE, Geometry, WallKind
 from cpwalls.units import HBAR_C_J_M
@@ -146,7 +147,6 @@ def test_guard_rejection_exit_2(capsys):
         ("potential", "--z", "0.5", "--geometry", "xx"),
         ("potential", "--z", "0.5", "--walrus"),
         ("potential", "--z", "nan"),
-        ("sweep", "--z", "0.5"),                            # sweep needs a grid
         ("sweep", "--z-min", "0.1", "--z-max", "0.9", "--z-count", "3",
          "--quantities", ","),                              # no quantity named
         ("frobnicate",),
@@ -258,28 +258,6 @@ def test_a_z_count_of_2_to_the_53_is_a_grid_of_that_length():
     assert last[0] < last[1] == 0.9
 
 
-# Rows 3 and 4 of this grid are equal; every other step is one ulp up.
-_REPEAT_AT_ROW_3 = ("--z-min", "1", "--z-max", "1.0000000000000009", "--z-count", "6")
-
-
-@pytest.mark.parametrize("a, chunk_rows, want", [
-    # CHUNK_ROWS = 3 puts rows 3 and 4 in two chunks, each strictly
-    # increasing on its own: the seam is checked too
-    ("2", 3, "InvalidGrid: z_grid must be strictly increasing\n"),
-    # the last row lies past the far wall, and the first chunk holds the
-    # repeat: the ends are checked first, as for the whole grid
-    ("1.0000000000000007", 4,
-     "InvalidGrid: z_grid must lie strictly inside (0, 1.0000000000000007)\n"),
-])
-def test_sweep_checks_its_grid_chunk_by_chunk_as_a_whole(
-    capsys, monkeypatch, a, chunk_rows, want
-):
-    z = np.linspace(1.0, 1.0000000000000009, 6)
-    assert (z[1:] > z[:-1]).tolist() == [True, True, False, True, True]
-    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
-    assert run_cli(capsys, "sweep", "--a", a, *_REPEAT_AT_ROW_3) == (1, "", want)
-
-
 # A grid is gated whole before any output, chunk by chunk, yet a refusal
 # still names the first refused row in grid order, with the scalar path's
 # message.
@@ -307,6 +285,8 @@ _GRID_REFUSALS = [
      "OutOfDomain: z=-0.5 is not strictly between the walls (0, 1.0)\n"),
     (("potential", "--z-min", "0.5", "--z-max", "1.5", "--z-count", "3"),
      "OutOfDomain: z=1.0 is not strictly between the walls (0, 1.0)\n"),
+    (("sweep", "--a", "2", "--z-min", "0.5", "--z-max", "3", "--z-count", "5"),
+     "OutOfDomain: z=2.375 is not strictly between the walls (0, 2.0)\n"),
     # the first bad cell sits after the zero columns the table never holds
     (("correlators", "--geometry", "cp", "--a", "1.598422e+69", "--units",
       "si", "--z-min", "1e68", "--z-max", "7.873522582621254e+68",
@@ -390,13 +370,6 @@ _REFUSAL_HASHES = {
     ("potential", "--alpha=1e300", "--z-min", "0.9", "--z-max", "0.9999",
      "--z-count", "40"):
         "1bdd0a4c40ee7d50985657d5a91342b916f605d7f75a6e639c8715e1d1cdce7f",
-    # linspace repeats a value: InvalidGrid, not strictly increasing
-    ("sweep", "--a", "2", "--z-min", "1", "--z-max", "1.0000000000000002",
-     "--z-count", "5"):
-        "835f6c0e2813d347e69e0815e8aa1b841d0caf23e328e4a38bcc33b57d08f067",
-    # InvalidGrid: the grid ends past the far wall
-    ("sweep", "--a", "2", "--z-min", "0.5", "--z-max", "3", "--z-count", "5"):
-        "a87e19f3c81055a2d6533c5bfd57de0e3050fcb1336825cccaa09db2fbf9a8ad",
 }
 
 
@@ -536,31 +509,79 @@ def _cells(text, fmt):
     return cells
 
 
+_ALL_SWEPT = ("--quantities", "V,V_E,V_M,force,EE_trace,BB_trace", "--emit-limit-reference")
+
+
 @pytest.mark.parametrize("units", ["natural", "si"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("geometry", ["cc", "cp"])
-def test_sweep_prints_the_cells_of_potential_and_correlators(capsys, geometry, fmt, units):
+@pytest.mark.parametrize("z", [None, "0.001", "0.7"], ids=["grid", "z-near", "z-far"])
+def test_sweep_prints_the_cells_of_potential_and_correlators(
+    capsys, geometry, fmt, units, z
+):
     # the three table commands evaluate one set of terms: each quantity of
-    # sweep is a column of potential or correlators, byte for byte
-    flags = ("--geometry", geometry, "--format", fmt, "--units", units, "--beta", "0.5",
-             "--z-min", "0.001", "--z-max", "0.999", "--z-count", "9")
+    # sweep is a column of potential or correlators, byte for byte, on a
+    # grid and at one --z point alike
+    grid = ("--z-min", z or "0.001", "--z-max", "0.999", "--z-count", "9")
+    where = grid if z is None else ("--z", z)
+    flags = ("--geometry", geometry, "--format", fmt, "--units", units, "--beta", "0.5")
     tables = {}
-    for command, extra in (
-        ("sweep", ("--quantities", "V,V_E,V_M,force,EE_trace,BB_trace")),
-        ("potential", ()),
-        ("correlators", ()),
+    for name, argv in (
+        ("sweep", ("sweep", *where, *_ALL_SWEPT)),
+        ("potential", ("potential", *where)),
+        ("correlators", ("correlators", *where)),
+        ("grid", ("sweep", *grid, *_ALL_SWEPT)),
     ):
-        code, out, err = run_cli(capsys, command, *flags, *extra)
+        code, out, err = run_cli(capsys, *argv, *flags)
         assert (code, err) == (0, "")
-        tables[command] = _cells(out, fmt)
+        tables[name] = _cells(out, fmt)
     potential, correlators = tables["potential"], tables["correlators"]
     assert correlators["z"] == potential["z"]
+    # V_wall is nearest_wall_reference at the printed z, bit for bit
+    atom, geom = AtomResponse(1.0, 0.5), Geometry(WallKind(geometry), 1.0)
+    scale = HBAR_C_J_M if units == "si" else 1.0
+    v_wall = ["%.17g" % (nearest_wall_reference(geom, atom, float(x)) * scale)
+              for x in potential["z"]]
     assert tables["sweep"] == {
         "z": potential["z"], "V": potential["V_total"], "V_E": potential["V_E"],
         "V_M": potential["V_M"], "force": potential["force_z"],
         "EE_trace": correlators["trace_EE"], "BB_trace": correlators["trace_BB"],
+        "V_wall": v_wall,
     }
-    assert len(potential["z"]) == 9
+    assert len(potential["z"]) == (9 if z is None else 1)
+    # a --z row is the first row of the grid that starts at that z
+    assert {k: v[:1] for k, v in tables["grid"].items()} == {
+        k: v[:1] for k, v in tables["sweep"].items()}
+
+
+@pytest.mark.parametrize("where, want", [
+    # a grid past the far wall; one that starts below 0; a span that
+    # overflows to a nan first row
+    (("--a", "2", "--z-min", "0.5", "--z-max", "3", "--z-count", "5"),
+     "OutOfDomain: z=2.375 is not strictly between the walls (0, 2.0)\n"),
+    (("--z-min", "-0.5", "--z-max", "0.5", "--z-count", "3"),
+     "OutOfDomain: z=-0.5 is not strictly between the walls (0, 1.0)\n"),
+    (("--z-min=-1.7e308", "--z-max=1.7e308", "--z-count", "5"),
+     "OutOfDomain: z=nan is not strictly between the walls (0, 1.0)\n"),
+    (_LAST_ROW_BAD, _TOO_CLOSE_LAST),  # a band row, in reject mode
+    (("--z", "1.5"), "OutOfDomain: z=1.5 is not strictly between the walls (0, 1.0)\n"),
+    (("--z", "1e-8"),
+     "TooCloseToWall: xi=3.141592653589793e-08 is within 1e-06 of a wall (mode=reject)\n"),
+], ids=["past-far-wall", "below-0", "nan-span", "band-row", "z-outside", "z-in-band"])
+@pytest.mark.parametrize("command", ["potential", "correlators", "sweep"])
+def test_the_table_commands_judge_a_position_alike(capsys, command, where, want):
+    assert run_cli(capsys, command, *where) == (2, "", want)
+
+
+def test_the_table_commands_print_the_repeated_positions_of_a_grid(capsys):
+    # the step underflows: np.linspace repeats rows, and every command
+    # prints them, as the z step accepts each
+    grid = ("--a", "2", "--z-min", "1", "--z-max", "1.0000000000000002", "--z-count", "4")
+    for command in ("potential", "correlators", "sweep"):
+        code, out, err = run_cli(capsys, command, *grid)
+        assert (code, err) == (0, "")
+        assert _cells(out, "csv")["z"] == [
+            "1", "1", "1.0000000000000002", "1.0000000000000002"], command
 
 
 # ----------------------------------------------------------------------
@@ -1215,6 +1236,37 @@ def test_a_process_whose_reader_closes_early_exits_1_with_one_line():
     assert (proc.wait(timeout=120), head) == (1, b"z,V_E,V_M,")
     assert err == b"ConfigError: cannot write stdout: [Errno %d] %s\n" % (
         errno.EPIPE, os.strerror(errno.EPIPE).encode())
+
+
+def _run_with_closed(fd, *argv):
+    """python -m cpwalls argv in a child whose fd 1 or 2 is closed at start."""
+    return subprocess.run(
+        [sys.executable, "-m", "cpwalls", *argv], capture_output=True, text=True,
+        timeout=120, env=_child_env(), preexec_fn=lambda: os.close(fd),
+    )
+
+
+@pytest.mark.parametrize("argv", [("potential", "--z", "0.5"), ("limits",), ("verify",)])
+def test_a_stdout_closed_at_start_is_one_config_error_line(argv):
+    # Python sets sys.stdout to None: output that cannot be written
+    proc = _run_with_closed(1, *argv)
+    assert (proc.returncode, proc.stderr) == (
+        1, "ConfigError: cannot write stdout: [Errno %d] %s\n" % (
+            errno.EBADF, os.strerror(errno.EBADF)))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("potential", "--z", "0.5"), 0),
+    (("potential", "--z", "0.5", "--alpha=-1"), 0),  # a warning it cannot print
+    (("potential", "--z", "5"), 2),                  # OutOfDomain
+    (("potential", "--bogus"), 1),                   # ConfigError
+])
+@pytest.mark.filterwarnings("ignore::cpwalls.errors.NegativePolarizabilityWarning")
+def test_a_stderr_closed_at_start_keeps_the_exit_status_and_stdout(capsys, argv, code):
+    # Python sets sys.stderr to None: the lines are lost, nothing else
+    proc = _run_with_closed(2, *argv)
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)[:2]
+    assert proc.returncode == code
 
 
 _CP_GRID = ("--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999", "--z-count")

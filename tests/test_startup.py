@@ -59,6 +59,7 @@ from cpwalls.cli import main
 runs = [
     ["potential", "--geometry", "cp", "--guard-mode", "asymptotic", "--z", "1e-7"],
     ["correlators", "--geometry", "cp", "--z", "0.7"],
+    ["sweep", "--geometry", "cp", "--z", "0.7", "--emit-limit-reference"],
     ["limits", "--wall-type", "permeable", "--z", "0.5"],
     ["potential", "--z-min", "0.9", "--z-max", "0.1", "--z-count", "5"],
     ["potential", "--z", "1.5"],
@@ -70,7 +71,7 @@ for argv in runs:
     codes.append(main(argv))
     loaded = [m for m in UNUSED if m in sys.modules]
     assert not loaded, (argv, loaded)
-assert codes == [0, 0, 0, 1, 2, 2, 0], codes
+assert codes == [0, 0, 0, 0, 1, 2, 2, 0], codes
 for name in sys.argv[1:]:
     getattr(cpwalls, name)
     assert name in dir(cpwalls), name
@@ -135,6 +136,17 @@ def test_grid_tables_load_numpy_and_not_the_verification_suite():
         "for command in ('potential', 'correlators', 'sweep'):\n"
         "    assert main([command, '--z-min', '0.1', '--z-max', '0.9', '--z-count', '5']) == 0\n"
         "assert 'numpy' in sys.modules, 'numpy not loaded'\n"
+        "assert 'cpwalls.verification' not in sys.modules, 'verification loaded'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dir_lists_the_verification_names_without_loading_the_suite():
+    assert set(cpwalls._VERIFICATION_NAMES) <= set(dir(cpwalls))
+    proc = _run_probe(
+        "import sys, cpwalls\n"
+        "missing = set(cpwalls._VERIFICATION_NAMES) - set(dir(cpwalls))\n"
+        "assert not missing, missing\n"
         "assert 'cpwalls.verification' not in sys.modules, 'verification loaded'\n"
     )
     assert proc.returncode == 0, proc.stderr

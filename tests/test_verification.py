@@ -23,7 +23,7 @@ import pytest
 
 import cpwalls
 import cpwalls.profiles as profiles
-from cpwalls import correlators, potentials, verification
+from cpwalls import analysis, correlators, potentials, verification
 from cpwalls.correlators import WALL_TABLE, CorrelatorTensor, Geometry, WallKind
 from cpwalls.potentials import AtomResponse
 from cpwalls.verification import (
@@ -249,6 +249,24 @@ def test_a_check_that_yields_fewer_results_than_names_is_refused(monkeypatch):
     )
     with pytest.raises(ValueError, match="shorter"):
         run_verification("quick")
+
+
+def test_an_exponent_outside_its_window_fails_the_convergence_check_alone(monkeypatch):
+    # every rel_error still falls with a; only the fitted exponent is off
+    monkeypatch.setattr(analysis.LimitStudy, "convergence_exponent", lambda self: 5.0)
+    failures = run_verification("quick").failures
+    assert [c.name for c in failures] == ["single_wall_convergence"]
+    assert failures[0].max_abs_error == 2  # one violation per wall
+
+
+def test_a_profile_with_no_u_squared_term_fails_its_series_check():
+    # each fitted O(u^2) coefficient is exactly 0, so their mean is 0 and
+    # the spread, a ratio to it, is inf
+    def leading(x):
+        return profiles.SERIES_LEADING * x ** -4
+
+    (result,) = verification._series_check(leading, False, 1.0, lambda: 0.0, "quick")
+    assert result == (math.inf, math.inf, 0.05, False, 2)
 
 
 def _row(name):
