@@ -7,12 +7,14 @@ walls, the resulting Casimir-Polder potential and force on an atom with
 static polarizabilities, single-wall limits, and stationary points - all in
 natural units (hbar = c = 1), with independent oracles for every closed form.
 
-Importing the package loads neither NumPy nor the verification suite: NumPy
-comes in with the first array (a grid table, an image sum of 1024 image
-pairs or more, a tensor's components), and cpwalls.verification with the
-first of its names that is asked for. Those names include the independent
-oracles (OracleConfig, DEFAULT_ORACLE, the image sums, zeta4 and the
-Hurwitz route), which live in cpwalls.verification, their one caller.
+Importing the package loads neither NumPy nor the verification suite nor
+the oracles: NumPy comes in with the first array (a grid table, an image
+sum of 1024 image pairs or more, a tensor's components), and each of
+cpwalls.oracles and cpwalls.verification with the first of its names that
+is asked for. cpwalls.oracles holds the independent oracles
+(OracleConfig, DEFAULT_ORACLE, the image sums, zeta4 and the Hurwitz
+route), so `from cpwalls import zeta4` does not compile the check table;
+cpwalls.verification, the checks, imports it.
 
 Every record (GuardPolicy, Geometry, AtomResponse, CorrelatorTensor,
 SweepSpec, PotentialCurve, LimitStudy, CheckResult, ...) is an immutable
@@ -81,33 +83,35 @@ from .units import HBAR_C_J_M
 
 __version__ = "0.1.0"
 
-# The verification suite and its names, the oracles' among them, load on
-# first use (PEP 562), so an import of the package, or of the CLI, does not
-# compile them.
-_VERIFICATION_NAMES = (
-    "REQUIRED_CHECK_NAMES",
-    "CheckResult",
-    "VerificationReport",
-    "run_verification",
-    "DEFAULT_ORACLE",
-    "OracleConfig",
-    "cot_profile_via_hurwitz",
-    "cot_profile_via_images",
-    "csc_profile_via_images",
-    "image_tail_bound",
-    "image_terms_needed",
-    "zeta4",
-)
+# The oracles and the verification suite load on first use of one of their
+# names (PEP 562), each name from the module given here, so an import of the
+# package, or of the CLI, compiles neither, and an oracle does not compile
+# the suite.
+_LAZY_NAMES = {
+    "DEFAULT_ORACLE": "oracles",
+    "OracleConfig": "oracles",
+    "cot_profile_via_hurwitz": "oracles",
+    "cot_profile_via_images": "oracles",
+    "csc_profile_via_images": "oracles",
+    "image_tail_bound": "oracles",
+    "image_terms_needed": "oracles",
+    "zeta4": "oracles",
+    "REQUIRED_CHECK_NAMES": "verification",
+    "CheckResult": "verification",
+    "VerificationReport": "verification",
+    "run_verification": "verification",
+}
 __all__ = [n for n in globals() if not n.startswith("_")]
-__all__ += ["verification", *_VERIFICATION_NAMES]
+__all__ += ["oracles", "verification", *_LAZY_NAMES]
 
 
 def __getattr__(name: str):
-    if name == "verification" or name in _VERIFICATION_NAMES:
-        # not "from . import verification", which asks this hook again
-        verification = _importlib.import_module(".verification", __name__)
-        return verification if name == "verification" else getattr(verification, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = name if name in ("oracles", "verification") else _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not "from . import <module>", which asks this hook again
+    loaded = _importlib.import_module("." + module, __name__)
+    return loaded if name == module else getattr(loaded, name)
 
 
 def __dir__() -> list[str]:

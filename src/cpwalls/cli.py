@@ -470,7 +470,7 @@ def _cmd_verify(args) -> int:
         return "%.17g" % x if math.isfinite(x) else "null"
 
     for check in report.failures:
-        sys.stderr.write(line(check) + "\n")
+        _stderr_line(line(check))
     if args.format == "json":  # the level and check names need no escaping
         row = "{%s}" % ", ".join('"%s": %%s' % f for f in CheckResult._fields)
         checks = ", ".join(
@@ -492,9 +492,19 @@ def _cmd_verify(args) -> int:
     return len(report.failures)
 
 
+def _stderr_line(text: str) -> None:
+    """text and LF on stderr. Where stderr is closed (None) or refuses writes
+    (an fd open read-only) the line is lost, and the run keeps the exit
+    status and stdout of a run with stderr open."""
+    try:
+        sys.stderr.write(text + "\n")
+    except (AttributeError, OSError):
+        pass
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     """One stderr line per warning: the class name and the message."""
-    sys.stderr.write(f"{category.__name__}: {message}\n")
+    _stderr_line(f"{category.__name__}: {message}")
 
 
 def main(argv=None) -> int:
@@ -508,7 +518,7 @@ def main(argv=None) -> int:
                 args = _build_parser().parse_args(argv[:1] + config + argv[1:])
             return args.handler(args)
         except (ConfigError, DomainError) as exc:
-            sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+            _stderr_line(f"{type(exc).__name__}: {exc}")
             return 1 if isinstance(exc, ConfigError) else 2
 
 
@@ -523,11 +533,9 @@ def run() -> int:
     failed (a closed pipe, a full disk), main has named the error, and
     stdout is pointed at os.devnull, so that the interpreter's last flush
     of what is left in its buffer prints nothing more. A stderr closed at
-    start (None) is os.devnull for the run: its lines are lost, and the
+    start (None) or open read-only loses its lines (_stderr_line), and the
     exit status and stdout are those of a run with stderr open.
     """
-    if sys.stderr is None:  # fd 2 was closed when the process started
-        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     gc.disable()
     try:
         return main()

@@ -25,6 +25,12 @@ from cpwalls.correlators import (
     mean_square_b,
     mean_square_e,
 )
+from cpwalls.oracles import (
+    OracleConfig,
+    cot_profile_via_hurwitz,
+    cot_profile_via_images,
+    csc_profile_via_images,
+)
 from cpwalls.potentials import (
     AtomResponse,
     force,
@@ -33,13 +39,7 @@ from cpwalls.potentials import (
     stationary_points,
 )
 from cpwalls.profiles import PI, cot_profile, csc_profile
-from cpwalls.verification import (
-    OracleConfig,
-    cot_profile_via_hurwitz,
-    cot_profile_via_images,
-    csc_profile_via_images,
-    run_verification,
-)
+from cpwalls.verification import run_verification
 
 CC = Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1.0)
 CP = Geometry(WallKind.CONDUCTOR_PERMEABLE, 1.0)

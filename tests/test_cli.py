@@ -1255,18 +1255,49 @@ def test_a_stdout_closed_at_start_is_one_config_error_line(argv):
             errno.EBADF, os.strerror(errno.EBADF)))
 
 
-@pytest.mark.parametrize("argv, code", [
+# runs whose stderr lines are lost: the exit status and stdout stay
+_STDERR_LOST = [
     (("potential", "--z", "0.5"), 0),
     (("potential", "--z", "0.5", "--alpha=-1"), 0),  # a warning it cannot print
     (("potential", "--z", "5"), 2),                  # OutOfDomain
     (("potential", "--bogus"), 1),                   # ConfigError
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", _STDERR_LOST)
 @pytest.mark.filterwarnings("ignore::cpwalls.errors.NegativePolarizabilityWarning")
 def test_a_stderr_closed_at_start_keeps_the_exit_status_and_stdout(capsys, argv, code):
     # Python sets sys.stderr to None: the lines are lost, nothing else
     proc = _run_with_closed(2, *argv)
     assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)[:2]
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize("argv, code", _STDERR_LOST)
+@pytest.mark.filterwarnings("ignore::cpwalls.errors.NegativePolarizabilityWarning")
+def test_a_stderr_that_refuses_writes_keeps_the_exit_status_and_stdout(capsys, argv, code):
+    # fd 2 open read-only, as a shell wrapper script can leave it: every
+    # write raises OSError, the lines are lost, nothing else
+    with open(os.devnull, "rb") as read_only:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpwalls", *argv], stdout=subprocess.PIPE,
+            stderr=read_only, text=True, timeout=120, env=_child_env(),
+        )
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)[:2]
+    assert proc.returncode == code
+
+
+def test_verify_keeps_its_exit_status_and_report_when_stderr_refuses_writes(
+    capsys, monkeypatch
+):
+    monkeypatch.setattr(
+        profiles, "COT_SERIES_CONST", profiles.COT_SERIES_CONST + 1e-4
+    )
+    want = run_cli(capsys, "verify", "--level", "quick")
+    with open(os.devnull, encoding="utf-8") as read_only:
+        monkeypatch.setattr(sys, "stderr", read_only)
+        got = main(["verify", "--level", "quick"]), capsys.readouterr().out
+    assert got == (2, want[1]) and "FAIL near_wall_series_cot" in want[2]
 
 
 _CP_GRID = ("--geometry", "cp", "--z-min", "0.001", "--z-max", "0.999", "--z-count")

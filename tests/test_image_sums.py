@@ -1,10 +1,10 @@
 """The image-sum oracles: one pass gives both sums at many points.
 
-verification._image_pass builds the displacements d = xi - n*pi once. Every
+oracles._image_pass builds the displacements d = xi - n*pi once. Every
 term with n != 0 is r * r with r = 1/(d*d), three correctly rounded IEEE
 operations, so no libm pow and no SIMD dispatch can move its bits; the
 n = 0 term, xi^-4, the only one that can overflow, keeps libm's pow (**
-and np.float_power). Below N = verification._ARRAY_IMAGE_TERMS image pairs the
+and np.float_power). Below N = oracles._ARRAY_IMAGE_TERMS image pairs the
 pass runs in Python and sums with math.fsum; from there on it runs on
 NumPy arrays, in place, and sums the terms exactly in levels (error-free
 vector extraction). Either way it returns the correctly rounded plain and
@@ -19,7 +19,7 @@ for math.fsum's and a half for the factor 3/8's. The extreme points are
 pinned to their recorded values: below about 8.6e-78 the n = 0 term
 overflows and both sums are inf, with NumPy's overflow warning, at every
 N. Many points in one call, as the rows of 2-D blocks, equal one-point
-calls (verification._image_sums) bit for bit: across the seams of the blocks,
+calls (oracles._image_sums) bit for bit: across the seams of the blocks,
 next to both walls, with rows of many N in one call, and with one
 overflowing row among finite ones, which alone is inf and warns. Every
 point is checked before the array pass, and a refusal names the first bad
@@ -33,10 +33,10 @@ import warnings
 import mpmath
 import pytest
 
-from cpwalls import profiles, verification
+from cpwalls import oracles, profiles
 from cpwalls.errors import OutOfDomain, TailBoundViolated
 from cpwalls.profiles import PI, PI_LO
-from cpwalls.verification import (
+from cpwalls.oracles import (
     OracleConfig,
     _ARRAY_IMAGE_TERMS,
     _image_sums,
@@ -75,7 +75,7 @@ def test_the_two_passes_meet_between_verify_quick_and_full():
     # 1e-12) and the default OracleConfig's on arrays
     assert max(image_terms_needed(x, 1e-10) for x in _seeded_xi(50)) < _ARRAY_IMAGE_TERMS
     assert min(image_terms_needed(x, 1e-12) for x in _seeded_xi(50)) >= _ARRAY_IMAGE_TERMS
-    assert verification.DEFAULT_ORACLE.image_terms >= _ARRAY_IMAGE_TERMS
+    assert oracles.DEFAULT_ORACLE.image_terms >= _ARRAY_IMAGE_TERMS
 
 
 def test_pass_equals_the_python_transcription_bit_for_bit():
@@ -95,7 +95,7 @@ def test_pass_equals_the_python_transcription_bit_for_bit():
             assert _image_sums(x, cfg) == want[-1], (x, cfg)
             pairs.append((x, cfg))
     assert len(pairs) == 5200
-    assert verification._image_pass(pairs) == want
+    assert oracles._image_pass(pairs) == want
 
 
 def test_both_sums_are_within_three_and_a_half_ulps_of_the_exact_plain_sum():
@@ -147,13 +147,13 @@ def test_log_uniform_points_down_to_1e_76_equal_the_transcription():
             assert _image_sums(x, cfg) == want[-1], (x, n_terms)
             pairs.append((x, cfg))
     assert len(pairs) == 1025
-    assert verification._image_pass(pairs) == want
+    assert oracles._image_pass(pairs) == want
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-78])
 @pytest.mark.parametrize(
     "cfg",
-    [verification.DEFAULT_ORACLE,
+    [oracles.DEFAULT_ORACLE,
      *(OracleConfig(n_terms, 1e300) for n_terms in (1, 2, *EDGE_SIZES))],
 )
 def test_an_overflowing_first_term_gives_inf_with_numpys_warning(x, cfg):
@@ -190,7 +190,7 @@ def test_each_oracle_is_its_half_of_the_pair(x, tol):
 
 
 def test_default_config_halves():
-    plain, alternating = _image_sums(0.7, verification.DEFAULT_ORACLE)
+    plain, alternating = _image_sums(0.7, oracles.DEFAULT_ORACLE)
     assert cot_profile_via_images(0.7) == plain
     assert csc_profile_via_images(0.7) == alternating
 
@@ -225,7 +225,7 @@ def test_points_off_the_interval_are_refused_first(oracle, x):
 
 # A block of the array pass holds _IMAGE_BLOCK // (2N + 1) points of one N:
 # 5 at the default N = 1500, as at verify full's 1370 and 1371.
-BLOCK = verification._IMAGE_BLOCK // 3001
+BLOCK = oracles._IMAGE_BLOCK // 3001
 WALLS = [5e-77, 1e-70, 1e-20, 0.05, profiles.HALF_PI, PI - 1e-15, PI - 4.440892098500626e-16]
 
 
@@ -240,10 +240,10 @@ def test_many_points_in_one_call_equal_one_point_calls(count, xs):
     # across the seams of the blocks, and next to both walls, where the
     # rows' largest terms differ by up to 200 binades
     xs = _many(count, count) if xs == "uniform" else (WALLS * count)[:count]
-    cfg = verification.DEFAULT_ORACLE
+    cfg = oracles.DEFAULT_ORACLE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = verification._image_pass([(x, cfg) for x in xs])
+        got = oracles._image_pass([(x, cfg) for x in xs])
         assert got == [_image_sums(x, cfg) for x in xs]
     assert got == [_transcribed(x, 1500) for x in xs]
 
@@ -255,7 +255,7 @@ def test_rows_of_different_n_in_one_call_equal_one_point_calls():
     rng = random.Random(20261020)
     pairs = [(x, OracleConfig(rng.choice(sizes), 1e300)) for x in _many(60, 7) + WALLS]
     rng.shuffle(pairs)
-    got = verification._image_pass(pairs)
+    got = oracles._image_pass(pairs)
     assert got == [_image_sums(x, cfg) for x, cfg in pairs]
     assert got == [_transcribed(x, cfg.image_terms) for x, cfg in pairs]
 
@@ -270,7 +270,7 @@ def test_an_overflowing_row_among_finite_ones_is_inf_alone(n_terms):
     xs.insert(4, 1e-80)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = verification._image_pass([(x, cfg) for x in xs])
+        got = oracles._image_pass([(x, cfg) for x in xs])
     assert [str(w.message) for w in caught] == ["overflow encountered in float_power"]
     assert got.pop(4) == (math.inf, math.inf)
     assert got == want
@@ -287,7 +287,7 @@ def test_an_overflowing_row_among_finite_ones_is_inf_alone(n_terms):
         ([0.5, PI, 0.3], lambda x: OracleConfig(1 if x == 0.3 else 1500, 1e-12),
          OutOfDomain, f"xi={PI!r} is outside the open interval (0, pi)"),
         # before any array work: the first point would overflow with a warning
-        ([1e-80, 2.0, -1.0], lambda x: verification.DEFAULT_ORACLE,
+        ([1e-80, 2.0, -1.0], lambda x: oracles.DEFAULT_ORACLE,
          OutOfDomain, "xi=-1.0 is outside the open interval (0, pi)"),
     ],
 )
@@ -295,7 +295,7 @@ def test_a_refusal_names_the_first_bad_point_in_input_order(xs, cfg_of, error, m
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error) as info:
-            verification._image_pass([(x, cfg_of(x)) for x in xs])
+            oracles._image_pass([(x, cfg_of(x)) for x in xs])
     assert str(info.value) == message
 
 

@@ -1,0 +1,109 @@
+"""Which module imports which, and what compiling each one costs.
+
+The oracles stay independent of production: src/cpwalls/oracles.py imports
+the standard library, NumPy (inside _image_pass only), cpwalls.errors, and
+from profiles only the package's input rule (_check_domain, _finite,
+_inside). No production constant or formula (PI_LO, SERIES_LEADING, Form,
+WALL_TABLE, the profiles module itself) reaches it, so a wrong constant
+moves the closed forms and not their oracles. No table-path module
+imports the oracles or the verification suite; the CLI imports the suite
+inside _cmd_verify only.
+
+A verify run compiles two modules that no table command compiles,
+verification.py and oracles.py. The compile() peak of each, under
+tracemalloc, stays within 5% of the largest module a table command
+compiles (cli.py today), so `verify` runs at the memory floor of the
+table commands. New oracles go in oracles.py, next to the others; a suite
+that outgrows this bound re-pins COMPILE_PEAK_RATIO on purpose.
+"""
+
+import ast
+import pathlib
+import sys
+import tracemalloc
+
+import cpwalls
+
+PACKAGE = pathlib.Path(cpwalls.__file__).resolve().parent
+ORACLE_RULE = {"_check_domain", "_finite", "_inside"}
+PRODUCTION_NAMES = {"profiles", "PI_LO", "SERIES_LEADING", "Form", "WALL_TABLE"}
+TABLE_MODULES = ("profiles", "correlators", "potentials", "analysis", "cli")
+# every module a table command compiles: the package, less the two of verify
+TABLE_COMPILED = ("__init__", "__main__", "analysis", "cli", "correlators",
+                  "errors", "potentials", "profiles", "units")
+COMPILE_PEAK_RATIO = 1.05
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _imports(tree: ast.AST, scope: str = ""):
+    """(function it sits in or "", module, level, names) of every import."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports(node, node.name)
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield scope, alias.name, 0, ()
+        elif isinstance(node, ast.ImportFrom):
+            yield scope, node.module or "", node.level, tuple(a.name for a in node.names)
+        yield from _imports(node, scope)
+
+
+def test_the_oracles_import_only_the_stdlib_numpy_errors_and_the_input_rule():
+    seen = set()
+    for scope, module, level, names in _imports(_tree("oracles")):
+        if level:
+            assert level == 1, module
+            seen.add(module)
+            if module == "profiles":
+                assert set(names) <= ORACLE_RULE, names
+            else:
+                assert module == "errors", (module, names)
+        elif module == "numpy":
+            assert scope == "_image_pass", scope
+        else:
+            assert module.partition(".")[0] in sys.stdlib_module_names, module
+    assert seen == {"errors", "profiles"}
+
+
+def test_no_production_constant_or_formula_reaches_the_oracles():
+    tree = _tree("oracles")
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.asname or a.name for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert not names & PRODUCTION_NAMES
+
+
+def test_no_table_path_module_imports_the_oracles_or_the_suite():
+    for table_module in TABLE_MODULES:
+        for scope, module, level, names in _imports(_tree(table_module)):
+            targets = {module.rpartition(".")[2], *names}
+            if "verification" in targets and (table_module, scope) == ("cli", "_cmd_verify"):
+                continue
+            assert not targets & {"oracles", "verification"}, (table_module, scope, module)
+
+
+def _compile_peak(module: str) -> int:
+    """Peak traced bytes of compile() on the module's source, min of 3."""
+    source = (PACKAGE / f"{module}.py").read_bytes()
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            compile(source, module, "exec", dont_inherit=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def test_verify_compiles_no_larger_unit_than_a_table_command():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(
+        (*TABLE_COMPILED, "oracles", "verification"))
+    floor = max(_compile_peak(m) for m in TABLE_COMPILED)
+    for module in ("verification", "oracles"):
+        assert _compile_peak(module) <= COMPILE_PEAK_RATIO * floor, module

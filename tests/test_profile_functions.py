@@ -20,6 +20,15 @@ from hypothesis import strategies as st
 from cpwalls import correlators, potentials
 from cpwalls.correlators import _TENSOR_SCALE, WALL_TABLE, Geometry, WallKind
 from cpwalls.errors import OutOfDomain, TailBoundViolated, TooCloseToWall
+from cpwalls.oracles import (
+    OracleConfig,
+    cot_profile_via_hurwitz,
+    cot_profile_via_images,
+    csc_profile_via_images,
+    image_tail_bound,
+    image_terms_needed,
+    zeta4,
+)
 from cpwalls.potentials import _COMBINED_CONST, _PI3, _PI4, AtomResponse
 from cpwalls.profiles import (
     COT_PROFILE,
@@ -42,15 +51,6 @@ from cpwalls.profiles import (
     wall_distance,
 )
 from cpwalls.units import HBAR_C_J_M
-from cpwalls.verification import (
-    OracleConfig,
-    cot_profile_via_hurwitz,
-    cot_profile_via_images,
-    csc_profile_via_images,
-    image_tail_bound,
-    image_terms_needed,
-    zeta4,
-)
 
 mpmath.mp.dps = 50
 

@@ -34,9 +34,10 @@ from cpwalls.errors import (
     NegativePolarizabilityWarning,
     OutOfDomain,
 )
+from cpwalls.oracles import OracleConfig
 from cpwalls.potentials import AtomResponse, PotentialSample
 from cpwalls.profiles import GuardPolicy
-from cpwalls.verification import CheckResult, OracleConfig, VerificationReport
+from cpwalls.verification import CheckResult, VerificationReport
 
 CC = WallKind.CONDUCTOR_CONDUCTOR
 GEOM = Geometry(CC, 2.0)

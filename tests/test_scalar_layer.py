@@ -49,6 +49,7 @@ from cpwalls.correlators import (
     mean_square_e,
 )
 from cpwalls.errors import DomainError, InvalidGrid, OutOfDomain, TooCloseToWall
+from cpwalls.oracles import image_terms_needed
 from cpwalls.potentials import (
     AtomResponse,
     force,
@@ -60,7 +61,6 @@ from cpwalls.potentials import (
     stationary_points,
 )
 from cpwalls.profiles import PI, GuardPolicy, wall_distance
-from cpwalls.verification import image_terms_needed
 
 SEPARATIONS = (1.0, 2.5, 3.7e-5, 1e-300, 1e-60, 1e30, 1e300)
 BAND_WIDTHS = (1e-300, 1e-6, 1e-3, 0.5)

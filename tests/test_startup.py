@@ -2,13 +2,14 @@
 
 NumPy's import is most of a short `python -m cpwalls` run, so only array
 work loads it: grid tables, the image-sum oracles from
-verification._ARRAY_IMAGE_TERMS image pairs on (verify full) and
+oracles._ARRAY_IMAGE_TERMS image pairs on (verify full) and
 CorrelatorTensor.components. verify quick sums its images in Python and
 its matrix checks read CorrelatorTensor._matrix, nested lists, so it loads
 no NumPy in any format, nor does run_verification("quick").
-`import cpwalls` loads neither NumPy nor the verification suite, whose
-names, the oracles' among them, resolve on first use; no table command
-and no limits run loads it either. The records are
+`import cpwalls` loads neither NumPy nor the oracles nor the verification
+suite, whose names resolve on first use, each from its own module; no
+table command and no limits run loads either, and an oracle name loads
+cpwalls.oracles and not the suite. The records are
 named tuples, so nothing loads `dataclasses` (or, through it, `inspect`),
 and no run loads `json`: a JSON table, like verify's JSON, is written from
 %-templates.
@@ -52,7 +53,8 @@ EXPORTED = (
 _PROBE = """
 import sys
 import cpwalls
-UNUSED = ("numpy", "cpwalls.verification", "dataclasses", "inspect", "json")
+UNUSED = ("numpy", "cpwalls.oracles", "cpwalls.verification", "dataclasses", "inspect",
+          "json")
 loaded = [m for m in UNUSED if m in sys.modules]
 assert not loaded, ("import cpwalls", loaded)
 from cpwalls.cli import main
@@ -136,17 +138,34 @@ def test_grid_tables_load_numpy_and_not_the_verification_suite():
         "for command in ('potential', 'correlators', 'sweep'):\n"
         "    assert main([command, '--z-min', '0.1', '--z-max', '0.9', '--z-count', '5']) == 0\n"
         "assert 'numpy' in sys.modules, 'numpy not loaded'\n"
-        "assert 'cpwalls.verification' not in sys.modules, 'verification loaded'\n"
+        "loaded = [m for m in ('cpwalls.oracles', 'cpwalls.verification') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     assert proc.returncode == 0, proc.stderr
 
 
-def test_dir_lists_the_verification_names_without_loading_the_suite():
-    assert set(cpwalls._VERIFICATION_NAMES) <= set(dir(cpwalls))
+def test_dir_lists_the_twelve_lazy_names_without_loading_their_modules():
+    assert len(cpwalls._LAZY_NAMES) == 12
+    assert {*cpwalls._LAZY_NAMES, "oracles", "verification"} <= set(dir(cpwalls))
     proc = _run_probe(
         "import sys, cpwalls\n"
-        "missing = set(cpwalls._VERIFICATION_NAMES) - set(dir(cpwalls))\n"
+        "missing = {*cpwalls._LAZY_NAMES, 'oracles', 'verification'} - set(dir(cpwalls))\n"
         "assert not missing, missing\n"
+        "loaded = [m for m in ('cpwalls.oracles', 'cpwalls.verification') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_an_oracle_name_loads_the_oracles_and_not_the_verification_suite():
+    proc = _run_probe(
+        "import sys, cpwalls\n"
+        "from cpwalls import zeta4, OracleConfig\n"
+        "assert 'cpwalls.oracles' in sys.modules, 'oracles not loaded'\n"
+        "for name, module in cpwalls._LAZY_NAMES.items():\n"
+        "    if module == 'oracles':\n"
+        "        getattr(cpwalls, name)\n"
         "assert 'cpwalls.verification' not in sys.modules, 'verification loaded'\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
     )
     assert proc.returncode == 0, proc.stderr

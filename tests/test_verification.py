@@ -23,7 +23,7 @@ import pytest
 
 import cpwalls
 import cpwalls.profiles as profiles
-from cpwalls import analysis, correlators, potentials, verification
+from cpwalls import analysis, correlators, oracles, potentials, verification
 from cpwalls.correlators import WALL_TABLE, CorrelatorTensor, Geometry, WallKind
 from cpwalls.potentials import AtomResponse
 from cpwalls.verification import (
@@ -117,7 +117,7 @@ def test_image_sum_checks_recompute_on_every_run(monkeypatch):
     # The closed forms do not read the oracles' own 3/8, the image sums do:
     # a run after the perturbation must not reuse the first run's values.
     assert run_verification("full").passed
-    monkeypatch.setattr(verification, "_LEADING", verification._LEADING * (1.0 + 1e-9))
+    monkeypatch.setattr(oracles, "_LEADING", oracles._LEADING * (1.0 + 1e-9))
     failed = {c.name for c in run_verification("full").failures}
     assert {"cot_profile_vs_image_sum", "csc_profile_vs_image_sum"} <= failed
 
