@@ -4,9 +4,13 @@ Everything here is a pure tabulation layer over the correlator and potential
 modules: build a grid, evaluate the requested quantities per point, and hand
 back plain column/row containers the CLI can serialize. _table_chunks is
 the one evaluator of a table's columns, for run_sweep, a CLI grid and a
-CLI --z point alike. A CLI grid is a _Linspace, which builds np.linspace's
-positions one chunk at a time, so a CLI table holds one chunk whatever its
-length. The containers
+CLI --z point alike, and _judged the one judge of a table's cells: it
+converts a chunk to the output's units and refuses a cell that is inf,
+nan or subnormal, for _table_chunks, limit_convergence_study and the
+CLI's limits table, so the library's tables refuse what the CLI refuses
+and the CLI only parses and writes. A CLI grid is a _Linspace, which
+builds np.linspace's positions one chunk at a time, so a CLI table holds
+one chunk whatever its length. The containers
 (SweepSpec, PotentialCurve, LimitRow, LimitStudy) are immutable named
 tuples; SweepSpec.__new__ checks the grid and the quantities and keeps the
 grid as a tuple of floats, and PotentialCurve and LimitStudy hold their
@@ -20,7 +24,7 @@ import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-from .correlators import Geometry, WallKind, _par_perp, _trace
+from .correlators import _SMALLEST_NORMAL, Geometry, WallKind, _par_perp, _trace
 from .errors import ConfigError, InvalidGrid, NonFiniteResult
 from .potentials import (
     AtomResponse,
@@ -196,7 +200,7 @@ def nearest_wall_reference(geom: Geometry, atom: AtomResponse, z: float) -> floa
     permeable. The reference uses the distance to whichever wall is closer.
     """
     geom.xi(z)  # refuses a z outside the walls
-    return _nearest_wall(geom, atom, z, _pow, min)
+    return _nearest_wall(geom, atom, z, *_FLOAT_OPS)
 
 
 def _nearest_wall(geom: Geometry, atom: AtomResponse, z, pow, minimum):
@@ -211,30 +215,25 @@ def _nearest_wall(geom: Geometry, atom: AtomResponse, z, pow, minimum):
     return _single_wall(atom, minimum(z, d_far), repels, pow)
 
 
-def _nearest_wall_column(geom: Geometry, atom: AtomResponse, z):
-    """_nearest_wall at a float z or over a grid chunk, equal to
-    nearest_wall_reference bit for bit; a float loads no NumPy."""
-    if isinstance(z, float):
-        return _nearest_wall(geom, atom, z, _pow, min)
-    import numpy as np
-
-    return _nearest_wall(geom, atom, z, np.float_power, np.minimum)
+# (pow, minimum) of the float path; a grid chunk's are np.float_power, np.minimum
+_FLOAT_OPS = (_pow, min)
 
 
 class _Terms(dict):
     """The terms of a table at z: one float (a CLI point) or a grid chunk.
 
-    Built from z and the profile values p and slopes dp there. Any other
-    name is the _COLUMN expression of that name, evaluated when it is first
-    asked for and then kept, so each term is computed once per chunk
-    however many columns read it.
+    Built from z and the profile values p and slopes dp there, and the
+    (pow, minimum) pair of z's path, _FLOAT_OPS or NumPy's, which V_wall
+    takes. Any other name is the _COLUMN expression of that name,
+    evaluated when it is first asked for and then kept, so each term is
+    computed once per chunk however many columns read it.
     """
 
-    __slots__ = ("atom", "geom")
+    __slots__ = ("atom", "geom", "ops")
 
-    def __init__(self, atom, geom: Geometry, z, p, dp):
+    def __init__(self, atom, geom: Geometry, z, p, dp, ops=_FLOAT_OPS):
         super().__init__(z=z, p=p, dp=dp)
-        self.atom, self.geom = atom, geom
+        self.atom, self.geom, self.ops = atom, geom, ops
 
     def __missing__(self, name: str):
         value = self[name] = _COLUMN[name](self)
@@ -251,7 +250,7 @@ _COLUMN = {
     "V_E": lambda t: _electric(t.atom, t.geom, t["p"]),
     "V_M": lambda t: _magnetic(t.atom, t.geom, t["p"]),
     "force": lambda t: _force(t.atom, t.geom, t["dp"]),
-    "V_wall": lambda t: _nearest_wall_column(t.geom, t.atom, t["z"]),
+    "V_wall": lambda t: _nearest_wall(t.geom, t.atom, t["z"], *t.ops),
     "EE": lambda t: _par_perp(t.geom, t["p"]),
     "BB": lambda t: _par_perp(t.geom, -t["p"]),
     "EE_par": lambda t: t["EE"][0],
@@ -263,8 +262,8 @@ _COLUMN = {
     "trace_sum": lambda t: t["EE_trace"] + t["BB_trace"],
 }
 
-# Rows per chunk of a table: what _table_chunks evaluates, and the CLI gates
-# and formats, at once. It bounds a table's working set, whatever its
+# Rows per chunk of a table: what _table_chunks evaluates and judges, and the
+# CLI formats, at once. It bounds a table's working set, whatever its
 # length. A chunk of the widest table, the ten float columns of the CLI
 # correlator table, peaks at about 0.6 MiB under tracemalloc, its positions
 # and its formatted slices included (2.3 MiB at 8192 rows). A CLI grid is a
@@ -306,22 +305,25 @@ class _Linspace:
         return z
 
 
-def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
-    """The named _Terms over a grid z, CHUNK_ROWS rows at a time.
+def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy, names=None, factors=None):
+    """The named _Terms over a grid z, CHUNK_ROWS rows at a time, each chunk judged.
 
     z is a float, a _Linspace or a sequence of floats. Yields (cells,
     asymptotic) per chunk: a (rows, columns) float64 array and the rows'
     asymptotic mask. One Geometry._grid_terms call covers a chunk, each
     distinct term is then one array expression, and every cell equals the
     scalar public function at that z bit for bit; NumPy is quiet, so an
-    overflow gives inf, not a warning. Refusals come as for the whole grid
+    overflow gives inf, not a warning. Each chunk then goes through
+    _judged, under names (the output's column names; columns by default)
+    and times factors (the CLI's --units si; natural units by default), and
+    is yielded as _judged returns it. Refusals come as for the whole grid
     at once: the first domain refusal in grid order (OutOfDomain,
     TooCloseToWall) wins over a result out of the double range, which is
     raised only once every chunk has passed the domain check. That is a
-    NonFiniteResult: the correlator prefactor's own, or, where a prefactor
-    raises OverflowError or ZeroDivisionError, one that names the error,
-    the term and the chunk's first row and z. atom may be None where no
-    column needs one.
+    NonFiniteResult: _judged's, the correlator prefactor's own, or, where
+    a prefactor raises OverflowError or ZeroDivisionError, one that names
+    the error, the term and the chunk's first row and z. atom may be None
+    where no column needs one.
 
     A float z (the CLI's --z point) is one chunk of one row: a list of one
     float tuple and a list of one flag, from one Geometry.point_terms call
@@ -329,8 +331,9 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
     a power in its terms or its columns leaves the double range on floats
     (OverflowError, ZeroDivisionError), the point goes through the array
     pass instead, as a grid of one row, which names it as it names a grid
-    row: the finite gate its inf or nan cell, or the term of a prefactor.
+    row: _judged its inf or nan cell, or the term of a prefactor.
     """
+    names = names or columns
     if isinstance(z, float):
         try:
             p, dp, asymptotic = geom.point_terms(z, guard)
@@ -339,7 +342,7 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
         except (OverflowError, ZeroDivisionError):
             z = [z]
         else:
-            yield [row], [asymptotic]
+            yield _judged([row], names, 0, factors), [asymptotic]
             return
     import numpy as np
 
@@ -350,10 +353,11 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
             zc = z[start:start + CHUNK_ROWS]
             try:
                 p, dp, asymptotic = geom._grid_terms(zc, guard)
-                terms = _Terms(atom, geom, zc, p, dp)
+                terms = _Terms(atom, geom, zc, p, dp, (np.float_power, np.minimum))
                 cells = np.empty((len(zc), len(columns)))
                 for i, c in enumerate(columns):
                     cells[:, i] = terms[c]
+                cells = _judged(cells, names, start, factors)
             except (OverflowError, ZeroDivisionError, NonFiniteResult) as exc:
                 for rest in range(start + CHUNK_ROWS, len(z), CHUNK_ROWS):
                     geom._grid_terms(z[rest:rest + CHUNK_ROWS], guard)  # domain first
@@ -364,6 +368,44 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy):
         yield cells, asymptotic
 
 
+def _judged(cells, names, start=0, factors=None):
+    """A table chunk times factors, refused unless every cell is a finite normal double.
+
+    The one judge of a table's cells, for _table_chunks, the limits ladder
+    and the CLI's --units si. cells is a chunk in natural units: a list of
+    float tuples or a (rows, columns) float64 array; names are its column
+    names and start the table row before its first. factors, one per
+    column, convert it; None keeps natural units. Returns the converted
+    chunk. A cell is refused if it is inf or nan, or below the normal range
+    (subnormal or zero) while its natural value is not zero, so a converted
+    value that underflowed is refused as a subnormal natural one is. The
+    NonFiniteResult names the first refused cell in row order, its table
+    row and that row's first cell.
+    """
+    natural = cells
+    if isinstance(cells, list):
+        if factors is not None:
+            cells = [tuple(map(operator.mul, row, factors)) for row in cells]
+        bad = next(((row, col) for row, (values, nat) in enumerate(zip(cells, natural))
+                    for col, (x, n) in enumerate(zip(values, nat))
+                    if not (_SMALLEST_NORMAL <= abs(x) < math.inf or x == n == 0.0)), None)
+    else:
+        if factors is not None:
+            cells = cells * factors  # NumPy broadcasts the list over the rows
+        mag, bad = abs(cells), None
+        if not (mag.max() < math.inf and mag.min() >= _SMALLEST_NORMAL):  # nan fails
+            refused = ~(mag < math.inf) | ((mag < _SMALLEST_NORMAL) & (natural != 0.0))
+            if refused.any():
+                bad = divmod(int(refused.argmax()), cells.shape[1])
+    if bad is None:
+        return cells
+    row, col = bad
+    raise NonFiniteResult(
+        f"{names[col]}={float(cells[row][col])!r} in row {start + row + 1}"
+        f" ({names[0]}={float(cells[row][0])!r}) is not a finite normal double"
+    )
+
+
 def _out_of_range(exc: ArithmeticError, where: str) -> NonFiniteResult:
     """The NonFiniteResult for an OverflowError or ZeroDivisionError in where."""
     return NonFiniteResult(
@@ -372,7 +414,12 @@ def _out_of_range(exc: ArithmeticError, where: str) -> NonFiniteResult:
 
 
 def run_sweep(spec: SweepSpec) -> PotentialCurve:
-    """Evaluate the requested quantities on the grid, one row per point."""
+    """Evaluate the requested quantities on the grid, one row per point.
+
+    The rows are _table_chunks' chunks, judged as a CLI table's are: a cell
+    that is inf, nan or subnormal is a NonFiniteResult naming it, its row
+    and the row's z.
+    """
     columns = _sweep_columns(spec.quantities, spec.include_limit_reference)
     rows = []
     for cells, _ in _table_chunks(
@@ -420,6 +467,10 @@ class LimitStudy(NamedTuple):
         return -math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / sxx
 
 
+# The columns of a limits table: a row's a, v_exact, v_limit and rel_error.
+_LIMIT_COLUMNS = ("a", "V_exact", "V_limit", "rel_error")
+
+
 def limit_convergence_study(
     atom: AtomResponse,
     wall_type: str,
@@ -435,7 +486,27 @@ def limit_convergence_study(
     profiles._inside; one that is not is an InvalidGrid before any row. A
     result out of the double range (a power or a quotient that raises
     OverflowError or ZeroDivisionError) is a NonFiniteResult naming the
-    error, the column (V_limit, V_exact or rel_error) and the row's a.
+    error, the column (V_limit, V_exact or rel_error) and the row's a. The
+    ladder is then one table chunk, _limit_cells, which _judged refuses as
+    it refuses a sweep's: a cell that is inf, nan or subnormal is a
+    NonFiniteResult naming it, its row and the row's a.
+    """
+    study = _limit_ladder(atom, wall_type, z, a_values, guard)
+    _judged(_limit_cells(study), _LIMIT_COLUMNS)
+    return study
+
+
+def _limit_cells(study: LimitStudy) -> list[tuple]:
+    """The study's rows as float tuples of _LIMIT_COLUMNS, rel_error dropped if degenerate."""
+    return [row[:3] if study.degenerate else tuple(row) for row in study.rows]
+
+
+def _limit_ladder(atom, wall_type, z, a_values, guard) -> LimitStudy:
+    """limit_convergence_study's rows, their cells not yet judged.
+
+    The CLI's limits command judges them itself, once, in the units it
+    writes, so that an --units si cell that underflows is named before a
+    later subnormal natural one.
     """
     try:
         a_list = list(a_values)

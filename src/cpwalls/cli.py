@@ -15,24 +15,26 @@ formats, which round-trips IEEE doubles losslessly, so re-running a command
 reproduces its output byte for byte. No command loads the json module: a
 JSON table, like verify's JSON, is written from %-templates, its column
 names and words quoted as '"%s"' (they are fixed ASCII names and need no
-escaping). The CLI evaluates no physics itself: it parses, gates and
+escaping). The CLI evaluates and judges nothing itself: it parses and
 writes. potential, correlators and sweep are one handler, _cmd_table, over
 the columns, terms, words and zeros of each in _TABLES; each takes one --z
 or a grid by the flag rules of _grid_from, and no position rule of its
 own: the z step of _table_chunks judges every row, so a grid whose step
 underflows prints np.linspace's repeated positions. A table goes out in
-two passes over chunks of rows, which analysis._table_chunks evaluates: a
+two passes over chunks of rows, which analysis._table_chunks makes: a
 grid on arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point
 as one chunk of floats through the scalar forms, which gives the same bits
 and does not load NumPy. A grid is an analysis._Linspace: its positions
 are built a chunk at a time, equal to np.linspace's bit for bit, and a
 --z-count above 2**53 is refused. The limits ladder is one chunk of floats
-from analysis.limit_convergence_study. Pass 1 evaluates, converts and gates
-every chunk and keeps none; a refusal names the first domain error in grid
-order, else a result out of the double range (an OverflowError or
-ZeroDivisionError of a prefactor or a profile power, named with its term
-and row), else the first non-finite cell in grid order, and writes
-nothing. Pass 2 opens the output, then evaluates each chunk again and
+from the body of analysis.limit_convergence_study. The producer converts
+and judges every chunk by the one judge, analysis._judged, given the
+output's column names and --units factors (_factors): a refusal names the
+first domain error in grid order, else the first chunk's result out of
+the double range (an OverflowError or ZeroDivisionError of a prefactor or
+a profile power, named with its term and row) or its first non-finite
+cell. Pass 1 drains the chunks and keeps none, so a refused run writes
+nothing. Pass 2 opens the output, then has each chunk made again and
 writes it in slices of about 3 KiB of text, one %-format call each. A
 run holds one chunk at a time (2048 rows; the widest, a correlators
 chunk, peaks at about 0.6 MiB under tracemalloc),
@@ -53,15 +55,14 @@ import errno
 import functools
 import gc
 import math
-import operator
 import os
 import sys
 import warnings
 
-from .analysis import SWEEP_QUANTITIES, _Linspace, _sweep_columns
-from .analysis import _table_chunks, limit_convergence_study
+from .analysis import _LIMIT_COLUMNS, SWEEP_QUANTITIES, _judged, _limit_cells, _limit_ladder
+from .analysis import _Linspace, _sweep_columns, _table_chunks
 from .correlators import Geometry, WallKind
-from .errors import ConfigError, DomainError, NonFiniteResult
+from .errors import ConfigError, DomainError
 from .potentials import _REGIME, AtomResponse
 from .profiles import GuardPolicy
 from .units import HBAR_C_J_M
@@ -303,77 +304,31 @@ def _write_table(fh, fmt: str, columns, chunks, words, zeros) -> None:
         fh.write("\n]\n")
 
 
-def _convertible(column: str) -> bool:
-    """Columns carrying length^-n dimensions that scale by hbar*c in SI."""
-    return column.startswith(("V", "force", "EE", "BB", "EB", "trace"))
-
-
-def _first_bad(cells, natural) -> tuple[int, int] | None:
-    """(row, column) of the first cell that is not a finite normal double.
-
-    cells is a chunk in the output units and natural the same chunk in
-    natural units. A cell is refused if it is inf or nan, or below the
-    normal range (subnormal or zero) while its natural-unit value is not
-    zero: an SI value that underflowed is refused as a subnormal natural
-    one is. In natural units (natural is cells) that is: inf, nan or
-    subnormal.
-    """
-    lo, hi = sys.float_info.min, sys.float_info.max
-    if isinstance(cells, list):
-        for row, (values, nat) in enumerate(zip(cells, natural)):
-            for col, (x, n) in enumerate(zip(values, nat)):
-                if not (lo <= abs(x) <= hi or (x == 0.0 and n == 0.0)):
-                    return row, col
+def _factors(args, names) -> list[float] | None:
+    """The --units si factor of each float column named: hbar*c where the
+    column carries a length^-n dimension, else 1; None in natural units."""
+    if args.units != "si":
         return None
-    mag = abs(cells)
-    if mag.max() <= hi and mag.min() >= lo:  # all normal (a nan max fails)
-        return None
-    bad = ~(mag <= hi) | ((mag < lo) & (natural != 0.0))
-    if not bad.any():
-        return None
-    return divmod(int(bad.argmax()), cells.shape[1])
+    return [HBAR_C_J_M if c.startswith(("V", "force", "EE", "BB", "EB", "trace")) else 1.0
+            for c in names]
 
 
 def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
-    """Gate every cell of the table, then write it: two passes over chunks().
+    """Write the table that chunks() makes once every chunk of it is made.
 
     chunks() yields the table as (cells, asymptotic) chunks, the same ones
-    on every call; cells holds the float columns, in order, that are not
-    named in zeros, which are identically zero and written as 0. Pass 1
-    converts units and gates each chunk, then drops it; it ends with the
-    refusal of the whole table: a domain or double-range error chunks()
-    raises anywhere, else the first cell _first_bad refuses, in table order.
-    Only then is the output file opened, so a refused run writes nothing and
-    leaves an existing file untouched. Pass 2 converts, formats and writes
-    each chunk again, so memory holds one chunk at a time, however long the
-    table.
+    on every call, already converted and judged by the producer
+    (analysis._table_chunks, or analysis._judged for the limits ladder);
+    cells holds the float columns, in order, that are not named in zeros,
+    which are identically zero and written as 0. Pass 1 drains chunks()
+    and keeps nothing, so the producer's refusal of the whole table comes
+    before the output file is opened: a refused run writes nothing and
+    leaves an existing file untouched. Pass 2 makes each chunk again and
+    writes it, so memory holds one chunk at a time, however long the table.
     """
-    live = [c for c in columns if c not in zeros]
-    floats = live[: len(live) - (1 if words else 0)]
-    factors = [HBAR_C_J_M if _convertible(c) else 1.0 for c in floats]
-
-    def converted(cells):
-        if args.units != "si":
-            return cells
-        if isinstance(cells, list):
-            return [tuple(map(operator.mul, row, factors)) for row in cells]
-        return cells * factors  # NumPy broadcasts the list over the rows
-
-    refusal, seen = None, 0
-    for natural, _ in chunks():
-        cells = converted(natural)
-        bad = None if refusal else _first_bad(cells, natural)
-        if bad is not None:
-            row, col = bad
-            refusal = NonFiniteResult(
-                f"{floats[col]}={float(cells[row][col])!r} in row {seen + row + 1}"
-                f" ({floats[0]}={float(cells[row][0])!r}) is not a finite normal double"
-            )
-        seen += len(cells)
-    if refusal is not None:
-        raise refusal
-    table = ((converted(cells), flags) for cells, flags in chunks())
-    _output(args.out, lambda fh: _write_table(fh, args.format, columns, table, words, zeros))
+    for _ in chunks():
+        pass
+    _output(args.out, lambda fh: _write_table(fh, args.format, columns, chunks(), words, zeros))
 
 
 def _guard_from(args) -> GuardPolicy:
@@ -432,7 +387,10 @@ def _cmd_table(args) -> int:
     if args.command == "sweep":
         quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
         columns = terms = _sweep_columns(quantities, args.emit_limit_reference)
-    _emit(args, columns, lambda: _table_chunks(geom, atom, z, terms, guard), words, zeros)
+    names = [c for c in columns if c not in zeros][: len(terms)]  # of the float columns
+    factors = _factors(args, names)
+    _emit(args, columns, lambda: _table_chunks(geom, atom, z, terms, guard, names, factors),
+          words, zeros)
     return 0
 
 
@@ -445,15 +403,12 @@ def _cmd_limits(args) -> int:
     if args.a_values is None and ladder[-1] == math.inf:
         raise ConfigError(f"--z {args.z!r} overflows the default a ladder (20 to 160 times z)")
     a_values = ladder if args.a_values is None else args.a_values
-    study = limit_convergence_study(atom, args.wall_type, args.z, a_values, guard)
+    study = _limit_ladder(atom, args.wall_type, args.z, a_values, guard)
     # rel_error is None on every row of a degenerate study, and a word there
     words = ("limit degenerate",) if study.degenerate else ()
-    rows = [
-        (row.a, row.v_exact, row.v_limit) + ((row.rel_error,) if not words else ())
-        for row in study.rows
-    ]
+    rows = _judged(_limit_cells(study), _LIMIT_COLUMNS, 0, _factors(args, _LIMIT_COLUMNS))
     flags = [False] * len(rows)
-    _emit(args, ("a", "V_exact", "V_limit", "rel_error"), lambda: [(rows, flags)], words)
+    _emit(args, _LIMIT_COLUMNS, lambda: [(rows, flags)], words)
     return 0
 
 

@@ -280,3 +280,39 @@ def test_a_result_out_of_the_double_range_is_a_named_refusal_in_the_library():
     with pytest.raises(NonFiniteResult, match=r" in V_exact in row 2 \(a=1e\+80\)$"):
         limit_convergence_study(ELECTRIC, "conducting", 1.0, [20.0, 1e80],
                                 GuardPolicy(1e-6, "asymptotic"))
+
+
+# V overflows (the prefactor times a near-wall profile) in every row: nan and -inf
+_HUGE = (Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1e-3), AtomResponse(1e300, 0.0))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, analysis.CHUNK_ROWS])
+def test_run_sweep_refuses_a_cell_out_of_the_double_range(monkeypatch, chunk_rows):
+    monkeypatch.setattr(analysis, "CHUNK_ROWS", chunk_rows)
+    with pytest.raises(NonFiniteResult) as info:
+        run_sweep(SweepSpec(*_HUGE, [5e-4, 6e-4]))
+    assert str(info.value) == "V=nan in row 1 (z=0.0005) is not a finite normal double"
+    # V falls below the normal range from row 17 on, toward the midplane: the
+    # row named is the table's, whatever the chunk size
+    spec = SweepSpec.from_range(CC, AtomResponse(1e-309, 0.0), 0.01, 0.5, 30)
+    with pytest.raises(NonFiniteResult) as info:
+        run_sweep(spec)
+    assert str(info.value) == (
+        "V=-1.975107362068404e-308 in row 17 (z=0.2803448275862069)"
+        " is not a finite normal double")
+
+
+def test_the_limit_study_refuses_a_cell_out_of_the_double_range():
+    with pytest.raises(NonFiniteResult) as info:
+        limit_convergence_study(_HUGE[1], "conducting", 1e-3, [1e-2])
+    assert str(info.value) == "V_exact=-inf in row 1 (a=0.01) is not a finite normal double"
+
+
+def test_a_zero_polarizability_tabulates_its_exact_zeros():
+    zero = AtomResponse(0.0, 0.0)
+    curve = run_sweep(SweepSpec(_HUGE[0], zero, [5e-4, 6e-4], SWEEP_QUANTITIES,
+                                include_limit_reference=True))
+    for name in ("V", "V_E", "V_M", "force", "V_wall"):
+        assert curve.column(name) == [0.0, 0.0], name
+    study = limit_convergence_study(zero, "conducting", 1e-3, [1e-2, 2e-2])
+    assert [(r.v_exact, r.v_limit) for r in study.rows] == [(0.0, 0.0)] * 2

@@ -258,7 +258,7 @@ def test_a_z_count_of_2_to_the_53_is_a_grid_of_that_length():
     assert last[0] < last[1] == 0.9
 
 
-# A grid is gated whole before any output, chunk by chunk, yet a refusal
+# A grid is judged whole before any output, chunk by chunk, yet a refusal
 # still names the first refused row in grid order, with the scalar path's
 # message.
 _TOO_CLOSE_LAST = (
@@ -675,6 +675,27 @@ def test_si_cell_that_underflows_is_refused(
     assert run_cli(capsys, *argv, "--units", "si") == (2, "", want)
 
 
+def test_limits_name_an_si_underflow_before_a_later_subnormal_natural_cell(capsys):
+    # V_limit is subnormal in natural units, V_exact in row 1 only in SI;
+    # V_exact comes first in the row, so an SI run names it
+    argv = ("limits", "--z", "1", "--a-values", "1.00001,2", "--alpha", "1e-308")
+    assert run_cli(capsys, *argv) == (2, "", (
+        "NonFiniteResult: V_limit=-1.193662073189215e-309 in row 1 (a=1.00001)"
+        " is not a finite normal double\n"))
+    assert run_cli(capsys, *argv, "--units", "si") == (2, "", (
+        "NonFiniteResult: V_exact=-3.7737946e-315 in row 1 (a=1.00001)"
+        " is not a finite normal double\n"))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_a_nonzero_cell_that_underflows_to_zero_is_refused(capsys):
+    # every cell but z underflows to a signed 0 in natural units, and the
+    # judge passes a 0 whose natural value is 0: the row is printed, exit 0
+    argv = ("potential", "--alpha", "1e-300", "--a", "1e60", "--z", "3e59")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("NonFiniteResult: "), (out, err)
+
+
 def test_si_cell_that_is_zero_in_natural_units_stays_zero(capsys):
     argv = ("potential", "--z", "0.5", "--alpha", "0")
     natural = run_cli(capsys, *argv)
@@ -713,7 +734,7 @@ def test_no_kernel_or_format_call_covers_more_than_one_chunk(
     monkeypatch.setattr(analysis, "CHUNK_ROWS", 7)
     assert run_cli(capsys, *argv) == want
     assert max(kernel_rows) == max(format_rows) == 7
-    # the gate pass and the write pass each evaluate every row once
+    # pass 1 (drained) and pass 2 (written) each evaluate every row once
     assert sum(kernel_rows) == 2 * sum(format_rows) == 200
 
 

@@ -13,7 +13,7 @@ power function: that is libm's pow, as operator.pow (the scalar `**`) is.
 A form that powered with ** or np.power itself would, on arrays, use a SIMD
 pow that differs from libm in the last bit on about 5% of points, and change
 these bytes on hosts whose NumPy dispatches to it (AVX-512).
-A grid is evaluated, gated and written in analysis.CHUNK_ROWS-row chunks,
+A grid is evaluated, judged and written in analysis.CHUNK_ROWS-row chunks,
 each written in slices of rows, one %-format call a slice; the bytes must
 depend neither on the chunk size nor on the slice size.
 

@@ -11,16 +11,22 @@ inside _cmd_verify only.
 
 A verify run compiles two modules that no table command compiles,
 verification.py and oracles.py. The compile() peak of each, under
-tracemalloc, stays within 5% of the largest module a table command
-compiles (cli.py today), so `verify` runs at the memory floor of the
-table commands. New oracles go in oracles.py, next to the others; a suite
-that outgrows this bound re-pins COMPILE_PEAK_RATIO on purpose.
+tracemalloc on CPython 3.11, stays within 5% of its own pinned peak in
+COMPILE_PEAK_KIB, taken when the oracles were first compiled apart from
+the check table and verify's child peak RSS fell to about that of a
+table command. The bound is each module's own, not that of the largest
+table module: a table module that shrinks does not make verify cost
+more memory. New oracles go in oracles.py, next to the others; a suite
+that outgrows its bound re-pins COMPILE_PEAK_KIB on purpose, with the
+verify RSS it costs.
 """
 
 import ast
 import pathlib
 import sys
 import tracemalloc
+
+import pytest
 
 import cpwalls
 
@@ -31,6 +37,9 @@ TABLE_MODULES = ("profiles", "correlators", "potentials", "analysis", "cli")
 # every module a table command compiles: the package, less the two of verify
 TABLE_COMPILED = ("__init__", "__main__", "analysis", "cli", "correlators",
                   "errors", "potentials", "profiles", "units")
+# compile() tracemalloc peak, in KiB, of each module only verify compiles
+# (cli.py, the largest table module then, peaked at 1380 KiB)
+COMPILE_PEAK_KIB = {"verification": 1372, "oracles": 598}
 COMPILE_PEAK_RATIO = 1.05
 
 
@@ -101,9 +110,10 @@ def _compile_peak(module: str) -> int:
     return min(peaks)
 
 
-def test_verify_compiles_no_larger_unit_than_a_table_command():
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="compile() peaks are those of CPython 3.11")
+def test_verify_compiles_its_two_modules_within_their_pinned_peaks():
     assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(
-        (*TABLE_COMPILED, "oracles", "verification"))
-    floor = max(_compile_peak(m) for m in TABLE_COMPILED)
-    for module in ("verification", "oracles"):
-        assert _compile_peak(module) <= COMPILE_PEAK_RATIO * floor, module
+        (*TABLE_COMPILED, *COMPILE_PEAK_KIB))
+    for module, kib in COMPILE_PEAK_KIB.items():
+        assert _compile_peak(module) <= COMPILE_PEAK_RATIO * kib * 1024, module

@@ -20,6 +20,7 @@ from cpwalls.correlators import (
 from cpwalls.errors import (
     FlatPotentialWarning,
     NegativePolarizabilityWarning,
+    NonFiniteResult,
     OutOfDomain,
     TooCloseToWall,
 )
@@ -391,3 +392,11 @@ def test_electric_potential_negative_between_conductors_property(z):
     # 3*cot_profile > 1/120 everywhere, so V_E < 0 for a polarizable atom
     assert potential_electric(ELECTRIC, CC, z) < 0.0
     assert potential_magnetic(AtomResponse(0.0, 1.0), CC, z) > 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_a_force_that_underflows_to_zero_is_refused():
+    # (alpha - beta)*pi^4/a^5 underflows to 0 while alpha and the profile
+    # slope are nonzero: force returns -0.0 today
+    with pytest.raises(NonFiniteResult):
+        force(AtomResponse(1e-300, 0.0), Geometry(WallKind.CONDUCTOR_CONDUCTOR, 1e60), 3e59)

@@ -199,7 +199,8 @@ def _grid(geom, atom, z, guard):
         return terms
     p, dp, asymptotic = terms
     with np.errstate(all="ignore"):
-        cells = {name: _outcome(lambda: _Terms(atom, geom, zs, p, dp)[name][0])
+        ops = (np.float_power, np.minimum)  # the array path's pow and minimum, for V_wall
+        cells = {name: _outcome(lambda: _Terms(atom, geom, zs, p, dp, ops)[name][0])
                  for name in _COLUMN if name not in ("EE", "BB")}
     return p[0], dp[0], bool(asymptotic[0]), cells
 
