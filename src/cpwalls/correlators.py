@@ -30,12 +30,12 @@ apply that rule, word a refusal with profiles._outside and chain no
 exception. Where pi*z/a underflows to 0.0 (z/a below about 1e-324) the
 point is in the guard band at every epsilon, in _point as in the kernel,
 not refused as outside the walls, and a refusal names it as the smallest
-positive double, the xi Geometry.xi gives it. _point alone decides the
-band: a grid's first refused row goes to Geometry.profile, which raises
-the scalar error and message. Records the
-module builds from its own values (the tensors of correlator_ee and
-correlator_bb, the one zero EB record) skip the checks of
-CorrelatorTensor.__new__.
+positive double, the xi Geometry.xi gives it. On floats profiles._at,
+which _point calls, alone decides the band: a grid's first refused row
+goes to Geometry.profile, which raises the scalar error and message.
+Records the module builds from its own values (the tensors of
+correlator_ee and correlator_bb, the one zero EB record) skip the checks
+of CorrelatorTensor.__new__.
 
 Geometry and CorrelatorTensor are named tuples checked in __new__: a
 Geometry's kind must be a WallKind (ValueError otherwise) and its
@@ -185,7 +185,7 @@ class Geometry(namedtuple("Geometry", "kind separation_a")):
         ok = (0.0 < z) & (z < a)
         if guard.mode == "reject":
             ok = ok > asymptotic  # inside and not in the band
-        if not ok.all():  # _point decides the band as the kernel does, so this raises
+        if not ok.all():  # profiles._at decides the band as the kernel does, so this raises
             self.profile(float(z[ok.argmin()]), guard)
         return p, dp, asymptotic
 

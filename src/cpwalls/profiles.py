@@ -36,21 +36,23 @@ those of plain float arithmetic (math.pow would say "math range error" and
 raise ValueError instead); math.sin, math.cos and operator.pow are bound
 once, at import.
 
-Two steps on floats turn an argument into (u, sign, band). _evaluate is
-the one of the six public functions of xi: one form, a check that xi is
-in (0, pi), the reflection. _point is the z step of every Geometry method
-on one z, and the one place that decides the guard band of a position:
-it checks 0 < z < a, forms xi = pi*(z/a), reflects once, runs one band
-test, the kernel's own, u < epsilon, and takes one sin/cos pair for the
-profile and, if asked, its slope, with the asymptotic flag. An xi that
-underflows to 0.0 is thus in the band at every epsilon, 5e-324 included;
-the smallest positive double only names it in a refusal and is its
-series' wall distance. Geometry.profile_terms and stationary_points
-refuse a position by calling it. A public scalar function evaluates its
-forms in one call of one of them, and both word a band refusal through
-_refuse. An argument that float arithmetic refuses is outside the
+On floats, one function decides the guard band: _at, which runs the one
+band test, the kernel's own u < epsilon, takes one sin/cos pair for the
+closed forms or, inside the band, refuses (mode="reject") or takes the
+series with the asymptotic flag, and names the xi of a refusal. Two entry
+points turn an argument into (u, sign) and call it. _evaluate serves the
+six public functions of xi: a check that xi is in (0, pi), worded by
+_check_domain, and the reflection; the two *_series functions pass a
+policy whose epsilon is inf, so every point takes the series. _point is
+the z step of every Geometry method on one z: it checks 0 < z < a,
+worded by _outside, forms xi = pi*(z/a) and reflects once, and asks for
+the profile and, if wanted, its slope. An xi that underflows to 0.0 is
+thus in the band at every epsilon, 5e-324 included; the smallest positive
+double only names it in a refusal and is its series' wall distance.
+Geometry.profile_terms and stationary_points refuse a position by calling
+_point. An argument that float arithmetic refuses is outside the
 domain: a str, a Decimal or an int beyond the double range is refused as
-outside (0, pi) (cpwalls.verification.zeta4: as not q > 0; a z as outside
+outside (0, pi) (cpwalls.oracles.zeta4: as not q > 0; a z as outside
 (0, a), by _outside), by the test 0.0 * x < x < hi of _inside, with no
 type test on the way of a number.
 _profile_terms, the z step on arrays, takes the same z and a and
@@ -62,16 +64,17 @@ the first refused row and hands it to the scalar path to raise. No form
 may power with ** or np.power itself.
 
 The independent oracles of these closed forms, the image sums and the
-Hurwitz-zeta route, live in cpwalls.verification, their one caller. They
-take pi and its low part from math and 3/8 from their own literal, never
-from this module's constants, so a wrong PI_LO or SERIES_LEADING moves the
-closed forms and not their oracles; they share only the input rule below.
+Hurwitz-zeta route, live in cpwalls.oracles; their one caller in the
+package is the check table in cpwalls.verification. They take pi and its
+low part from math and 3/8 from their own literal, never from this
+module's constants, so a wrong PI_LO or SERIES_LEADING moves the closed
+forms and not their oracles; they share only the input rule below.
 
 NumPy is imported inside _profile_terms only, so a process that evaluates
 single points never loads it.
 
 GuardPolicy is a named tuple whose __new__ checks the fields. A number
-field of any record (cpwalls.verification's OracleConfig too) is checked
+field of any record (cpwalls.oracles' OracleConfig too) is checked
 by _finite, the test of _inside against inf: a value that float arithmetic
 refuses as not a number (a str, a Decimal, a complex) is a ValueError, and
 an int or a Fraction beyond the double range is out of range, as inf is.
@@ -222,38 +225,48 @@ CSC_PROFILE_DERIV = Form(
 )
 
 
-def _refuse(xi, guard: GuardPolicy | None):
-    """Raise the refusal of xi: OutOfDomain off (0, pi), else TooCloseToWall."""
-    _check_domain(xi)
-    raise TooCloseToWall(f"xi={xi!r} is within {guard.epsilon} of a wall (mode=reject)")
+def _at(profile: Form, deriv: Form | None, u: float, sign: float, xi: float, guard: GuardPolicy):
+    """The one band test on floats: the Forms at wall distance u and sign.
+
+    u >= epsilon takes the closed forms on one sin/cos pair; inside the band
+    mode="reject" raises TooCloseToWall naming xi, and mode="asymptotic"
+    takes the series, with the asymptotic flag. Where xi underflowed to 0.0
+    the smallest positive double is the xi a refusal names and the u of the
+    series. With deriv=None it returns the profile alone, a float, and
+    evaluates no slope.
+    """
+    if u >= guard.epsilon:
+        if deriv is None:
+            return profile.closed(_sin(u), _cos(u), sign, _pow)
+        s, c = _sin(u), _cos(u)
+        return profile.closed(s, c, sign, _pow), deriv.closed(s, c, sign, _pow), False
+    if guard.mode == "reject":
+        raise TooCloseToWall(
+            f"xi={xi or _XI_MIN!r} is within {guard.epsilon} of a wall (mode=reject)")
+    u = u or _XI_MIN
+    if deriv is None:
+        return profile.series(u, sign, _pow)
+    return profile.series(u, sign, _pow), deriv.series(u, sign, _pow), True
 
 
-def _evaluate(form: Form, xi: float, guard: GuardPolicy | None) -> float:
-    """One Form at one point: domain check, reflection, guard band, value.
+def _evaluate(form: Form, xi: float, guard: GuardPolicy) -> float:
+    """One Form at one xi: domain check, reflection, then _at.
 
     u is the distance to the nearest wall (the reflection about the true pi
-    done in double-double) and sign is +1 on (0, pi/2] and -1 beyond. Inside
-    the guard band mode="reject" raises and mode="asymptotic" takes the
-    series; guard=None asks for the series everywhere. An xi off (0, pi)
-    is refused after the except block, so that its error chains nothing.
+    done in double-double) and sign is +1 on (0, pi/2] and -1 beyond. An xi
+    off (0, pi) is refused after the except block, so that its error chains
+    nothing.
     """
     try:  # _inside(xi, PI) inline; unchained, which is one bytecode less
         if not (0.0 * xi < xi and xi < PI):
-            raise OutOfDomain  # worded by _refuse, below
+            raise OutOfDomain  # worded by _check_domain, below
     except (OutOfDomain, TypeError, OverflowError):  # or refused by float arithmetic
         pass
     else:
         if xi <= HALF_PI:
-            u, sign = xi, 1.0
-        else:
-            u, sign = (PI - xi) + PI_LO, -1.0
-        if guard is not None:
-            if u >= guard.epsilon:
-                return form.closed(_sin(u), _cos(u), sign, _pow)
-            if guard.mode == "reject":
-                _refuse(xi, guard)
-        return form.series(u, sign, _pow)
-    _refuse(xi, guard)
+            return _at(form, None, xi, 1.0, xi, guard)
+        return _at(form, None, (PI - xi) + PI_LO, -1.0, xi, guard)
+    _check_domain(xi)
 
 
 def _outside(z, a: float) -> OutOfDomain:
@@ -264,17 +277,15 @@ def _outside(z, a: float) -> OutOfDomain:
 def _point(profile: Form, deriv: Form | None, z: float, a: float, guard: GuardPolicy):
     """The z step on floats: (profile, slope, asymptotic) at one z.
 
-    The one place a position between the walls becomes (u, sign, band):
-    0 < z < a by the test of _inside, xi = pi*(z/a), one reflection, one
-    band test for both Forms, u < epsilon as in _profile_terms, and one
-    sin/cos pair. Where pi*z/a underflows to 0.0 the point is in the band
-    whatever epsilon is; the smallest positive double, as Geometry.xi
-    gives, is the xi a refusal names and the u of the series. With
-    deriv=None it returns the profile alone, a float, and evaluates no
-    slope. The values are _profile_terms' at the same z and a bit for bit
-    (where a power leaves the double range this raises as ** does, the
-    profile before the slope). A z off (0, a) is refused after the except
-    block, so that its error chains nothing.
+    The one place a position between the walls becomes (u, sign): 0 < z < a
+    by the test of _inside, xi = pi*(z/a) and one reflection; _at then runs
+    the band test, u < epsilon as in _profile_terms, for both Forms. Where
+    pi*z/a underflows to 0.0 the point is in the band whatever epsilon is.
+    With deriv=None it returns the profile alone, a float. The values are
+    _profile_terms' at the same z and a bit for bit (where a power leaves
+    the double range this raises as ** does, the profile before the slope).
+    A z off (0, a) is refused after the except block, so that its error
+    chains nothing.
     """
     try:  # _inside(z, a) inline
         if not (0.0 * z < z and z < a):
@@ -284,20 +295,8 @@ def _point(profile: Form, deriv: Form | None, z: float, a: float, guard: GuardPo
     else:
         xi = PI * (z / a)
         if xi <= HALF_PI:
-            u, sign = xi, 1.0
-        else:
-            u, sign = (PI - xi) + PI_LO, -1.0
-        if u >= guard.epsilon:
-            if deriv is None:
-                return profile.closed(_sin(u), _cos(u), sign, _pow)
-            s, c = _sin(u), _cos(u)
-            return profile.closed(s, c, sign, _pow), deriv.closed(s, c, sign, _pow), False
-        if guard.mode == "reject":
-            _refuse(xi or _XI_MIN, guard)
-        u = u or _XI_MIN  # where xi underflowed, the series' smallest wall distance
-        if deriv is None:
-            return profile.series(u, sign, _pow)
-        return profile.series(u, sign, _pow), deriv.series(u, sign, _pow), True
+            return _at(profile, deriv, xi, 1.0, xi, guard)
+        return _at(profile, deriv, (PI - xi) + PI_LO, -1.0, xi, guard)
     raise _outside(z, a)
 
 
@@ -321,13 +320,18 @@ def csc_profile_deriv(xi: float, guard: GuardPolicy = DEFAULT_GUARD) -> float:
     return _evaluate(CSC_PROFILE_DERIV, xi, guard)
 
 
+# The series everywhere: no u reaches an epsilon of inf, which GuardPolicy
+# itself refuses, so the record is built unchecked.
+_SERIES_ONLY = tuple.__new__(GuardPolicy, (math.inf, "asymptotic"))
+
+
 def cot_profile_series(xi: float) -> float:
     """Near-wall expansion (3/8)*u^-4 + 1/120, u = distance to either wall.
 
     The constant keeps the same sign at both walls (the image sum is even
     under reflection); relative error is about u^6/47 at distance u.
     """
-    return _evaluate(COT_PROFILE, xi, None)
+    return _evaluate(COT_PROFILE, xi, _SERIES_ONLY)
 
 
 def csc_profile_series(xi: float) -> float:
@@ -335,7 +339,7 @@ def csc_profile_series(xi: float) -> float:
 
     Near xi=0: (3/8)*u^-4 - 7/960. Near xi=pi: -(3/8)*u^-4 + 7/960.
     """
-    return _evaluate(CSC_PROFILE, xi, None)
+    return _evaluate(CSC_PROFILE, xi, _SERIES_ONLY)
 
 
 def _profile_terms(

@@ -31,9 +31,9 @@ MUTANTS = [
      "pow(u, -4) + COT_SERIES_CONST", "pow(u, -3) + COT_SERIES_CONST", None),
     (3, "profiles.py",  # the kernel's band test u < eps -> u <= 2 eps
      "asymptotic = u < guard.epsilon", "asymptotic = u <= 2 * guard.epsilon", None),
-    (4, "profiles.py",  # _point's band test u >= eps -> u >= 2 eps
-     "\n        if u >= guard.epsilon:", "\n        if u >= 2 * guard.epsilon:", None),
-    (5, "profiles.py",  # _point flags band rows as exact
+    (4, "profiles.py",  # _at's band test u >= eps -> u >= 2 eps
+     "\n    if u >= guard.epsilon:", "\n    if u >= 2 * guard.epsilon:", None),
+    (5, "profiles.py",  # _at flags band rows as exact
      "deriv.series(u, sign, _pow), True", "deriv.series(u, sign, _pow), False", None),
     (6, "analysis.py",  # _nearest_wall's tie goes to the far wall
      "repels = (z > d_far)", "repels = (z >= d_far)", None),

@@ -453,6 +453,60 @@ def test_guard_band_is_strict():
     assert rel_err(cot_profile(x, guard), cot_profile_series(x)) < 1e-13
 
 
+_GUARDED = {  # a guarded function of xi -> its series at wall distance u and side sign
+    cot_profile: lambda xi, u, sign: cot_profile_series(xi),
+    csc_profile: lambda xi, u, sign: csc_profile_series(xi),
+    cot_profile_deriv: lambda xi, u, sign: COT_PROFILE_DERIV.series(u, sign, operator.pow),
+    csc_profile_deriv: lambda xi, u, sign: CSC_PROFILE_DERIV.series(u, sign, operator.pow),
+}
+
+
+def _band_edge(eps: float, far: bool) -> list[float]:
+    """The xi at wall distance eps and one ulp either side, at either wall.
+
+    At the far wall no double xi need sit at distance eps exactly: the
+    three are those nearest the edge, the first of them inside the band.
+    """
+    if not far:
+        return [math.nextafter(eps, 0.0), eps, math.nextafter(eps, 1.0)]
+    xi = PI - eps
+    while wall_distance(xi) >= eps:
+        xi = math.nextafter(xi, 4.0)
+    while wall_distance(math.nextafter(xi, 0.0)) < eps:
+        xi = math.nextafter(xi, 0.0)
+    return [xi, math.nextafter(xi, 0.0), math.nextafter(math.nextafter(xi, 0.0), 0.0)]
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["near-wall", "far-wall"])
+@pytest.mark.parametrize("eps", [1e-6, 3e-3, 1.0])
+def test_the_xi_functions_switch_at_the_band_edge_to_the_ulp(eps, far):
+    """Each guarded function of xi refuses, or takes the series, exactly where
+    wall_distance(xi) < eps; one ulp further out it is the closed form."""
+    reject, asymptotic = GuardPolicy(eps, "reject"), GuardPolicy(eps, "asymptotic")
+    points = _band_edge(eps, far)
+    inside = [wall_distance(xi) < eps for xi in points]
+    assert inside == [True, False, False]
+    for fn, series in _GUARDED.items():
+        for xi, in_band in zip(points, inside):
+            if in_band:
+                with pytest.raises(TooCloseToWall) as info:
+                    fn(xi, reject)
+                assert str(info.value) == f"xi={xi!r} is within {eps} of a wall (mode=reject)"
+                u, sign = wall_distance(xi), -1.0 if far else 1.0
+                assert fn(xi, asymptotic) == series(xi, u, sign), (fn.__name__, xi)
+            else:
+                assert fn(xi, asymptotic) == fn(xi, reject), (fn.__name__, xi)
+
+
+@pytest.mark.parametrize("xi", [math.nextafter(HALF_PI, 0.0), HALF_PI,
+                                math.nextafter(HALF_PI, 4.0)])
+def test_the_series_functions_take_the_series_even_at_the_midplane(xi):
+    """No band edge stops them: they are the series at every xi, pi/2 included."""
+    u, sign = (xi, 1.0) if xi <= HALF_PI else ((PI - xi) + PI_LO, -1.0)
+    assert cot_profile_series(xi) == 0.375 * u**-4 + 1.0 / 120.0 != cot_profile(xi)
+    assert csc_profile_series(xi) == sign * (0.375 * u**-4 - 7.0 / 960.0) != csc_profile(xi)
+
+
 def test_guard_policy_validation():
     with pytest.raises(ValueError):
         GuardPolicy(epsilon=0.0)

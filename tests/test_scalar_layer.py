@@ -294,7 +294,7 @@ def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z, refusal):
     """Each public call is one z step, which evaluates each form at most once.
 
     The z step is profiles._point, or Geometry.xi in correlator_eb, which
-    evaluates no form; profiles._evaluate, the evaluator of the public xi
+    evaluates no form; profiles._evaluate, the entry point of the public xi
     functions, is not called. The geometry's two forms count their
     closed-form and series evaluations. A refused position is refused by
     that one z step, with its class and message, and evaluates no form.
@@ -341,12 +341,12 @@ def test_one_evaluation_per_form_per_public_call(monkeypatch, kind, z, refusal):
 
 # (call, kind) -> opcode events of one warm call, the calling lambda's included
 BYTECODES = {
-    ("potential_total z < a/2", "cc"): 137, ("potential_total z < a/2", "cp"): 139,
-    ("potential_total z > a/2", "cc"): 140, ("potential_total z > a/2", "cp"): 142,
-    ("potential_sample", "cc"): 213, ("potential_sample", "cp"): 221,
-    ("force", "cc"): 118, ("force", "cp"): 124,
-    ("correlator_ee", "cc"): 142, ("correlator_ee", "cp"): 144,
-    ("cot_profile", None): 74,
+    ("potential_total z < a/2", "cc"): 142, ("potential_total z < a/2", "cp"): 144,
+    ("potential_total z > a/2", "cc"): 146, ("potential_total z > a/2", "cp"): 148,
+    ("potential_sample", "cc"): 218, ("potential_sample", "cp"): 226,
+    ("force", "cc"): 123, ("force", "cp"): 129,
+    ("correlator_ee", "cc"): 147, ("correlator_ee", "cp"): 149,
+    ("cot_profile", None): 79,
 }
 
 
