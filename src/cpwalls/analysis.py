@@ -2,19 +2,23 @@
 
 Everything here is a pure tabulation layer over the correlator and potential
 modules: build a grid, evaluate the requested quantities per point, and hand
-back plain column/row containers the CLI can serialize. _table_chunks is
-the one evaluator of a table's columns, for run_sweep, a CLI grid and a
-CLI --z point alike, and _judged the one judge of a table's cells: it
-converts a chunk to the output's units and refuses a cell that is inf,
-nan or subnormal, for _table_chunks, limit_convergence_study and the
-CLI's limits table, so the library's tables refuse what the CLI refuses
-and the CLI only parses and writes. A CLI grid is a _Linspace, which
-builds np.linspace's positions one chunk at a time, so a CLI table holds
-one chunk whatever its length. The containers
-(SweepSpec, PotentialCurve, LimitRow, LimitStudy) are immutable named
-tuples; SweepSpec.__new__ checks the grid and the quantities and keeps the
-grid as a tuple of floats, and PotentialCurve and LimitStudy hold their
-rows in a list.
+back plain column/row containers the CLI can serialize. _COLUMNS is the one
+column table: every numeric column of the potential, correlators, sweep and
+limits tables is described there once, with its expression (or the shared
+term it takes), whether --units si multiplies it by hbar*c, and whether it
+is identically zero; a table is then its tuple of column names
+(SWEEP_QUANTITIES, _LIMIT_COLUMNS, the CLI's POTENTIAL_COLUMNS and
+CORRELATOR_COLUMNS). _table_chunks is the one evaluator of a table's
+columns, for run_sweep, a CLI grid and a CLI --z point alike, and _judged
+the one judge of a table's cells: it converts a chunk to the output's units
+and refuses a cell that is inf, nan or subnormal, for _table_chunks,
+limit_convergence_study and the CLI's limits table, so the library's tables
+refuse what the CLI refuses and the CLI only parses and writes. A CLI grid
+is a _Linspace, which builds np.linspace's positions one chunk at a time, so
+a CLI table holds one chunk whatever its length. The containers (SweepSpec,
+PotentialCurve, LimitRow, LimitStudy) are immutable named tuples;
+SweepSpec.__new__ checks the grid and the quantities and keeps the grid as a
+tuple of floats, and PotentialCurve and LimitStudy hold their rows in a list.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .potentials import (
     single_wall_limit,
 )
 from .profiles import DEFAULT_GUARD, GuardPolicy, _finite, _inside, _pow
+from .units import HBAR_C_J_M
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,7 +70,7 @@ class SweepSpec(
         geometry: Geometry,
         atom: AtomResponse,
         z_grid,
-        quantities: tuple[str, ...] = ("V", "V_E", "V_M", "force"),
+        quantities: tuple[str, ...] = SWEEP_QUANTITIES[:4],  # V, V_E, V_M and force
         guard: GuardPolicy = DEFAULT_GUARD,
         include_limit_reference: bool = False,
     ):
@@ -224,7 +229,7 @@ class _Terms(dict):
 
     Built from z and the profile values p and slopes dp there, and the
     (pow, minimum) pair of z's path, _FLOAT_OPS or NumPy's, which V_wall
-    takes. Any other name is the _COLUMN expression of that name,
+    takes. Any other name is the expression of its _COLUMNS entry,
     evaluated when it is first asked for and then kept, so each term is
     computed once per chunk however many columns read it.
     """
@@ -236,30 +241,59 @@ class _Terms(dict):
         self.atom, self.geom, self.ops = atom, geom, ops
 
     def __missing__(self, name: str):
-        value = self[name] = _COLUMN[name](self)
+        value = self[name] = _COLUMNS[name][0](self)
         return value
 
 
-# Every table column as one expression in the _Terms t, in the scalar
-# functions' own expressions: the sweep quantities, V_wall, and the live
-# cells of the CLI correlator table, which read the EE and BB pairs of
-# _par_perp (the BB tensor is the EE one at -p). Each takes floats (one CLI
-# point) or arrays (a grid chunk) alike.
-_COLUMN = {
-    "V": lambda t: _total(t.atom, t.geom, t["p"]),
-    "V_E": lambda t: _electric(t.atom, t.geom, t["p"]),
-    "V_M": lambda t: _magnetic(t.atom, t.geom, t["p"]),
-    "force": lambda t: _force(t.atom, t.geom, t["dp"]),
-    "V_wall": lambda t: _nearest_wall(t.geom, t.atom, t["z"], *t.ops),
-    "EE": lambda t: _par_perp(t.geom, t["p"]),
-    "BB": lambda t: _par_perp(t.geom, -t["p"]),
-    "EE_par": lambda t: t["EE"][0],
-    "EE_perp": lambda t: t["EE"][1],
-    "BB_par": lambda t: t["BB"][0],
-    "BB_perp": lambda t: t["BB"][1],
-    "EE_trace": lambda t: _trace(*t["EE"]),
-    "BB_trace": lambda t: _trace(*t["BB"]),
-    "trace_sum": lambda t: t["EE_trace"] + t["BB_trace"],
+# The nine cells of each correlator tensor, row-major, as _COLUMNS entries:
+# a diagonal EE or BB cell takes its pair's par (xx, yy) or perp (zz) term;
+# the off-diagonal and EB cells are zero.
+_TENSOR_CELLS = {
+    f"{pair}_{i}{j}": (f"{pair}_{'perp' if i == 'z' else 'par'}", True, False)
+    if i == j and pair != "EB" else (None, True, True)
+    for pair in ("EE", "BB", "EB") for i in "xyz" for j in "xyz"
+}
+
+# The one column table: every numeric column of the potential, correlators,
+# sweep and limits tables, and every term they share, by name, as
+# (term, si, zero):
+# - term: the entry's expression in the _Terms t, on floats (one CLI point)
+#   or arrays (a grid chunk) alike, in the scalar functions' own
+#   expressions; or the name of the shared term the column takes, which is
+#   what a refusal names (V_total is V); or None where no _Terms evaluates
+#   it: z, which _Terms holds, the limits columns, which a LimitRow holds,
+#   and the zero cells;
+# - si: --units si multiplies it by hbar*c (its dimension is length^-n);
+# - zero: it vanishes identically, so it is held in no array and written as
+#   a literal 0, what %.17g prints for +0.0, in either unit system.
+# EE and BB are the (par, perp) pairs of _par_perp: the BB tensor is the EE
+# one at -p.
+_COLUMNS = {
+    "z": (None, False, False),
+    "V": (lambda t: _total(t.atom, t.geom, t["p"]), True, False),
+    "V_E": (lambda t: _electric(t.atom, t.geom, t["p"]), True, False),
+    "V_M": (lambda t: _magnetic(t.atom, t.geom, t["p"]), True, False),
+    "force": (lambda t: _force(t.atom, t.geom, t["dp"]), True, False),
+    "V_wall": (lambda t: _nearest_wall(t.geom, t.atom, t["z"], *t.ops), True, False),
+    "EE": (lambda t: _par_perp(t.geom, t["p"]), True, False),
+    "BB": (lambda t: _par_perp(t.geom, -t["p"]), True, False),
+    "EE_par": (lambda t: t["EE"][0], True, False),
+    "EE_perp": (lambda t: t["EE"][1], True, False),
+    "BB_par": (lambda t: t["BB"][0], True, False),
+    "BB_perp": (lambda t: t["BB"][1], True, False),
+    "EE_trace": (lambda t: _trace(*t["EE"]), True, False),
+    "BB_trace": (lambda t: _trace(*t["BB"]), True, False),
+    "trace_sum": (lambda t: t["EE_trace"] + t["BB_trace"], True, False),
+    "V_total": ("V", True, False),
+    "force_z": ("force", True, False),
+    **_TENSOR_CELLS,
+    "trace_EE": ("EE_trace", True, False),
+    "trace_BB": ("BB_trace", True, False),
+    "trace_EE_plus_trace_BB": ("trace_sum", True, False),
+    "a": (None, False, False),
+    "V_exact": (None, True, False),
+    "V_limit": (None, True, False),
+    "rel_error": (None, False, False),
 }
 
 # Rows per chunk of a table: what _table_chunks evaluates and judges, and the
@@ -305,25 +339,26 @@ class _Linspace:
         return z
 
 
-def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy, names=None, factors=None):
-    """The named _Terms over a grid z, CHUNK_ROWS rows at a time, each chunk judged.
+def _table_chunks(geom: Geometry, atom, z, names, guard: GuardPolicy, si=False):
+    """The named columns over a grid z, CHUNK_ROWS rows at a time, each chunk judged.
 
-    z is a float, a _Linspace or a sequence of floats. Yields (cells,
+    z is a float, a _Linspace or a sequence of floats. names are the
+    output's column names, each an entry of _COLUMNS, evaluated as the term
+    its entry names (itself where its term is an expression). Yields (cells,
     asymptotic) per chunk: a (rows, columns) float64 array and the rows'
     asymptotic mask. One Geometry._grid_terms call covers a chunk, each
     distinct term is then one array expression, and every cell equals the
     scalar public function at that z bit for bit; NumPy is quiet, so an
-    overflow gives inf, not a warning. Each chunk then goes through
-    _judged, under names (the output's column names; columns by default)
-    and times factors (the CLI's --units si; natural units by default), and
-    is yielded as _judged returns it. Refusals come as for the whole grid
-    at once: the first domain refusal in grid order (OutOfDomain,
-    TooCloseToWall) wins over a result out of the double range, which is
-    raised only once every chunk has passed the domain check. That is a
-    NonFiniteResult: _judged's, the correlator prefactor's own, or, where
-    a prefactor raises OverflowError or ZeroDivisionError, one that names
-    the error, the term and the chunk's first row and z. atom may be None
-    where no column needs one.
+    overflow gives inf, not a warning. Each chunk then goes through _judged,
+    under names and in si units if si (the CLI's --units si; natural units
+    by default), and is yielded as _judged returns it. Refusals come as for
+    the whole grid at once: the first domain refusal in grid order
+    (OutOfDomain, TooCloseToWall) wins over a result out of the double
+    range, which is raised only once every chunk has passed the domain
+    check. That is a NonFiniteResult: _judged's, the correlator prefactor's
+    own, or, where a prefactor raises OverflowError or ZeroDivisionError,
+    one that names the error, the term and the chunk's first row and z. atom
+    may be None where no column needs one.
 
     A float z (the CLI's --z point) is one chunk of one row: a list of one
     float tuple and a list of one flag, from one Geometry.point_terms call
@@ -333,7 +368,7 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy, names=No
     pass instead, as a grid of one row, which names it as it names a grid
     row: _judged its inf or nan cell, or the term of a prefactor.
     """
-    names = names or columns
+    columns = [_COLUMNS[n][0] if isinstance(_COLUMNS[n][0], str) else n for n in names]
     if isinstance(z, float):
         try:
             p, dp, asymptotic = geom.point_terms(z, guard)
@@ -342,7 +377,7 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy, names=No
         except (OverflowError, ZeroDivisionError):
             z = [z]
         else:
-            yield _judged([row], names, 0, factors), [asymptotic]
+            yield _judged([row], names, 0, si), [asymptotic]
             return
     import numpy as np
 
@@ -357,7 +392,7 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy, names=No
                 cells = np.empty((len(zc), len(columns)))
                 for i, c in enumerate(columns):
                     cells[:, i] = terms[c]
-                cells = _judged(cells, names, start, factors)
+                cells = _judged(cells, names, start, si)
             except (OverflowError, ZeroDivisionError, NonFiniteResult) as exc:
                 for rest in range(start + CHUNK_ROWS, len(z), CHUNK_ROWS):
                     geom._grid_terms(z[rest:rest + CHUNK_ROWS], guard)  # domain first
@@ -368,21 +403,23 @@ def _table_chunks(geom: Geometry, atom, z, columns, guard: GuardPolicy, names=No
         yield cells, asymptotic
 
 
-def _judged(cells, names, start=0, factors=None):
-    """A table chunk times factors, refused unless every cell is a finite normal double.
+def _judged(cells, names, start=0, si=False):
+    """A table chunk in its units, refused unless every cell is a finite normal double.
 
     The one judge of a table's cells, for _table_chunks, the limits ladder
     and the CLI's --units si. cells is a chunk in natural units: a list of
     float tuples or a (rows, columns) float64 array; names are its column
-    names and start the table row before its first. factors, one per
-    column, convert it; None keeps natural units. Returns the converted
-    chunk. A cell is refused if it is inf or nan, or below the normal range
-    (subnormal or zero) while its natural value is not zero, so a converted
-    value that underflowed is refused as a subnormal natural one is. The
-    NonFiniteResult names the first refused cell in row order, its table
-    row and that row's first cell.
+    names, entries of _COLUMNS, and start the table row before its first. If
+    si, each column whose entry says so is multiplied by hbar*c; else the
+    chunk keeps natural units. Returns the converted chunk. A cell is
+    refused if it is inf or nan, or below the normal range (subnormal or
+    zero) while its natural value is not zero, so a converted value that
+    underflowed is refused as a subnormal natural one is. The
+    NonFiniteResult names the first refused cell in row order, its table row
+    and that row's first cell.
     """
     natural = cells
+    factors = [HBAR_C_J_M if _COLUMNS[c][1] else 1.0 for c in names] if si else None
     if isinstance(cells, list):
         if factors is not None:
             cells = [tuple(map(operator.mul, row, factors)) for row in cells]
@@ -467,7 +504,8 @@ class LimitStudy(NamedTuple):
         return -math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / sxx
 
 
-# The columns of a limits table: a row's a, v_exact, v_limit and rel_error.
+# The columns of a limits table, _COLUMNS entries: a row's a, v_exact, v_limit
+# and rel_error.
 _LIMIT_COLUMNS = ("a", "V_exact", "V_limit", "rel_error")
 
 

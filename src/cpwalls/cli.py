@@ -16,29 +16,33 @@ reproduces its output byte for byte. No command loads the json module: a
 JSON table, like verify's JSON, is written from %-templates, its column
 names and words quoted as '"%s"' (they are fixed ASCII names and need no
 escaping). The CLI evaluates and judges nothing itself: it parses and
-writes. potential, correlators and sweep are one handler, _cmd_table, over
-the columns, terms, words and zeros of each in _TABLES; each takes one --z
-or a grid by the flag rules of _grid_from, and no position rule of its
-own: the z step of _table_chunks judges every row, so a grid whose step
-underflows prints np.linspace's repeated positions. A table goes out in
-two passes over chunks of rows, which analysis._table_chunks makes: a
-grid on arrays, analysis.CHUNK_ROWS rows at a time, and a single --z point
-as one chunk of floats through the scalar forms, which gives the same bits
-and does not load NumPy. A grid is an analysis._Linspace: its positions
-are built a chunk at a time, equal to np.linspace's bit for bit, and a
---z-count above 2**53 is refused. The limits ladder is one chunk of floats
-from the body of analysis.limit_convergence_study. The producer converts
-and judges every chunk by the one judge, analysis._judged, given the
-output's column names and --units factors (_factors): a refusal names the
-first domain error in grid order, else the first chunk's result out of
-the double range (an OverflowError or ZeroDivisionError of a prefactor or
-a profile power, named with its term and row) or its first non-finite
-cell. Pass 1 drains the chunks and keeps none, so a refused run writes
-nothing. Pass 2 opens the output, then has each chunk made again and
-writes it in slices of about 3 KiB of text, one %-format call each. A
-run holds one chunk at a time (2048 rows; the widest, a correlators
-chunk, peaks at about 0.6 MiB under tracemalloc),
-and its peak RSS does not grow with the rows (README, "Output contract").
+writes. A table command is its tuple of column names plus its word column
+(_TABLES); every numeric column is described once, in the one column table
+analysis._COLUMNS, which gives the term it is evaluated as, its --units si
+factor and whether it is identically zero (written as 0, held in no array).
+potential, correlators and sweep are one handler, _cmd_table; each takes
+one --z or a grid by the flag rules of _grid_from, and no position rule of
+its own: the z step of _table_chunks judges every row, so a grid whose step
+underflows prints np.linspace's repeated positions. limits takes neither
+--geometry nor --a: its walls are --wall-type and --a-values. A table goes
+out in two passes over chunks of rows, which analysis._table_chunks makes:
+a grid on arrays, analysis.CHUNK_ROWS rows at a time, and a single --z
+point as one chunk of floats through the scalar forms, which gives the same
+bits and does not load NumPy. A grid is an analysis._Linspace: its
+positions are built a chunk at a time, equal to np.linspace's bit for bit,
+and a --z-count above 2**53 is refused. The limits ladder is one chunk of
+floats from the body of analysis.limit_convergence_study. The producer
+converts and judges every chunk by the one judge, analysis._judged, given
+the output's column names and whether --units is si: a refusal names the
+first domain error in grid order, else the first chunk's result out of the
+double range (an OverflowError or ZeroDivisionError of a prefactor or a
+profile power, named with its term and row) or its first non-finite cell.
+Pass 1 drains the chunks and keeps none, so a refused run writes nothing.
+Pass 2 opens the output, then has each chunk made again and writes it in
+slices of about 3 KiB of text, one %-format call each. A run holds one
+chunk at a time (2048 rows; the widest, a correlators chunk, peaks at about
+0.6 MiB under tracemalloc), and its peak RSS does not grow with the rows
+(README, "Output contract").
 
 An optional config file (--config PATH) holds flat key=value lines naming
 the long flags (e.g. "geometry=cp", "z-min=0.1"). argparse reads the option,
@@ -59,40 +63,20 @@ import os
 import sys
 import warnings
 
-from .analysis import _LIMIT_COLUMNS, SWEEP_QUANTITIES, _judged, _limit_cells, _limit_ladder
-from .analysis import _Linspace, _sweep_columns, _table_chunks
+from .analysis import _COLUMNS, _LIMIT_COLUMNS, _TENSOR_CELLS, SWEEP_QUANTITIES, _judged
+from .analysis import _limit_cells, _limit_ladder, _Linspace, _sweep_columns, _table_chunks
 from .correlators import Geometry, WallKind
 from .errors import ConfigError, DomainError
 from .potentials import _REGIME, AtomResponse
 from .profiles import GuardPolicy
-from .units import HBAR_C_J_M
 
 POTENTIAL_COLUMNS = ("z", "V_E", "V_M", "V_total", "force_z", "regime")
-# The analysis._table_chunks term behind each float column of POTENTIAL_COLUMNS.
-_POTENTIAL_CELLS = ("z", "V_E", "V_M", "V", "force")
-
-_AXES = "xyz"
-CORRELATOR_COLUMNS = (
-    ("z",)
-    + tuple(f"{pair}_{i}{j}" for pair in ("EE", "BB", "EB") for i in _AXES for j in _AXES)
-    + ("trace_EE", "trace_BB", "trace_EE_plus_trace_BB")
-)
-# Off-diagonal and EB cells vanish identically: written as a literal 0 (what
-# %.17g prints for +0.0, in either unit system), held in no array.
-_CORRELATOR_ZEROS = frozenset(
-    f"{pair}_{i}{j}" for pair in ("EE", "BB", "EB") for i in _AXES for j in _AXES
-    if pair == "EB" or i != j
-)
-# The analysis._table_chunks term behind each other column of CORRELATOR_COLUMNS.
-_CORRELATOR_CELLS = ("z", "EE_par", "EE_par", "EE_perp", "BB_par", "BB_par",
-                     "BB_perp", "EE_trace", "BB_trace", "trace_sum")
-# (columns, terms, words, zeros) of each table command, as _emit takes them;
-# sweep's columns and terms come from --quantities.
-_TABLES = {
-    "potential": (POTENTIAL_COLUMNS, _POTENTIAL_CELLS, _REGIME, frozenset()),
-    "correlators": (CORRELATOR_COLUMNS, _CORRELATOR_CELLS, (), _CORRELATOR_ZEROS),
-    "sweep": (None, None, (), frozenset()),
-}
+CORRELATOR_COLUMNS = ("z", *_TENSOR_CELLS, "trace_EE", "trace_BB", "trace_EE_plus_trace_BB")
+# (columns, words) of each table command, as _emit takes them: where there
+# are words, the last column is a word column. Every other column is an entry
+# of analysis._COLUMNS. sweep's columns come from --quantities.
+_TABLES = {"potential": (POTENTIAL_COLUMNS, _REGIME),
+           "correlators": (CORRELATOR_COLUMNS, ()), "sweep": (None, ())}
 
 _BOOLS = ("false", "true")  # a bool as JSON and verify's CSV write it
 _BOOLEAN_KEYS = {"emit-limit-reference"}
@@ -122,12 +106,16 @@ def _finite_floats(text: str) -> list[float]:
     return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _common_flags(parser: _Parser) -> None:
+def _common_flags(parser: _Parser, walls: bool) -> None:
+    """The flags of potential, correlators, sweep and limits; --geometry and
+    --a only where walls (limits takes its walls from --wall-type and
+    --a-values)."""
     parser.add_argument("--config", help="key=value file mirroring the flags")
-    parser.add_argument("--geometry", choices=["cc", "cp"], default="cc",
-                        help="wall pair: cc (two conductors) or cp (conductor + permeable)")
-    parser.add_argument("--a", type=_finite_float, default=1.0,
-                        help="wall separation (length)")
+    if walls:
+        parser.add_argument("--geometry", choices=["cc", "cp"], default="cc",
+                            help="wall pair: cc (two conductors) or cp (conductor + permeable)")
+        parser.add_argument("--a", type=_finite_float, default=1.0,
+                            help="wall separation (length)")
     parser.add_argument("--alpha", type=_finite_float, default=1.0,
                         help="static electric polarizability (length^3)")
     parser.add_argument("--beta", type=_finite_float, default=0.0,
@@ -154,13 +142,13 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=_cmd_table)
-        _common_flags(p)
+        _common_flags(p, True)
         p.add_argument("--z", type=_finite_float, help="single evaluation position")
         p.add_argument("--z-min", type=_finite_float)
         p.add_argument("--z-max", type=_finite_float)
         p.add_argument("--z-count", type=int)
     sweep = sub.choices["sweep"]
-    sweep.add_argument("--quantities", default="V,V_E,V_M,force",
+    sweep.add_argument("--quantities", default=",".join(SWEEP_QUANTITIES[:4]),
                        help="comma list from: " + ",".join(SWEEP_QUANTITIES))
     sweep.add_argument("--emit-limit-reference", action="store_true",
                        help="append the nearest-wall single-wall limit column V_wall")
@@ -168,7 +156,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("limits",
                        help="convergence of the two-wall potential to the single-wall limit")
     p.set_defaults(handler=_cmd_limits)
-    _common_flags(p)
+    _common_flags(p, False)
     p.add_argument("--wall-type", choices=["conducting", "permeable"],
                    default="conducting")
     p.add_argument("--z", type=_finite_float, default=1.0,
@@ -273,18 +261,19 @@ def _floats(block) -> list:
 _SLICE_CELLS = 3072 // 24
 
 
-def _write_table(fh, fmt: str, columns, chunks, words, zeros) -> None:
+def _write_table(fh, fmt: str, columns, chunks, words) -> None:
     """Write a table chunk by chunk, in slices of rows, one %-format call each.
 
-    chunks yields (cells, asymptotic): the float columns not named in zeros,
-    one row per table row, and one flag per row. A column in zeros is
-    written as 0 on every row. If words is not empty, a last word column
-    takes words[flag] (words[0] if words has one entry). "%.17g" formats a
-    float exactly as format(x, ".17g"), so the bytes depend neither on the
-    chunk size nor on the slice size.
+    chunks yields (cells, asymptotic): the float columns that are not
+    identically zero, one row per table row, and one flag per row. A column
+    whose analysis._COLUMNS entry is zero is written as 0 on every row. If
+    words is not empty, a last word column takes words[flag] (words[0] if
+    words has one entry). "%.17g" formats a float exactly as format(x,
+    ".17g"), so the bytes depend neither on the chunk size nor on the slice
+    size.
     """
     n_floats = len(columns) - (1 if words else 0)
-    fields = ["0" if c in zeros else "%.17g" for c in columns[:n_floats]]
+    fields = ["0" if _COLUMNS[c][2] else "%.17g" for c in columns[:n_floats]]
     # a flag picks its row's template; with one word or none, both flags pick the one
     templates = _row_templates(fmt, columns, fields, words) * 2
     rows = max(1, _SLICE_CELLS // fields.count("%.17g"))
@@ -304,31 +293,22 @@ def _write_table(fh, fmt: str, columns, chunks, words, zeros) -> None:
         fh.write("\n]\n")
 
 
-def _factors(args, names) -> list[float] | None:
-    """The --units si factor of each float column named: hbar*c where the
-    column carries a length^-n dimension, else 1; None in natural units."""
-    if args.units != "si":
-        return None
-    return [HBAR_C_J_M if c.startswith(("V", "force", "EE", "BB", "EB", "trace")) else 1.0
-            for c in names]
-
-
-def _emit(args, columns, chunks, words=(), zeros=frozenset()) -> None:
+def _emit(args, columns, chunks, words) -> None:
     """Write the table that chunks() makes once every chunk of it is made.
 
     chunks() yields the table as (cells, asymptotic) chunks, the same ones
     on every call, already converted and judged by the producer
     (analysis._table_chunks, or analysis._judged for the limits ladder);
-    cells holds the float columns, in order, that are not named in zeros,
-    which are identically zero and written as 0. Pass 1 drains chunks()
-    and keeps nothing, so the producer's refusal of the whole table comes
-    before the output file is opened: a refused run writes nothing and
-    leaves an existing file untouched. Pass 2 makes each chunk again and
-    writes it, so memory holds one chunk at a time, however long the table.
+    cells holds the float columns, in order, that are not identically zero
+    (_write_table writes those as 0). Pass 1 drains chunks() and keeps
+    nothing, so the producer's refusal of the whole table comes before the
+    output file is opened: a refused run writes nothing and leaves an
+    existing file untouched. Pass 2 makes each chunk again and writes it, so
+    memory holds one chunk at a time, however long the table.
     """
     for _ in chunks():
         pass
-    _output(args.out, lambda fh: _write_table(fh, args.format, columns, chunks(), words, zeros))
+    _output(args.out, lambda fh: _write_table(fh, args.format, columns, chunks(), words))
 
 
 def _guard_from(args) -> GuardPolicy:
@@ -375,22 +355,21 @@ def _cmd_table(args) -> int:
 
     Geometry, atom (correlators builds none), guard and positions (one
     --z or a grid, by _grid_from) are read in that order, so the first bad
-    flag names the refusal. sweep takes its columns, which are also its
-    terms, from --quantities. No command judges a position here: the z
-    step of _table_chunks refuses each row, in grid order, for all three.
+    flag names the refusal. sweep takes its columns from --quantities. No
+    command judges a position here: the z step of _table_chunks refuses
+    each row, in grid order, for all three.
     """
-    columns, terms, words, zeros = _TABLES[args.command]
+    columns, words = _TABLES[args.command]
     geom = _geometry_from(args)
     atom = None if args.command == "correlators" else AtomResponse(args.alpha, args.beta)
     guard = _guard_from(args)
     z = _grid_from(args)
     if args.command == "sweep":
         quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-        columns = terms = _sweep_columns(quantities, args.emit_limit_reference)
-    names = [c for c in columns if c not in zeros][: len(terms)]  # of the float columns
-    factors = _factors(args, names)
-    _emit(args, columns, lambda: _table_chunks(geom, atom, z, terms, guard, names, factors),
-          words, zeros)
+        columns = _sweep_columns(quantities, args.emit_limit_reference)
+    names = [c for c in columns[:len(columns) - bool(words)] if not _COLUMNS[c][2]]
+    _emit(args, columns, lambda: _table_chunks(geom, atom, z, names, guard, args.units == "si"),
+          words)
     return 0
 
 
@@ -406,7 +385,7 @@ def _cmd_limits(args) -> int:
     study = _limit_ladder(atom, args.wall_type, args.z, a_values, guard)
     # rel_error is None on every row of a degenerate study, and a word there
     words = ("limit degenerate",) if study.degenerate else ()
-    rows = _judged(_limit_cells(study), _LIMIT_COLUMNS, 0, _factors(args, _LIMIT_COLUMNS))
+    rows = _judged(_limit_cells(study), _LIMIT_COLUMNS, 0, args.units == "si")
     flags = [False] * len(rows)
     _emit(args, _LIMIT_COLUMNS, lambda: [(rows, flags)], words)
     return 0

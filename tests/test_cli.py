@@ -7,6 +7,7 @@ as main, with the cyclic collector off and frozen before teardown.
 """
 
 import argparse
+import ast
 import contextlib
 import errno
 import gc
@@ -997,6 +998,42 @@ def test_a_bad_flag_value_is_named_with_its_flag(capsys, argv, want):
 
 
 # ----------------------------------------------------------------------
+# the column table
+# ----------------------------------------------------------------------
+
+# each table command's numeric columns: its columns less a word column
+NUMERIC_COLUMNS = {
+    "potential": POTENTIAL_COLUMNS[:-1],
+    "correlators": CORRELATOR_COLUMNS,
+    "sweep": analysis._sweep_columns(analysis.SWEEP_QUANTITIES, True),
+    "limits": analysis._LIMIT_COLUMNS,
+}
+
+
+def test_every_numeric_column_has_one_entry_and_some_command_reads_every_entry():
+    table = analysis._COLUMNS
+    # one entry each: no key is written twice in the source of the table
+    tree = ast.parse(pathlib.Path(analysis.__file__).read_text(encoding="utf-8"))
+    (display,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["_COLUMNS"]]
+    keys = [k.value for k in display.keys if k is not None] + list(analysis._TENSOR_CELLS)
+    assert sorted(keys) == sorted(table)
+    read = set()
+    for columns in NUMERIC_COLUMNS.values():
+        assert len(set(columns)) == len(columns) and set(columns) <= set(table)
+        read.update(columns)
+    # an entry reads the term it names, or the terms its expression looks up
+    todo = list(read)
+    while todo:
+        term = table[todo.pop()][0]
+        reads = {term} if isinstance(term, str) else set(term.__code__.co_consts) if term else ()
+        new = {name for name in reads if name in table} - read
+        read |= new
+        todo += new
+    assert read == set(table)
+
+
+# ----------------------------------------------------------------------
 # the parser
 # ----------------------------------------------------------------------
 
@@ -1022,9 +1059,11 @@ SUBCOMMANDS = {
               + ["--quantities", "--emit-limit-reference"],
               {**_COMMON_DEFAULTS, **_GRID_DEFAULTS,
                "quantities": "V,V_E,V_M,force", "emit_limit_reference": False}),
-    "limits": (_COMMON_OPTIONS + ["--wall-type", "--z", "--a-values"],
-               {**_COMMON_DEFAULTS, "wall_type": "conducting", "z": 1.0,
-                "a_values": None}),
+    # limits takes its walls from --wall-type and --a-values, not --geometry and --a
+    "limits": ([o for o in _COMMON_OPTIONS if o not in ("--geometry", "--a")]
+               + ["--wall-type", "--z", "--a-values"],
+               {**{k: v for k, v in _COMMON_DEFAULTS.items() if k not in ("geometry", "a")},
+                "wall_type": "conducting", "z": 1.0, "a_values": None}),
     "verify": (["-h", "--help", "--config", "--level", "--format", "--out"],
                {"config": None, "level": "quick", "format": "text", "out": None}),
 }
@@ -1242,13 +1281,22 @@ def test_a_stdout_whose_reader_is_gone_is_one_config_error_line(capsys, monkeypa
         1, "ConfigError: cannot write stdout: [Errno 32] Broken pipe\n")
 
 
+def _buffered_env() -> dict:
+    """The child's environment with its stdout buffered: without
+    PYTHONUNBUFFERED, a failed write leaves text in the buffer for the
+    interpreter's last flush, which run() points at os.devnull."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def test_a_process_whose_reader_closes_early_exits_1_with_one_line():
     # a table far larger than a pipe's buffer; the reader takes 10 bytes and
     # closes, and the interpreter's last flush must add nothing to stderr
     proc = subprocess.Popen(
         [sys.executable, "-m", "cpwalls", "potential",
          "--z-min", "0.1", "--z-max", "0.9", "--z-count", "20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env(),
     )
     head = proc.stdout.read(10)
     proc.stdout.close()
@@ -1257,6 +1305,24 @@ def test_a_process_whose_reader_closes_early_exits_1_with_one_line():
     assert (proc.wait(timeout=120), head) == (1, b"z,V_E,V_M,")
     assert err == b"ConfigError: cannot write stdout: [Errno %d] %s\n" % (
         errno.EPIPE, os.strerror(errno.EPIPE).encode())
+
+
+def test_a_pipe_closed_before_the_process_starts_exits_1_with_one_line():
+    # verify's whole report fits the stdout buffer: the first write is the
+    # flush in _output, which fails, and so does run()'s last flush of the
+    # same text, until stdout points at os.devnull
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpwalls", "verify", "--level", "quick"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=_buffered_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        1, b"ConfigError: cannot write stdout: [Errno %d] %s\n" % (
+            errno.EPIPE, os.strerror(errno.EPIPE).encode()))
 
 
 def _run_with_closed(fd, *argv):

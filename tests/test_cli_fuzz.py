@@ -45,8 +45,8 @@ def _inside(rng: random.Random, a: str) -> str:
 
 def _argv(rng: random.Random) -> list[str]:
     command = rng.choice(("potential", "correlators", "sweep", "limits"))
-    a = _number(rng)
-    argv = [command, f"--a={a}"]
+    a = _number(rng)  # drawn for limits too, which takes no --a, so the stream is kept
+    argv = [command] if command == "limits" else [command, f"--a={a}"]
     for flag, share in (("--alpha", 0.4), ("--beta", 0.4), ("--guard-eps", 0.2)):
         if rng.random() < share:
             argv.append(f"{flag}={_number(rng)}")

@@ -1,14 +1,14 @@
 """Every public scalar function against the array path, bit for bit.
 
 The scalar functions of correlators and potentials, and the Geometry
-methods on one z, are held to Geometry.profile_terms plus the table column
-expressions of analysis._COLUMN at the same z, on a one-point grid. Each
-value must have the same bits; a refused point must raise the class and
-message the grid raises, and that message is also spelled out here, from
-z, a and the guard alone. Where a power or a quotient leaves the double
-range the scalar path raises OverflowError or ZeroDivisionError as the **
-and / operators do, and the grid's cell is inf or nan instead: that is the
-one allowed difference.
+methods on one z, are held to Geometry.profile_terms plus every column
+expression of the one column table, analysis._COLUMNS, at the same z, on a
+one-point grid. Each value must have the same bits; a refused point must
+raise the class and message the grid raises, and that message is also
+spelled out here, from z, a and the guard alone. Where a power or a
+quotient leaves the double range the scalar path raises OverflowError or
+ZeroDivisionError as the ** and / operators do, and the grid's cell is inf
+or nan instead: that is the one allowed difference.
 
 The points are seeded over both kinds, separations from 1e-300 to 1e300,
 both guard modes and several band widths: both band edges to the ulp,
@@ -33,7 +33,7 @@ from test_records import NUMBER_FIELDS
 import cpwalls
 from cpwalls import correlators, profiles
 from cpwalls.analysis import (
-    _COLUMN,
+    _COLUMNS,
     _Terms,
     SweepSpec,
     limit_convergence_study,
@@ -201,7 +201,8 @@ def _grid(geom, atom, z, guard):
     with np.errstate(all="ignore"):
         ops = (np.float_power, np.minimum)  # the array path's pow and minimum, for V_wall
         cells = {name: _outcome(lambda: _Terms(atom, geom, zs, p, dp, ops)[name][0])
-                 for name in _COLUMN if name not in ("EE", "BB")}
+                 for name, (term, _, _) in _COLUMNS.items()
+                 if callable(term) and name not in ("EE", "BB")}
     return p[0], dp[0], bool(asymptotic[0]), cells
 
 
